@@ -17,18 +17,18 @@ Eight subcommands:
     The classic NoC load sweep: latency vs offered load for one design,
     showing where the saturation knee falls.
 ``chaos``
-    Graceful-degradation campaigns: routing policies crossed with
-    hard-fault schedules (link/router kills, error bursts), reporting
-    delivered fraction, reroutes, drops, and post-fault latency.
-    With ``--sensor-spec`` the campaign instead targets the *control
-    plane*: full closed-loop designs run under corrupted telemetry
-    (stuck-at, dropout, noise, staleness) and report what the hardened
-    observation path absorbed (rejects, holds, quarantines, debounced
-    switches) alongside delivered fraction.
-    With ``--soft-error-spec`` the campaign targets the *learning
-    state*: SEUs flip bits in the Q-table SRAM and mode registers, and
-    the report shows what the SECDED scrubber corrected/detected/
-    quarantined (or, with ``--no-ecc``, what the upsets did unopposed).
+    Graceful-degradation campaigns.  By default open loop: routing
+    policies on a bare network crossed with hard-fault schedules
+    (link/router kills, error bursts), reporting delivered fraction,
+    reroutes, drops, and post-fault latency.  A ``--sensor-spec``
+    and/or ``--soft-error-spec`` makes it closed loop: full control
+    designs run under every fault family given at once — hard faults
+    from ``--fault-specs``, corrupted telemetry (stuck-at, dropout,
+    noise, staleness) and SEUs in the Q-table SRAM and mode registers —
+    and one row reports what each defense layer absorbed (rejects,
+    holds, quarantines; ECC corrections, detections, TMR votes; or,
+    with ``--no-sensor-defenses`` / ``--no-ecc``, what the faults did
+    unopposed).
 ``bench``
     Kernel throughput benchmark (fast vs naive cycle kernel) over the
     idle/saturated/chaos/traced scenarios; ``--check BENCH_kernel.json``
@@ -71,6 +71,7 @@ Examples::
     python -m repro.cli chaos --sensor-spec 'drop@0.2:util;stuck@r5.temp=0.9'
     python -m repro.cli run --design rl --sensor-spec 'noise@0.05:nack' --hysteresis 2
     python -m repro.cli chaos --soft-error-spec 'qtable@1e-5;burst@800:4'
+    python -m repro.cli chaos --fault-specs 'link@300:5E' --sensor-spec 'drop@0.2:util' --soft-error-spec 'qtable@2e-5'
     python -m repro.cli run --design rl --soft-error-spec 'qtable@1e-5' --no-ecc
     python -m repro.cli trace run.jsonl --tail 10
     python -m repro.cli campaign --jobs 4 --report-md tables.md
@@ -127,8 +128,7 @@ from repro.sim.checkpoint import CheckpointError, ResumableRun, read_checkpoint_
 from repro.sim.sweep import (
     DEFAULT_CACHE_DIR,
     _eval_chaos,
-    _eval_sensor_chaos,
-    _eval_soft_error,
+    _eval_control_chaos,
     _payload_to_result,
 )
 from repro.traffic import PARSEC_PROFILES
@@ -397,8 +397,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     chaos = sub.add_parser(
         "chaos", help="routing policies under hard-fault campaigns "
-        "(with --sensor-spec: control designs under corrupted telemetry; "
-        "with --soft-error-spec: designs under SEUs in the learning state)"
+        "(with --sensor-spec and/or --soft-error-spec: closed-loop control "
+        "designs under every given fault family at once)"
     )
     chaos.add_argument(
         "--routings", default="xy,adaptive",
@@ -408,11 +408,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--fault-specs", default=None,
         help="'|'-separated campaign specs, e.g. "
         "'link@500:5E|router@800:7;burst@300+200:0.2' ('' = healthy "
-        "baseline; default: link@500:5E, or '' when --sensor-spec is given)",
+        "baseline; default: link@500:5E, or '' for a closed-loop campaign)",
     )
     chaos.add_argument(
         "--designs", default="rl",
-        help="comma-separated control designs for --sensor-spec campaigns "
+        help="comma-separated control designs for closed-loop campaigns "
         f"({', '.join(DESIGN_ORDER)})",
     )
     _add_sensor_args(chaos)
@@ -800,55 +800,30 @@ def cmd_campaign(args) -> int:
     return 0 if result.succeeded else 1
 
 
-def cmd_chaos(args) -> int:
-    if args.sensor_spec:
-        return _cmd_sensor_chaos(args)
-    if args.soft_error_spec:
-        return _cmd_soft_error_chaos(args)
-    config = _config_from_args(args)
-    routings = tuple(r.strip() for r in args.routings.split(",") if r.strip())
-    if not routings:
-        raise SystemExit("no routing policies given")
-    for routing in routings:
-        if routing not in ROUTING_FUNCTIONS:
+def _pick_names(raw: str, valid: Sequence[str], what: str) -> tuple:
+    """Split a comma-separated ``--routings`` / ``--designs`` value and
+    reject names outside ``valid`` with one line naming the bad one."""
+    names = tuple(name.strip() for name in raw.split(",") if name.strip())
+    if not names:
+        raise SystemExit(f"no {what}s given")
+    for name in names:
+        if name not in valid:
             raise SystemExit(
-                f"unknown routing {routing!r}; pick one of "
-                f"{', '.join(sorted(ROUTING_FUNCTIONS))}"
+                f"unknown {what} {name!r}; pick one of {', '.join(valid)}"
             )
-    raw_specs = "link@500:5E" if args.fault_specs is None else args.fault_specs
-    fault_specs = tuple(s.strip() for s in raw_specs.split("|"))
-    for fault_spec in fault_specs:
-        _validate_spec(fault_spec, parse_fault_spec, "--fault-specs")
-    spec = SweepSpec(
-        config=config,
-        kind="chaos",
-        designs=routings,
-        traffics=("uniform",),
-        seeds=(args.seed,),
-        rates=(args.rate,),
-        fault_specs=fault_specs,
-        cycles=args.span,
-    )
+    return names
+
+
+def _run_chaos_grid(spec: SweepSpec, args, evaluator):
+    """Evaluate a chaos grid; returns ``(results, succeeded)``.
+
+    A tracer cannot cross the worker-process boundary and events are
+    invisible to the result cache, so a traced run must be a single
+    point, evaluated in-process with the cache bypassed.  Untraced grids
+    go through the supervised, cached :class:`SweepRunner`.
+    """
     tracer = _make_tracer(args)
-    if tracer is not None:
-        # A tracer cannot cross the worker-process boundary and events
-        # are invisible to the result cache, so traced chaos runs are
-        # single-point, in-process, and cache-bypassing.
-        points = spec.expand()
-        if len(points) != 1:
-            raise SystemExit(
-                "chaos --trace requires a single-point grid "
-                "(one routing, one fault spec, one seed)"
-            )
-        payload = _eval_chaos(config, points[0], tracer=tracer)
-        results = [_payload_to_result(points[0], payload, cached=False)]
-        succeeded = True
-        print(
-            "[chaos] 1 point simulated in-process (traced; cache bypassed)",
-            file=sys.stderr,
-        )
-        _export_observability(args, tracer, None)
-    else:
+    if tracer is None:
         runner = _make_runner(spec, args)
         results = runner.run()
         print(
@@ -857,20 +832,32 @@ def cmd_chaos(args) -> int:
             file=sys.stderr,
         )
         _print_quarantine(runner)
-        succeeded = runner.report.succeeded
-    if args.json:
-        print(json.dumps(
-            [None if p is None else p.chaos for p in results], indent=2
-        ))
-        return 0 if succeeded else 1
+        return results, runner.report.succeeded
+    points = spec.expand()
+    if len(points) != 1:
+        raise SystemExit(
+            "chaos --trace requires a single-point grid "
+            "(one routing or design, one fault spec, one seed)"
+        )
+    payload = evaluator(spec.config, points[0], tracer=tracer)
+    print(
+        "[chaos] 1 point simulated in-process (traced; cache bypassed)",
+        file=sys.stderr,
+    )
+    _export_observability(args, tracer, None)
+    return [_payload_to_result(points[0], payload, cached=False)], True
+
+
+def _print_routing_table(points, results) -> int:
+    """Open-loop rows; returns 1 if any point tripped the watchdog."""
     print(
         f"{'routing':>9s} {'fault spec':>28s} {'delivered':>10s} {'dropped':>8s} "
         f"{'reroutes':>9s} {'post-lat':>9s}  status"
     )
-    worst = 0 if succeeded else 1
-    for point, p in zip(spec.expand(), results):
+    worst = 0
+    for point, p in zip(points, results):
+        spec_text = point.fault_spec or "(healthy)"
         if p is None:
-            spec_text = point.fault_spec or "(healthy)"
             print(
                 f"{point.design:>9s} {spec_text:>28s} {'-':>10s} {'-':>8s} "
                 f"{'-':>9s} {'-':>9s}  quarantined"
@@ -878,193 +865,120 @@ def cmd_chaos(args) -> int:
             continue
         c = p.chaos
         diagnosis = c.get("diagnosis")
-        status = diagnosis["error"] if diagnosis else "ok"
         if diagnosis:
             worst = 1
-        spec_text = c["fault_spec"] or "(healthy)"
         print(
             f"{c['routing']:>9s} {spec_text:>28s} {c['delivered_fraction']:>10.3f} "
             f"{c['messages_dropped']:>8d} {c['reroutes']:>9d} "
-            f"{c['post_fault_latency']:>9.1f}  {status}"
+            f"{c['post_fault_latency']:>9.1f}  "
+            f"{diagnosis['error'] if diagnosis else 'ok'}"
         )
     return worst
 
 
-def _cmd_sensor_chaos(args) -> int:
-    """``chaos --sensor-spec``: closed-loop control designs driven
-    through the full Simulator while their telemetry is corrupted."""
-    _validate_spec(args.sensor_spec, parse_sensor_spec, "--sensor-spec")
-    config = _config_from_args(args)
-    designs = tuple(d.strip() for d in args.designs.split(",") if d.strip())
-    if not designs:
-        raise SystemExit("no control designs given")
-    for design in designs:
-        if design not in DESIGN_ORDER:
-            raise SystemExit(
-                f"unknown design {design!r}; pick one of {', '.join(DESIGN_ORDER)}"
-            )
-    # A sensor campaign defaults to a hard-fault-free platform so the
-    # telemetry corruption is the only stressor under test.
-    raw_specs = "" if args.fault_specs is None else args.fault_specs
+#: closed-loop table: (header, width, cell of a control_chaos ledger)
+_CONTROL_COLUMNS = (
+    ("delivered", 10, lambda c: f"{c['delivered_fraction']:.3f}"),
+    ("applied", 8, lambda c: len(c["applied"])),
+    ("rejected", 9, lambda c: c["rejected_observations"]),
+    ("holds", 6, lambda c: c["sensor_holds"]),
+    ("quar", 5, lambda c: len(c["quarantined_routers"])),
+    ("ecc", 4, lambda c: "on" if c["ecc"] else "off"),
+    ("corr", 5, lambda c: c["corrected"]),
+    ("det", 4, lambda c: c["detected"]),
+    ("votes", 6, lambda c: c["mode_votes"]),
+    ("switches", 9, lambda c: c["mode_switches"]),
+)
+
+
+def _print_control_table(points, results) -> int:
+    """Closed-loop rows: the three specs, then what each defense layer
+    absorbed.  Returns 1 if any point tripped the watchdog."""
+    specs = [
+        (p.fault_spec or "-", p.sensor_spec or "-", p.soft_error_spec or "-")
+        for p in points
+    ]
+    headers = ("fault spec", "sensor spec", "soft-error spec")
+    widths = [
+        max([len(header)] + [len(row[i]) for row in specs])
+        for i, header in enumerate(headers)
+    ]
+
+    def line(design, texts, cells, status):
+        spec_text = " ".join(f"{t:>{w}s}" for t, w in zip(texts, widths))
+        cell_text = " ".join(
+            f"{str(v):>{col[1]}s}" for v, col in zip(cells, _CONTROL_COLUMNS)
+        )
+        print(f"{design:>7s} {spec_text} {cell_text}  {status}")
+
+    line("design", headers, [col[0] for col in _CONTROL_COLUMNS], "status")
+    worst = 0
+    for point, texts, p in zip(points, specs, results):
+        if p is None:
+            line(point.design, texts, ["-"] * len(_CONTROL_COLUMNS), "quarantined")
+            continue
+        c = p.control
+        diagnosis = c.get("diagnosis")
+        if diagnosis:
+            worst = 1
+        line(
+            c["design"], texts, [col[2](c) for col in _CONTROL_COLUMNS],
+            diagnosis["error"] if diagnosis else "ok",
+        )
+    return worst
+
+
+def cmd_chaos(args) -> int:
+    """Open loop (routings on a bare network under hard faults) by
+    default; closed loop (full control designs under any composition of
+    hard faults, sensor faults and SEUs) once a control-plane spec is
+    given.  Every spec is validated before any point runs."""
+    closed_loop = bool(args.sensor_spec or args.soft_error_spec)
+    raw_specs = args.fault_specs
+    if raw_specs is None:
+        # A closed-loop campaign defaults to a hard-fault-free platform
+        # so the control-plane faults it names are the only stressor.
+        raw_specs = "" if closed_loop else "link@500:5E"
     fault_specs = tuple(s.strip() for s in raw_specs.split("|"))
     for fault_spec in fault_specs:
         _validate_spec(fault_spec, parse_fault_spec, "--fault-specs")
-    spec = SweepSpec(
-        config=config,
-        kind="sensor_chaos",
-        designs=designs,
-        traffics=("uniform",),
-        seeds=(args.seed,),
-        rates=(args.rate,),
-        fault_specs=fault_specs,
-        sensor_specs=(args.sensor_spec,),
-        cycles=args.span,
-    )
-    tracer = _make_tracer(args)
-    if tracer is not None:
-        points = spec.expand()
-        if len(points) != 1:
-            raise SystemExit(
-                "chaos --trace requires a single-point grid "
-                "(one design, one fault spec, one seed)"
-            )
-        payload = _eval_sensor_chaos(config, points[0], tracer=tracer)
-        results = [_payload_to_result(points[0], payload, cached=False)]
-        succeeded = True
-        print(
-            "[chaos] 1 sensor point simulated in-process (traced; cache bypassed)",
-            file=sys.stderr,
-        )
-        _export_observability(args, tracer, None)
-    else:
-        runner = _make_runner(spec, args)
-        results = runner.run()
-        print(
-            f"[chaos] {runner.executed} sensor point(s) simulated, "
-            f"{runner.report.from_cache} from cache",
-            file=sys.stderr,
-        )
-        _print_quarantine(runner)
-        succeeded = runner.report.succeeded
-    if args.json:
-        print(json.dumps(
-            [None if p is None else p.sensor for p in results], indent=2
-        ))
-        return 0 if succeeded else 1
-    print(
-        f"{'design':>7s} {'sensor spec':>36s} {'delivered':>10s} {'rejected':>9s} "
-        f"{'holds':>6s} {'quar':>5s} {'switches':>9s}  status"
-    )
-    worst = 0 if succeeded else 1
-    for point, p in zip(spec.expand(), results):
-        if p is None:
-            print(
-                f"{point.design:>7s} {point.sensor_spec:>36s} {'-':>10s} "
-                f"{'-':>9s} {'-':>6s} {'-':>5s} {'-':>9s}  quarantined"
-            )
-            continue
-        s = p.sensor
-        diagnosis = s.get("diagnosis")
-        status = diagnosis["error"] if diagnosis else "ok"
-        if diagnosis:
-            worst = 1
-        print(
-            f"{s['design']:>7s} {s['sensor_spec']:>36s} "
-            f"{s['delivered_fraction']:>10.3f} "
-            f"{s['rejected_observations']:>9d} {s['sensor_holds']:>6d} "
-            f"{len(s['quarantined_routers']):>5d} {s['mode_switches']:>9d}  {status}"
-        )
-    return worst
-
-
-def _cmd_soft_error_chaos(args) -> int:
-    """``chaos --soft-error-spec``: closed-loop control designs driven
-    through the full Simulator while SEUs flip bits in their Q-table
-    SRAM and mode registers."""
+    _validate_spec(args.sensor_spec, parse_sensor_spec, "--sensor-spec")
     _validate_spec(args.soft_error_spec, parse_soft_error_spec, "--soft-error-spec")
     config = _config_from_args(args)
-    designs = tuple(d.strip() for d in args.designs.split(",") if d.strip())
-    if not designs:
-        raise SystemExit("no control designs given")
-    for design in designs:
-        if design not in DESIGN_ORDER:
-            raise SystemExit(
-                f"unknown design {design!r}; pick one of {', '.join(DESIGN_ORDER)}"
-            )
-    # An SEU campaign defaults to a hard-fault-free platform so the
-    # memory upsets are the only stressor under test.
-    raw_specs = "" if args.fault_specs is None else args.fault_specs
-    fault_specs = tuple(s.strip() for s in raw_specs.split("|"))
-    for fault_spec in fault_specs:
-        _validate_spec(fault_spec, parse_fault_spec, "--fault-specs")
-    spec = SweepSpec(
+    grid = dict(
         config=config,
-        kind="soft_error",
-        designs=designs,
         traffics=("uniform",),
         seeds=(args.seed,),
         rates=(args.rate,),
         fault_specs=fault_specs,
-        soft_error_specs=(args.soft_error_spec,),
         cycles=args.span,
     )
-    tracer = _make_tracer(args)
-    if tracer is not None:
-        points = spec.expand()
-        if len(points) != 1:
-            raise SystemExit(
-                "chaos --trace requires a single-point grid "
-                "(one design, one fault spec, one seed)"
-            )
-        payload = _eval_soft_error(config, points[0], tracer=tracer)
-        results = [_payload_to_result(points[0], payload, cached=False)]
-        succeeded = True
-        print(
-            "[chaos] 1 soft-error point simulated in-process (traced; "
-            "cache bypassed)",
-            file=sys.stderr,
+    if closed_loop:
+        spec = SweepSpec(
+            kind="control_chaos",
+            designs=_pick_names(args.designs, DESIGN_ORDER, "design"),
+            sensor_specs=(args.sensor_spec,),
+            soft_error_specs=(args.soft_error_spec,),
+            **grid,
         )
-        _export_observability(args, tracer, None)
+        evaluator, ledger, table = _eval_control_chaos, "control", _print_control_table
     else:
-        runner = _make_runner(spec, args)
-        results = runner.run()
-        print(
-            f"[chaos] {runner.executed} soft-error point(s) simulated, "
-            f"{runner.report.from_cache} from cache",
-            file=sys.stderr,
+        spec = SweepSpec(
+            kind="chaos",
+            designs=_pick_names(
+                args.routings, sorted(ROUTING_FUNCTIONS), "routing"
+            ),
+            **grid,
         )
-        _print_quarantine(runner)
-        succeeded = runner.report.succeeded
+        evaluator, ledger, table = _eval_chaos, "chaos", _print_routing_table
+    results, succeeded = _run_chaos_grid(spec, args, evaluator)
     if args.json:
         print(json.dumps(
-            [None if p is None else p.soft_error for p in results], indent=2
+            [None if p is None else getattr(p, ledger) for p in results], indent=2
         ))
         return 0 if succeeded else 1
-    print(
-        f"{'design':>7s} {'soft-error spec':>32s} {'ecc':>4s} {'delivered':>10s} "
-        f"{'corr':>5s} {'det':>4s} {'quar':>5s} {'votes':>6s}  status"
-    )
-    worst = 0 if succeeded else 1
-    for point, p in zip(spec.expand(), results):
-        if p is None:
-            print(
-                f"{point.design:>7s} {point.soft_error_spec:>32s} {'-':>4s} "
-                f"{'-':>10s} {'-':>5s} {'-':>4s} {'-':>5s} {'-':>6s}  quarantined"
-            )
-            continue
-        s = p.soft_error
-        diagnosis = s.get("diagnosis")
-        status = diagnosis["error"] if diagnosis else "ok"
-        if diagnosis:
-            worst = 1
-        print(
-            f"{s['design']:>7s} {s['soft_error_spec']:>32s} "
-            f"{'on' if s['ecc'] else 'off':>4s} "
-            f"{s['delivered_fraction']:>10.3f} "
-            f"{s['corrected']:>5d} {s['detected']:>4d} "
-            f"{s['quarantined_rows']:>5d} {s['mode_votes']:>6d}  {status}"
-        )
-    return worst
+    worst = table(spec.expand(), results)
+    return 0 if succeeded and not worst else 1
 
 
 def _load_trajectory(path: str) -> dict:

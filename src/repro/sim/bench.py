@@ -223,135 +223,33 @@ def _scenario_network(name: str, kernel: str, seed: int, width: int, height: int
     raise ValueError(f"unknown scenario {name!r}; pick one of {', '.join(SCENARIOS)}")
 
 
-#: combined telemetry corruption for the ``sensor`` scenario: dropout,
-#: one wedged temperature sensor, nack-rate noise, and a staleness window
-_SENSOR_BENCH_SPEC = "drop@0.2:util;stuck@r5.temp=0.9;noise@0.05:nack;stale@r2+1500:4"
+def _result(net: Network, wall: float, digest: Dict[str, object]) -> Dict[str, object]:
+    """One kernel's timing + digest + activity counters."""
+    return {
+        "kernel": net.kernel,
+        "cycles": net.now,
+        "wall_seconds": wall,
+        "cycles_per_second": net.now / wall if wall > 0 else 0.0,
+        "digest": digest,
+        "activity": net.activity.counters(),
+    }
 
 
-def _run_sensor_scenario(
-    kernel: str, cycles: int, seed: int, width: int, height: int
-) -> Dict[str, object]:
-    """Closed-loop RL control under corrupted telemetry on one kernel.
-
-    The other scenarios drive a bare :class:`Network`; the sensor faults
-    and the observation guard live in the epoch loop, so this one builds
-    the full :class:`Simulator`.  ``cycles`` is the measured injection
-    window; the scaled pre-train and warm-up phases run on top.
-    """
-    from repro.core.rl_policy import RLControlPolicy
-    from repro.sim.config import scaled_config
-    from repro.sim.simulator import Simulator
-    from repro.traffic import SyntheticTraffic
-
-    config = scaled_config(
-        width=width,
-        height=height,
-        epoch_cycles=250,
-        pretrain_cycles=min(6_000, cycles),
-        warmup_cycles=1_000,
-        sensor_spec=_SENSOR_BENCH_SPEC,
-        mode_hysteresis_epochs=2,
-    )
-    policy = RLControlPolicy(share_table=True, seed=seed)
-    sim = Simulator(config, policy, seed=seed, kernel=kernel)
-    start = time.perf_counter()
-    sim.pretrain()
-    policy.freeze()
-    sim.warmup()
-    source = SyntheticTraffic(
-        sim.network.topology,
-        pattern="uniform",
-        injection_rate=0.05,
-        packet_size=config.packet_size,
-        flit_bits=config.flit_bits,
-        rng=random.Random(seed + 97),
-    )
-    sim.run(source, cycles, learn=True)
-    deadline = sim.network.now + config.max_drain_cycles
-    while not sim.network.quiescent and sim.network.now < deadline:
-        sim._cycle()
-        if sim.network.now % config.epoch_cycles == 0:
-            sim._epoch_boundary(learn=True)
-    wall = time.perf_counter() - start
-    executed = sim.network.now
-    digest = _digest(sim.network)
-    # Fold the control-plane defense tallies into the digest: the two
-    # kernels must agree not only on traffic outcomes but on every
-    # injected corruption, rejected observation, and quarantine.
-    digest["sensor"] = {
+def _sensor_ledger(sim) -> Dict[str, object]:
+    """Every injected corruption, rejected observation, and quarantine."""
+    return {
         "injected": dict(sim.sensors.injected),
         "rejected": int(sim.metrics.peek("sensor.rejected_observations")),
         "holds": int(sim.metrics.peek("sensor.holds")),
         "clamps": int(sim.metrics.peek("sensor.clamps")),
         "debounced": int(sim.metrics.peek("sensor.debounced_switches")),
         "quarantined": sorted(sim.obs_guard.quarantined),
-        "mode_switches": sum(r.mode_switches for r in sim.network.routers),
     }
+
+
+def _ecc_ledger(sim) -> Dict[str, object]:
+    """Every injected flip and every scrub correction/detection/quarantine."""
     return {
-        "kernel": sim.network.kernel,
-        "cycles": executed,
-        "wall_seconds": wall,
-        "cycles_per_second": executed / wall if wall > 0 else 0.0,
-        "digest": digest,
-        "activity": sim.network.activity.counters(),
-    }
-
-
-#: combined SEU campaign for the ``softerror`` scenario: a continuous
-#: per-bit upset rate, one mode-register flip, and one multi-bit burst
-_SOFTERROR_BENCH_SPEC = "qtable@2e-5;mode@r3+2000;burst@3000:4"
-
-
-def _run_softerror_scenario(
-    kernel: str, cycles: int, seed: int, width: int, height: int
-) -> Dict[str, object]:
-    """Closed-loop RL control under SEUs in the learning state.
-
-    Like ``sensor``, this drives the full :class:`Simulator`: injection
-    and scrubbing live in the epoch loop, which both kernels execute
-    identically.  The digest folds in the complete ECC ledger so a
-    kernel that diverged in even one flip position fails loudly.
-    """
-    from repro.core.rl_policy import RLControlPolicy
-    from repro.sim.config import scaled_config
-    from repro.sim.simulator import Simulator
-    from repro.traffic import SyntheticTraffic
-
-    config = scaled_config(
-        width=width,
-        height=height,
-        epoch_cycles=250,
-        pretrain_cycles=min(6_000, cycles),
-        warmup_cycles=1_000,
-        soft_error_spec=_SOFTERROR_BENCH_SPEC,
-    )
-    policy = RLControlPolicy(share_table=True, seed=seed)
-    sim = Simulator(config, policy, seed=seed, kernel=kernel)
-    start = time.perf_counter()
-    sim.pretrain()
-    policy.freeze()
-    sim.warmup()
-    source = SyntheticTraffic(
-        sim.network.topology,
-        pattern="uniform",
-        injection_rate=0.05,
-        packet_size=config.packet_size,
-        flit_bits=config.flit_bits,
-        rng=random.Random(seed + 97),
-    )
-    sim.run(source, cycles, learn=True)
-    deadline = sim.network.now + config.max_drain_cycles
-    while not sim.network.quiescent and sim.network.now < deadline:
-        sim._cycle()
-        if sim.network.now % config.epoch_cycles == 0:
-            sim._epoch_boundary(learn=True)
-    wall = time.perf_counter() - start
-    executed = sim.network.now
-    digest = _digest(sim.network)
-    # Fold the ECC ledger into the digest: the two kernels must agree
-    # not only on traffic outcomes but on every injected flip and every
-    # scrub correction/detection/quarantine.
-    digest["ecc"] = {
         "injected": dict(sim.soft_errors.injected),
         "scrubs": int(sim.metrics.peek("ecc.scrubs")),
         "corrected": int(sim.metrics.peek("ecc.corrected")),
@@ -359,16 +257,83 @@ def _run_softerror_scenario(
         "quarantined_rows": int(sim.metrics.peek("ecc.quarantined_rows")),
         "mode_votes": int(sim.metrics.peek("ecc.mode_votes")),
         "safe_mode_entries": int(sim.metrics.peek("ecc.safe_mode_entries")),
-        "mode_switches": sum(r.mode_switches for r in sim.network.routers),
     }
-    return {
-        "kernel": sim.network.kernel,
-        "cycles": executed,
-        "wall_seconds": wall,
-        "cycles_per_second": executed / wall if wall > 0 else 0.0,
-        "digest": digest,
-        "activity": sim.network.activity.counters(),
-    }
+
+
+#: closed-loop scenario -> (config overrides, digest key, defense ledger).
+#: ``sensor``: dropout, one wedged temperature sensor, nack-rate noise,
+#: and a staleness window, with mode-switch hysteresis.  ``softerror``:
+#: a continuous per-bit Q-table upset rate, one mode-register flip, and
+#: one multi-bit burst.
+_CLOSED_LOOP: Dict[str, Tuple[Dict[str, object], str, Callable]] = {
+    "sensor": (
+        {
+            "sensor_spec": "drop@0.2:util;stuck@r5.temp=0.9;noise@0.05:nack;stale@r2+1500:4",
+            "mode_hysteresis_epochs": 2,
+        },
+        "sensor",
+        _sensor_ledger,
+    ),
+    "softerror": (
+        {"soft_error_spec": "qtable@2e-5;mode@r3+2000;burst@3000:4"},
+        "ecc",
+        _ecc_ledger,
+    ),
+}
+
+
+def _run_closed_loop_scenario(
+    name: str, kernel: str, cycles: int, seed: int, width: int, height: int
+) -> Dict[str, object]:
+    """Closed-loop RL control under one control-plane fault family.
+
+    The other scenarios drive a bare :class:`Network`; sensor faults,
+    SEUs and their defenses live in the epoch loop, so these build the
+    full :class:`Simulator`.  ``cycles`` is the measured injection
+    window; the scaled pre-train and warm-up phases run on top.  The
+    digest folds in the family's whole defense ledger, so the two
+    kernels must agree not only on traffic outcomes but on every
+    injected fault and every defensive action.
+    """
+    from repro.core.rl_policy import RLControlPolicy
+    from repro.sim.config import scaled_config
+    from repro.sim.simulator import Simulator
+    from repro.traffic import SyntheticTraffic
+
+    overrides, digest_key, ledger = _CLOSED_LOOP[name]
+    config = scaled_config(
+        width=width,
+        height=height,
+        epoch_cycles=250,
+        pretrain_cycles=min(6_000, cycles),
+        warmup_cycles=1_000,
+        **overrides,
+    )
+    policy = RLControlPolicy(share_table=True, seed=seed)
+    sim = Simulator(config, policy, seed=seed, kernel=kernel)
+    start = time.perf_counter()
+    sim.pretrain()
+    policy.freeze()
+    sim.warmup()
+    source = SyntheticTraffic(
+        sim.network.topology,
+        pattern="uniform",
+        injection_rate=0.05,
+        packet_size=config.packet_size,
+        flit_bits=config.flit_bits,
+        rng=random.Random(seed + 97),
+    )
+    sim.run(source, cycles, learn=True)
+    deadline = sim.network.now + config.max_drain_cycles
+    while not sim.network.quiescent and sim.network.now < deadline:
+        sim._cycle()
+        if sim.network.now % config.epoch_cycles == 0:
+            sim._epoch_boundary(learn=True)
+    wall = time.perf_counter() - start
+    digest = _digest(sim.network)
+    digest[digest_key] = ledger(sim)
+    digest[digest_key]["mode_switches"] = sum(r.mode_switches for r in sim.network.routers)
+    return _result(sim.network, wall, digest)
 
 
 def run_scenario(
@@ -380,24 +345,13 @@ def run_scenario(
     height: int = 4,
 ) -> Dict[str, object]:
     """Run one scenario on one kernel; returns timing + digest + counters."""
-    if name == "sensor":
-        return _run_sensor_scenario(kernel, cycles, seed, width, height)
-    if name == "softerror":
-        return _run_softerror_scenario(kernel, cycles, seed, width, height)
+    if name in _CLOSED_LOOP:
+        return _run_closed_loop_scenario(name, kernel, cycles, seed, width, height)
     net = _scenario_network(name, kernel, seed, width, height)
     rng = random.Random(seed + 97)
     start = time.perf_counter()
     _DRIVERS[name](net, cycles, rng)
-    wall = time.perf_counter() - start
-    executed = net.now
-    result: Dict[str, object] = {
-        "kernel": net.kernel,
-        "cycles": executed,
-        "wall_seconds": wall,
-        "cycles_per_second": executed / wall if wall > 0 else 0.0,
-        "digest": _digest(net),
-        "activity": net.activity.counters(),
-    }
+    result = _result(net, time.perf_counter() - start, _digest(net))
     if net.tracer is not None:
         result["trace"] = {
             "events": len(net.tracer),

@@ -725,16 +725,6 @@ class Simulator:
             ):
                 on_checkpoint(done)
 
-    def run_cycles(
-        self,
-        source: Optional[TrafficSource],
-        cycles: int,
-        learn: bool = True,
-        time_origin: Optional[int] = None,
-    ) -> None:
-        """Advance a fixed number of cycles, injecting from ``source``."""
-        self.run(source, cycles, learn=learn, time_origin=time_origin)
-
     def run_until_drained(
         self,
         source: TrafficSource,
@@ -818,9 +808,9 @@ class Simulator:
             free_span = span - forced_span * len(OperationMode)
             for mode in OperationMode:
                 self.forced_mode = mode
-                self.run_cycles(source, forced_span, learn=True)
+                self.run(source, forced_span, learn=True)
             self.forced_mode = None
-            self.run_cycles(source, free_span, learn=True)
+            self.run(source, free_span, learn=True)
         # Let in-flight pretraining packets drain before the next phase.
         self.drain_epochs()
 
@@ -844,7 +834,7 @@ class Simulator:
             flit_bits=self.config.flit_bits,
             rng=random.Random(self.seed + 202),
         )
-        self.run_cycles(source, cycles, learn=True)
+        self.run(source, cycles, learn=True)
 
     def make_replayer(self, records: List[TraceRecord]) -> TraceReplayer:
         """The measurement-phase trace replayer (seeded per Section V-B)."""

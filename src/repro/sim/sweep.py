@@ -52,10 +52,15 @@ Point kinds
     The raw mode trade-off surface: the whole mesh pinned to one
     operation mode under a flat channel error probability (used by
     ``examples/fault_sweep.py``).
-``soft_error``
-    One full closed-loop design under an SEU campaign that flips bits in
-    the quantized Q-table SRAM and the per-router mode registers, with
-    the SECDED/scrub/TMR defense layer on (``ecc_protect``) or off.
+``chaos``
+    Open-loop graceful degradation: one routing function on a bare
+    network (no control policy) under a hard-fault campaign.
+``control_chaos``
+    Closed-loop graceful degradation: one full control design under any
+    composition of the three fault families — hard faults
+    (``fault_spec``), corrupted telemetry (``sensor_spec``) and SEUs in
+    the Q-table SRAM and mode registers (``soft_error_spec``) — with one
+    union ledger per point.
 
 Determinism contract: every evaluator seeds all randomness from the
 point's ``seed`` field (the simulators use only local
@@ -67,6 +72,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import logging
 import multiprocessing
@@ -138,16 +144,21 @@ __all__ = [
 #: snapshot instead of chaining one live policy), and full-32-bit-CRC
 #: benchmark trace seeding — every trace/suite result surface changed,
 #: so schema-5 entries must miss.
-CACHE_SCHEMA = 6
+#: Schema 7: ``sensor_chaos`` and ``soft_error`` merge into one
+#: ``control_chaos`` kind that applies every point spec and returns one
+#: union ledger, so entries of the two retired kinds must miss.
+CACHE_SCHEMA = 7
 
 DEFAULT_CACHE_DIR = ".sweep_cache"
 
 logger = logging.getLogger("repro.sim.sweep")
 
 POINT_KINDS = (
-    "trace", "load", "suite", "mode_error", "chaos", "sensor_chaos",
-    "soft_error", "campaign",
+    "trace", "load", "suite", "mode_error", "chaos", "control_chaos", "campaign",
 )
+
+#: kinds whose extra grid axis is the injection rate
+_RATED_KINDS = ("load", "chaos", "control_chaos")
 
 MODE_DESIGNS = tuple(f"mode{int(m)}" for m in OperationMode)
 
@@ -219,7 +230,7 @@ class SweepPoint:
     def label(self) -> str:
         """Short human-readable identifier used in progress lines."""
         parts = [self.kind, self.design, self.traffic, f"s{self.seed}"]
-        if self.kind in ("load", "chaos", "sensor_chaos", "soft_error") and self.rate:
+        if self.kind in _RATED_KINDS and self.rate:
             parts.append(f"r{self.rate:g}")
         if self.kind == "mode_error":
             parts.append(f"p{self.error_probability:g}")
@@ -255,9 +266,9 @@ class SweepSpec:
     error_probabilities: Tuple[float, ...] = (0.0,)
     #: hard-fault campaign axis (chaos kinds only; "" = healthy baseline)
     fault_specs: Tuple[str, ...] = ("",)
-    #: sensor-fault campaign axis (sensor_chaos kind only)
+    #: sensor-fault campaign axis (control_chaos kind only)
     sensor_specs: Tuple[str, ...] = ("",)
-    #: soft-error campaign axis (soft_error kind only)
+    #: soft-error campaign axis (control_chaos kind only)
     soft_error_specs: Tuple[str, ...] = ("",)
     cycles: int = 3_000
 
@@ -271,47 +282,37 @@ class SweepSpec:
 
     def expand(self) -> List[SweepPoint]:
         """The grid's jobs, in deterministic order."""
-        points = []
-        traffics = (",".join(self.traffics),) if self.kind == "suite" else self.traffics
-        fault_specs = (
-            self.fault_specs if self.kind in ("chaos", "sensor_chaos") else ("",)
+        closed_loop = self.kind == "control_chaos"
+        axes = itertools.product(
+            (",".join(self.traffics),) if self.kind == "suite" else self.traffics,
+            self.error_scales,
+            self.fault_specs if self.kind in ("chaos", "control_chaos") else ("",),
+            self.sensor_specs if closed_loop else ("",),
+            self.soft_error_specs if closed_loop else ("",),
+            self._extra_axis(),
+            self.seeds,
+            self.designs,
         )
-        sensor_specs = self.sensor_specs if self.kind == "sensor_chaos" else ("",)
-        soft_error_specs = (
-            self.soft_error_specs if self.kind == "soft_error" else ("",)
-        )
-        rated = ("load", "chaos", "sensor_chaos", "soft_error")
-        for traffic in traffics:
-            for scale in self.error_scales:
-                for fault_spec in fault_specs:
-                    for sensor_spec in sensor_specs:
-                        for soft_error_spec in soft_error_specs:
-                            for extra in self._extra_axis():
-                                for seed in self.seeds:
-                                    for design in self.designs:
-                                        points.append(
-                                            SweepPoint(
-                                                kind=self.kind,
-                                                design=design,
-                                                traffic=traffic,
-                                                seed=seed,
-                                                cycles=self.cycles,
-                                                error_scale=scale,
-                                                rate=extra if self.kind in rated else 0.0,
-                                                error_probability=(
-                                                    extra
-                                                    if self.kind == "mode_error"
-                                                    else 0.0
-                                                ),
-                                                fault_spec=fault_spec,
-                                                sensor_spec=sensor_spec,
-                                                soft_error_spec=soft_error_spec,
-                                            )
-                                        )
-        return points
+        return [
+            SweepPoint(
+                kind=self.kind,
+                design=design,
+                traffic=traffic,
+                seed=seed,
+                cycles=self.cycles,
+                error_scale=scale,
+                rate=extra if self.kind in _RATED_KINDS else 0.0,
+                error_probability=extra if self.kind == "mode_error" else 0.0,
+                fault_spec=fault_spec,
+                sensor_spec=sensor_spec,
+                soft_error_spec=soft_error_spec,
+            )
+            for (traffic, scale, fault_spec, sensor_spec, soft_error_spec,
+                 extra, seed, design) in axes
+        ]
 
     def _extra_axis(self) -> Tuple[float, ...]:
-        if self.kind in ("load", "chaos", "sensor_chaos", "soft_error"):
+        if self.kind in _RATED_KINDS:
             return self.rates
         if self.kind == "mode_error":
             return self.error_probabilities
@@ -429,7 +430,7 @@ def _eval_load(config: SimulationConfig, point: SweepPoint) -> Dict[str, object]
         flit_bits=config.flit_bits,
         rng=random.Random(point.seed + 9),
     )
-    sim.run_cycles(source, point.cycles, learn=True)
+    sim.run(source, point.cycles, learn=True)
     try:
         sim.run_until_drained(NullTraffic(), lambda: True, learn=True)
     except RuntimeError:
@@ -573,18 +574,25 @@ def _eval_chaos(
     }
 
 
-def _eval_sensor_chaos(
+def _eval_control_chaos(
     config: SimulationConfig, point: SweepPoint, tracer=None
 ) -> Dict[str, object]:
-    """Control-plane degradation run: one full closed-loop design under a
-    sensor-fault campaign (and optionally a simultaneous hard-fault
-    campaign via ``fault_spec``) with open-loop synthetic traffic.
+    """Closed-loop degradation run: one full control design under every
+    fault family the point names, with open-loop synthetic traffic.
 
-    Unlike ``chaos`` (Network-only, no policy), this drives the complete
-    Simulator — the sensor faults corrupt the observation path between
-    ``observe_router`` and the policy, which is the thing under test.
+    The three point specs compose: ``fault_spec`` kills links and
+    routers, ``sensor_spec`` corrupts the observation path between
+    ``observe_router`` and the policy, and ``soft_error_spec`` flips
+    bits in the Q-table SRAM and the mode registers.  Unlike ``chaos``
+    (Network-only, no policy), this drives the complete Simulator,
+    because the control loop is the thing under test.
+
+    The ledger is the union of the three families': the hard-fault
+    ``applied`` list, the observation guard's tallies, the ECC
+    scrubber's, and one ``injected`` dict (sensor kinds drop/stuck/
+    noise/stale and SEU kinds qtable/mode/burst never collide).
     Invariant-watchdog trips during the measured window come back as a
-    structured ``diagnosis``; with defenses disabled the corrupted
+    structured ``diagnosis``; with sensor defenses disabled corrupted
     telemetry may crash the policy, which surfaces as an evaluator
     failure (retry -> quarantine) — exactly the behavior the hardened
     path exists to prevent.
@@ -594,85 +602,6 @@ def _eval_sensor_chaos(
         error_scale=point.error_scale,
         fault_spec=point.fault_spec,
         sensor_spec=point.sensor_spec,
-    )
-    policy = default_design_factories(point.seed)[point.design]()
-    sim = Simulator(config, policy, seed=point.seed, tracer=tracer)
-    if sim.policy.trainable and config.pretrain_cycles > 0:
-        sim.pretrain()
-    sim.policy.freeze()
-    if config.warmup_cycles > 0:
-        sim.warmup()
-    sim.begin_measurement()
-    start = sim.network.now
-    rate = point.rate if point.rate > 0.0 else 0.05
-    source = SyntheticTraffic(
-        sim.network.topology,
-        pattern=point.traffic or "uniform",
-        injection_rate=rate,
-        packet_size=config.packet_size,
-        flit_bits=config.flit_bits,
-        rng=random.Random(point.seed + 7),
-    )
-    diagnosis = None
-    try:
-        sim.run(source, point.cycles, learn=True)
-        deadline = sim.network.now + config.max_drain_cycles
-        while not sim.network.quiescent and sim.network.now < deadline:
-            sim._cycle()
-            if sim.network.now % config.epoch_cycles == 0:
-                sim._epoch_boundary(learn=True)
-    except NoCInvariantError as exc:
-        diagnosis = {
-            "error": type(exc).__name__,
-            "message": str(exc),
-            "report": exc.report,
-        }
-    result = sim.finish_measurement(point.traffic or "uniform", sim.network.now - start)
-    guard = sim.obs_guard
-    outstanding = sum(ni.outstanding_messages for ni in sim.network.interfaces)
-    return {
-        "sensor_chaos": {
-            "design": point.design,
-            "sensor_spec": point.sensor_spec,
-            "fault_spec": point.fault_spec,
-            "defenses": bool(config.sensor_defenses),
-            "delivered_fraction": result.delivered_fraction,
-            "messages_created": result.messages_created,
-            "packets_delivered": result.packets_delivered,
-            "messages_dropped": result.messages_dropped,
-            "mean_latency": result.mean_latency,
-            "rejected_observations": result.rejected_observations,
-            "sensor_holds": result.sensor_holds,
-            "sensor_clamps": result.sensor_clamps,
-            "sensor_defaults": int(sim.metrics.peek("sensor.defaults")),
-            "debounced_switches": int(sim.metrics.peek("sensor.debounced_switches")),
-            "injected": dict(sim.sensors.injected) if sim.sensors is not None else {},
-            "quarantined_routers": sorted(guard.quarantined) if guard is not None else [],
-            "safe_mode_entries": result.safe_mode_entries,
-            "mode_switches": result.mode_switches,
-            "outstanding": outstanding,
-            "diagnosis": diagnosis,
-        },
-    }
-
-
-def _eval_soft_error(
-    config: SimulationConfig, point: SweepPoint, tracer=None
-) -> Dict[str, object]:
-    """Learning-state degradation run: one full closed-loop design under
-    an SEU campaign flipping bits in the Q-table SRAM and the mode
-    registers, with open-loop synthetic traffic.
-
-    The thing under test is the SECDED + scrub + TMR defense layer:
-    with ``ecc_protect`` the scrubber repairs single-bit upsets before
-    they steer routing decisions, without it the corrupted Q-values and
-    mode registers drive the mesh directly.  Invariant-watchdog trips
-    during the measured window come back as a structured ``diagnosis``.
-    """
-    config = dataclasses.replace(
-        config,
-        error_scale=point.error_scale,
-        fault_spec=point.fault_spec,
         soft_error_spec=point.soft_error_spec,
     )
     policy = default_design_factories(point.seed)[point.design]()
@@ -708,29 +637,41 @@ def _eval_soft_error(
             "report": exc.report,
         }
     result = sim.finish_measurement(point.traffic or "uniform", sim.network.now - start)
-    outstanding = sum(ni.outstanding_messages for ni in sim.network.interfaces)
+    guard = sim.obs_guard
+    injected: Dict[str, int] = {}
+    for model in (sim.sensors, sim.soft_errors):
+        if model is not None:
+            injected.update(model.injected)
+    peek = sim.metrics.peek
     return {
-        "soft_error": {
+        "control_chaos": {
             "design": point.design,
-            "soft_error_spec": point.soft_error_spec,
             "fault_spec": point.fault_spec,
+            "sensor_spec": point.sensor_spec,
+            "soft_error_spec": point.soft_error_spec,
+            "defenses": bool(config.sensor_defenses),
             "ecc": bool(config.ecc_protect),
             "scrub_every": config.scrub_every,
+            "applied": list(sim.hard_faults.applied) if sim.hard_faults is not None else [],
             "delivered_fraction": result.delivered_fraction,
             "messages_created": result.messages_created,
             "packets_delivered": result.packets_delivered,
             "messages_dropped": result.messages_dropped,
             "mean_latency": result.mean_latency,
-            "injected": (
-                dict(sim.soft_errors.injected) if sim.soft_errors is not None else {}
-            ),
-            "scrubs": int(sim.metrics.peek("ecc.scrubs")),
-            "corrected": int(sim.metrics.peek("ecc.corrected")),
-            "detected": int(sim.metrics.peek("ecc.detected")),
-            "quarantined_rows": int(sim.metrics.peek("ecc.quarantined_rows")),
-            "mode_votes": int(sim.metrics.peek("ecc.mode_votes")),
-            "words_single": int(sim.metrics.peek("softerror.words_single")),
-            "words_multi": int(sim.metrics.peek("softerror.words_multi")),
+            "injected": injected,
+            "rejected_observations": result.rejected_observations,
+            "sensor_holds": result.sensor_holds,
+            "sensor_clamps": result.sensor_clamps,
+            "sensor_defaults": int(peek("sensor.defaults")),
+            "debounced_switches": int(peek("sensor.debounced_switches")),
+            "quarantined_routers": sorted(guard.quarantined) if guard is not None else [],
+            "scrubs": int(peek("ecc.scrubs")),
+            "corrected": int(peek("ecc.corrected")),
+            "detected": int(peek("ecc.detected")),
+            "quarantined_rows": int(peek("ecc.quarantined_rows")),
+            "mode_votes": int(peek("ecc.mode_votes")),
+            "words_single": int(peek("softerror.words_single")),
+            "words_multi": int(peek("softerror.words_multi")),
             "max_abs_q": max(
                 (
                     abs(value)
@@ -742,7 +683,7 @@ def _eval_soft_error(
             ),
             "safe_mode_entries": result.safe_mode_entries,
             "mode_switches": result.mode_switches,
-            "outstanding": outstanding,
+            "outstanding": sum(ni.outstanding_messages for ni in sim.network.interfaces),
             "diagnosis": diagnosis,
         },
     }
@@ -754,8 +695,7 @@ _EVALUATORS = {
     "suite": _eval_suite,
     "mode_error": _eval_mode_error,
     "chaos": _eval_chaos,
-    "sensor_chaos": _eval_sensor_chaos,
-    "soft_error": _eval_soft_error,
+    "control_chaos": _eval_control_chaos,
     "campaign": _eval_campaign,
 }
 
@@ -919,8 +859,7 @@ class PointResult:
     load: Optional[Dict[str, float]] = None
     mode_stats: Optional[Dict[str, float]] = None
     chaos: Optional[Dict[str, object]] = None
-    sensor: Optional[Dict[str, object]] = None
-    soft_error: Optional[Dict[str, object]] = None
+    control: Optional[Dict[str, object]] = None
 
 
 def _payload_to_result(
@@ -945,10 +884,8 @@ def _payload_to_result(
         result.mode_stats = dict(payload["stats"])
     if payload.get("chaos") is not None:
         result.chaos = dict(payload["chaos"])
-    if payload.get("sensor_chaos") is not None:
-        result.sensor = dict(payload["sensor_chaos"])
-    if payload.get("soft_error") is not None:
-        result.soft_error = dict(payload["soft_error"])
+    if payload.get("control_chaos") is not None:
+        result.control = dict(payload["control_chaos"])
     return result
 
 

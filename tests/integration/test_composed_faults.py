@@ -1,0 +1,120 @@
+"""Composed fault families: hard faults, sensor faults and SEUs at once.
+
+The closed-loop ``control_chaos`` kind applies every fault family a
+point names, so the realistic composed case — a link dies while
+telemetry drops out and SEUs strike the Q-table SRAM — runs through one
+evaluator and reports one union ledger.  Composition must keep each
+family's defended contract and the repo's two standing determinism
+contracts: fast == naive kernel, and a killed-and-resumed run is
+bit-identical to an uninterrupted one.
+"""
+
+import shutil
+
+from repro.obs import TraceBuffer
+from repro.sim import (
+    ResumableRun,
+    Simulator,
+    SweepSpec,
+    default_design_factories,
+    scaled_config,
+    synthesize_benchmark_trace,
+)
+from repro.sim.sweep import _eval_control_chaos
+
+# The link dies inside the measured window (pre-training and warm-up
+# end near cycle 1 900 at this scale).
+FAULTS = {
+    "fault_spec": "link@2100:4E",
+    "sensor_spec": "drop@0.2:util;stuck@r5.temp=0.9",
+    "soft_error_spec": "qtable@5e-4;mode@r4+1900",
+}
+
+
+def small_config(**overrides):
+    return scaled_config(
+        width=3, height=3, epoch_cycles=100, pretrain_cycles=1_500,
+        warmup_cycles=300, mode_hysteresis_epochs=2, **overrides,
+    )
+
+
+class TestAcceptance:
+    def test_composed_campaign_is_absorbed(self):
+        config = small_config()
+        [point] = SweepSpec(
+            config=config,
+            kind="control_chaos",
+            designs=("rl",),
+            traffics=("uniform",),
+            seeds=(2,),
+            rates=(0.05,),
+            fault_specs=(FAULTS["fault_spec"],),
+            sensor_specs=(FAULTS["sensor_spec"],),
+            soft_error_specs=(FAULTS["soft_error_spec"],),
+            cycles=800,
+        ).expand()
+        ledger = _eval_control_chaos(config, point)["control_chaos"]
+        assert ledger["diagnosis"] is None
+        assert ledger["outstanding"] == 0
+        assert ledger["delivered_fraction"] >= 0.95
+        # Every family fired, and its defense layer absorbed it.
+        assert [clause for clause, _cycle in ledger["applied"]] == ["link@2100:4E"]
+        for kind in ("drop", "stuck", "qtable"):
+            assert ledger["injected"][kind] > 0, kind
+        assert ledger["rejected_observations"] > 0
+        assert ledger["corrected"] == ledger["words_single"] > 0
+
+
+class TestDeterminism:
+    def _classic(self, kernel, tracer=None):
+        config = small_config(**FAULTS)
+        policy = default_design_factories(0)["rl"]()
+        sim = Simulator(config, policy, seed=0, kernel=kernel, tracer=tracer)
+        sim.pretrain()
+        policy.freeze()
+        sim.warmup()
+        trace = synthesize_benchmark_trace("swaptions", config, 400, 0)
+        return sim, sim.measure_trace(trace, "swaptions")
+
+    def test_kernels_agree_under_composed_faults(self):
+        fast_tracer, naive_tracer = TraceBuffer(), TraceBuffer()
+        fast_sim, fast = self._classic("fast", fast_tracer)
+        naive_sim, naive = self._classic("naive", naive_tracer)
+        assert fast == naive
+        assert fast_tracer.digest() == naive_tracer.digest()
+        # All three campaigns actually fired, identically on both kernels.
+        assert fast_sim.hard_faults.applied == naive_sim.hard_faults.applied != []
+        assert fast_sim.sensors.injected == naive_sim.sensors.injected
+        assert fast_sim.soft_errors.injected == naive_sim.soft_errors.injected
+        assert fast.rejected_observations > 0
+        assert fast_sim.soft_errors.injected["qtable"] > 0
+
+    def test_kill_and_resume_bit_identical_with_composed_faults(self, tmp_path):
+        config = small_config(**FAULTS)
+        baseline = ResumableRun(config, "rl", "swaptions", trace_cycles=400).run()
+
+        run = ResumableRun(
+            config, "rl", "swaptions", trace_cycles=400,
+            checkpoint_path=tmp_path / "run.ckpt", checkpoint_every=350,
+        )
+        copies = []
+        original_save = run.save
+
+        def keep(path=None):
+            saved = original_save(path)
+            if saved is not None:
+                copy = tmp_path / f"snap_{len(copies)}.ckpt"
+                shutil.copy(saved, copy)
+                copies.append(copy)
+            return saved
+
+        run.save = keep
+        uninterrupted = run.run()
+        assert uninterrupted == baseline
+        assert len(copies) >= 3
+        # Resume from an early, a middle, and the last mid-run snapshot:
+        # the hard-fault schedule, the sensor and SEU RNG streams, and
+        # the guard and ECC state must all restore bit-exactly.
+        for copy in (copies[0], copies[len(copies) // 2], copies[-2]):
+            resumed = ResumableRun.resume(copy).run()
+            assert resumed == baseline

@@ -21,7 +21,7 @@ from repro.sim import (
     scaled_config,
     synthesize_benchmark_trace,
 )
-from repro.sim.sweep import _eval_sensor_chaos
+from repro.sim.sweep import _eval_control_chaos
 from repro.obs import TraceBuffer
 
 ACCEPTANCE_SPEC = "drop@0.2:util;stuck@r5.temp=0.9"
@@ -39,7 +39,7 @@ def small_config(**overrides):
 def sensor_point(config, sensor_spec, rate=0.05, cycles=800, seed=0):
     spec = SweepSpec(
         config=config,
-        kind="sensor_chaos",
+        kind="control_chaos",
         designs=("rl",),
         traffics=("uniform",),
         seeds=(seed,),
@@ -55,7 +55,7 @@ class TestAcceptance:
     def test_hardened_rl_survives_dropout_and_stuck_sensor(self):
         config = small_config(sensor_spec=ACCEPTANCE_SPEC, mode_hysteresis_epochs=2)
         point = sensor_point(config, ACCEPTANCE_SPEC)
-        payload = _eval_sensor_chaos(config, point)["sensor_chaos"]
+        payload = _eval_control_chaos(config, point)["control_chaos"]
         assert payload["diagnosis"] is None
         assert payload["defenses"] is True
         assert payload["delivered_fraction"] >= 0.95
@@ -90,7 +90,7 @@ class TestAcceptance:
                 sensor_spec=noisy, mode_hysteresis_epochs=hysteresis,
             )
             point = sensor_point(config, noisy)
-            results[hysteresis] = _eval_sensor_chaos(config, point)["sensor_chaos"]
+            results[hysteresis] = _eval_control_chaos(config, point)["control_chaos"]
         assert results[4]["debounced_switches"] > 0
         assert results[0]["debounced_switches"] == 0
         assert results[4]["mode_switches"] <= results[0]["mode_switches"]
@@ -98,7 +98,7 @@ class TestAcceptance:
     def test_full_dropout_quarantines_and_still_delivers(self):
         config = small_config(sensor_spec="drop@1.0:all", sensor_quarantine_k=4)
         point = sensor_point(config, "drop@1.0:all")
-        payload = _eval_sensor_chaos(config, point)["sensor_chaos"]
+        payload = _eval_control_chaos(config, point)["control_chaos"]
         assert payload["diagnosis"] is None
         assert payload["quarantined_routers"] == list(range(9))
         assert payload["safe_mode_entries"] >= 9

@@ -23,7 +23,7 @@ from repro.sim import (
     scaled_config,
     synthesize_benchmark_trace,
 )
-from repro.sim.sweep import _eval_soft_error
+from repro.sim.sweep import _eval_control_chaos
 from repro.obs import TraceBuffer
 
 # Sustained Q-table upsets plus a one-shot strike on router 4's mode
@@ -49,7 +49,7 @@ def small_config(**overrides):
 def soft_error_point(config, spec_str, rate=0.05, cycles=800, seed=0):
     spec = SweepSpec(
         config=config,
-        kind="soft_error",
+        kind="control_chaos",
         designs=("rl",),
         traffics=("uniform",),
         seeds=(seed,),
@@ -67,7 +67,7 @@ def run_campaign(**overrides):
     point = soft_error_point(
         config, config.soft_error_spec, seed=ACCEPTANCE_SEED
     )
-    return _eval_soft_error(config, point)["soft_error"]
+    return _eval_control_chaos(config, point)["control_chaos"]
 
 
 class TestAcceptance:

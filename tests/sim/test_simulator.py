@@ -117,7 +117,7 @@ class TestPhases:
     def test_forced_mode_pins_routers(self):
         sim = Simulator(tiny_config(), RLControlPolicy(share_table=True), seed=2)
         sim.forced_mode = OperationMode.MODE_2
-        sim.run_cycles(None, sim.config.epoch_cycles + 1, learn=False)
+        sim.run(None, sim.config.epoch_cycles + 1, learn=False)
         assert all(r.mode is OperationMode.MODE_2 for r in sim.network.routers)
 
     def test_drain_guard_raises(self):

@@ -21,7 +21,7 @@ from repro.sim import (
     run_parsec_suite,
     scaled_config,
 )
-from repro.sim.sweep import CACHE_SCHEMA, MODE_DESIGNS
+from repro.sim.sweep import CACHE_SCHEMA, MODE_DESIGNS, run_sweep_point
 
 
 def tiny_config(**overrides):
@@ -114,7 +114,7 @@ class TestGridExpansion:
 
     def test_sensor_chaos_expands_sensor_spec_axis(self):
         spec = SweepSpec(
-            config=tiny_config(), kind="sensor_chaos", designs=("rl",),
+            config=tiny_config(), kind="control_chaos", designs=("rl",),
             traffics=("uniform",), rates=(0.05,),
             fault_specs=("",),
             sensor_specs=("drop@0.2:util", "stuck@r1.temp=0.9"),
@@ -125,7 +125,7 @@ class TestGridExpansion:
         assert sorted(p.sensor_spec for p in points) == [
             "drop@0.2:util", "stuck@r1.temp=0.9",
         ]
-        assert all(p.kind == "sensor_chaos" and p.rate == 0.05 for p in points)
+        assert all(p.kind == "control_chaos" and p.rate == 0.05 for p in points)
 
     def test_sensor_specs_ignored_outside_sensor_chaos(self):
         spec = tiny_trace_spec(sensor_specs=("", "drop@0.2:util"))
@@ -133,7 +133,7 @@ class TestGridExpansion:
 
     def test_soft_error_expands_soft_error_spec_axis(self):
         spec = SweepSpec(
-            config=tiny_config(), kind="soft_error", designs=("rl",),
+            config=tiny_config(), kind="control_chaos", designs=("rl",),
             traffics=("uniform",), rates=(0.05,),
             fault_specs=("",),
             soft_error_specs=("qtable@1e-5", "qtable@1e-5;burst@800:4"),
@@ -144,7 +144,7 @@ class TestGridExpansion:
         assert sorted(p.soft_error_spec for p in points) == [
             "qtable@1e-5", "qtable@1e-5;burst@800:4",
         ]
-        assert all(p.kind == "soft_error" and p.rate == 0.05 for p in points)
+        assert all(p.kind == "control_chaos" and p.rate == 0.05 for p in points)
 
     def test_soft_error_specs_ignored_outside_soft_error(self):
         spec = tiny_trace_spec(soft_error_specs=("", "qtable@1e-5"))
@@ -152,7 +152,7 @@ class TestGridExpansion:
 
     def test_sensor_chaos_takes_control_designs(self):
         spec = SweepSpec(
-            config=tiny_config(), kind="sensor_chaos", designs=("xy",),
+            config=tiny_config(), kind="control_chaos", designs=("xy",),
             traffics=("uniform",), sensor_specs=("drop@0.2:util",), cycles=400,
         )
         with pytest.raises(ValueError, match="unknown design"):
@@ -181,6 +181,43 @@ class TestGridExpansion:
         )
         blob = json.dumps(spec.as_dict())
         assert SweepSpec.from_dict(json.loads(blob)) == spec
+
+    def test_control_chaos_composes_every_spec_axis(self):
+        spec = SweepSpec(
+            config=tiny_config(), kind="control_chaos", designs=("rl",),
+            traffics=("uniform",), rates=(0.05,),
+            fault_specs=("", "link@300:4E"),
+            sensor_specs=("drop@0.2:util",),
+            soft_error_specs=("qtable@1e-5", "mode@r3+500"),
+            cycles=400,
+        )
+        points = spec.expand()
+        assert len(points) == 4
+        assert {(p.fault_spec, p.soft_error_spec) for p in points} == {
+            ("", "qtable@1e-5"), ("", "mode@r3+500"),
+            ("link@300:4E", "qtable@1e-5"), ("link@300:4E", "mode@r3+500"),
+        }
+        assert all(p.sensor_spec == "drop@0.2:util" for p in points)
+
+
+class TestControlChaos:
+    """The closed-loop kind applies every fault family a point names."""
+
+    def test_soft_error_point_keeps_its_hard_faults(self):
+        spec = SweepSpec(
+            config=tiny_config(width=4, height=4), kind="control_chaos",
+            designs=("rl",), traffics=("uniform",), rates=(0.05,),
+            fault_specs=("link@300:5E",),
+            soft_error_specs=("qtable@1e-5",),
+            cycles=400,
+        )
+        [point] = spec.expand()
+        assert point.fault_spec == "link@300:5E"
+        ledger = run_sweep_point(spec.config, point)["control_chaos"]
+        assert ledger["fault_spec"] == "link@300:5E"
+        assert ledger["soft_error_spec"] == "qtable@1e-5"
+        assert [clause for clause, _cycle in ledger["applied"]] == ["link@300:5E"]
+        assert ledger["diagnosis"] is None
 
 
 class TestCacheKeys:
@@ -226,7 +263,7 @@ class TestCacheKeys:
         sensor-faulted one (or vice versa)."""
         config = tiny_config()
         base = SweepPoint(
-            kind="sensor_chaos", design="rl", traffic="uniform", seed=0,
+            kind="control_chaos", design="rl", traffic="uniform", seed=0,
             cycles=400, rate=0.05,
         )
         keys = {point_cache_key(config, base)}
@@ -242,7 +279,7 @@ class TestCacheKeys:
         SEU campaign (or one campaign for another)."""
         config = tiny_config()
         base = SweepPoint(
-            kind="soft_error", design="rl", traffic="uniform", seed=0,
+            kind="control_chaos", design="rl", traffic="uniform", seed=0,
             cycles=400, rate=0.05,
         )
         keys = {point_cache_key(config, base)}

@@ -219,6 +219,50 @@ class TestSoftErrorChaosCommand:
         assert "qtable@5e-4" in out and "ok" in out
 
 
+class TestControlChaosCommand:
+    """Sensor faults, SEUs and hard faults compose into one closed-loop row."""
+
+    SENSOR = "drop@0.2:util;stuck@r5.temp=0.9"
+    SEU = "qtable@5e-4;mode@r4+1900"
+
+    def _argv(self, cache_dir, extra=()):
+        return [
+            "chaos", "--sensor-spec", self.SENSOR, "--soft-error-spec", self.SEU,
+            "--width", "3", "--height", "3",
+            "--epoch", "100", "--pretrain", "1500", "--warmup", "300",
+            "--rate", "0.05", "--span", "600",
+            "--cache-dir", str(cache_dir),
+            *extra,
+        ]
+
+    def test_every_spec_validated_before_any_point_runs(self, tmp_path):
+        with pytest.raises(SystemExit, match=r"--soft-error-spec: bad soft-error clause"):
+            main([
+                "chaos", "--sensor-spec", "drop@0.2:util",
+                "--soft-error-spec", "bogus@@", "--cache-dir", str(tmp_path),
+            ])
+        assert list(tmp_path.iterdir()) == []
+
+    def test_json_row_carries_both_ledgers(self, capsys, tmp_path):
+        assert main(self._argv(tmp_path, ["--json"])) == 0
+        [row] = json.loads(capsys.readouterr().out)
+        assert row["sensor_spec"] == self.SENSOR
+        assert row["soft_error_spec"] == self.SEU
+        assert row["diagnosis"] is None
+        assert row["injected"]["drop"] > 0 and row["injected"]["qtable"] > 0
+        assert row["rejected_observations"] > 0
+        assert row["corrected"] == row["words_single"] > 0
+
+    def test_text_table_with_hard_faults(self, capsys, tmp_path):
+        argv = self._argv(tmp_path, ["--fault-specs", "link@2000:4E"])
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        header, row = out.strip().splitlines()
+        for column in ("fault spec", "sensor spec", "soft-error spec", "applied"):
+            assert column in header
+        assert "link@2000:4E" in row and self.SEU in row and row.endswith("ok")
+
+
 class TestCampaignCommand:
     def _argv(self, tmp_path, extra=()):
         return [
