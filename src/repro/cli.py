@@ -536,7 +536,11 @@ def _print_result(result, as_json: bool) -> None:
 
 
 def _print_profile(profiler, network) -> None:
-    """Hot-function table plus the kernel's activity counters (stderr)."""
+    """Hot-function table plus the kernel's activity counters (stderr).
+
+    ``channel_visits`` counts channels with a due delivery per cycle
+    (the naive kernel: every channel of every cycle).
+    """
     import io
     import pstats
 

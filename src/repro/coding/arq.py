@@ -161,15 +161,6 @@ class RetransmissionBuffer(Generic[T]):
         self.total_pushed += 1
         return seq
 
-    @property
-    def next_seq(self) -> int:
-        """Sequence number the next :meth:`push` will assign.
-
-        Lets the sender construct the stored copy already carrying its
-        own sequence number instead of pushing and rewriting it.
-        """
-        return self._next_seq
-
     def ack(self, seq: int) -> T:
         """Positive acknowledgement: release and return the stored copy."""
         try:

@@ -8,7 +8,7 @@ links, flit pre-retransmission, timing-relaxed transfers).
 """
 
 from repro.noc.arbiters import MatrixArbiter, RoundRobinArbiter
-from repro.noc.buffers import InputPort, OutputQueue, VCState, VirtualChannel
+from repro.noc.buffers import InputPort, VCState, VirtualChannel
 from repro.noc.channel import Channel, ChannelErrorModel, Transmission
 from repro.noc.faultstate import FaultState
 from repro.noc.interface import NetworkInterface
@@ -50,7 +50,6 @@ __all__ = [
     "MatrixArbiter",
     "RoundRobinArbiter",
     "InputPort",
-    "OutputQueue",
     "VCState",
     "VirtualChannel",
     "Channel",

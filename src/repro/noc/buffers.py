@@ -1,4 +1,4 @@
-"""Virtual-channel input buffers and output staging buffers.
+"""Virtual-channel input buffers.
 
 Each router input port owns ``num_vcs`` virtual channels, each a FIFO of
 ``depth`` flits (Table II: 4 VCs per port).  A VC also carries the
@@ -8,8 +8,7 @@ per-packet routing state machine used by the four-stage pipeline:
 
 The proposed router additionally has *output flit buffers* (Fig. 2) that
 hold copies for ARQ retransmission and the mode-2 pre-retransmission
-duplicates; those are :class:`repro.coding.RetransmissionBuffer` plus the
-small :class:`OutputQueue` staging FIFO defined here.
+duplicates; those are :class:`repro.coding.RetransmissionBuffer`.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from typing import Deque, List, Optional
 from repro.noc.packet import Flit
 from repro.noc.topology import Port
 
-__all__ = ["VCState", "VirtualChannel", "InputPort", "OutputQueue"]
+__all__ = ["VCState", "VirtualChannel", "InputPort"]
 
 
 class VCState(enum.Enum):
@@ -158,43 +157,3 @@ class InputPort:
             if vc.state is VCState.IDLE and vc.is_empty:
                 return vc
         return None
-
-
-class OutputQueue:
-    """Small staging FIFO in front of an output link.
-
-    Holds flits that won switch allocation while the link is busy with a
-    retransmission, a mode-2 duplicate, or a mode-3 stall; drained at one
-    flit per free link slot.  This models the "output buffer" block the
-    proposed router adds in Fig. 2.
-    """
-
-    __slots__ = ("depth", "fifo")
-
-    def __init__(self, depth: int) -> None:
-        if depth <= 0:
-            raise ValueError("output queue depth must be positive")
-        self.depth = depth
-        self.fifo: Deque[object] = deque()
-
-    def __len__(self) -> int:
-        return len(self.fifo)
-
-    @property
-    def is_full(self) -> bool:
-        return len(self.fifo) >= self.depth
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.fifo
-
-    def push(self, item: object) -> None:
-        if self.is_full:
-            raise OverflowError("output queue overflow")
-        self.fifo.append(item)
-
-    def front(self) -> object:
-        return self.fifo[0]
-
-    def pop(self) -> object:
-        return self.fifo.popleft()

@@ -6,8 +6,8 @@ A :class:`Channel` is the directed link the paper calls "channel i"
 * data transmissions (flits, possibly ECC-protected, possibly mode-2
   duplicates), delivered after ``latency`` cycles;
 * the sideband acknowledgement wire back to the sender (ACK/NACK flits of
-  the ARQ protocol, Fig. 1(c));
-* the credit-return wire of the VC flow control.
+  the ARQ protocol, Fig. 1(c)) and the credit-return wire of the VC flow
+  control, both a fixed one cycle long.
 
 Error injection happens at *delivery* time through the channel's
 :attr:`error_model`, which the fault substrate refreshes every control
@@ -20,9 +20,8 @@ from __future__ import annotations
 
 import math
 import operator
-from typing import List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from repro.coding.arq import AckMessage
 from repro.noc.packet import Flit
 from repro.noc.topology import ChannelSpec
 
@@ -230,7 +229,22 @@ class ChannelErrorModel:
 
 
 class Channel:
-    """A directed inter-router channel with its sideband wires."""
+    """A directed inter-router channel with its sideband wires.
+
+    Data transmissions arrive ``latency`` (plus protection/stall) cycles
+    after they are sent.  The sideband is a fixed one-cycle wire: every
+    credit and ACK/NACK sent in cycle ``t`` reaches the sender in cycle
+    ``t + 1``, so the sideband lists carry no timestamps.  A credit is
+    the downstream VC index; an ACK is the sequence number ``seq`` and a
+    NACK is ``~seq`` (always negative), so no message object is
+    allocated per protected flit.
+
+    Every send also files the channel's creation index with the owning
+    Network's due structures — data under its arrival cycle, sideband in
+    the next-cycle list — so the cycle kernels visit only channels with
+    something due.  A standalone channel (unit tests) keeps private due
+    structures that nothing consumes.
+    """
 
     __slots__ = (
         "spec",
@@ -238,7 +252,8 @@ class Channel:
         "error_model",
         "alive",
         "index",
-        "_active",
+        "_sideband_due",
+        "_arrivals_due",
         "_data",
         "_acks",
         "_credits",
@@ -253,24 +268,28 @@ class Channel:
         #: cleared by Network.kill_link — a dead channel swallows all
         #: traffic (data and sideband) instead of delivering it
         self.alive = True
-        #: creation-order index assigned by the owning Network; the
-        #: activity kernel iterates channels sorted by it so the shared
-        #: RNG is consumed in the same order as a full scan
+        #: creation-order index assigned by the owning Network; the cycle
+        #: kernels deliver due channels sorted by it so the shared RNG is
+        #: consumed in the same order as a full scan
         self.index = -1
-        #: Network-owned set of active channel indices (None when the
-        #: channel lives outside a Network, e.g. in unit tests)
-        self._active: Optional[Set[int]] = None
+        #: channel indices with sideband due next cycle (Network-owned)
+        self._sideband_due: List[int] = []
+        #: arrival cycle -> channel indices with data due then
+        self._arrivals_due: Dict[int, List[int]] = {}
         self._data: List[Transmission] = []
-        #: (deliver_cycle, AckMessage) back toward the sender
-        self._acks: List[Tuple[int, AckMessage]] = []
-        #: (deliver_cycle, vc) credit returns toward the sender
-        self._credits: List[Tuple[int, int]] = []
+        #: ACK (seq) / NACK (~seq) codes back toward the sender
+        self._acks: List[int] = []
+        #: credit returns (downstream VC index) toward the sender
+        self._credits: List[int] = []
 
     # ------------------------------------------------------------------
-    def bind_activity(self, index: int, active: Set[int]) -> None:
-        """Attach this channel to its Network's active-channel set."""
+    def bind_activity(
+        self, index: int, sideband_due: List[int], arrivals_due: Dict[int, List[int]]
+    ) -> None:
+        """Attach this channel to its Network's due structures."""
         self.index = index
-        self._active = active
+        self._sideband_due = sideband_due
+        self._arrivals_due = arrivals_due
 
     @property
     def busy(self) -> bool:
@@ -295,20 +314,25 @@ class Channel:
     def send(self, transmission: Transmission) -> None:
         if self.alive:
             self._data.append(transmission)
-            if self._active is not None:
-                self._active.add(self.index)
+            due = self._arrivals_due.get(transmission.arrive_at)
+            if due is None:
+                self._arrivals_due[transmission.arrive_at] = [self.index]
+            else:
+                due.append(self.index)
 
-    def send_ack(self, message: AckMessage, deliver_at: int) -> None:
+    def send_ack(self, code: int) -> None:
+        """Send an ACK (``seq``) or NACK (``~seq``) for delivery next cycle."""
         if self.alive:
-            self._acks.append((deliver_at, message))
-            if self._active is not None:
-                self._active.add(self.index)
+            if not (self._acks or self._credits):
+                self._sideband_due.append(self.index)
+            self._acks.append(code)
 
-    def send_credit(self, vc: int, deliver_at: int) -> None:
+    def send_credit(self, vc: int) -> None:
+        """Return one credit for downstream VC ``vc``, delivered next cycle."""
         if self.alive:
-            self._credits.append((deliver_at, vc))
-            if self._active is not None:
-                self._active.add(self.index)
+            if not (self._acks or self._credits):
+                self._sideband_due.append(self.index)
+            self._credits.append(vc)
 
     # ------------------------------------------------------------------
     def pop_arrivals(self, now: int) -> List[Transmission]:
@@ -316,12 +340,17 @@ class Channel:
         data = self._data
         if not data:
             return []
-        if len(data) == 1:
-            # One in-flight flit is the saturation-steady-state norm.
-            if data[0].arrive_at <= now:
-                due = [data[0]]
-                data.clear()
-                return due
+        # One or two flits in flight (the second one still on the wire)
+        # is the saturation steady state: hand over without scanning.
+        first = data[0]
+        if first.arrive_at <= now:
+            if len(data) == 1:
+                self._data = []
+                return data
+            if len(data) == 2 and data[1].arrive_at > now:
+                del data[0]
+                return [first]
+        elif len(data) == 1:
             return []
         due = [t for t in data if t.arrive_at <= now]
         if due:
@@ -334,40 +363,14 @@ class Channel:
             due.sort(key=_arrive_key)
         return due
 
-    def pop_acks(self, now: int) -> List[AckMessage]:
-        """Remove and return sideband ACK/NACKs due at ``now``."""
+    def pop_acks(self) -> List[int]:
+        """Remove and return every ACK/NACK code sent, in send order."""
         acks = self._acks
-        if not acks:
-            return []
-        if len(acks) == 1:
-            if acks[0][0] <= now:
-                due = [acks[0][1]]
-                acks.clear()
-                return due
-            return []
-        due = [m for t, m in acks if t <= now]
-        if due:
-            if len(due) == len(acks):
-                acks.clear()
-            else:
-                self._acks = [(t, m) for t, m in acks if t > now]
-        return due
+        self._acks = []
+        return acks
 
-    def pop_credits(self, now: int) -> List[int]:
-        """Remove and return credit returns due at ``now``."""
+    def pop_credits(self) -> List[int]:
+        """Remove and return every credit sent, in send order."""
         credits = self._credits
-        if not credits:
-            return []
-        if len(credits) == 1:
-            if credits[0][0] <= now:
-                due = [credits[0][1]]
-                credits.clear()
-                return due
-            return []
-        due = [vc for t, vc in credits if t <= now]
-        if due:
-            if len(due) == len(credits):
-                credits.clear()
-            else:
-                self._credits = [(t, vc) for t, vc in credits if t > now]
-        return due
+        self._credits = []
+        return credits

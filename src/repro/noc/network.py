@@ -10,16 +10,19 @@ thermal, power, control — is assembled in :mod:`repro.sim.simulator`.
 
 Cycle ordering (one call to :meth:`cycle`):
 
-1. sideband delivery — credits, then ACK/NACKs, reach the senders;
-2. data delivery — in-flight flits reach receivers (error injection,
-   ECC decode classification, ARQ accept/drop happen here);
+1. sideband delivery — every channel with sideband sent last cycle
+   hands its credits, then its ACK/NACKs, to the sender in one batch each;
+2. data delivery — channels with flits due this cycle hand them to the
+   receivers (error injection, ECC decode classification, ARQ
+   accept/drop happen here);
 3. NI ejection processing — tail flits complete packets, CRC checks run;
 4. NI injection — one flit per NI into the local port;
 5. router pipelines step (retransmission drain, SA/ST, VA, RC).
 
-This ordering guarantees a flit advances at most one pipeline stage per
-cycle while letting sideband responses generated in step 2 be consumed at
-the earliest one cycle later.
+Phases 1 and 2 visit channels in creation-index order.  The sideband is
+a fixed one-cycle wire: responses sent in steps 2 and 5 are consumed in
+step 1 of the next cycle.  This ordering guarantees a flit advances at
+most one pipeline stage per cycle.
 """
 
 from __future__ import annotations
@@ -66,24 +69,34 @@ def resolve_kernel(kernel: Optional[str]) -> str:
 
 
 class _ActivityState:
-    """Active-entity registries driving the O(active) cycle kernel.
+    """Due lists and active-entity registries driving the cycle kernels.
 
-    Channels, routers, and NIs register themselves (by creation index /
-    id) when an event gives them work; the kernel deregisters them
-    lazily once their work is gone.  Registration is therefore always a
-    *superset* of the truly-active entities, which makes the sets safe
-    across kernel switches and checkpoint resume — a stale registration
-    costs one no-op visit, never a missed event.
+    Channels file their creation index on every send: ``sideband`` lists
+    the channels with credits or ACK/NACKs due next cycle (one entry per
+    channel, appended when its sideband goes from empty to pending), and
+    ``arrivals`` maps a cycle to the channels with data due then (one
+    entry per transmission).  Both kernels consume them at the same phase
+    points, so they are exact under either kernel; the fast kernel
+    delivers from them, the naive one scans every channel.
+
+    Routers and NIs register themselves (by id) when an event gives them
+    work; the fast kernel deregisters them lazily once their work is
+    gone.  Due entries and registrations are therefore always a
+    *superset* of the truly-active entities, which makes them safe
+    across kernel switches and checkpoint resume — a stale entry costs
+    one no-op visit, never a missed event.
 
     The ``*_visits`` counters record how many entity-steps each phase
-    actually executed (the naive kernel counts its full sweeps), and
+    actually executed (``channel_visits`` counts channels with a due
+    delivery; the naive kernel counts its full sweeps), and
     ``fast_forwarded`` counts cycles skipped wholesale by
     :meth:`Network.run`'s idle early-out; ``repro run --profile``
     surfaces both.
     """
 
     __slots__ = (
-        "channels",
+        "sideband",
+        "arrivals",
         "routers",
         "ni_eject",
         "ni_inject",
@@ -95,7 +108,8 @@ class _ActivityState:
     )
 
     def __init__(self) -> None:
-        self.channels: Set[int] = set()
+        self.sideband: List[int] = []
+        self.arrivals: Dict[int, List[int]] = {}
         self.routers: Set[int] = set()
         self.ni_eject: Set[int] = set()
         self.ni_inject: Set[int] = set()
@@ -107,7 +121,9 @@ class _ActivityState:
 
     @property
     def any_active(self) -> bool:
-        return bool(self.channels or self.routers or self.ni_eject or self.ni_inject)
+        return bool(
+            self.sideband or self.arrivals or self.routers or self.ni_eject or self.ni_inject
+        )
 
     def counters(self) -> Dict[str, int]:
         """Per-stage activity counters for the profiling report."""
@@ -203,8 +219,8 @@ class Network:
         #: per-channel delivery tuples in creation-index order, split by
         #: kernel phase so each phase unpacks exactly what it touches:
         #: sideband = (channel, src router, src port int), data =
-        #: (channel, dst router, dst port int).  The fast kernel iterates
-        #: active indices *sorted*, which equals the naive kernel's
+        #: (channel, dst router, dst port int).  The fast kernel visits
+        #: due indices *sorted*, which equals the naive kernel's
         #: dict-insertion-order scan — that keeps the shared error RNG
         #: consumed in an identical order.
         self._meta_sideband: List[Tuple[Channel, Router, int]] = []
@@ -214,7 +230,7 @@ class Network:
                 self.rng, flit_bits, 0.0, error_severity, relax_factor
             )
             channel = Channel(spec, channel_latency, model)
-            channel.bind_activity(index, self.activity.channels)
+            channel.bind_activity(index, self.activity.sideband, self.activity.arrivals)
             self.channels[(spec.src, spec.src_port)] = channel
             self._meta_sideband.append(
                 (channel, self.routers[spec.src], int(spec.src_port))
@@ -228,10 +244,9 @@ class Network:
             self.routers[spec.dst].in_channels[int(spec.dst_port)] = channel
         for router in self.routers:
             router.bind_activity(self.activity.routers)
-        #: precomputed sorted index lists — the fast kernel substitutes
-        #: these for ``sorted(active_set)`` when every entity is active
-        #: (the saturation steady state), skipping the per-cycle sort
-        self._all_channels = list(range(len(self._meta_data)))
+        #: precomputed sorted id list — the fast kernel substitutes it
+        #: for ``sorted(active_set)`` when every router/NI is active (the
+        #: saturation steady state), skipping the per-cycle sort
         self._all_nodes = list(range(topology.num_nodes))
 
         crc = crc if crc is not None else CRC.crc16()
@@ -313,19 +328,23 @@ class Network:
     def _cycle_naive(self, now: int) -> None:
         """Reference kernel: full sweep of every entity, every cycle.
 
-        Kept verbatim (modulo the public ``has_pending_*`` accessors) as
-        the golden-equivalence baseline and the bench's "before" side.
+        Kept verbatim (modulo the public ``has_pending_*``/``pop_*``
+        accessors and the batched sideband calls) as the
+        golden-equivalence baseline and the bench's "before" side.  It
+        scans every channel instead of reading the due lists, but clears
+        them at the same phase points as the fast kernel, so a snapshot
+        taken under either kernel resumes under the other.
         """
         act = self.activity
         act.channel_visits += len(self.channels)
+        act.sideband.clear()
         for (src, src_port), channel in self.channels.items():
             if channel.has_pending_credits or channel.has_pending_acks:
                 sender = self.routers[src]
-                for vc in channel.pop_credits(now):
-                    sender.receive_credit(int(src_port), vc)
-                for message in channel.pop_acks(now):
-                    sender.receive_ack(int(src_port), message)
+                sender.receive_credit(int(src_port), channel.pop_credits())
+                sender.receive_ack(int(src_port), channel.pop_acks())
 
+        act.arrivals.pop(now, None)
         for channel in self.channels.values():
             if channel.has_pending_data:
                 arrivals = channel.pop_arrivals(now)
@@ -346,53 +365,63 @@ class Network:
             router.step(now)
 
     def _cycle_fast(self, now: int) -> None:
-        """Activity-driven kernel: O(active) work per cycle.
+        """Activity-driven kernel: O(due + active) work per cycle.
 
         Phase order and per-phase iteration order match the naive scan
-        exactly (sorted registration indices == dict insertion order),
-        so both kernels consume the shared error RNG identically.  Each
-        phase snapshots its registry just before running, so work created
-        by an earlier phase in the same cycle is picked up exactly when
-        the naive sweep would have; deregistration is lazy, after an
-        entity's step confirms it has nothing left.
+        exactly (sorted channel indices and router/NI ids == dict
+        insertion order), so both kernels consume the shared error RNG
+        identically.  Channels are visited only from the due lists; each
+        router/NI phase snapshots its registry just before running, so
+        work created by an earlier phase in the same cycle is picked up
+        exactly when the naive sweep would have; deregistration is lazy,
+        after an entity's step confirms it has nothing left.
 
-        The activity predicates (``Channel.busy``, ``has_pending_*``,
-        ``NetworkInterface.needs_*``, ``Router.needs_step``) are inlined
-        here as direct slot reads — at saturation the descriptor-call
-        overhead of the property forms is a measurable slice of the
-        cycle.  Each inline must mirror its property exactly.
+        The activity predicates (``has_pending_*``,
+        ``NetworkInterface.needs_*``, ``Router.needs_step``) and the
+        sideband ``pop_*`` calls are inlined here as direct slot reads —
+        at saturation the call overhead of the method forms is a
+        measurable slice of the cycle.  Each inline must mirror its
+        method exactly.
         """
         act = self.activity
+        sideband = act.sideband
+        due = act.arrivals.pop(now, None)
+        if due is not None and len(due) > 1:
+            # Index order.  A channel listed twice (two transmissions due
+            # together) hands everything over on its first visit.
+            due.sort()
 
-        if act.channels:
-            # Phase 1 never enqueues sideband/data, so one snapshot
-            # safely serves both channel phases.
-            if len(act.channels) == len(self._all_channels):
-                snapshot = self._all_channels
-            else:
-                snapshot = sorted(act.channels)
-            act.channel_visits += len(snapshot)
-            sideband = self._meta_sideband
-            for index in snapshot:
-                channel, sender, src_port = sideband[index]
-                if channel._credits or channel._acks:
-                    for vc in channel.pop_credits(now):
-                        sender.receive_credit(src_port, vc)
-                    for message in channel.pop_acks(now):
-                        sender.receive_ack(src_port, message)
+        if sideband:
+            # Phase 1 sends nothing, so the list is complete; clearing
+            # it before phase 2 leaves room for next cycle's sideband.
+            sideband.sort()
+            act.channel_visits += (
+                len(sideband) if due is None else len(set(sideband).union(due))
+            )
+            meta = self._meta_sideband
+            for index in sideband:
+                channel, sender, src_port = meta[index]
+                credits = channel._credits
+                if credits:
+                    sender.receive_credit(src_port, credits)
+                    credits.clear()
+                acks = channel._acks
+                if acks:
+                    sender.receive_ack(src_port, acks)
+                    acks.clear()
+            sideband.clear()
+        elif due is not None:
+            act.channel_visits += len(due)
 
-            active_channels = act.channels
-            data = self._meta_data
-            for index in snapshot:
-                channel, receiver, dst_port = data[index]
-                if channel._data:
-                    arrivals = channel.pop_arrivals(now)
-                    if arrivals:
-                        # May push sideband back onto this same channel
-                        # (ACK/NACK/credit) — re-read below (`busy`).
-                        receiver.receive_transmissions(dst_port, arrivals, now)
-                if not (channel._data or channel._acks or channel._credits):
-                    active_channels.discard(index)
+        if due is not None:
+            meta = self._meta_data
+            for index in due:
+                channel, receiver, dst_port = meta[index]
+                arrivals = channel.pop_arrivals(now)
+                if arrivals:
+                    # May file sideband on this same channel (ACK/NACK,
+                    # credit) for delivery next cycle.
+                    receiver.receive_transmissions(dst_port, arrivals, now)
 
         if act.ni_eject:
             interfaces = self.interfaces

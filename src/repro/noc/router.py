@@ -35,7 +35,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Deque, Dict, List, Optional, Set
 
-from repro.coding.arq import AckKind, AckMessage, RetransmissionBuffer
+from repro.coding.arq import RetransmissionBuffer
 from repro.core.modes import MODE_BEHAVIOUR, ModeBehaviour, OperationMode
 from repro.noc.arbiters import RoundRobinArbiter
 from repro.noc.buffers import InputPort, VCState, VirtualChannel
@@ -136,6 +136,9 @@ class Router:
 
         self.mode = OperationMode.MODE_0
         self.behaviour: ModeBehaviour = MODE_BEHAVIOUR[self.mode]
+        #: ``behaviour.link_slots_per_flit``, cached per mode change (the
+        #: property would otherwise be evaluated on every traversal)
+        self._link_slots = self.behaviour.link_slots_per_flit
         self._pending_mode: Optional[OperationMode] = None
 
         self._va_arbiters = [RoundRobinArbiter(_NUM_PORTS * num_vcs) for _ in range(_NUM_PORTS)]
@@ -230,6 +233,7 @@ class Router:
                 )
         self.mode = mode
         self.behaviour = MODE_BEHAVIOUR[mode]
+        self._link_slots = self.behaviour.link_slots_per_flit
         self._pending_mode = None
 
     def _arq_quiescent(self) -> bool:
@@ -240,40 +244,52 @@ class Router:
     # ------------------------------------------------------------------
     # Sideband receivers (called by the Network during delivery)
     # ------------------------------------------------------------------
-    def receive_credit(self, port: int, vc: int) -> None:
+    def receive_credit(self, port: int, vcs: List[int]) -> None:
+        """Apply one cycle's credit returns from output ``port``."""
         link = self.outputs[port]
-        link.credits[vc] += 1
-        if link.credits[vc] > self.vc_depth:
-            raise RuntimeError(
-                f"router {self.id} port {Port(port).name} vc {vc}: credit overflow"
-            )
-        self._maybe_release_output_vc(link, vc)
+        credits = link.credits
+        depth = self.vc_depth
+        for vc in vcs:
+            credits[vc] += 1
+            if credits[vc] > depth:
+                raise RuntimeError(
+                    f"router {self.id} port {Port(port).name} vc {vc}: credit overflow"
+                )
+            if credits[vc] == depth and link.vc_draining[vc]:
+                self._maybe_release_output_vc(link, vc)
 
-    def receive_ack(self, port: int, message: AckMessage) -> None:
+    def receive_ack(self, port: int, codes: List[int]) -> None:
+        """Apply one cycle's ACKs (``seq``) and NACKs (``~seq``) from ``port``."""
         link = self.outputs[port]
-        if message.is_nack:
-            self.epoch.nacks_in[port] += 1
-            # Go-back-N rewind: schedule the NACKed flit and everything
-            # sent after it (still unacknowledged) for in-order resend.
-            link.pending_retx = deque(seq for seq, _ in link.arq if seq >= message.seq)
-            if link.pending_retx and port not in self._retx_ports:
-                self._retx_ports.append(port)
-                self._wake()
-        else:
-            self.epoch.acks_in[port] += 1
+        epoch = self.epoch
+        arq = link.arq
+        for code in codes:
+            if code < 0:
+                seq = ~code
+                epoch.nacks_in[port] += 1
+                # Go-back-N rewind: schedule the NACKed flit and everything
+                # sent after it (still unacknowledged) for in-order resend.
+                link.pending_retx = deque(s for s, _ in arq if s >= seq)
+                if link.pending_retx and port not in self._retx_ports:
+                    self._retx_ports.append(port)
+                    self._wake()
+                continue
+            epoch.acks_in[port] += 1
             if self._pending_mode is not None:
                 # This ACK may be the one that drains the window and
                 # unblocks the deferred mode switch in step().
                 self._wake()
-            if link.arq.peek(message.seq) is not None:
-                item = link.arq.ack(message.seq)
-                self.epoch.arq_buffer_ops += 1
+            if arq.peek(code) is not None:
+                item = arq.ack(code)
+                epoch.arq_buffer_ops += 1
                 # The ACK may complete a draining packet's in-flight set.
-                self._maybe_release_output_vc(link, item.vc)
-            if message.seq in link.pending_retx:
+                vc = item.vc
+                if link.vc_draining[vc] and link.credits[vc] == self.vc_depth:
+                    self._maybe_release_output_vc(link, vc)
+            if link.pending_retx and code in link.pending_retx:
                 # A mode-2 duplicate repaired the flit before the rewind
                 # resent it — cancel the now-pointless retransmission.
-                link.pending_retx = deque(s for s in link.pending_retx if s != message.seq)
+                link.pending_retx = deque(s for s in link.pending_retx if s != code)
 
     # ------------------------------------------------------------------
     # Data delivery (called by the Network for each arriving transmission)
@@ -283,79 +299,67 @@ class Router:
         epoch = self.epoch
         error_model = channel.error_model
         flits_in = epoch.flits_in
+        vcs = self.inputs[port].vcs
         for t in arrivals:
             flits_in[port] += 1
             errors = error_model.sample_error_bits(t.relaxed)
-            if not t.protected:
-                if errors:
+            if t.protected:
+                # The -Link decoder runs on every protected transfer.
+                epoch.ecc_decodes += 1
+                expected = self.expected_seq[port]
+                if t.seq != expected:
+                    # Out-of-order under go-back-N (already-accepted
+                    # duplicate or a rewound resend of an accepted flit):
+                    # drop silently.  Duplicates never carried a credit,
+                    # so only refund for credit-bearing transmissions.
+                    if not t.duplicate:
+                        channel.send_credit(t.vc)
+                    epoch.dropped_flits += 1
+                    continue
+                if errors == 2:
+                    # Detected, uncorrectable: drop and NACK.  The credit
+                    # is refunded by exactly one member of a mode-2 pair:
+                    # a paired original defers to its duplicate (which may
+                    # yet deliver into the reserved slot); a corrupted
+                    # duplicate at the expected sequence means both copies
+                    # died, so the credit comes back here.
+                    channel.send_ack(~expected)
+                    if not t.paired:
+                        channel.send_credit(t.vc)
+                    epoch.nacks_out[port] += 1
+                    epoch.dropped_flits += 1
+                    continue
+                if errors == 1:
+                    epoch.corrected_errors += 1
+                elif errors:
+                    # Beyond SECDED: mis-correction corrupts the payload
+                    # and escapes to the destination CRC.
                     t.flit.error_mask ^= error_model.sample_mask(errors)
                     epoch.escaped_errors += 1
-                self._accept(port, t, now)
-                continue
-
-            # Protected arrival: the -Link decoder runs on every transfer.
-            epoch.ecc_decodes += 1
-            expected = self.expected_seq[port]
-            if t.seq != expected:
-                # Out-of-order under go-back-N (already-accepted duplicate
-                # or a rewound resend of an accepted flit): drop silently.
-                # Duplicates never carried a credit, so only refund for
-                # credit-bearing transmissions.
-                if not t.duplicate:
-                    channel.send_credit(t.vc, now + 1)
-                epoch.dropped_flits += 1
-                continue
-            if errors == 0:
-                self._ack(channel, port, t, now)
-                self._accept(port, t, now)
+                channel.send_ack(expected)
+                epoch.acks_out[port] += 1
                 self.expected_seq[port] = expected + 1
-            elif errors == 1:
-                epoch.corrected_errors += 1
-                self._ack(channel, port, t, now)
-                self._accept(port, t, now)
-                self.expected_seq[port] = expected + 1
-            elif errors == 2:
-                # Detected, uncorrectable: drop and NACK.  The credit is
-                # refunded by exactly one member of a mode-2 pair: a
-                # paired original defers to its duplicate (which may yet
-                # deliver into the reserved slot); a corrupted duplicate
-                # at the expected sequence means both copies died, so the
-                # credit comes back here.
-                channel.send_ack(AckMessage(t.seq, AckKind.NACK, now), now + 1)
-                if not t.paired:
-                    channel.send_credit(t.vc, now + 1)
-                epoch.nacks_out[port] += 1
-                epoch.dropped_flits += 1
-            else:
-                # Beyond SECDED: mis-correction corrupts the payload and
-                # escapes to the destination CRC.
+            elif errors:
                 t.flit.error_mask ^= error_model.sample_mask(errors)
                 epoch.escaped_errors += 1
-                self._ack(channel, port, t, now)
-                self._accept(port, t, now)
-                self.expected_seq[port] = expected + 1
 
-    def _ack(self, channel: Channel, port: int, t: Transmission, now: int) -> None:
-        channel.send_ack(AckMessage(t.seq, AckKind.ACK, now), now + 1)
-        self.epoch.acks_out[port] += 1
-
-    def _accept(self, port: int, t: Transmission, now: int) -> None:
-        flit = t.flit
-        flit.hops += 1
-        vc = self.inputs[port].vcs[t.vc]
-        vc.push(flit)
-        self.epoch.buffer_writes += 1
-        if flit.is_head:
-            if vc.state is not VCState.IDLE:
-                raise RuntimeError(
-                    f"router {self.id}: head flit arrived at busy VC "
-                    f"{vc.port.name}.{vc.vc_id}"
-                )
-            vc.state = VCState.ROUTING
-            vc.current_packet = flit.packet
-            vc.stage_ready_cycle = now + 1
-            self._routing[vc] = None
-            self._wake()
+            # Accept: buffer write into the allocated input VC.
+            flit = t.flit
+            flit.hops += 1
+            vc = vcs[t.vc]
+            vc.push(flit)
+            epoch.buffer_writes += 1
+            if flit.is_head:
+                if vc.state is not VCState.IDLE:
+                    raise RuntimeError(
+                        f"router {self.id}: head flit arrived at busy VC "
+                        f"{vc.port.name}.{vc.vc_id}"
+                    )
+                vc.state = VCState.ROUTING
+                vc.current_packet = flit.packet
+                vc.stage_ready_cycle = now + 1
+                self._routing[vc] = None
+                self._wake()
 
     # ------------------------------------------------------------------
     # Injection from the local network interface
@@ -456,53 +460,64 @@ class Router:
     def _stage_switch_allocation(self, now: int, used_output: Optional[List[bool]]) -> None:
         outputs = self.outputs
         ecc = self.behaviour.ecc_enabled
-        by_port: Dict[int, List[VirtualChannel]] = {}
+        # Ready VCs whose output has a free link slot, a credit and ARQ
+        # room, grouped by output port.  ``first`` collects the first
+        # port's candidates; the dict is built only once a second port
+        # shows up.
+        first_port = -1
+        first: Optional[List[VirtualChannel]] = None
+        by_port: Optional[Dict[int, List[VirtualChannel]]] = None
         for vc in self._active:
-            if vc.fifo and vc.stage_ready_cycle <= now:
-                out_port = vc.out_port
-                if used_output is not None and used_output[out_port]:
+            if not vc.fifo or vc.stage_ready_cycle > now:
+                continue
+            out_port = vc.out_port
+            if used_output is not None and used_output[out_port]:
+                continue
+            if out_port != _LOCAL:
+                link = outputs[out_port]
+                if link.free_at > now or link.credits[vc.out_vc] <= 0:
                     continue
-                # Inlined _sa_resources_free (hottest loop in the router).
-                if out_port != _LOCAL:
-                    link = outputs[out_port]
-                    if link.credits[vc.out_vc] <= 0:
+                if ecc:
+                    arq = link.arq
+                    if len(arq._entries) >= arq.capacity:  # inlined arq.is_full
                         continue
-                    if ecc and link.arq.is_full:
-                        continue
+            if first is None:
+                first_port = out_port
+                first = [vc]
+            elif out_port == first_port:
+                first.append(vc)
+            else:
+                if by_port is None:
+                    by_port = {first_port: first}
                 candidates = by_port.get(out_port)
                 if candidates is None:
                     by_port[out_port] = [vc]
                 else:
                     candidates.append(vc)
-        if not by_port:
+        if first is None:
             return
         arbiters = self._sa_arbiters
         epoch = self.epoch
-        if len(by_port) == 1:
+        if by_port is None:
             # Common case: every ready VC wants the same output port.
             # One grant happens, so the input-port exclusion mask and the
             # rotating output-port order cannot change the outcome.
-            out_port, candidates = by_port.popitem()
-            if out_port != _LOCAL and outputs[out_port].free_at > now:
-                return
             epoch.arbitration_ops += 1
-            if len(candidates) == 1:
-                vc = candidates[0]
-                arbiters[out_port].take(vc.line)
-                self._traverse(vc, out_port, now)
+            if len(first) == 1:
+                vc = first[0]
+                arbiters[first_port].take(vc.line)
+                self._traverse(vc, first_port, now)
                 return
-            line = arbiters[out_port].grant_from([vc.line for vc in candidates])
-            for vc in candidates:
+            line = arbiters[first_port].grant_from([vc.line for vc in first])
+            for vc in first:
                 if vc.line == line:
-                    self._traverse(vc, out_port, now)
+                    self._traverse(vc, first_port, now)
                     return
             return
         used_input = [False] * _NUM_PORTS
         for out_port in _PORT_ORDERS[now % _NUM_PORTS]:
             candidates = by_port.get(out_port)
-            if not candidates:
-                continue
-            if out_port != _LOCAL and outputs[out_port].free_at > now:
+            if candidates is None:
                 continue
             if len(candidates) == 1:
                 vc = candidates[0]
@@ -526,18 +541,8 @@ class Router:
                     self._traverse(vc, out_port, now)
                     break
 
-    def _sa_resources_free(self, out_port: int, vc: VirtualChannel) -> bool:
-        if out_port == _LOCAL:
-            return True
-        link = self.outputs[out_port]
-        if link.credits[vc.out_vc] <= 0:
-            return False
-        if self.behaviour.ecc_enabled and link.arq.is_full:
-            return False
-        return True
-
     def _traverse(self, vc: VirtualChannel, out_port: int, now: int) -> None:
-        flit = vc.pop()
+        flit = vc.fifo.popleft()  # SA only grants VCs holding a flit
         vc.sent += 1
         epoch = self.epoch
         epoch.buffer_reads += 1
@@ -546,7 +551,7 @@ class Router:
         if vc.port_index != _LOCAL:
             # The flit freed one slot of this input VC: return the credit
             # to the upstream sender over the channel's sideband wire.
-            self.in_channels[vc.port_index].send_credit(vc.vc_id, now + 1)
+            self.in_channels[vc.port_index].send_credit(vc.vc_id)
 
         if out_port == _LOCAL:
             if self.ejection_sink is None:
@@ -565,43 +570,31 @@ class Router:
                 + (ECC_PIPELINE_CYCLES if protected else 0)
             )
             duplicated = behaviour.pre_retransmit and protected
+            sent = Transmission(
+                flit,
+                None,
+                out_vc,
+                protected,
+                behaviour.timing_relaxed,
+                False,
+                arrive,
+                duplicated,
+            )
             if protected:
                 # The ARQ window stores the sent transmission itself (its
                 # consumers read only .flit and .vc), so the rewind logic
                 # can resend it without a second allocation per flit.
-                sent = Transmission(
-                    flit,
-                    link.arq.next_seq,
-                    out_vc,
-                    True,
-                    behaviour.timing_relaxed,
-                    False,
-                    arrive,
-                    paired=duplicated,
-                )
-                seq = link.arq.push(sent)
+                sent.seq = link.arq.push(sent)
                 epoch.arq_buffer_ops += 1
                 epoch.ecc_encodes += 1
-            else:
-                seq = None
-                sent = Transmission(
-                    flit,
-                    None,
-                    out_vc,
-                    False,
-                    behaviour.timing_relaxed,
-                    False,
-                    arrive,
-                    paired=duplicated,
-                )
             link.channel.send(sent)
-            link.free_at = now + behaviour.link_slots_per_flit
+            link.free_at = now + self._link_slots
             if duplicated:
                 # Mode 2: speculative duplicate one cycle behind.
                 link.channel.send(
                     Transmission(
                         flit,
-                        seq,
+                        sent.seq,
                         out_vc,
                         True,
                         behaviour.timing_relaxed,
@@ -617,9 +610,9 @@ class Router:
             if out_port == _LOCAL:
                 self._local_vc_allocated[out_vc] = False
             else:
-                link = self.outputs[out_port]
-                link.vc_draining[out_vc] = True
-                self._maybe_release_output_vc(link, out_vc)
+                # The tail just spent a credit, so the output VC cannot be
+                # released yet: the last credit or ACK home releases it.
+                self.outputs[out_port].vc_draining[out_vc] = True
             vc.release()
             del self._active[vc]
         # Body flits remain eligible next cycle; no stage_ready bump needed.
@@ -642,17 +635,33 @@ class Router:
         by_port: Dict[int, Dict[int, VirtualChannel]] = {}
         for vc in self._waiting:
             if vc.stage_ready_cycle <= now:
-                by_port.setdefault(vc.out_port, {})[vc.line] = vc
+                candidates = by_port.get(vc.out_port)
+                if candidates is None:
+                    by_port[vc.out_port] = {vc.line: vc}
+                else:
+                    candidates[vc.line] = vc
         for out_port, candidates in by_port.items():
-            free_vcs = self._free_output_vcs(out_port)
-            if not free_vcs:
+            if out_port == _LOCAL:
+                allocated = self._local_vc_allocated
+            else:
+                link = self.outputs.get(out_port)
+                if link is None:
+                    continue
+                allocated = link.vc_allocated
+            if all(allocated):
                 continue
             eligible = list(candidates)
-            for out_vc in free_vcs:
+            arbiter = self._va_arbiters[out_port]
+            # A grant marks ``allocated[out_vc]`` only, never a later
+            # index, so iterating the live list sees each VC's free state
+            # as of the start of this port's allocation.
+            for out_vc, taken in enumerate(allocated):
+                if taken:
+                    continue
                 if not eligible:
                     break
                 self.epoch.arbitration_ops += 1
-                line = self._va_arbiters[out_port].grant_from(eligible)
+                line = arbiter.grant_from(eligible)
                 if line is None:
                     break
                 eligible.remove(line)
@@ -662,20 +671,7 @@ class Router:
                 winner.stage_ready_cycle = now + 1
                 del self._waiting[winner]
                 self._active[winner] = None
-                if out_port == _LOCAL:
-                    self._local_vc_allocated[out_vc] = True
-                else:
-                    self.outputs[out_port].vc_allocated[out_vc] = True
-
-    def _free_output_vcs(self, out_port: int) -> List[int]:
-        if out_port == _LOCAL:
-            allocated = self._local_vc_allocated
-        else:
-            link = self.outputs.get(out_port)
-            if link is None:
-                return []
-            allocated = link.vc_allocated
-        return [v for v in range(self.num_vcs) if not allocated[v]]
+                allocated[out_vc] = True
 
     # -- RC ---------------------------------------------------------------
     def _stage_route_computation(self, now: int) -> None:
@@ -737,7 +733,7 @@ class Router:
                 self.epoch.buffer_reads += 1
                 self.epoch.dropped_flits += 1
                 if vc.port != Port.LOCAL:
-                    self.in_channels[int(vc.port)].send_credit(vc.vc_id, now + 1)
+                    self.in_channels[int(vc.port)].send_credit(vc.vc_id)
                 if flit.is_tail:
                     finished = True
                     break

@@ -96,7 +96,12 @@ CHECKPOINT_MAGIC = b"RNOCCKPT"
 #: non-finite guard backref — version-3 bodies would restore into
 #: objects missing those attributes and die at the first epoch boundary
 #: or scrub pass.
-CHECKPOINT_VERSION = 4
+#: Version 5: channel delivery moved to network-owned due lists and the
+#: sideband became a one-cycle wire of plain ints (credits are VC
+#: indices, ACK/NACKs are ``seq``/``~seq`` codes) — version-4 bodies carry
+#: timestamped sideband tuples, ``AckMessage`` objects and the removed
+#: active-channel set, which this build's kernels cannot deliver.
+CHECKPOINT_VERSION = 5
 
 #: Pretrained-policy campaign artifacts share the container format but
 #: version independently: an artifact body is a ``ControlPolicy.to_state``
@@ -455,9 +460,9 @@ class ResumableRun:
         # The kernel choice is an execution detail, not simulation state:
         # re-resolve it for the resuming process (REPRO_NAIVE_KERNEL)
         # rather than pinning whatever the snapshotting process used.
-        # Safe either way — the active-set registries in the snapshot are
-        # always a superset of the live entities, and both kernels are
-        # bit-identical.
+        # Safe either way — both kernels keep the channel due lists exact,
+        # the router/NI registries in the snapshot are always a superset
+        # of the live entities, and both kernels are bit-identical.
         run.sim.network.kernel = resolve_kernel(None)
         run.source = payload["source"]
         run.segments = _plan_segments(run.config, run.sim.policy.trainable)

@@ -5,13 +5,15 @@ kernel and the reference full-scan kernel must produce *bit-identical*
 results — same deliveries, same retransmissions, same RNG-driven error
 pattern, same final statistics.  These tests drive matched networks
 through healthy and hard-fault campaigns under both routing policies and
-compare everything observable.
+under every operation mode (ARQ ACK/NACK traffic, go-back-N rewinds,
+mode-2 duplicates, mode-3 stalls), and compare everything observable.
 """
 
 import random
 
 import pytest
 
+from repro.core.modes import OperationMode
 from repro.faults.hardfaults import HardFaultModel, HardFaultSchedule
 from repro.noc.network import Network
 from repro.noc.packet import Packet
@@ -19,8 +21,16 @@ from repro.noc.topology import MeshTopology, Port
 
 CHAOS_SPEC = "link@400:1E;router@900:5;burst@600+300:0.05"
 
+#: per-router operation-mode assignments of the ARQ matrix
+MODE_ASSIGNMENTS = {
+    "all1": lambda rid: OperationMode.MODE_1,
+    "all2": lambda rid: OperationMode.MODE_2,
+    "all3": lambda rid: OperationMode.MODE_3,
+    "mixed": lambda rid: OperationMode(rid % 4),
+}
 
-def _build(kernel, seed, routing, fault_spec):
+
+def _build(kernel, seed, routing, fault_spec, modes=None, error=0.01):
     net = Network(
         MeshTopology(4, 4),
         routing_fn=routing,
@@ -30,8 +40,11 @@ def _build(kernel, seed, routing, fault_spec):
     )
     if fault_spec:
         net.hard_faults = HardFaultModel(net, HardFaultSchedule.parse(fault_spec))
+    if modes is not None:
+        for router in net.routers:
+            net.set_mode(router.id, MODE_ASSIGNMENTS[modes](router.id))
     for _, model in net.channel_models():
-        model.event_probability = 0.01
+        model.event_probability = error
         model.relax_factor = 0.5
     return net
 
@@ -77,6 +90,12 @@ def _fingerprint(net):
         "reroutes": sum(r.epoch.reroutes for r in net.routers),
         "arbitrations": sum(r.epoch.arbitration_ops for r in net.routers),
         "flits_out": [list(r.epoch.flits_out) for r in net.routers],
+        "acks": [list(r.epoch.acks_in) for r in net.routers],
+        "nacks": [list(r.epoch.nacks_in) for r in net.routers],
+        "flit_retransmissions": sum(r.epoch.flit_retransmissions for r in net.routers),
+        "duplicate_flits": sum(r.epoch.duplicate_flits for r in net.routers),
+        "dropped_flits": sum(r.epoch.dropped_flits for r in net.routers),
+        "modes": [int(r.mode) for r in net.routers],
         "rng_state": net.rng.getstate(),
     }
 
@@ -100,16 +119,48 @@ def test_kernels_bit_identical(seed, routing, fault_spec):
     assert prints["fast"] == prints["naive"]
 
 
+@pytest.mark.parametrize("fault_spec", [None, CHAOS_SPEC], ids=["healthy", "chaos"])
+@pytest.mark.parametrize("modes", sorted(MODE_ASSIGNMENTS))
+def test_kernels_bit_identical_under_arq(modes, fault_spec):
+    """Per-hop ARQ traffic: ACK/NACK batches, go-back-N rewinds, mode-2
+    duplicates and mode-3 stalls are identical under both kernels."""
+    prints = {}
+    for kernel in ("fast", "naive"):
+        net = _build(kernel, 5, "adaptive", fault_spec, modes=modes, error=0.05)
+        _drive(net, 5)
+        prints[kernel] = _fingerprint(net)
+    assert prints["fast"] == prints["naive"]
+    naive = prints["naive"]
+    assert sum(map(sum, naive["acks"])) > 0
+    assert sum(map(sum, naive["nacks"])) > 0
+    assert naive["flit_retransmissions"] > 0
+    if modes in ("all2", "mixed"):
+        assert naive["duplicate_flits"] > 0
+
+
 def test_active_sets_drain_at_quiescence():
     """Lazy deregistration converges: no activity left once quiescent."""
     net = _build("fast", 0, "xy", None)
     _drive(net, 0, cycles=400)
     assert net.quiescent
     act = net.activity
-    assert not act.channels
+    assert not act.sideband
+    assert not act.arrivals
     assert not act.routers
     assert not act.ni_eject
     assert not act.ni_inject
+
+
+def test_naive_kernel_consumes_due_lists():
+    """The naive kernel scans every channel but still clears the due
+    lists at the same phase points, so they never hold stale entries a
+    later fast-kernel resume would have to wade through."""
+    net = _build("naive", 0, "xy", None, modes="all1", error=0.05)
+    _drive(net, 0, cycles=400)
+    assert net.quiescent
+    net.run(10)  # let the last ACKs and credits land
+    assert not net.activity.sideband
+    assert not net.activity.arrivals
 
 
 def test_fast_forward_skips_only_truly_idle_cycles():
@@ -142,7 +193,8 @@ def test_channel_pending_properties():
     assert not channel.has_pending_data
     assert not channel.has_pending_acks
     assert not channel.has_pending_credits
-    channel.send_credit(0, net.now + 1)
+    channel.send_credit(0)
     assert channel.has_pending_credits and channel.busy
-    assert channel.pop_credits(net.now + 1) == [0]
+    assert net.activity.sideband == [channel.index]
+    assert channel.pop_credits() == [0]
     assert not channel.busy

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.noc import FlitType, InputPort, OutputQueue, Packet, Port, VCState
+from repro.noc import FlitType, InputPort, Packet, Port, VCState
 from repro.noc.buffers import VirtualChannel
 
 
@@ -83,24 +83,3 @@ class TestInputPort:
         port.vcs[0].push(_flit(1))
         port.vcs[1].push(_flit(0))
         assert port.buffered_flits == 3
-
-
-class TestOutputQueue:
-    def test_rejects_zero_depth(self):
-        with pytest.raises(ValueError):
-            OutputQueue(0)
-
-    def test_fifo_semantics(self):
-        q = OutputQueue(3)
-        q.push("a")
-        q.push("b")
-        assert q.front() == "a"
-        assert q.pop() == "a"
-        assert len(q) == 1
-
-    def test_overflow_raises(self):
-        q = OutputQueue(1)
-        q.push("a")
-        assert q.is_full
-        with pytest.raises(OverflowError):
-            q.push("b")

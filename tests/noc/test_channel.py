@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.coding.arq import AckKind, AckMessage
 from repro.noc import Channel, ChannelErrorModel, MeshTopology, Packet, Transmission
 from repro.noc.topology import ChannelSpec, Port
 
@@ -90,22 +89,26 @@ class TestChannel:
         assert ch.pop_arrivals(10) == [early, late]
 
     def test_ack_and_credit_sideband(self):
+        """One-cycle sideband: a pop returns everything sent before it, in
+        send order; an ACK travels as ``seq`` and a NACK as ``~seq``."""
         ch = make_channel()
-        ch.send_ack(AckMessage(3, AckKind.ACK), deliver_at=2)
-        ch.send_ack(AckMessage(4, AckKind.NACK), deliver_at=3)
-        ch.send_credit(1, deliver_at=2)
-        assert ch.pop_acks(1) == []
-        assert [m.seq for m in ch.pop_acks(2)] == [3]
-        assert ch.pop_credits(2) == [1]
-        assert [m.seq for m in ch.pop_acks(3)] == [4]
+        ch.send_ack(3)
+        ch.send_credit(1)
+        ch.send_ack(~4)
+        ch.send_credit(0)
+        assert ch.pop_acks() == [3, ~4]
+        assert ch.pop_credits() == [1, 0]
+        assert ch.pop_acks() == [] and ch.pop_credits() == []
         assert not ch.busy
+        ch.send_credit(2)
+        assert ch.pop_credits() == [2]
 
     def test_busy_reflects_any_traffic(self):
         ch = make_channel()
         assert not ch.busy
-        ch.send_credit(0, 1)
+        ch.send_credit(0)
         assert ch.busy
-        ch.pop_credits(1)
+        ch.pop_credits()
         assert not ch.busy
 
 

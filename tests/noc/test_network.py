@@ -178,6 +178,31 @@ class TestConservation:
             assert packet.combined_payload(received=True) == packet.combined_payload()
 
 
+class TestSideband:
+    def test_credit_is_usable_one_cycle_after_return(self):
+        """The credit wire is one cycle long: a credit the downstream
+        router returns in cycle t first lets the upstream router's SA
+        send in cycle t+1.  Router 0 steps before router 1 within a
+        cycle, so with a single one-flit VC on the 1 -> 0 link every send
+        after the first waits on the credit of the flit before it."""
+        net = Network(MeshTopology(2, 2), num_vcs=1, vc_depth=1)
+        channel = net.channels[(1, Port.WEST)]
+        upstream = net.routers[1]
+        net.inject(Packet(1, 0, 4, 128, 0))
+        credit_cycles, send_cycles = [], []
+        while not net.quiescent:
+            now, sent = net.now, upstream.epoch.flits_out[int(Port.WEST)]
+            net.cycle()
+            if channel.has_pending_credits:  # returned during this cycle
+                credit_cycles.append(now)
+                assert upstream.outputs[int(Port.WEST)].credits == [0]
+            if upstream.epoch.flits_out[int(Port.WEST)] > sent:
+                send_cycles.append(now)
+            assert net.now < 200, "packet failed to deliver"
+        assert len(send_cycles) == 4 and len(credit_cycles) == 4
+        assert send_cycles[1:] == [t + 1 for t in credit_cycles[:3]]
+
+
 class TestModeSwitching:
     def test_switch_requires_drain_when_disabling_ecc(self):
         net = make_network(mode=OperationMode.MODE_1, error=0.0)

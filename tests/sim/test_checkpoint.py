@@ -167,6 +167,45 @@ class TestResumableRun:
             ).run()
             assert resumed == baseline
 
+    def test_naive_snapshot_resumes_under_fast_kernel(self, tmp_path, monkeypatch):
+        """A mode-1 (``arq_ecc``) run snapshotted mid-traffic under the
+        naive kernel resumes under the fast kernel to exactly the
+        uninterrupted result: both kernels keep the channel due lists
+        exact, and resume re-resolves the kernel for its own process."""
+        config = small_config(error_scale=4.0)
+        baseline = ResumableRun(config, "arq_ecc", "canneal", trace_cycles=600).run()
+        assert baseline.flit_retransmissions > 0  # ACK/NACK traffic ran
+
+        monkeypatch.setenv("REPRO_NAIVE_KERNEL", "1")
+        run = ResumableRun(
+            config, "arq_ecc", "canneal", trace_cycles=600,
+            checkpoint_path=tmp_path / "run.ckpt", checkpoint_every=150,
+        )
+        assert run.sim.network.kernel == "naive"
+        snapshots = []
+        original_save = run.save
+
+        def keep_copies(path=None):
+            saved = original_save(path)
+            activity = run.sim.network.activity
+            if activity.sideband or activity.arrivals:
+                copy = tmp_path / f"snap_{run.sim.network.now}.ckpt"
+                shutil.copy(saved, copy)
+                snapshots.append(copy)
+            return saved
+
+        run.save = keep_copies
+        assert run.run() == baseline
+        assert snapshots, "no snapshot caught traffic in flight"
+
+        monkeypatch.delenv("REPRO_NAIVE_KERNEL")
+        resumed = ResumableRun.resume(
+            snapshots[len(snapshots) // 2],
+            checkpoint_path=tmp_path / "scratch.ckpt", checkpoint_every=0,
+        )
+        assert resumed.sim.network.kernel == "fast"
+        assert resumed.run() == baseline
+
     def test_snapshot_restores_packet_id_counter(self, tmp_path):
         """Packet ids come from a process-global counter; a snapshot must
         carry it so a resumed process cannot reissue ids that collide
