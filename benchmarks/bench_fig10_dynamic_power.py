@@ -5,29 +5,12 @@ average of 46 % over CRC (normalized ~ 0.54) thanks to the reduction in
 retransmission traffic, and by 17 % over the DT baseline.
 """
 
-from conftest import print_figure
-
-from repro.sim import DESIGN_ORDER, geometric_mean, normalize_to_baseline
-
-PAPER_AVERAGES = {"crc": 1.00, "arq_ecc": 0.75, "dt": 0.65, "rl": 0.54}
-
-
-def figure_rows(suite):
-    averages = {}
-    rows = []
-    for design in DESIGN_ORDER:
-        values = [
-            normalize_to_baseline(results, lambda r: r.dynamic_power_watts)[design]
-            for results in suite.values()
-        ]
-        averages[design] = geometric_mean(values)
-        rows.append([design, PAPER_AVERAGES[design], averages[design]])
-    return rows, averages
+from conftest import figure_rows, print_figure
 
 
 def test_fig10_dynamic_power(suite_results, benchmark):
     rows, averages = benchmark.pedantic(
-        figure_rows, args=(suite_results,), rounds=1, iterations=1
+        figure_rows, args=(suite_results, "fig10"), rounds=1, iterations=1
     )
     print_figure(
         "Fig. 10: dynamic power (normalized to CRC)",

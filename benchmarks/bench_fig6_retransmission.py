@@ -7,31 +7,12 @@ RL.  Absolute numbers depend on the authors' testbed; this bench checks
 the orderings and prints the measured series next to the paper's.
 """
 
-from conftest import print_figure
-
-from repro.sim import DESIGN_ORDER, geometric_mean, normalize_to_baseline
-
-PAPER_AVERAGES = {"crc": 1.00, "arq_ecc": 0.67, "dt": 0.60, "rl": 0.52}
-
-
-def figure_rows(suite):
-    rows = []
-    averages = {}
-    for design in DESIGN_ORDER:
-        normalized = {
-            bench: normalize_to_baseline(
-                results, lambda r: r.retransmission_events + 1
-            )[design]
-            for bench, results in suite.items()
-        }
-        averages[design] = geometric_mean(normalized.values())
-        rows.append([design, PAPER_AVERAGES[design], averages[design]])
-    return rows, averages
+from conftest import figure_rows, print_figure, print_series
 
 
 def test_fig6_retransmission(suite_results, benchmark):
     rows, averages = benchmark.pedantic(
-        figure_rows, args=(suite_results,), rounds=1, iterations=1
+        figure_rows, args=(suite_results, "fig6"), rounds=1, iterations=1
     )
     print_figure(
         "Fig. 6: retransmission packets (normalized to CRC)",
@@ -54,10 +35,8 @@ def test_fig6_retransmission(suite_results, benchmark):
     assert averages["rl"] < 0.75
 
 
-def test_fig6_per_benchmark_series(suite_results):
+def test_fig6_per_benchmark_series(figures):
     print("\nFig. 6 per-benchmark series (normalized to CRC):")
-    for bench, results in sorted(suite_results.items()):
-        normalized = normalize_to_baseline(results, lambda r: r.retransmission_events + 1)
-        series = "  ".join(f"{d}={normalized[d]:.2f}" for d in DESIGN_ORDER)
-        print(f"  {bench:14s} {series}")
-        assert normalized["rl"] <= 1.5  # never pathologically worse
+    print_series("fig6", figures)
+    for bench, ratios in figures["fig6"]["per_benchmark"].items():
+        assert ratios["rl"] <= 1.5, bench  # never pathologically worse

@@ -4,29 +4,12 @@ Paper (Section VI-A): the proposed architecture averages a 1.25x speed-up
 over the CRC baseline, with larger gains for higher-traffic applications.
 """
 
-from conftest import print_figure
-
-from repro.sim import DESIGN_ORDER, geometric_mean
-
-PAPER_AVERAGES = {"crc": 1.00, "arq_ecc": 1.15, "dt": 1.20, "rl": 1.25}
-
-
-def figure_rows(suite):
-    averages = {}
-    rows = []
-    for design in DESIGN_ORDER:
-        speedups = [
-            results["crc"].execution_cycles / results[design].execution_cycles
-            for results in suite.values()
-        ]
-        averages[design] = geometric_mean(speedups)
-        rows.append([design, PAPER_AVERAGES[design], averages[design]])
-    return rows, averages
+from conftest import figure_rows, print_figure
 
 
 def test_fig7_speedup(suite_results, benchmark):
     rows, averages = benchmark.pedantic(
-        figure_rows, args=(suite_results,), rounds=1, iterations=1
+        figure_rows, args=(suite_results, "fig7"), rounds=1, iterations=1
     )
     print_figure(
         "Fig. 7: execution-time speed-up (normalized to CRC)",
@@ -41,17 +24,14 @@ def test_fig7_speedup(suite_results, benchmark):
     assert averages["rl"] > 1.02
 
 
-def test_fig7_higher_traffic_higher_speedup(suite_results):
+def test_fig7_higher_traffic_higher_speedup(suite_results, figures):
     """The paper deduces the speed-up grows with traffic intensity —
     check the heaviest benchmark beats the lightest one."""
-    by_load = sorted(
-        suite_results.items(), key=lambda kv: kv[1]["crc"].flits_delivered
-    )
+    by_load = sorted(suite_results, key=lambda b: suite_results[b]["crc"].flits_delivered)
     if len(by_load) < 2:
         return
-    lightest = by_load[0][1]
-    heaviest = by_load[-1][1]
-    light_speedup = lightest["crc"].execution_cycles / lightest["rl"].execution_cycles
-    heavy_speedup = heaviest["crc"].execution_cycles / heaviest["rl"].execution_cycles
+    speedups = figures["fig7"]["per_benchmark"]
+    light_speedup = speedups[by_load[0]]["rl"]
+    heavy_speedup = speedups[by_load[-1]]["rl"]
     print(f"\nFig. 7 trend: lightest speedup {light_speedup:.3f}, heaviest {heavy_speedup:.3f}")
     assert heavy_speedup >= light_speedup * 0.95  # allow noise, forbid inversion

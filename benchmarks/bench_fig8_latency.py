@@ -5,29 +5,12 @@ CRC (normalized ~ 0.70); the proposed RL design by 55 % (~ 0.45), which
 is also 10 % below the DT baseline (~ 0.50).
 """
 
-from conftest import print_figure
-
-from repro.sim import DESIGN_ORDER, geometric_mean, normalize_to_baseline
-
-PAPER_AVERAGES = {"crc": 1.00, "arq_ecc": 0.70, "dt": 0.50, "rl": 0.45}
-
-
-def figure_rows(suite):
-    averages = {}
-    rows = []
-    for design in DESIGN_ORDER:
-        values = [
-            normalize_to_baseline(results, lambda r: r.mean_latency)[design]
-            for results in suite.values()
-        ]
-        averages[design] = geometric_mean(values)
-        rows.append([design, PAPER_AVERAGES[design], averages[design]])
-    return rows, averages
+from conftest import figure_rows, print_figure, print_series
 
 
 def test_fig8_latency(suite_results, benchmark):
     rows, averages = benchmark.pedantic(
-        figure_rows, args=(suite_results,), rounds=1, iterations=1
+        figure_rows, args=(suite_results, "fig8"), rounds=1, iterations=1
     )
     print_figure(
         "Fig. 8: average end-to-end latency (normalized to CRC)",
@@ -41,11 +24,9 @@ def test_fig8_latency(suite_results, benchmark):
     assert averages["rl"] < 0.70
 
 
-def test_fig8_per_benchmark_series(suite_results):
+def test_fig8_per_benchmark_series(figures):
     print("\nFig. 8 per-benchmark series (normalized to CRC):")
-    for bench, results in sorted(suite_results.items()):
-        normalized = normalize_to_baseline(results, lambda r: r.mean_latency)
-        series = "  ".join(f"{d}={normalized[d]:.2f}" for d in DESIGN_ORDER)
-        print(f"  {bench:14s} {series}")
+    print_series("fig8", figures)
+    for bench, ratios in figures["fig8"]["per_benchmark"].items():
         # No benchmark may invert the headline: RL never slower than CRC.
-        assert normalized["rl"] < 1.20
+        assert ratios["rl"] < 1.20, bench

@@ -5,29 +5,12 @@ by an average of 64 % over the CRC baseline (normalized ~ 1.64) and by
 15 % over the DT baseline.
 """
 
-from conftest import print_figure
-
-from repro.sim import DESIGN_ORDER, geometric_mean, normalize_to_baseline
-
-PAPER_AVERAGES = {"crc": 1.00, "arq_ecc": 1.35, "dt": 1.43, "rl": 1.64}
-
-
-def figure_rows(suite):
-    averages = {}
-    rows = []
-    for design in DESIGN_ORDER:
-        values = [
-            normalize_to_baseline(results, lambda r: r.energy_efficiency)[design]
-            for results in suite.values()
-        ]
-        averages[design] = geometric_mean(values)
-        rows.append([design, PAPER_AVERAGES[design], averages[design]])
-    return rows, averages
+from conftest import figure_rows, print_figure
 
 
 def test_fig9_energy_efficiency(suite_results, benchmark):
     rows, averages = benchmark.pedantic(
-        figure_rows, args=(suite_results,), rounds=1, iterations=1
+        figure_rows, args=(suite_results, "fig9"), rounds=1, iterations=1
     )
     print_figure(
         "Fig. 9: energy efficiency (normalized to CRC)",
@@ -42,12 +25,11 @@ def test_fig9_energy_efficiency(suite_results, benchmark):
     assert averages["rl"] > 0.95 * averages["dt"]
 
 
-def test_fig9_hot_benchmarks_show_biggest_gain(suite_results):
+def test_fig9_hot_benchmarks_show_biggest_gain(suite_results, figures):
     """Energy efficiency gains should be largest where faults cost most
     (hot, high-traffic benchmarks)."""
     gains = {
-        bench: normalize_to_baseline(results, lambda r: r.energy_efficiency)["rl"]
-        for bench, results in suite_results.items()
+        bench: ratios["rl"] for bench, ratios in figures["fig9"]["per_benchmark"].items()
     }
     temps = {
         bench: results["crc"].mean_temperature

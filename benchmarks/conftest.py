@@ -2,10 +2,17 @@
 
 Every figure of the paper's evaluation (Figs 6-10) is computed from the
 same experiment grid: the PARSEC-like suite run through all four designs.
-The grid is expensive, so it is produced once and cached to
-``benchmarks/results/suite.json`` (keyed by a fingerprint of the bench
-configuration); per-figure bench modules consume it, assert the paper's
-qualitative shape, and print the paper-vs-measured rows.
+The grid comes from :func:`repro.sim.run_campaign`, the runner behind
+``repro campaign``, with its per-cell result cache and its pretrained
+policy artifacts under ``benchmarks/results/sweep_cache/``.  Both are
+keyed by content hashes (the full configuration, the cell, the
+artifact's content and the sweep ``CACHE_SCHEMA``), so a changed knob
+misses the cache instead of replaying stale numbers.  The first run on
+a fresh checkout simulates the grid (about half a minute at the
+defaults on a 2-vCPU machine); later runs replay it.  Per-figure
+bench modules read the normalized tables from
+:func:`repro.sim.campaign_report`, assert the paper's qualitative
+shape, and print the paper-vs-measured rows.
 
 Scaling knobs (environment variables):
 
@@ -18,15 +25,13 @@ Scaling knobs (environment variables):
 ``REPRO_BENCH_BENCHMARKS``
     Comma-separated subset of PARSEC benchmark names (default: all ten).
 ``REPRO_BENCH_REFRESH=1``
-    Ignore the cache and recompute the grid.
+    Ignore the caches: re-pretrain the artifacts and recompute the grid.
 ``REPRO_BENCH_JOBS``
-    Worker processes for the grid (default: one per design, capped by
-    the CPU count).  Each design's row (pre-train once, snapshot, then
-    every benchmark on a fresh clone of the frozen snapshot) is one
-    sweep point, so parallelism across designs changes no results.
+    Worker processes for the grid cells (default: one per design, capped
+    by the CPU count).  Every cell clones a fresh policy from its
+    design's frozen artifact, so the job count changes no results.
 """
 
-import json
 import os
 from pathlib import Path
 
@@ -34,18 +39,16 @@ import pytest
 
 from repro.sim import (
     DESIGN_ORDER,
-    RunResult,
-    SweepRunner,
-    SweepSpec,
-    merge_suite,
+    PAPER_AVERAGES,
+    CampaignSpec,
+    campaign_report,
+    run_campaign,
     scaled_config,
     stderr_progress,
 )
 from repro.traffic import PARSEC_PROFILES
 
-RESULTS_DIR = Path(__file__).parent / "results"
-SUITE_CACHE = RESULTS_DIR / "suite.json"
-SWEEP_CACHE_DIR = RESULTS_DIR / "sweep_cache"
+SWEEP_CACHE_DIR = Path(__file__).parent / "results" / "sweep_cache"
 
 
 def bench_config():
@@ -69,71 +72,44 @@ def bench_benchmarks():
     return sorted(PARSEC_PROFILES)
 
 
-def _fingerprint(config, benchmarks, trace_cycles):
-    return {
-        # Bump when result-affecting code changes (v2: stable crc32 trace
-        # seeding replaced per-interpreter hash(); v3: full-width crc32
-        # trace seeds and per-benchmark policy clones from the frozen
-        # pretrain snapshot instead of one live policy chained in order).
-        "code_version": 3,
-        "width": config.width,
-        "height": config.height,
-        "pretrain_cycles": config.pretrain_cycles,
-        "trace_cycles": trace_cycles,
-        "benchmarks": list(benchmarks),
-    }
+@pytest.fixture(scope="session")
+def suite_results():
+    """The {benchmark: {design: RunResult}} grid, from the cached campaign."""
+    refresh = os.environ.get("REPRO_BENCH_REFRESH") == "1"
+    default_jobs = min(len(DESIGN_ORDER), os.cpu_count() or 1)
+    result = run_campaign(
+        CampaignSpec(
+            bench_config(),
+            tuple(bench_benchmarks()),
+            seed=11,
+            trace_cycles=int(os.environ.get("REPRO_BENCH_TRACE_CYCLES", "2500")),
+        ),
+        jobs=int(os.environ.get("REPRO_BENCH_JOBS", default_jobs)),
+        cache_dir=SWEEP_CACHE_DIR,
+        artifact_dir=SWEEP_CACHE_DIR / "artifacts",
+        refresh=refresh,
+        refresh_artifacts=refresh,
+        progress=stderr_progress,
+    )
+    if not result.succeeded:
+        pytest.fail(
+            "campaign quarantined cell(s): " + ", ".join(result.report.quarantined),
+            pytrace=False,
+        )
+    return result.suite
 
 
 @pytest.fixture(scope="session")
-def suite_results():
-    """The benchmarks x designs grid, computed once and disk-cached."""
-    config = bench_config()
-    benchmarks = bench_benchmarks()
-    trace_cycles = int(os.environ.get("REPRO_BENCH_TRACE_CYCLES", "2500"))
-    fingerprint = _fingerprint(config, benchmarks, trace_cycles)
+def figures(suite_results):
+    """The grid's normalized Figs 6-10 tables, keyed "fig6" .. "fig10"."""
+    return campaign_report(suite_results)["figures"]
 
-    if SUITE_CACHE.exists() and os.environ.get("REPRO_BENCH_REFRESH") != "1":
-        with SUITE_CACHE.open() as f:
-            payload = json.load(f)
-        if payload.get("fingerprint") == fingerprint:
-            return {
-                bench: {
-                    design: RunResult.from_dict(result)
-                    for design, result in row.items()
-                }
-                for bench, row in payload["results"].items()
-            }
 
-    default_jobs = min(len(DESIGN_ORDER), os.cpu_count() or 1)
-    spec = SweepSpec(
-        config=config,
-        kind="suite",
-        designs=DESIGN_ORDER,
-        traffics=tuple(benchmarks),
-        seeds=(11,),
-        cycles=trace_cycles,
-    )
-    runner = SweepRunner(
-        spec,
-        jobs=int(os.environ.get("REPRO_BENCH_JOBS", default_jobs)),
-        cache_dir=SWEEP_CACHE_DIR,
-        refresh=os.environ.get("REPRO_BENCH_REFRESH") == "1",
-        progress=stderr_progress,
-    )
-    suite = merge_suite(runner.run())
-    RESULTS_DIR.mkdir(exist_ok=True)
-    payload = {
-        "fingerprint": fingerprint,
-        "results": {
-            bench: {
-                design: result.constructor_dict() for design, result in row.items()
-            }
-            for bench, row in suite.items()
-        },
-    }
-    with SUITE_CACHE.open("w") as f:
-        json.dump(payload, f, indent=2)
-    return suite
+def figure_rows(suite, key):
+    """One figure's [design, paper, measured] rows and measured geomeans."""
+    geomean = campaign_report(suite)["figures"][key]["geomean"]
+    rows = [[d, PAPER_AVERAGES[key][d], geomean[d]] for d in DESIGN_ORDER]
+    return rows, geomean
 
 
 def print_figure(title, header, rows):
@@ -142,3 +118,10 @@ def print_figure(title, header, rows):
     print("  ".join(f"{h:>12s}" for h in header))
     for row in rows:
         print("  ".join(f"{v:>12}" if isinstance(v, str) else f"{v:>12.3f}" for v in row))
+
+
+def print_series(key, figures):
+    """One figure's per-benchmark ratios, a line per benchmark."""
+    for bench, ratios in sorted(figures[key]["per_benchmark"].items()):
+        series = "  ".join(f"{d}={ratios[d]:.2f}" for d in DESIGN_ORDER)
+        print(f"  {bench:14s} {series}")

@@ -1,11 +1,10 @@
 #!/usr/bin/env python3
-"""Render all five paper figures from the cached experiment grid.
+"""Print all five paper figures from the committed campaign report.
 
-Reads ``benchmarks/results/suite.json`` (produced by
-``pytest benchmarks/``) and prints Figs 6-10 — per-benchmark series plus
-the suite geometric mean next to the paper's reported averages — without
-re-running any simulation.  If the cache is missing, it offers to compute
-a reduced grid (three benchmarks) inline.
+Reads ``benchmarks/results/campaign.json`` (written by ``repro campaign``;
+EXPERIMENTS.md gives the exact command) and prints Figs 6-10 — the
+per-benchmark series plus the geometric mean, next to the paper's
+reported averages — without running any simulation.
 
 Run:
     python examples/paper_figures.py
@@ -15,81 +14,34 @@ import json
 import sys
 from pathlib import Path
 
-from repro.sim import (
-    DESIGN_ORDER,
-    RunResult,
-    geometric_mean,
-    run_parsec_suite,
-    scaled_config,
-)
+from repro.sim import PAPER_AVERAGES
 
-CACHE = Path(__file__).parent.parent / "benchmarks" / "results" / "suite.json"
-
-FIGURES = [
-    ("Fig. 6  retransmissions (lower better)",
-     lambda r: r.retransmission_events + 1,
-     {"crc": 1.00, "arq_ecc": 0.67, "dt": 0.60, "rl": 0.52}),
-    ("Fig. 7  execution speed-up (higher better)",
-     None,  # special-cased: inverse of execution time
-     {"crc": 1.00, "arq_ecc": 1.15, "dt": 1.20, "rl": 1.25}),
-    ("Fig. 8  E2E latency (lower better)",
-     lambda r: r.mean_latency,
-     {"crc": 1.00, "arq_ecc": 0.70, "dt": 0.50, "rl": 0.45}),
-    ("Fig. 9  energy efficiency (higher better)",
-     lambda r: r.energy_efficiency,
-     {"crc": 1.00, "arq_ecc": 1.35, "dt": 1.43, "rl": 1.64}),
-    ("Fig. 10 dynamic power (lower better)",
-     lambda r: r.dynamic_power_watts,
-     {"crc": 1.00, "arq_ecc": 0.75, "dt": 0.65, "rl": 0.54}),
-]
+REPORT = Path(__file__).parent.parent / "benchmarks" / "results" / "campaign.json"
 
 
-def load_suite():
-    if CACHE.exists():
-        with CACHE.open() as f:
-            payload = json.load(f)
-        return {
-            bench: {d: RunResult.from_dict(r) for d, r in row.items()}
-            for bench, row in payload["results"].items()
-        }
-    print("no cached grid found; computing a reduced one (3 benchmarks) ...")
-    config = scaled_config(
-        width=4, height=4, epoch_cycles=250,
-        pretrain_cycles=60_000, warmup_cycles=2_000,
-    )
-    return run_parsec_suite(
-        config, 2_500, benchmarks=["blackscholes", "ferret", "canneal"], seed=11
-    )
-
-
-def normalized_series(suite, metric, design):
-    series = {}
-    for bench, row in suite.items():
-        if metric is None:  # speed-up
-            series[bench] = row["crc"].execution_cycles / row[design].execution_cycles
-        else:
-            series[bench] = metric(row[design]) / metric(row["crc"])
-    return series
+def cells(values):
+    return "".join(f"{v:>9.2f}" if v is not None else f"{'n/a':>9s}" for v in values)
 
 
 def main() -> int:
-    suite = load_suite()
-    benches = sorted(suite)
-    for title, metric, paper in FIGURES:
-        print(f"\n=== {title} — normalized to CRC ===")
-        print(f"{'benchmark':14s}" + "".join(f"{d:>9s}" for d in DESIGN_ORDER))
-        per_design = {d: normalized_series(suite, metric, d) for d in DESIGN_ORDER}
-        for bench in benches:
-            print(
-                f"{bench:14s}"
-                + "".join(f"{per_design[d][bench]:>9.2f}" for d in DESIGN_ORDER)
-            )
-        print(f"{'GEOMEAN':14s}" + "".join(
-            f"{geometric_mean(per_design[d].values()):>9.2f}" for d in DESIGN_ORDER
-        ))
-        print(f"{'paper avg':14s}" + "".join(
-            f"{paper[d]:>9.2f}" for d in DESIGN_ORDER
-        ))
+    if not REPORT.exists():
+        raise SystemExit(
+            f"no campaign report at {REPORT}; write it with the `repro campaign` "
+            "command under 'Regenerating this file' in EXPERIMENTS.md"
+        )
+    report = json.loads(REPORT.read_text(encoding="utf-8"))
+    designs = report["designs"]
+    for key, paper in PAPER_AVERAGES.items():
+        figure = report["figures"][key]
+        print(
+            f"\n=== {key} {figure['title']} ({figure['direction']} better)"
+            f" — normalized to {report['baseline']} ==="
+        )
+        print(f"{'benchmark':14s}" + "".join(f"{d:>9s}" for d in designs))
+        for bench, row in figure["per_benchmark"].items():
+            print(f"{bench:14s}" + cells(row[d] for d in designs))
+        print(f"{'GEOMEAN':14s}" + cells(figure["geomean"][d] for d in designs))
+        print(f"{'paper avg':14s}" + cells(paper.get(d) for d in designs))
     return 0
 
 

@@ -58,7 +58,6 @@ from repro.sim import (
     Simulator,
     compare_designs,
     paper_config,
-    run_parsec_suite,
     scaled_config,
 )
 
@@ -80,7 +79,6 @@ __all__ = [
     "Simulator",
     "compare_designs",
     "paper_config",
-    "run_parsec_suite",
     "scaled_config",
     "__version__",
 ]

@@ -24,7 +24,9 @@ supervision machinery (timeouts, retries, quarantine, incremental cache
 flushing), so a campaign is resumable: killed mid-flight, a rerun
 replays finished cells from the result cache and reuses the artifacts.
 ``repro.sim.report`` turns the merged grid into the normalized Figs
-6-10 tables; the ``repro campaign`` CLI command wires it all together.
+6-10 tables.  :func:`run_campaign` is the only code that computes the
+grid: the ``repro campaign`` CLI command and the ``benchmarks/`` figure
+benches both call it.
 """
 
 from __future__ import annotations
@@ -273,7 +275,7 @@ class CampaignResult:
     """Everything one campaign invocation produced."""
 
     spec: CampaignSpec
-    #: {benchmark: {design: RunResult}} — ``run_parsec_suite``'s shape
+    #: {benchmark: {design: RunResult}}, the shape ``campaign_report`` reads
     suite: Dict[str, Dict[str, RunResult]]
     #: {design: {"path", "key", "built"}} for the trainable designs
     artifacts: Dict[str, Dict[str, object]]
@@ -304,8 +306,8 @@ class CampaignResult:
 def merge_campaign(
     results: Sequence[Optional[PointResult]],
 ) -> Dict[str, Dict[str, RunResult]]:
-    """Merge campaign cells into ``run_parsec_suite``'s
-    {benchmark: {design: RunResult}} shape (quarantined cells skipped)."""
+    """Merge campaign cells into the {benchmark: {design: RunResult}}
+    grid (quarantined cells skipped)."""
     suite: Dict[str, Dict[str, RunResult]] = {}
     for result in results:
         if result is None or result.run is None:

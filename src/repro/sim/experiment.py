@@ -5,6 +5,8 @@ static ARQ+ECC, the decision-tree baseline, and the proposed RL policy —
 with identical phase structure (pre-train on synthetic traffic for the
 learning designs, warm up, then the measured testing phase), and
 normalizes every metric to the CRC baseline exactly as Figs 6-10 do.
+The full benchmarks x designs grid behind those figures is
+:func:`repro.sim.campaign.run_campaign`.
 """
 
 from __future__ import annotations
@@ -31,11 +33,9 @@ __all__ = [
     "default_design_factories",
     "run_design_on_trace",
     "pretrain_policy",
-    "snapshot_pretrained_policies",
     "clone_policy",
     "compare_designs",
     "benchmark_trace_seed",
-    "run_parsec_suite",
     "normalize_to_baseline",
     "geometric_mean",
 ]
@@ -93,25 +93,6 @@ def pretrain_policy(policy: ControlPolicy, config: SimulationConfig, seed: int =
     policy.freeze()
 
 
-def snapshot_pretrained_policies(
-    factories: Dict[str, Callable[[], ControlPolicy]],
-    config: SimulationConfig,
-    seed: int = 0,
-) -> Dict[str, Dict[str, object]]:
-    """Pre-train each design once; returns its frozen ``to_state`` snapshot.
-
-    The snapshot — not the live policy object — is what evaluation cells
-    should start from: cloning a fresh policy per cell keeps online
-    adaptation cell-local instead of leaking across benchmarks.
-    """
-    snapshots = {}
-    for name, factory in factories.items():
-        policy = factory()
-        pretrain_policy(policy, config, seed=seed)
-        snapshots[name] = policy.to_state()
-    return snapshots
-
-
 def clone_policy(
     factory: Callable[[], ControlPolicy], state: Dict[str, object]
 ) -> ControlPolicy:
@@ -132,21 +113,13 @@ def compare_designs(
     benchmark: str = "trace",
     seed: int = 0,
     designs: Optional[Dict[str, Callable[[], ControlPolicy]]] = None,
-    policies: Optional[Dict[str, ControlPolicy]] = None,
 ) -> Dict[str, RunResult]:
     """Run every design on the same trace; returns results by design.
 
-    Pass ``policies`` (already pre-trained) to skip the per-benchmark
-    pre-training phase; otherwise fresh policies are built from
-    ``designs`` factories and pre-trained individually.
+    Fresh policies are built from the ``designs`` factories (default:
+    all four) and pre-trained individually.
     """
     results = {}
-    if policies is not None:
-        for name, policy in policies.items():
-            results[name] = run_design_on_trace(
-                policy, records, config, benchmark=benchmark, seed=seed, pretrained=True
-            )
-        return results
     factories = designs if designs is not None else default_design_factories(seed)
     for name, factory in factories.items():
         results[name] = run_design_on_trace(
@@ -179,38 +152,6 @@ def synthesize_benchmark_trace(
     rng = random.Random(benchmark_trace_seed(benchmark, seed))
     synthesizer = ParsecTraceSynthesizer(profile, topology, rng)
     return synthesizer.synthesize(cycles)
-
-
-def run_parsec_suite(
-    config: SimulationConfig,
-    trace_cycles: int,
-    benchmarks: Optional[Iterable[str]] = None,
-    seed: int = 0,
-    designs: Optional[Dict[str, Callable[[], ControlPolicy]]] = None,
-) -> Dict[str, Dict[str, RunResult]]:
-    """The full evaluation grid: benchmarks x designs.
-
-    Each design is pre-trained once on synthetic traffic and snapshotted;
-    every benchmark cell then runs a fresh policy cloned from that frozen
-    snapshot.  Learning policies keep adapting online *within* a cell,
-    exactly as the paper describes — but the adaptation stays cell-local,
-    so per-cell results are independent of benchmark iteration order
-    (reusing one live policy object across benchmarks leaked the state
-    benchmark N learned into benchmark N+1).
-    """
-    names = list(benchmarks) if benchmarks is not None else sorted(PARSEC_PROFILES)
-    factories = designs if designs is not None else default_design_factories(seed)
-    snapshots = snapshot_pretrained_policies(factories, config, seed=seed)
-    suite = {}
-    for benchmark in names:
-        records = synthesize_benchmark_trace(benchmark, config, trace_cycles, seed)
-        policies = {
-            name: clone_policy(factories[name], snapshots[name]) for name in factories
-        }
-        suite[benchmark] = compare_designs(
-            records, config, benchmark=benchmark, seed=seed, policies=policies
-        )
-    return suite
 
 
 def normalize_to_baseline(

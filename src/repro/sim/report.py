@@ -4,11 +4,11 @@ Turns a campaign's merged {benchmark: {design: RunResult}} grid into the
 normalized tables the paper's headline figures plot — retransmissions
 (Fig 6), execution speed-up (Fig 7), end-to-end latency (Fig 8), energy
 efficiency (Fig 9), and dynamic power (Fig 10) — every value normalized
-to the CRC baseline and geomean-averaged across benchmarks, using the
-same ``normalize_to_baseline`` / ``geometric_mean`` helpers (and the
-same metric conventions, e.g. Laplace-smoothed retransmission counts)
-as the ``benchmarks/`` figure suite, so the one-command ``repro
-campaign`` output and the pytest-benchmark harness can never disagree.
+to the CRC baseline and geomean-averaged across benchmarks.  This is
+the only place the figures are normalized: ``repro campaign``, the
+``benchmarks/`` figure benches and ``examples/paper_figures.py`` all
+read :func:`campaign_report`, and :data:`PAPER_AVERAGES` is the one
+copy of the paper's reported averages they compare against.
 
 The JSON form is schema-versioned (:data:`REPORT_SCHEMA`) so CI digest
 gates can pin its shape; the Markdown form matches EXPERIMENTS.md's
@@ -28,6 +28,7 @@ from repro.sim.metrics import RunResult
 __all__ = [
     "REPORT_SCHEMA",
     "FIGURES",
+    "PAPER_AVERAGES",
     "campaign_report",
     "render_report_markdown",
 ]
@@ -37,9 +38,8 @@ REPORT_SCHEMA = 1
 
 
 def _retransmissions(result: RunResult) -> float:
-    # +1 Laplace smoothing, exactly as benchmarks/bench_fig6 does: a
-    # zero-retransmission baseline cell would otherwise make the whole
-    # column's ratios undefined.
+    # +1 Laplace smoothing: a zero-retransmission baseline cell would
+    # otherwise make the whole column's ratios undefined.
     return float(result.retransmission_events + 1)
 
 
@@ -54,6 +54,16 @@ FIGURES = (
     ("fig9", "Energy efficiency", lambda r: r.energy_efficiency, "higher", False),
     ("fig10", "Dynamic power", lambda r: r.dynamic_power_watts, "lower", False),
 )
+
+#: The paper's reported averages (Section VI-A, Figs 6-10), normalized
+#: to CRC and read the same way as :data:`FIGURES`.
+PAPER_AVERAGES = {
+    "fig6": {"crc": 1.00, "arq_ecc": 0.67, "dt": 0.60, "rl": 0.52},
+    "fig7": {"crc": 1.00, "arq_ecc": 1.15, "dt": 1.20, "rl": 1.25},
+    "fig8": {"crc": 1.00, "arq_ecc": 0.70, "dt": 0.50, "rl": 0.45},
+    "fig9": {"crc": 1.00, "arq_ecc": 1.35, "dt": 1.43, "rl": 1.64},
+    "fig10": {"crc": 1.00, "arq_ecc": 0.75, "dt": 0.65, "rl": 0.54},
+}
 
 
 def _figure_ratios(
@@ -78,7 +88,7 @@ def campaign_report(
 ) -> Dict[str, object]:
     """Normalized Figs 6-10 tables for a campaign grid.
 
-    ``suite`` is ``run_campaign``/``run_parsec_suite``'s
+    ``suite`` is :attr:`CampaignResult.suite`'s
     {benchmark: {design: RunResult}} shape.  Benchmarks missing the
     baseline design (e.g. a quarantined cell) are dropped from every
     figure with per-design ``None`` placeholders kept out of the
@@ -139,8 +149,11 @@ def render_report_markdown(report: Dict[str, object]) -> str:
     """Markdown tables for a :func:`campaign_report` dict.
 
     One headline geomean table (a row per figure), then a per-benchmark
-    table per figure — the shape EXPERIMENTS.md embeds.
+    table per figure — the shape EXPERIMENTS.md embeds.  Figures come
+    in :data:`FIGURES` order, so a report read back from its
+    ``sort_keys`` JSON renders the same as the one that wrote it.
     """
+    figures = [(key, report["figures"][key]) for key, *_ in FIGURES]
     designs: List[str] = list(report["designs"])
     baseline = report["baseline"]
     header = "| " + " | ".join([""] + designs) + " |"
@@ -154,11 +167,11 @@ def render_report_markdown(report: Dict[str, object]) -> str:
     lines.append("")
     lines.append("| Figure | Direction | " + " | ".join(designs) + " |")
     lines.append("|" + "---|" * (len(designs) + 2))
-    for key, figure in report["figures"].items():
+    for key, figure in figures:
         arrow = "better <1" if figure["direction"] == "lower" else "better >1"
         cells = " | ".join(_cell(figure["geomean"].get(d)) for d in designs)
         lines.append(f"| {figure['title']} ({key}) | {arrow} | {cells} |")
-    for key, figure in report["figures"].items():
+    for key, figure in figures:
         lines.append("")
         lines.append(f"### {figure['title']} ({key}, normalized to `{baseline}`)")
         lines.append("")

@@ -26,8 +26,8 @@ completed point is worth persisting.  This module provides:
   points in flight.  :attr:`SweepRunner.report` summarizes the outcome
   (completed / retried / quarantined / elapsed) as a
   :class:`SweepReport`;
-* merge helpers that aggregate point results back into the
-  benchmarks-x-designs shape :mod:`repro.sim.experiment` produces, so
+* merge helpers that regroup point results into the per-design
+  :class:`RunResult` maps ``experiment.compare_designs`` returns, so
   the normalized-to-baseline tables come out identical.
 
 Point kinds
@@ -38,11 +38,6 @@ Point kinds
 ``load``
     The classic load sweep: one design under open-loop synthetic traffic
     at one injection rate; reports latency / throughput / saturation.
-``suite``
-    One design over an ordered benchmark list: a single pre-training
-    phase, snapshotted, then every benchmark runs a fresh clone of the
-    frozen snapshot — exactly ``experiment.run_parsec_suite``'s
-    per-design row, with online adaptation kept cell-local.
 ``campaign``
     One (benchmark, design) cell of the paper-figure campaign: the
     policy is cloned from a pretrained artifact on disk
@@ -101,7 +96,6 @@ from repro.sim.experiment import (
     clone_policy,
     default_design_factories,
     normalize_to_baseline,
-    pretrain_policy,
     run_design_on_trace,
     synthesize_benchmark_trace,
 )
@@ -122,7 +116,6 @@ __all__ = [
     "point_cache_key",
     "run_sweep_point",
     "merge_trace_grid",
-    "merge_suite",
     "normalized_tables",
     "stderr_progress",
 ]
@@ -154,7 +147,7 @@ DEFAULT_CACHE_DIR = ".sweep_cache"
 logger = logging.getLogger("repro.sim.sweep")
 
 POINT_KINDS = (
-    "trace", "load", "suite", "mode_error", "chaos", "control_chaos", "campaign",
+    "trace", "load", "mode_error", "chaos", "control_chaos", "campaign",
 )
 
 #: kinds whose extra grid axis is the injection rate
@@ -170,12 +163,11 @@ MODE_DESIGNS = tuple(f"mode{int(m)}" for m in OperationMode)
 class SweepPoint:
     """One independent simulation job of a sweep grid.
 
-    ``traffic`` names a benchmark (``trace``), a synthetic pattern
-    (``load`` / ``mode_error``), or a comma-joined ordered benchmark
-    list (``suite``).  ``cycles`` is the trace injection span for trace
-    kinds, the injection span for ``load``, and the packet count for
-    ``mode_error``.  Unused numeric fields keep their defaults so cache
-    keys stay stable across kinds.
+    ``traffic`` names a benchmark (``trace`` / ``campaign``) or a
+    synthetic pattern (``load`` / ``mode_error``).  ``cycles`` is the
+    trace injection span for trace kinds, the injection span for
+    ``load``, and the packet count for ``mode_error``.  Unused numeric
+    fields keep their defaults so cache keys stay stable across kinds.
     """
 
     kind: str
@@ -284,7 +276,7 @@ class SweepSpec:
         """The grid's jobs, in deterministic order."""
         closed_loop = self.kind == "control_chaos"
         axes = itertools.product(
-            (",".join(self.traffics),) if self.kind == "suite" else self.traffics,
+            self.traffics,
             self.error_scales,
             self.fault_specs if self.kind in ("chaos", "control_chaos") else ("",),
             self.sensor_specs if closed_loop else ("",),
@@ -354,31 +346,6 @@ def _eval_trace(config: SimulationConfig, point: SweepPoint) -> Dict[str, object
         policy, records, config, benchmark=point.traffic, seed=point.seed
     )
     return {"run": result.constructor_dict()}
-
-
-def _eval_suite(config: SimulationConfig, point: SweepPoint) -> Dict[str, object]:
-    """One design's row of the benchmark suite.
-
-    The design is pre-trained once, snapshotted, and every benchmark in
-    the row then runs a fresh clone of the frozen snapshot — matching
-    ``run_parsec_suite`` and keeping online adaptation cell-local (the
-    previous single-live-policy chain leaked learned state from each
-    benchmark into the next, making results order-dependent).
-    """
-    config = dataclasses.replace(config, error_scale=point.error_scale)
-    factory = default_design_factories(point.seed)[point.design]
-    policy = factory()
-    pretrain_policy(policy, config, seed=point.seed)
-    snapshot = policy.to_state()
-    suite = {}
-    for benchmark in point.traffic.split(","):
-        records = synthesize_benchmark_trace(benchmark, config, point.cycles, point.seed)
-        result = run_design_on_trace(
-            clone_policy(factory, snapshot), records, config,
-            benchmark=benchmark, seed=point.seed, pretrained=True,
-        )
-        suite[benchmark] = result.constructor_dict()
-    return {"suite": suite}
 
 
 def _eval_campaign(config: SimulationConfig, point: SweepPoint) -> Dict[str, object]:
@@ -692,7 +659,6 @@ def _eval_control_chaos(
 _EVALUATORS = {
     "trace": _eval_trace,
     "load": _eval_load,
-    "suite": _eval_suite,
     "mode_error": _eval_mode_error,
     "chaos": _eval_chaos,
     "control_chaos": _eval_control_chaos,
@@ -855,7 +821,6 @@ class PointResult:
     cached: bool
     elapsed: float
     run: Optional[RunResult] = None
-    suite: Optional[Dict[str, RunResult]] = None
     load: Optional[Dict[str, float]] = None
     mode_stats: Optional[Dict[str, float]] = None
     chaos: Optional[Dict[str, object]] = None
@@ -870,11 +835,6 @@ def _payload_to_result(
     )
     if payload.get("run") is not None:
         result.run = RunResult.from_dict(payload["run"])
-    if payload.get("suite") is not None:
-        result.suite = {
-            bench: RunResult.from_dict(data)
-            for bench, data in payload["suite"].items()
-        }
     if payload.get("load") is not None:
         load = dict(payload["load"])
         if load.get("saturated"):
@@ -1310,18 +1270,6 @@ def merge_trace_grid(
         cell = (result.point.traffic, result.point.error_scale, result.point.seed)
         grid.setdefault(cell, {})[result.point.design] = result.run
     return grid
-
-
-def merge_suite(results: Sequence[PointResult]) -> Dict[str, Dict[str, RunResult]]:
-    """Merge suite-point results into ``run_parsec_suite``'s
-    {benchmark: {design: RunResult}} shape."""
-    suite: Dict[str, Dict[str, RunResult]] = {}
-    for result in results:
-        if result is None or result.suite is None:
-            continue
-        for benchmark, run in result.suite.items():
-            suite.setdefault(benchmark, {})[result.point.design] = run
-    return suite
 
 
 def normalized_tables(

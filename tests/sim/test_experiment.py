@@ -16,7 +16,6 @@ from repro.sim import (
     normalize_to_baseline,
     pretrain_policy,
     run_design_on_trace,
-    run_parsec_suite,
     scaled_config,
     synthesize_benchmark_trace,
 )
@@ -74,13 +73,6 @@ class TestRunners:
         delivered = {r.packets_delivered for r in results.values()}
         # All designs carried (at least) the same offered trace.
         assert min(delivered) >= len(records)
-
-    def test_compare_designs_with_pretrained_policies(self):
-        config = tiny_config()
-        records = synthesize_benchmark_trace("swaptions", config, cycles=400, seed=1)
-        policies = {"crc": crc_policy()}
-        results = compare_designs(records, config, "swaptions", seed=1, policies=policies)
-        assert set(results) == {"crc"}
 
 
 class TestNormalization:
@@ -147,28 +139,3 @@ class TestTraceSeeding:
             and zlib.crc32(name.encode()) != zlib.crc32(b"canneal")
         )
         assert benchmark_trace_seed(collider) != benchmark_trace_seed("canneal")
-
-
-class TestSuiteOrderIndependence:
-    def test_run_parsec_suite_order_independent(self):
-        # Regression for the cross-benchmark policy-state leak: each
-        # cell must clone its policy from the frozen pretrain snapshot,
-        # so permuting the benchmark list cannot change any cell.
-        config = tiny_config()
-        factories = default_design_factories(3)
-        designs = {name: factories[name] for name in ("crc", "rl")}
-        forward = run_parsec_suite(
-            config, trace_cycles=400, seed=3,
-            benchmarks=["swaptions", "blackscholes"], designs=designs,
-        )
-        reversed_ = run_parsec_suite(
-            config, trace_cycles=400, seed=3,
-            benchmarks=["blackscholes", "swaptions"], designs=designs,
-        )
-        assert set(forward) == set(reversed_)
-        for benchmark, results in forward.items():
-            for design, result in results.items():
-                assert (
-                    result.constructor_dict()
-                    == reversed_[benchmark][design].constructor_dict()
-                ), f"{benchmark}/{design} changed with benchmark order"

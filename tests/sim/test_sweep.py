@@ -14,11 +14,9 @@ from repro.sim import (
     SweepProgress,
     SweepRunner,
     SweepSpec,
-    merge_suite,
     merge_trace_grid,
     normalized_tables,
     point_cache_key,
-    run_parsec_suite,
     scaled_config,
 )
 from repro.sim.sweep import CACHE_SCHEMA, MODE_DESIGNS, run_sweep_point
@@ -80,15 +78,6 @@ class TestGridExpansion:
         points = spec.expand()
         assert [p.rate for p in points] == [0.005, 0.01]
         assert all(p.kind == "load" for p in points)
-
-    def test_suite_joins_benchmarks_into_one_point_per_design(self):
-        spec = SweepSpec(
-            config=tiny_config(), kind="suite", designs=("crc", "dt"),
-            traffics=("canneal", "x264"), cycles=400,
-        )
-        points = spec.expand()
-        assert len(points) == 2
-        assert all(p.traffic == "canneal,x264" for p in points)
 
     def test_mode_error_designs(self):
         spec = SweepSpec(
@@ -173,6 +162,10 @@ class TestGridExpansion:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown sweep kind"):
             SweepSpec(config=tiny_config(), kind="quantum")
+        # The retired per-design "suite" kind: the Figs 6-10 grid runs
+        # only through repro.sim.campaign.
+        with pytest.raises(ValueError, match="unknown sweep kind 'suite'"):
+            SweepSpec.from_dict({"config": {}, "kind": "suite"})
 
     def test_spec_dict_round_trip(self):
         spec = tiny_trace_spec(
@@ -644,29 +637,3 @@ class TestMerging:
         assert tables[cell]["latency"]["crc"] == pytest.approx(1.0)
         assert tables[cell]["latency"]["arq_ecc"] > 0
 
-    def test_suite_points_equal_run_parsec_suite(self, tmp_path):
-        """The suite kind must preserve run_parsec_suite's exact
-        semantics: one pre-training per design, every benchmark cell
-        cloned fresh from the frozen snapshot (no state carried across
-        benchmarks)."""
-        config = tiny_config(pretrain_cycles=1_500)
-        benchmarks = ("swaptions", "blackscholes")
-        spec = SweepSpec(
-            config=config, kind="suite", designs=("crc", "dt"),
-            traffics=benchmarks, seeds=(3,), cycles=400,
-        )
-        merged = merge_suite(SweepRunner(spec, jobs=2, cache_dir=tmp_path).run())
-
-        from repro.baselines import DecisionTreePolicy, crc_policy
-
-        reference = run_parsec_suite(
-            config, 400, benchmarks=benchmarks, seed=3,
-            designs={"crc": crc_policy, "dt": DecisionTreePolicy},
-        )
-        assert set(merged) == set(reference)
-        for bench in reference:
-            for design in reference[bench]:
-                assert (
-                    merged[bench][design].constructor_dict()
-                    == reference[bench][design].constructor_dict()
-                )
