@@ -4,13 +4,15 @@ The benches run with phases ~1/25 the paper's cycle counts.  This bench
 verifies the *relative* results those benches report are stable under
 scaling: the headline ordering (CRC worst on latency and efficiency under
 a hot workload) must hold at two different trace lengths, and the
-normalized ratios must agree within a loose factor.
+normalized ratios must agree within a loose factor.  Both scales run
+through :func:`repro.sim.run_campaign`, the protocol the figure benches
+use.
 """
 
-from repro.sim import compare_designs, scaled_config, synthesize_benchmark_trace
+from repro.sim import CampaignSpec, run_campaign, scaled_config
 
 
-def run_at_scale(trace_cycles, pretrain):
+def run_at_scale(trace_cycles, pretrain, cache_dir):
     config = scaled_config(
         width=4,
         height=4,
@@ -18,15 +20,19 @@ def run_at_scale(trace_cycles, pretrain):
         pretrain_cycles=pretrain,
         warmup_cycles=1_500,
     )
-    records = synthesize_benchmark_trace("canneal", config, trace_cycles, seed=31)
-    return compare_designs(records, config, "canneal", seed=31)
-
-
-def test_ordering_stable_under_scaling(benchmark):
-    small = benchmark.pedantic(
-        run_at_scale, args=(1_500, 20_000), rounds=1, iterations=1
+    result = run_campaign(
+        CampaignSpec(config, ("canneal",), seed=31, trace_cycles=trace_cycles),
+        cache_dir=cache_dir,
     )
-    large = run_at_scale(3_000, 40_000)
+    assert result.succeeded
+    return result.suite["canneal"]
+
+
+def test_ordering_stable_under_scaling(benchmark, tmp_path):
+    small = benchmark.pedantic(
+        run_at_scale, args=(1_500, 20_000, tmp_path), rounds=1, iterations=1
+    )
+    large = run_at_scale(3_000, 40_000, tmp_path)
 
     print("\n=== Scaling sanity: canneal, two scales ===")
     for label, results in (("1.5K trace", small), ("3K trace", large)):

@@ -4,27 +4,27 @@
 Reproduces one column of the paper's Figs 6-10 at example scale: static
 CRC, static ARQ+ECC, the decision-tree predictor, and the proposed RL
 policy all carry the *same* canneal-like trace, and the script prints
-every evaluation metric normalized to the CRC baseline.
+every figure's metric normalized to the CRC baseline.
 
-The four designs are independent simulations, so they run through the
-sweep runner (:mod:`repro.sim.sweep`): ``--jobs 4`` runs them in
-parallel, and cached points make a re-run instant.
+This is a one-benchmark paper-figure campaign
+(:func:`repro.sim.run_campaign`): each learning design pre-trains once
+into a cached artifact, and every design's cell runs through the sweep
+runner, so ``--jobs 4`` runs the four cells in parallel and a re-run
+replays them from the cache.
 
-Run:
-    python examples/compare_designs.py [benchmark] [--jobs N] [--no-cache]
+Run from the repository root with an optional benchmark name (default
+canneal) and ``--jobs N`` / ``--cache-dir DIR`` / ``--no-cache``.
 """
 
 import argparse
 
 from repro.sim import (
     DESIGN_ORDER,
-    SweepRunner,
-    SweepSpec,
-    merge_trace_grid,
-    normalize_to_baseline,
+    CampaignSpec,
+    campaign_report,
+    run_campaign,
     scaled_config,
     stderr_progress,
-    synthesize_benchmark_trace,
 )
 from repro.sim.sweep import DEFAULT_CACHE_DIR
 from repro.traffic import PARSEC_PROFILES
@@ -35,7 +35,10 @@ def main() -> None:
     parser.add_argument("benchmark", nargs="?", default="canneal")
     parser.add_argument("--jobs", type=int, default=1, help="worker processes")
     parser.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR)
-    parser.add_argument("--no-cache", action="store_true")
+    parser.add_argument(
+        "--no-cache", action="store_true",
+        help="re-simulate every cell (artifacts are still reused)",
+    )
     args = parser.parse_args()
     benchmark = args.benchmark
     if benchmark not in PARSEC_PROFILES:
@@ -51,42 +54,32 @@ def main() -> None:
         pretrain_cycles=40_000,
         warmup_cycles=2_000,
     )
-    trace = synthesize_benchmark_trace(benchmark, config, cycles=3_000, seed=7)
-    print(f"benchmark {benchmark}: {len(trace)} messages, 4x4 mesh")
-    print("running 4 designs (learning designs pre-train first) ...\n")
-
-    spec = SweepSpec(
-        config=config,
-        kind="trace",
-        designs=DESIGN_ORDER,
-        traffics=(benchmark,),
-        seeds=(7,),
-        cycles=3_000,
-    )
-    runner = SweepRunner(
-        spec,
+    print(f"benchmark {benchmark}, 4x4 mesh")
+    print("running 4 designs (learning designs pre-train once) ...\n")
+    result = run_campaign(
+        CampaignSpec(config, (benchmark,), seed=7, trace_cycles=3_000),
         jobs=args.jobs,
         cache_dir=args.cache_dir,
         use_cache=not args.no_cache,
         progress=stderr_progress,
     )
-    grid = merge_trace_grid(runner.run())
-    results = grid[(benchmark, 1.0, 7)]
+    if not result.succeeded:
+        raise SystemExit(
+            "quarantined cell(s): " + ", ".join(result.report.quarantined)
+        )
+    results = result.suite[benchmark]
+    report = campaign_report(result.suite)
 
-    metrics = [
-        ("E2E latency", lambda r: r.mean_latency, "lower"),
-        ("retransmissions", lambda r: r.retransmission_events + 1, "lower"),
-        ("energy efficiency", lambda r: r.energy_efficiency, "higher"),
-        ("dynamic power", lambda r: r.dynamic_power_watts, "lower"),
-        ("execution time", lambda r: r.execution_cycles, "lower"),
-    ]
-    header = f"{'metric':20s}" + "".join(f"{d:>10s}" for d in DESIGN_ORDER)
+    header = f"{'metric':24s}" + "".join(f"{d:>10s}" for d in DESIGN_ORDER)
     print(header + "   (normalized to CRC)")
     print("-" * len(header))
-    for name, metric, better in metrics:
-        normalized = normalize_to_baseline(results, metric)
-        row = f"{name:20s}" + "".join(f"{normalized[d]:>10.2f}" for d in DESIGN_ORDER)
-        print(f"{row}   ({better} is better)")
+    for figure in report["figures"].values():
+        row = figure["per_benchmark"][benchmark]
+        cells = "".join(
+            f"{row[d]:>10.2f}" if row[d] is not None else f"{'n/a':>10s}"
+            for d in DESIGN_ORDER
+        )
+        print(f"{figure['title']:24s}{cells}   ({figure['direction']} is better)")
 
     print("\nabsolute numbers:")
     for design in DESIGN_ORDER:

@@ -56,7 +56,6 @@ from repro.sim import (
     RunResult,
     SimulationConfig,
     Simulator,
-    compare_designs,
     paper_config,
     scaled_config,
 )
@@ -77,7 +76,6 @@ __all__ = [
     "RunResult",
     "SimulationConfig",
     "Simulator",
-    "compare_designs",
     "paper_config",
     "scaled_config",
     "__version__",

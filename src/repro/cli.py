@@ -3,7 +3,10 @@
 Eight subcommands:
 
 ``run``
-    One (design, benchmark) measurement with the full phase structure.
+    One (design, benchmark) measurement with the full phase structure,
+    pre-training in place on the measured platform (so its dt and rl
+    numbers differ from ``compare`` / ``campaign``, which measure a
+    clone of a policy pre-trained on a throwaway platform).
     ``--checkpoint FILE --checkpoint-every N`` snapshots the whole
     simulation every N cycles so a killed run can be continued.
     ``--profile`` wraps the run in cProfile and prints the hottest
@@ -12,7 +15,9 @@ Eight subcommands:
     Continue a checkpointed ``run`` from its snapshot file; the final
     metrics are bit-identical to an uninterrupted run.
 ``compare``
-    All four designs on one benchmark, metrics normalized to CRC.
+    All four designs on one benchmark, normalized to CRC:
+    ``compare --benchmark B`` is ``campaign --benchmarks B`` (same
+    handler, same output, same artifacts and cell cache).
 ``sweep``
     The classic NoC load sweep: latency vs offered load for one design,
     showing where the saturation knee falls.
@@ -41,9 +46,11 @@ Eight subcommands:
 ``campaign``
     The paper-figure grid (benchmarks x designs) behind Figs 6-10.
     Each trainable design is pre-trained exactly once and persisted as
-    a versioned, CRC-guarded artifact under ``--artifact-dir``; every
-    grid cell clones a fresh policy from that artifact, so results are
-    bit-identical across benchmark orderings and ``--jobs`` settings.
+    a versioned, CRC-guarded artifact under ``--artifact-dir`` (default
+    ``<cache-dir>/artifacts``); every grid cell clones a fresh policy
+    from that artifact, so results are bit-identical across benchmark
+    orderings and ``--jobs`` settings.  Every figure is normalized to
+    crc, so ``--designs`` must include it.
     Emits the normalized per-benchmark + geomean tables as Markdown
     (default), ``--json``, or to ``--report-json`` / ``--report-md``
     files — the exact tables EXPERIMENTS.md embeds.
@@ -86,23 +93,16 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from repro.baselines import DecisionTreePolicy, arq_ecc_policy, crc_policy
-from repro.core.rl_policy import RLControlPolicy
 from repro.sim import (
-    DEFAULT_ARTIFACT_DIR,
     DESIGN_ORDER,
     CampaignSpec,
-    Simulator,
     SweepRunner,
     SweepSpec,
     campaign_report,
-    merge_trace_grid,
-    normalize_to_baseline,
     render_report_markdown,
     run_campaign,
     scaled_config,
     stderr_progress,
-    synthesize_benchmark_trace,
 )
 from repro.faults import parse_fault_spec, parse_sensor_spec, parse_soft_error_spec
 from repro.noc.routing import ROUTING_FUNCTIONS
@@ -133,23 +133,7 @@ from repro.sim.sweep import (
 )
 from repro.traffic import PARSEC_PROFILES
 
-__all__ = ["main", "build_parser", "make_policy"]
-
-
-def make_policy(design: str, seed: int = 0):
-    """Instantiate one of the four compared control policies."""
-    factories = {
-        "crc": crc_policy,
-        "arq_ecc": arq_ecc_policy,
-        "dt": DecisionTreePolicy,
-        "rl": lambda: RLControlPolicy(share_table=True, seed=seed),
-    }
-    try:
-        return factories[design]()
-    except KeyError:
-        raise ValueError(
-            f"unknown design {design!r}; pick one of {', '.join(DESIGN_ORDER)}"
-        ) from None
+__all__ = ["main", "build_parser"]
 
 
 def _validate_spec(spec: str, parser_fn, flag: str) -> None:
@@ -378,7 +362,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the metric timeline (CSV if FILE ends in .csv, else JSON)",
     )
 
-    comp = sub.add_parser("compare", help="all four designs on one benchmark")
+    comp = sub.add_parser(
+        "compare",
+        help="all four designs on one benchmark (= campaign --benchmarks B)",
+    )
     comp.add_argument("--benchmark", default="canneal")
     _add_platform_args(comp)
     _add_sweep_args(comp)
@@ -478,8 +465,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated designs (default: %(default)s)",
     )
     camp.add_argument(
-        "--artifact-dir", default=DEFAULT_ARTIFACT_DIR,
-        help="pretrained-policy artifact store (default: %(default)s)",
+        "--artifact-dir", default=None,
+        help="pretrained-policy artifact store (default: <cache-dir>/artifacts)",
     )
     camp.add_argument(
         "--refresh-artifacts", action="store_true",
@@ -496,6 +483,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_platform_args(camp)
     _add_sweep_args(camp)
     _add_trace_args(camp)
+    # compare runs as a one-benchmark campaign: every campaign setting
+    # it has no flag for keeps campaign's default.
+    comp.set_defaults(**{
+        name: value
+        for name, value in vars(camp.parse_args([])).items()
+        if name not in vars(comp.parse_args([]))
+    })
 
     trace = sub.add_parser("trace", help="inspect a JSONL event trace")
     trace.add_argument("file", help="trace file written by run/resume/chaos --trace")
@@ -563,59 +557,41 @@ def _print_profile(profiler, network) -> None:
 
 def cmd_run(args) -> int:
     _check_benchmark(args.benchmark)
+    if args.design not in DESIGN_ORDER:
+        raise SystemExit(
+            f"unknown design {args.design!r}; pick one of {', '.join(DESIGN_ORDER)}"
+        )
     _validate_spec(args.fault_spec, parse_fault_spec, "--fault-spec")
     _validate_spec(args.sensor_spec, parse_sensor_spec, "--sensor-spec")
     _validate_spec(args.soft_error_spec, parse_soft_error_spec, "--soft-error-spec")
     config = _config_from_args(args)
     tracer = _make_tracer(args)
+    run = ResumableRun(
+        config, args.design, args.benchmark,
+        seed=args.seed, trace_cycles=args.trace_cycles,
+        checkpoint_path=args.checkpoint,
+        checkpoint_every=args.checkpoint_every,
+    )
+    if tracer is not None:
+        run.sim.attach_tracer(tracer)
+    snapshots = ""
+    if args.checkpoint is not None:
+        snapshots = (
+            f", snapshotting to {args.checkpoint} every "
+            f"{args.checkpoint_every} cycles"
+        )
+    print(f"running {args.design} on {args.benchmark}{snapshots} ...", file=sys.stderr)
     profiler = None
     if args.profile:
         import cProfile
 
         profiler = cProfile.Profile()
-    if args.checkpoint is not None:
-        if args.design not in DESIGN_ORDER:
-            raise SystemExit(
-                f"unknown design {args.design!r}; pick one of {', '.join(DESIGN_ORDER)}"
-            )
-        run = ResumableRun(
-            config, args.design, args.benchmark,
-            seed=args.seed, trace_cycles=args.trace_cycles,
-            checkpoint_path=args.checkpoint,
-            checkpoint_every=args.checkpoint_every,
-        )
-        sim = run.sim
-        if tracer is not None:
-            sim.attach_tracer(tracer)
-        print(
-            f"running {args.design} on {args.benchmark}, snapshotting to "
-            f"{args.checkpoint} every {args.checkpoint_every} cycles ...",
-            file=sys.stderr,
-        )
-        if profiler is not None:
-            profiler.enable()
-        result = run.run()
-        if profiler is not None:
-            profiler.disable()
-            _print_profile(profiler, run.sim.network)
-    else:
-        policy = make_policy(args.design, args.seed)
-        sim = Simulator(config, policy, seed=args.seed, tracer=tracer)
-        if profiler is not None:
-            profiler.enable()
-        if policy.trainable:
-            print(f"pre-training {args.design} ...", file=sys.stderr)
-            sim.pretrain()
-        policy.freeze()
-        sim.warmup()
-        trace = synthesize_benchmark_trace(
-            args.benchmark, config, args.trace_cycles, args.seed
-        )
-        result = sim.measure_trace(trace, args.benchmark)
-        if profiler is not None:
-            profiler.disable()
-            _print_profile(profiler, sim.network)
-    _export_observability(args, tracer, sim.metrics)
+        profiler.enable()
+    result = run.run()
+    if profiler is not None:
+        profiler.disable()
+        _print_profile(profiler, run.sim.network)
+    _export_observability(args, tracer, run.sim.metrics)
     _print_result(result, args.json)
     return 0
 
@@ -648,42 +624,10 @@ def cmd_resume(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    """``compare --benchmark B`` is ``campaign --benchmarks B``."""
     _check_benchmark(args.benchmark)
-    config = _config_from_args(args)
-    spec = SweepSpec(
-        config=config,
-        kind="trace",
-        designs=DESIGN_ORDER,
-        traffics=(args.benchmark,),
-        seeds=(args.seed,),
-        cycles=args.trace_cycles,
-    )
-    print(f"running 4 designs on {args.benchmark} ...", file=sys.stderr)
-    runner = _make_runner(spec, args)
-    grid = merge_trace_grid(runner.run())
-    _print_quarantine(runner)
-    cell = grid.get((args.benchmark, spec.error_scales[0], args.seed), {})
-    missing = [design for design in DESIGN_ORDER if design not in cell]
-    if missing:
-        raise SystemExit(
-            f"cannot compare: no result for design(s) {', '.join(missing)}"
-        )
-    results = {design: cell[design] for design in DESIGN_ORDER}
-    if args.json:
-        print(json.dumps({d: r.as_dict() for d, r in results.items()}, indent=2))
-        return 0
-    metrics = [
-        ("latency", lambda r: r.mean_latency),
-        ("retransmissions", lambda r: r.retransmission_events + 1),
-        ("energy efficiency", lambda r: r.energy_efficiency),
-        ("dynamic power", lambda r: r.dynamic_power_watts),
-        ("execution time", lambda r: r.execution_cycles),
-    ]
-    print(f"{'metric (vs CRC)':20s}" + "".join(f"{d:>10s}" for d in DESIGN_ORDER))
-    for name, metric in metrics:
-        normalized = normalize_to_baseline(results, metric)
-        print(f"{name:20s}" + "".join(f"{normalized[d]:>10.2f}" for d in DESIGN_ORDER))
-    return 0
+    args.benchmarks = args.benchmark
+    return cmd_campaign(args)
 
 
 def cmd_sweep(args) -> int:
@@ -752,6 +696,11 @@ def cmd_campaign(args) -> int:
         )
     except ValueError as exc:
         raise SystemExit(str(exc)) from None
+    if "crc" not in designs:
+        raise SystemExit(
+            "campaign: --designs must include crc, the baseline every "
+            "figure is normalized to"
+        )
     tracer = _make_tracer(args)
     registry = MetricRegistry() if args.metrics else None
     print(

@@ -24,9 +24,10 @@ supervision machinery (timeouts, retries, quarantine, incremental cache
 flushing), so a campaign is resumable: killed mid-flight, a rerun
 replays finished cells from the result cache and reuses the artifacts.
 ``repro.sim.report`` turns the merged grid into the normalized Figs
-6-10 tables.  :func:`run_campaign` is the only code that computes the
-grid: the ``repro campaign`` CLI command and the ``benchmarks/`` figure
-benches both call it.
+6-10 tables.  :func:`run_campaign` is the only code that compares
+designs on a benchmark trace: the ``repro campaign`` and ``repro
+compare`` CLI commands, the ``benchmarks/`` figure and scaling benches
+and the paper-shape tests all call it.
 """
 
 from __future__ import annotations
@@ -322,7 +323,7 @@ def merge_campaign(
 def run_campaign(
     spec: CampaignSpec,
     jobs: int = 1,
-    artifact_dir: Union[str, Path] = DEFAULT_ARTIFACT_DIR,
+    artifact_dir: Optional[Union[str, Path]] = None,
     cache_dir: Union[str, Path] = DEFAULT_CACHE_DIR,
     use_cache: bool = True,
     refresh: bool = False,
@@ -341,11 +342,15 @@ def run_campaign(
     the artifact.  Per-cell results are a pure function of
     (config, cell, artifact content), so they are bit-identical across
     benchmark orderings and ``jobs`` settings, and replay from the point
-    cache on reruns.  ``registry`` additionally absorbs ``campaign.*``
+    cache on reruns.  ``artifact_dir`` defaults to
+    ``<cache_dir>/artifacts``, so one ``cache_dir`` relocates the whole
+    campaign state.  ``registry`` additionally absorbs ``campaign.*``
     counters; ``tracer`` receives artifact build/reuse events (campaign
     category).
     """
     started = time.monotonic()
+    if artifact_dir is None:
+        artifact_dir = Path(cache_dir) / "artifacts"
     artifacts = build_artifacts(
         spec, artifact_dir, refresh=refresh_artifacts, tracer=tracer
     )

@@ -32,7 +32,9 @@ a production harness.  This module makes the full ``run`` pipeline
 The run plan mirrors ``Simulator.pretrain`` / ``warmup`` /
 ``measure_trace`` exactly — same segment spans, same RNG seeds, same
 epoch-boundary cadence — so ``ResumableRun`` with no checkpointing is
-byte-equivalent to the classic ``repro run`` pipeline.
+byte-equivalent to the classic ``pretrain -> freeze -> warmup ->
+measure_trace`` pipeline.  ``repro run`` executes every run, with or
+without ``--checkpoint``, through ``ResumableRun``.
 """
 
 from __future__ import annotations
@@ -313,7 +315,7 @@ def _plan_segments(
 class ResumableRun:
     """One checkpointable (design, benchmark) measurement run.
 
-    Drives the same phase pipeline as ``repro run`` through an explicit
+    Drives the classic ``Simulator`` phase pipeline through an explicit
     segment cursor, snapshotting the whole simulation every
     ``checkpoint_every`` cycles (and at every segment boundary) when a
     ``checkpoint_path`` is set.  :meth:`resume` restores a snapshot and

@@ -1,12 +1,14 @@
-"""Experiment runner: the four-design comparison of Section VI.
+"""Experiment building blocks: the four compared designs of Section VI.
 
-Runs the same benchmark trace through all compared designs — static CRC,
-static ARQ+ECC, the decision-tree baseline, and the proposed RL policy —
-with identical phase structure (pre-train on synthetic traffic for the
-learning designs, warm up, then the measured testing phase), and
-normalizes every metric to the CRC baseline exactly as Figs 6-10 do.
-The full benchmarks x designs grid behind those figures is
-:func:`repro.sim.campaign.run_campaign`.
+The paper compares static CRC, static ARQ+ECC, the decision-tree
+baseline and the proposed RL policy in one way: each learning design
+pre-trains once on synthetic traffic (:func:`pretrain_policy`), then
+every design warms up and replays the same benchmark trace
+(:func:`run_design_on_trace`), and every metric is normalized to the
+CRC baseline (:func:`normalize_to_baseline`, :func:`geometric_mean`),
+exactly as Figs 6-10 do.  :func:`repro.sim.campaign.run_campaign` runs
+that protocol over a benchmarks x designs grid; it is the only code
+that compares designs on a benchmark trace.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import logging
 import math
 import random
 import zlib
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Callable, Dict, Iterable, List
 
 from repro.baselines.decision_tree import DecisionTreePolicy
 from repro.baselines.static import arq_ecc_policy, crc_policy
@@ -34,7 +36,6 @@ __all__ = [
     "run_design_on_trace",
     "pretrain_policy",
     "clone_policy",
-    "compare_designs",
     "benchmark_trace_seed",
     "normalize_to_baseline",
     "geometric_mean",
@@ -46,20 +47,17 @@ logger = logging.getLogger("repro.sim.experiment")
 DESIGN_ORDER = ("crc", "arq_ecc", "dt", "rl")
 
 
-def default_design_factories(
-    seed: int = 0, share_rl_table: bool = True
-) -> Dict[str, Callable[[], ControlPolicy]]:
+def default_design_factories(seed: int = 0) -> Dict[str, Callable[[], ControlPolicy]]:
     """Fresh-policy factories for the four compared designs.
 
-    ``share_rl_table`` defaults to the scaled-run accelerator (see
-    :class:`repro.core.rl_policy.RLControlPolicy`); pass False for the
-    paper's strictly per-router agents.
+    The RL design shares one Q-table across routers, the scaled-run
+    accelerator (see :class:`repro.core.rl_policy.RLControlPolicy`).
     """
     return {
         "crc": crc_policy,
         "arq_ecc": arq_ecc_policy,
         "dt": DecisionTreePolicy,
-        "rl": lambda: RLControlPolicy(share_table=share_rl_table, seed=seed),
+        "rl": lambda: RLControlPolicy(share_table=True, seed=seed),
     }
 
 
@@ -69,18 +67,15 @@ def run_design_on_trace(
     config: SimulationConfig,
     benchmark: str = "trace",
     seed: int = 0,
-    pretrained: bool = False,
 ) -> RunResult:
-    """Full phase sequence for one design on one trace.
+    """Warm up, then measure one design on one trace.
 
-    ``pretrained=True`` skips the synthetic pre-training phase — used
-    when the caller already pre-trained the policy (the trainable
-    policies keep their learned models across runs).
+    ``policy`` is stateless or already pre-trained and frozen
+    (:func:`pretrain_policy`, or a :func:`clone_policy` of such a
+    snapshot); a campaign cell is this call on a policy cloned from its
+    design's artifact.
     """
     sim = Simulator(config, policy, seed=seed)
-    if policy.trainable and not pretrained:
-        sim.pretrain()
-        policy.freeze()
     sim.warmup()
     return sim.measure_trace(records, benchmark)
 
@@ -105,27 +100,6 @@ def clone_policy(
     policy = factory()
     policy.load_state(state)
     return policy
-
-
-def compare_designs(
-    records: List[TraceRecord],
-    config: SimulationConfig,
-    benchmark: str = "trace",
-    seed: int = 0,
-    designs: Optional[Dict[str, Callable[[], ControlPolicy]]] = None,
-) -> Dict[str, RunResult]:
-    """Run every design on the same trace; returns results by design.
-
-    Fresh policies are built from the ``designs`` factories (default:
-    all four) and pre-trained individually.
-    """
-    results = {}
-    factories = designs if designs is not None else default_design_factories(seed)
-    for name, factory in factories.items():
-        results[name] = run_design_on_trace(
-            factory(), records, config, benchmark=benchmark, seed=seed
-        )
-    return results
 
 
 def benchmark_trace_seed(benchmark: str, seed: int = 0) -> int:

@@ -5,8 +5,9 @@ normalized tables the paper's headline figures plot — retransmissions
 (Fig 6), execution speed-up (Fig 7), end-to-end latency (Fig 8), energy
 efficiency (Fig 9), and dynamic power (Fig 10) — every value normalized
 to the CRC baseline and geomean-averaged across benchmarks.  This is
-the only place the figures are normalized: ``repro campaign``, the
-``benchmarks/`` figure benches and ``examples/paper_figures.py`` all
+the only place the figures are normalized: ``repro campaign`` (and so
+``repro compare``), the ``benchmarks/`` figure benches,
+``examples/compare_designs.py`` and ``examples/paper_figures.py`` all
 read :func:`campaign_report`, and :data:`PAPER_AVERAGES` is the one
 copy of the paper's reported averages they compare against.
 

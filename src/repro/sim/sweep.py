@@ -25,16 +25,10 @@ completed point is worth persisting.  This module provides:
   moment each point lands, so a SIGKILL mid-sweep loses at most the
   points in flight.  :attr:`SweepRunner.report` summarizes the outcome
   (completed / retried / quarantined / elapsed) as a
-  :class:`SweepReport`;
-* merge helpers that regroup point results into the per-design
-  :class:`RunResult` maps ``experiment.compare_designs`` returns, so
-  the normalized-to-baseline tables come out identical.
+  :class:`SweepReport`.
 
 Point kinds
 -----------
-``trace``
-    One design replays one synthesized benchmark trace with the full
-    phase structure (``experiment.run_design_on_trace``).
 ``load``
     The classic load sweep: one design under open-loop synthetic traffic
     at one injection rate; reports latency / throughput / saturation.
@@ -42,7 +36,8 @@ Point kinds
     One (benchmark, design) cell of the paper-figure campaign: the
     policy is cloned from a pretrained artifact on disk
     (``repro.sim.campaign``) instead of pre-training in-cell, so the
-    grid pays each design's pre-training phase exactly once.
+    grid pays each design's pre-training phase exactly once.  This is
+    the only kind that compares designs on a benchmark trace.
 ``mode_error``
     The raw mode trade-off surface: the whole mesh pinned to one
     operation mode under a flat channel error probability (used by
@@ -80,7 +75,7 @@ import zlib
 from dataclasses import dataclass, field
 from multiprocessing import connection
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.core.modes import OperationMode
 from repro.faults.hardfaults import HardFaultModel, HardFaultSchedule
@@ -95,7 +90,6 @@ from repro.sim.experiment import (
     DESIGN_ORDER,
     clone_policy,
     default_design_factories,
-    normalize_to_baseline,
     run_design_on_trace,
     synthesize_benchmark_trace,
 )
@@ -115,8 +109,6 @@ __all__ = [
     "SweepRunner",
     "point_cache_key",
     "run_sweep_point",
-    "merge_trace_grid",
-    "normalized_tables",
     "stderr_progress",
 ]
 
@@ -146,9 +138,7 @@ DEFAULT_CACHE_DIR = ".sweep_cache"
 
 logger = logging.getLogger("repro.sim.sweep")
 
-POINT_KINDS = (
-    "trace", "load", "mode_error", "chaos", "control_chaos", "campaign",
-)
+POINT_KINDS = ("load", "mode_error", "chaos", "control_chaos", "campaign")
 
 #: kinds whose extra grid axis is the injection rate
 _RATED_KINDS = ("load", "chaos", "control_chaos")
@@ -163,10 +153,10 @@ MODE_DESIGNS = tuple(f"mode{int(m)}" for m in OperationMode)
 class SweepPoint:
     """One independent simulation job of a sweep grid.
 
-    ``traffic`` names a benchmark (``trace`` / ``campaign``) or a
-    synthetic pattern (``load`` / ``mode_error``).  ``cycles`` is the
-    trace injection span for trace kinds, the injection span for
-    ``load``, and the packet count for ``mode_error``.  Unused numeric
+    ``traffic`` names a benchmark (``campaign``) or a synthetic
+    pattern (the other kinds).  ``cycles`` is the trace injection span
+    for ``campaign``, the injection span for ``load`` and the chaos
+    kinds, and the packet count for ``mode_error``.  Unused numeric
     fields keep their defaults so cache keys stay stable across kinds.
     """
 
@@ -249,7 +239,7 @@ class SweepSpec:
     """
 
     config: SimulationConfig
-    kind: str = "trace"
+    kind: str
     designs: Tuple[str, ...] = DESIGN_ORDER
     traffics: Tuple[str, ...] = ("canneal",)
     seeds: Tuple[int, ...] = (0,)
@@ -338,16 +328,6 @@ class SweepSpec:
 # ----------------------------------------------------------------------
 # Point evaluators (run inside worker processes — keep module-level)
 # ----------------------------------------------------------------------
-def _eval_trace(config: SimulationConfig, point: SweepPoint) -> Dict[str, object]:
-    config = dataclasses.replace(config, error_scale=point.error_scale)
-    policy = default_design_factories(point.seed)[point.design]()
-    records = synthesize_benchmark_trace(point.traffic, config, point.cycles, point.seed)
-    result = run_design_on_trace(
-        policy, records, config, benchmark=point.traffic, seed=point.seed
-    )
-    return {"run": result.constructor_dict()}
-
-
 def _eval_campaign(config: SimulationConfig, point: SweepPoint) -> Dict[str, object]:
     """One campaign cell: a single (benchmark, design) measurement run
     cloned from a pretrained, frozen policy artifact.
@@ -376,8 +356,7 @@ def _eval_campaign(config: SimulationConfig, point: SweepPoint) -> Dict[str, obj
         )
     records = synthesize_benchmark_trace(point.traffic, config, point.cycles, point.seed)
     result = run_design_on_trace(
-        policy, records, config,
-        benchmark=point.traffic, seed=point.seed, pretrained=True,
+        policy, records, config, benchmark=point.traffic, seed=point.seed
     )
     return {"run": result.constructor_dict()}
 
@@ -657,7 +636,6 @@ def _eval_control_chaos(
 
 
 _EVALUATORS = {
-    "trace": _eval_trace,
     "load": _eval_load,
     "mode_error": _eval_mode_error,
     "chaos": _eval_chaos,
@@ -1252,37 +1230,3 @@ class SweepRunner:
     def _report(self, state: SweepProgress) -> None:
         if self.progress is not None:
             self.progress(state)
-
-
-# ----------------------------------------------------------------------
-# Merging back into experiment.py shapes
-# ----------------------------------------------------------------------
-def merge_trace_grid(
-    results: Sequence[PointResult],
-) -> Dict[Tuple[str, float, int], Dict[str, RunResult]]:
-    """Group trace-point results into (traffic, error_scale, seed) cells,
-    each holding the per-design :class:`RunResult` map that
-    ``experiment.compare_designs`` returns."""
-    grid: Dict[Tuple[str, float, int], Dict[str, RunResult]] = {}
-    for result in results:
-        if result is None or result.run is None:
-            continue
-        cell = (result.point.traffic, result.point.error_scale, result.point.seed)
-        grid.setdefault(cell, {})[result.point.design] = result.run
-    return grid
-
-
-def normalized_tables(
-    grid: Dict[Tuple[str, float, int], Dict[str, RunResult]],
-    metrics: Dict[str, Callable[[RunResult], float]],
-    baseline: str = "crc",
-) -> Dict[Tuple[str, float, int], Dict[str, Dict[str, float]]]:
-    """Per-cell normalized-to-baseline tables, via the same
-    ``normalize_to_baseline`` the figures use."""
-    return {
-        cell: {
-            name: normalize_to_baseline(designs, metric, baseline=baseline)
-            for name, metric in metrics.items()
-        }
-        for cell, designs in grid.items()
-    }

@@ -19,6 +19,7 @@ import pytest
 from repro.sim import (
     DESIGN_ORDER,
     default_design_factories,
+    pretrain_policy,
     run_design_on_trace,
     scaled_config,
     synthesize_benchmark_trace,
@@ -32,13 +33,15 @@ TRACE_CYCLES = 400
 SEED = 13
 
 
-def measure(design: str) -> str:
-    """One full (pre-train, warm-up, measure) run, serialized to bytes."""
+def measure(design: str, seed: int = SEED) -> str:
+    """One campaign cell run in memory (pre-train, warm up, measure),
+    serialized to bytes."""
     config = scaled_config(**CONFIG_KWARGS)
-    policy = default_design_factories(SEED)[design]()
-    records = synthesize_benchmark_trace("swaptions", config, TRACE_CYCLES, SEED)
+    policy = default_design_factories(seed)[design]()
+    pretrain_policy(policy, config, seed=seed)
+    records = synthesize_benchmark_trace("swaptions", config, TRACE_CYCLES, seed)
     result = run_design_on_trace(
-        policy, records, config, benchmark="swaptions", seed=SEED
+        policy, records, config, benchmark="swaptions", seed=seed
     )
     return json.dumps(result.constructor_dict(), sort_keys=True)
 
@@ -52,17 +55,7 @@ def test_same_seed_byte_identical_result(design):
 @pytest.mark.parametrize("design", ("crc", "rl"))
 def test_different_seeds_differ(design):
     """The seed actually reaches the platform: runs are not degenerate."""
-    config = scaled_config(**CONFIG_KWARGS)
-
-    def run(seed):
-        policy = default_design_factories(seed)[design]()
-        records = synthesize_benchmark_trace("swaptions", config, TRACE_CYCLES, seed)
-        result = run_design_on_trace(
-            policy, records, config, benchmark="swaptions", seed=seed
-        )
-        return json.dumps(result.constructor_dict(), sort_keys=True)
-
-    assert run(13) != run(14)
+    assert measure(design, seed=13) != measure(design, seed=14)
 
 
 def test_trace_synthesis_stable_across_interpreters():

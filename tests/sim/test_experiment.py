@@ -5,12 +5,11 @@ import zlib
 
 import pytest
 
-from repro.baselines import crc_policy
+from repro.baselines import arq_ecc_policy, crc_policy
 from repro.core.rl_policy import RLControlPolicy
 from repro.sim import (
     DESIGN_ORDER,
     benchmark_trace_seed,
-    compare_designs,
     default_design_factories,
     geometric_mean,
     normalize_to_baseline,
@@ -26,6 +25,16 @@ def tiny_config():
     return scaled_config(
         width=3, height=3, epoch_cycles=100, pretrain_cycles=2000, warmup_cycles=200
     )
+
+
+def static_results(cycles):
+    """crc and arq_ecc on one swaptions trace (stateless: no pre-training)."""
+    config = tiny_config()
+    records = synthesize_benchmark_trace("swaptions", config, cycles=cycles, seed=1)
+    return {
+        name: run_design_on_trace(factory(), records, config, seed=1)
+        for name, factory in (("crc", crc_policy), ("arq_ecc", arq_ecc_policy))
+    }
 
 
 class TestFactories:
@@ -65,10 +74,17 @@ class TestRunners:
         pretrain_policy(policy, tiny_config(), seed=1)
         assert policy.total_updates() > 0
 
-    def test_compare_designs_covers_all(self):
+    def test_every_design_carries_the_trace(self):
+        """Pre-train, then warm up and measure: a campaign cell in memory."""
         config = tiny_config()
         records = synthesize_benchmark_trace("swaptions", config, cycles=500, seed=1)
-        results = compare_designs(records, config, "swaptions", seed=1)
+        results = {}
+        for name, factory in default_design_factories(seed=1).items():
+            policy = factory()
+            pretrain_policy(policy, config, seed=1)
+            results[name] = run_design_on_trace(
+                policy, records, config, "swaptions", seed=1
+            )
         assert set(results) == set(DESIGN_ORDER)
         delivered = {r.packets_delivered for r in results.values()}
         # All designs carried (at least) the same offered trace.
@@ -77,12 +93,7 @@ class TestRunners:
 
 class TestNormalization:
     def test_normalize_to_baseline(self):
-        config = tiny_config()
-        records = synthesize_benchmark_trace("swaptions", config, cycles=400, seed=1)
-        results = compare_designs(
-            records, config, seed=1,
-            designs={"crc": crc_policy, "arq_ecc": default_design_factories()["arq_ecc"]},
-        )
+        results = static_results(cycles=400)
         normalized = normalize_to_baseline(results, lambda r: r.mean_latency)
         assert normalized["crc"] == pytest.approx(1.0)
         assert normalized["arq_ecc"] > 0
@@ -104,12 +115,7 @@ class TestNormalization:
         assert math.isnan(geometric_mean([0.0, -1.0]))
 
     def test_normalize_to_baseline_zero_reference_is_nan(self):
-        config = tiny_config()
-        records = synthesize_benchmark_trace("swaptions", config, cycles=300, seed=1)
-        results = compare_designs(
-            records, config, seed=1,
-            designs={"crc": crc_policy, "arq_ecc": default_design_factories()["arq_ecc"]},
-        )
+        results = static_results(cycles=300)
         # A metric that is 0 for the baseline has no meaningful ratio;
         # every design must come out NaN, never a masked 0.0 or a crash.
         normalized = normalize_to_baseline(results, lambda r: 0.0)

@@ -8,14 +8,12 @@ import time
 import pytest
 
 from repro.sim import (
-    DESIGN_ORDER,
     SweepCache,
     SweepPoint,
     SweepProgress,
     SweepRunner,
     SweepSpec,
-    merge_trace_grid,
-    normalized_tables,
+    merge_campaign,
     point_cache_key,
     scaled_config,
 )
@@ -31,10 +29,11 @@ def tiny_config(**overrides):
     return scaled_config(**kwargs)
 
 
-def tiny_trace_spec(**overrides):
+def tiny_campaign_spec(**overrides):
+    """Stateless designs only: their campaign cells need no artifact."""
     kwargs = dict(
         config=tiny_config(),
-        kind="trace",
+        kind="campaign",
         designs=("crc", "arq_ecc"),
         traffics=("swaptions",),
         cycles=400,
@@ -47,7 +46,7 @@ class TestGridExpansion:
     def test_trace_cross_product_order(self):
         spec = SweepSpec(
             config=tiny_config(),
-            kind="trace",
+            kind="campaign",
             designs=("crc", "rl"),
             traffics=("canneal", "x264"),
             seeds=(0, 1),
@@ -66,7 +65,7 @@ class TestGridExpansion:
             ("canneal", 1.0, 1, "rl"),
         ]
         assert points[-1] == SweepPoint(
-            kind="trace", design="rl", traffic="x264", seed=1,
+            kind="campaign", design="rl", traffic="x264", seed=1,
             cycles=500, error_scale=2.0,
         )
 
@@ -98,7 +97,7 @@ class TestGridExpansion:
         assert all(p.rate == 0.1 for p in points)
 
     def test_fault_specs_ignored_outside_chaos(self):
-        spec = tiny_trace_spec(fault_specs=("", "link@500:5E"))
+        spec = tiny_campaign_spec(fault_specs=("", "link@500:5E"))
         assert all(p.fault_spec == "" for p in spec.expand())
 
     def test_sensor_chaos_expands_sensor_spec_axis(self):
@@ -117,7 +116,7 @@ class TestGridExpansion:
         assert all(p.kind == "control_chaos" and p.rate == 0.05 for p in points)
 
     def test_sensor_specs_ignored_outside_sensor_chaos(self):
-        spec = tiny_trace_spec(sensor_specs=("", "drop@0.2:util"))
+        spec = tiny_campaign_spec(sensor_specs=("", "drop@0.2:util"))
         assert all(p.sensor_spec == "" for p in spec.expand())
 
     def test_soft_error_expands_soft_error_spec_axis(self):
@@ -136,7 +135,7 @@ class TestGridExpansion:
         assert all(p.kind == "control_chaos" and p.rate == 0.05 for p in points)
 
     def test_soft_error_specs_ignored_outside_soft_error(self):
-        spec = tiny_trace_spec(soft_error_specs=("", "qtable@1e-5"))
+        spec = tiny_campaign_spec(soft_error_specs=("", "qtable@1e-5"))
         assert all(p.soft_error_spec == "" for p in spec.expand())
 
     def test_sensor_chaos_takes_control_designs(self):
@@ -157,7 +156,7 @@ class TestGridExpansion:
 
     def test_unknown_design_rejected(self):
         with pytest.raises(ValueError, match="unknown design"):
-            tiny_trace_spec(designs=("fpga",)).expand()
+            tiny_campaign_spec(designs=("fpga",)).expand()
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown sweep kind"):
@@ -166,9 +165,13 @@ class TestGridExpansion:
         # only through repro.sim.campaign.
         with pytest.raises(ValueError, match="unknown sweep kind 'suite'"):
             SweepSpec.from_dict({"config": {}, "kind": "suite"})
+        # The retired in-place "trace" kind: designs are compared on a
+        # benchmark trace only through repro.sim.campaign.
+        with pytest.raises(ValueError, match="unknown sweep kind 'trace'"):
+            SweepSpec.from_dict({"config": {}, "kind": "trace"})
 
     def test_spec_dict_round_trip(self):
-        spec = tiny_trace_spec(
+        spec = tiny_campaign_spec(
             seeds=(3, 4), error_scales=(0.5,),
             soft_error_specs=("", "qtable@1e-5"),
         )
@@ -215,7 +218,7 @@ class TestControlChaos:
 
 class TestCacheKeys:
     def test_key_stable_across_calls(self):
-        spec = tiny_trace_spec()
+        spec = tiny_campaign_spec()
         point = spec.expand()[0]
         assert point_cache_key(spec.config, point) == point_cache_key(
             spec.config, point
@@ -224,7 +227,7 @@ class TestCacheKeys:
     def test_key_sensitive_to_point_fields(self):
         config = tiny_config()
         base = SweepPoint(
-            kind="trace", design="crc", traffic="canneal", seed=0, cycles=400
+            kind="campaign", design="crc", traffic="canneal", seed=0, cycles=400
         )
         keys = {point_cache_key(config, base)}
         for change in (
@@ -285,7 +288,7 @@ class TestCacheKeys:
 
     def test_key_sensitive_to_config(self):
         point = SweepPoint(
-            kind="trace", design="crc", traffic="canneal", seed=0, cycles=400
+            kind="campaign", design="crc", traffic="canneal", seed=0, cycles=400
         )
         assert point_cache_key(tiny_config(), point) != point_cache_key(
             tiny_config(warmup_cycles=300), point
@@ -294,7 +297,7 @@ class TestCacheKeys:
     def test_stale_schema_entries_miss(self, tmp_path):
         cache = SweepCache(tmp_path)
         point = SweepPoint(
-            kind="trace", design="crc", traffic="canneal", seed=0, cycles=400
+            kind="campaign", design="crc", traffic="canneal", seed=0, cycles=400
         )
         key = point_cache_key(tiny_config(), point)
         cache.store(key, point, {"run": None})
@@ -316,7 +319,7 @@ class TestCacheCorruption:
     def _stored(self, tmp_path):
         cache = SweepCache(tmp_path)
         point = SweepPoint(
-            kind="trace", design="crc", traffic="canneal", seed=0, cycles=400
+            kind="campaign", design="crc", traffic="canneal", seed=0, cycles=400
         )
         key = point_cache_key(tiny_config(), point)
         cache.store(key, point, {"run": {"mean_latency": 12.5}, "elapsed": 1.0})
@@ -363,7 +366,7 @@ class TestCacheCorruption:
         on a shared `<key>.tmp` — the tmp name carries pid + random part."""
         cache = SweepCache(tmp_path)
         point = SweepPoint(
-            kind="trace", design="crc", traffic="canneal", seed=0, cycles=400
+            kind="campaign", design="crc", traffic="canneal", seed=0, cycles=400
         )
         key = point_cache_key(tiny_config(), point)
         seen = []
@@ -416,7 +419,7 @@ class TestSupervision:
     def _runner(self, tmp_path, **kwargs):
         kwargs.setdefault("cache_dir", tmp_path)
         kwargs.setdefault("retry_base_delay", 0.01)
-        return SweepRunner(tiny_trace_spec(), **kwargs)
+        return SweepRunner(tiny_campaign_spec(), **kwargs)
 
     def test_serial_quarantines_poison_point(self, tmp_path, monkeypatch):
         monkeypatch.setattr(
@@ -492,7 +495,7 @@ class TestSupervision:
         assert len(runner.report.quarantined) == 1
         assert runner.report.completed == 1
         # the healthy point is in the cache despite the failed sweep
-        spec = tiny_trace_spec()
+        spec = tiny_campaign_spec()
         key = point_cache_key(spec.config, spec.expand()[1])
         assert SweepCache(tmp_path).load(key) is not None
 
@@ -507,7 +510,7 @@ class TestSupervision:
         assert 0.5 <= d1 <= 0.75 * 1.5
 
     def test_report_counts_cache_hits(self, tmp_path):
-        spec = tiny_trace_spec()
+        spec = tiny_campaign_spec()
         SweepRunner(spec, cache_dir=tmp_path).run()
         replay = SweepRunner(spec, cache_dir=tmp_path)
         replay.run()
@@ -530,7 +533,7 @@ class TestSupervision:
 
 class TestRunnerCaching:
     def test_cache_hit_skips_simulation(self, tmp_path):
-        spec = tiny_trace_spec()
+        spec = tiny_campaign_spec()
         first = SweepRunner(spec, cache_dir=tmp_path)
         results = first.run()
         assert first.executed == 2
@@ -545,7 +548,7 @@ class TestRunnerCaching:
 
     def test_resume_after_interrupt(self, tmp_path):
         """Losing part of the cache re-runs only the missing points."""
-        spec = tiny_trace_spec()
+        spec = tiny_campaign_spec()
         runner = SweepRunner(spec, cache_dir=tmp_path)
         runner.run()
         victim = point_cache_key(spec.config, spec.expand()[1])
@@ -557,14 +560,14 @@ class TestRunnerCaching:
         assert results[0].cached and not results[1].cached
 
     def test_no_cache_runs_everything(self, tmp_path):
-        spec = tiny_trace_spec()
+        spec = tiny_campaign_spec()
         SweepRunner(spec, cache_dir=tmp_path).run()
         runner = SweepRunner(spec, cache_dir=tmp_path, use_cache=False)
         runner.run()
         assert runner.executed == 2
 
     def test_refresh_recomputes_but_stores(self, tmp_path):
-        spec = tiny_trace_spec()
+        spec = tiny_campaign_spec()
         SweepRunner(spec, cache_dir=tmp_path).run()
         refresher = SweepRunner(spec, cache_dir=tmp_path, refresh=True)
         refresher.run()
@@ -581,7 +584,7 @@ class TestRunnerCaching:
                 (progress.done, progress.cached, progress.running, progress.total)
             )
 
-        spec = tiny_trace_spec()
+        spec = tiny_campaign_spec()
         SweepRunner(spec, cache_dir=tmp_path, progress=record).run()
         assert snapshots[0] == (0, 0, 0, 2)
         assert snapshots[-1] == (2, 0, 0, 2)
@@ -601,18 +604,18 @@ class TestRunnerCaching:
 
 class TestParallelEqualsSerial:
     def test_jobs1_and_jobs2_merge_identically(self, tmp_path):
-        spec = tiny_trace_spec(seeds=(0, 1))
+        spec = tiny_campaign_spec(traffics=("swaptions", "blackscholes"))
         serial = SweepRunner(spec, jobs=1, cache_dir=tmp_path / "serial")
         parallel = SweepRunner(spec, jobs=2, cache_dir=tmp_path / "parallel")
-        serial_grid = merge_trace_grid(serial.run())
-        parallel_grid = merge_trace_grid(parallel.run())
+        serial_grid = merge_campaign(serial.run())
+        parallel_grid = merge_campaign(parallel.run())
         assert serial.executed == parallel.executed == 4
         assert serial_grid.keys() == parallel_grid.keys()
-        for cell in serial_grid:
-            for design in serial_grid[cell]:
+        for benchmark in serial_grid:
+            for design in serial_grid[benchmark]:
                 assert (
-                    serial_grid[cell][design].constructor_dict()
-                    == parallel_grid[cell][design].constructor_dict()
+                    serial_grid[benchmark][design].constructor_dict()
+                    == parallel_grid[benchmark][design].constructor_dict()
                 )
 
     def test_load_points_match_across_jobs(self, tmp_path):
@@ -624,16 +627,3 @@ class TestParallelEqualsSerial:
         parallel = SweepRunner(spec, jobs=2, cache_dir=tmp_path / "p").run()
         assert [r.load for r in serial] == [r.load for r in parallel]
         assert all(r.load["latency"] > 0 for r in serial)
-
-
-class TestMerging:
-    def test_normalized_tables_match_experiment(self, tmp_path):
-        spec = tiny_trace_spec(designs=DESIGN_ORDER[:2])
-        grid = merge_trace_grid(SweepRunner(spec, cache_dir=tmp_path).run())
-        tables = normalized_tables(
-            grid, {"latency": lambda r: r.mean_latency}
-        )
-        cell = ("swaptions", 1.0, 0)
-        assert tables[cell]["latency"]["crc"] == pytest.approx(1.0)
-        assert tables[cell]["latency"]["arq_ecc"] > 0
-

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.cli import build_parser, main, make_policy
+from repro.cli import build_parser, main
 
 
 class TestParser:
@@ -21,16 +21,6 @@ class TestParser:
     def test_sweep_rates_parsing(self):
         args = build_parser().parse_args(["sweep", "--rates", "0.01,0.02"])
         assert args.rates == "0.01,0.02"
-
-
-class TestMakePolicy:
-    def test_all_designs(self):
-        for name in ("crc", "arq_ecc", "dt", "rl"):
-            assert make_policy(name).profile.name in ("crc", "arq_ecc", "dt", "rl")
-
-    def test_unknown_design(self):
-        with pytest.raises(ValueError, match="unknown design"):
-            make_policy("fpga")
 
 
 class TestCommands:
@@ -68,12 +58,34 @@ class TestCommands:
         with pytest.raises(SystemExit):
             main(self._fast(["run", "--benchmark", "doom"]))
 
-    def test_compare_text(self, capsys):
-        code = main(self._fast(["compare", "--benchmark", "swaptions"]))
-        assert code == 0
-        out = capsys.readouterr().out
-        for design in ("crc", "arq_ecc", "dt", "rl"):
-            assert design in out
+    def test_run_rejects_unknown_design(self):
+        with pytest.raises(SystemExit, match="unknown design 'fpga'"):
+            main(self._fast(["run", "--design", "fpga"]))
+
+    def _compare_then_campaign(self, capsys, tmp_path, extra=()):
+        """stdout of ``compare --benchmark swaptions`` and then of
+        ``campaign --benchmarks swaptions`` over the same cache; the
+        campaign must replay every artifact and cell compare made."""
+        shared = ["--cache-dir", str(tmp_path / "cache"), *extra]
+        assert main(self._fast(["compare", "--benchmark", "swaptions", *shared])) == 0
+        compare = capsys.readouterr().out
+        assert main(self._fast(["campaign", "--benchmarks", "swaptions", *shared])) == 0
+        campaign = capsys.readouterr()
+        assert (
+            "0 artifact(s) built, 2 reused; 0 cell(s) simulated, 4 from cache"
+            in campaign.err
+        )
+        return compare, campaign.out
+
+    def test_compare_text(self, capsys, tmp_path):
+        compare, campaign = self._compare_then_campaign(capsys, tmp_path)
+        assert compare == campaign
+        assert "| Figure | Direction | crc | arq_ecc | dt | rl |" in compare
+
+    def test_compare_json(self, capsys, tmp_path):
+        compare, campaign = self._compare_then_campaign(capsys, tmp_path, ["--json"])
+        assert compare == campaign
+        assert json.loads(compare)["benchmarks"] == ["swaptions"]
 
     def test_sweep_json(self, capsys):
         code = main(
@@ -283,6 +295,24 @@ class TestCampaignCommand:
     def test_rejects_unknown_design(self, tmp_path):
         with pytest.raises(SystemExit, match="unknown design"):
             main(self._argv(tmp_path, ["--designs", "fpga"]))
+
+    def test_rejects_campaign_without_crc_baseline(self, tmp_path):
+        """Every figure is normalized to crc: without it the report is
+        all n/a, so the campaign stops before building or simulating."""
+        with pytest.raises(SystemExit, match="crc"):
+            main(self._argv(tmp_path, ["--designs", "arq_ecc,rl"]))
+        assert not (tmp_path / "artifacts").exists()
+        assert not (tmp_path / "cache").exists()
+
+    def test_artifacts_follow_cache_dir(self, tmp_path, monkeypatch):
+        """With only --cache-dir given, the artifacts live under it and
+        nothing lands in the default .sweep_cache/."""
+        monkeypatch.chdir(tmp_path)
+        argv = self._argv(tmp_path)
+        argv = argv[: argv.index("--cache-dir")] + ["--cache-dir", "cacheonly"]
+        assert main(argv) == 0
+        assert list((tmp_path / "cacheonly" / "artifacts").glob("dt-s0-*.ckpt"))
+        assert not (tmp_path / ".sweep_cache").exists()
 
     def test_json_report_and_warm_rerun(self, capsys, tmp_path):
         assert main(self._argv(tmp_path, ["--json"])) == 0
