@@ -100,7 +100,12 @@ class SecdedCode:
                 self._data_positions.append(pos)
             pos += 1
         self._core_bits = pos - 1  # highest used 1-indexed position
-        self._parity_positions = [1 << i for i in range(self.parity_bits)]
+        # Parity bit j (at position 2^j) covers the positions whose
+        # 1-indexed value has bit j set: one core-bit mask per parity bit.
+        self._coverage = [
+            sum(1 << (p - 1) for p in range(1, self._core_bits + 1) if p >> j & 1)
+            for j in range(self.parity_bits)
+        ]
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -135,15 +140,11 @@ class SecdedCode:
             if (data >> i) & 1:
                 core |= 1 << (pos - 1)
 
-        # Hamming parity bits: parity bit at position 2^j covers positions
-        # whose 1-indexed value has bit j set.
-        for j, ppos in enumerate(self._parity_positions):
-            parity = 0
-            for pos in range(1, self._core_bits + 1):
-                if pos & ppos and (core >> (pos - 1)) & 1:
-                    parity ^= 1
-            if parity:
-                core |= 1 << (ppos - 1)
+        # Parity positions are still zero: the syndrome is the parity to set.
+        syndrome = self._syndrome(core)
+        for j in range(self.parity_bits):
+            if syndrome >> j & 1:
+                core |= 1 << ((1 << j) - 1)
 
         overall = bin(core).count("1") & 1
         return core | (overall << (self.codeword_bits - 1))
@@ -156,15 +157,7 @@ class SecdedCode:
         overall_rx = (codeword >> (self.codeword_bits - 1)) & 1
         core = codeword & ((1 << (self.codeword_bits - 1)) - 1)
 
-        syndrome = 0
-        for j, ppos in enumerate(self._parity_positions):
-            parity = 0
-            for pos in range(1, self._core_bits + 1):
-                if pos & ppos and (core >> (pos - 1)) & 1:
-                    parity ^= 1
-            if parity:
-                syndrome |= 1 << j
-
+        syndrome = self._syndrome(core)
         overall_calc = bin(core).count("1") & 1
         overall_ok = overall_calc == overall_rx
 
@@ -187,6 +180,13 @@ class SecdedCode:
         return DecodeResult(DecodeStatus.DETECTED, self._extract(core))
 
     # ------------------------------------------------------------------
+    def _syndrome(self, core: int) -> int:
+        """Bit j is the parity of the core bits parity bit j covers."""
+        syndrome = 0
+        for j, mask in enumerate(self._coverage):
+            syndrome |= (bin(core & mask).count("1") & 1) << j
+        return syndrome
+
     def _extract(self, core: int) -> int:
         data = 0
         for i, pos in enumerate(self._data_positions):

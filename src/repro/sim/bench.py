@@ -323,12 +323,8 @@ def _run_closed_loop_scenario(
         flit_bits=config.flit_bits,
         rng=random.Random(seed + 97),
     )
-    sim.run(source, cycles, learn=True)
-    deadline = sim.network.now + config.max_drain_cycles
-    while not sim.network.quiescent and sim.network.now < deadline:
-        sim._cycle()
-        if sim.network.now % config.epoch_cycles == 0:
-            sim._epoch_boundary(learn=True)
+    sim.run(source, cycles)
+    sim.drain()
     wall = time.perf_counter() - start
     digest = _digest(sim.network)
     digest[digest_key] = ledger(sim)

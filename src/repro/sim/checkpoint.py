@@ -14,12 +14,12 @@ a production harness.  This module makes the full ``run`` pipeline
 
 * **Bit-identical resume** — the body pickles the entire
   :class:`~repro.sim.simulator.Simulator` object graph (network buffers,
-  in-flight flits, RNG states, Q-tables, thermal state) plus the active
-  traffic source and the run-plan cursor.  Because serialization never
-  mutates state and restores it exactly, a run that is killed and
-  resumed produces the same final metrics, bit for bit, as one that was
-  never interrupted — the determinism contract the integration tests
-  pin down.
+  in-flight flits, RNG states, Q-tables, thermal state, the active
+  traffic source and the measurement's start cycle) plus the run-plan
+  cursor.  Because serialization never mutates state and restores it
+  exactly, a run that is killed and resumed produces the same final
+  metrics, bit for bit, as one that was never interrupted — the
+  determinism contract the integration tests pin down.
 
 * **Validated Q-state** — alongside the pickle, the policy's learned
   state is stored through ``ControlPolicy.to_state`` and re-loaded
@@ -29,12 +29,14 @@ a production harness.  This module makes the full ``run`` pipeline
   affected router is pinned to safe mode (mode 3, timing relaxation)
   and the degradation is logged.
 
-The run plan mirrors ``Simulator.pretrain`` / ``warmup`` /
-``measure_trace`` exactly — same segment spans, same RNG seeds, same
-epoch-boundary cadence — so ``ResumableRun`` with no checkpointing is
-byte-equivalent to the classic ``pretrain -> freeze -> warmup ->
-measure_trace`` pipeline.  ``repro run`` executes every run, with or
-without ``--checkpoint``, through ``ResumableRun``.
+``ResumableRun`` is a cursor over ``Simulator.plan()``: it runs every
+segment through ``Simulator.run_segment``, the same code the classic
+``pretrain -> freeze -> warmup -> measure_trace`` calls execute, so a
+run with no checkpointing is byte-equivalent to that pipeline.  A
+segment resumed mid-way continues from its cycle count, which is also
+where its ``max_drain_cycles`` budget counts from.  ``repro run``
+executes every run, with or without ``--checkpoint``, through
+``ResumableRun``.
 """
 
 from __future__ import annotations
@@ -44,15 +46,12 @@ import json
 import logging
 import os
 import pickle
-import random
 import struct
 import uuid
 import zlib
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
-from repro.core.modes import OperationMode
 from repro.noc.network import resolve_kernel
 from repro.noc.packet import Packet
 from repro.sim.config import SimulationConfig
@@ -62,7 +61,6 @@ from repro.sim.experiment import (
 )
 from repro.sim.metrics import RunResult
 from repro.sim.simulator import Simulator
-from repro.traffic.synthetic import SyntheticTraffic
 
 __all__ = [
     "CHECKPOINT_MAGIC",
@@ -103,7 +101,11 @@ CHECKPOINT_MAGIC = b"RNOCCKPT"
 #: indices, ACK/NACKs are ``seq``/``~seq`` codes) — version-4 bodies carry
 #: timestamped sideband tuples, ``AckMessage`` objects and the removed
 #: active-channel set, which this build's kernels cannot deliver.
-CHECKPOINT_VERSION = 5
+#: Version 6: the simulator owns the run schedule — it carries the
+#: current traffic source and the measurement's start cycle, which the
+#: payload no longer stores beside it, so a version-5 body would resume
+#: without its traffic source.
+CHECKPOINT_VERSION = 6
 
 #: Pretrained-policy campaign artifacts share the container format but
 #: version independently: an artifact body is a ``ControlPolicy.to_state``
@@ -255,72 +257,14 @@ def read_policy_artifact_meta(path: Union[str, Path]) -> Dict[str, object]:
 # ----------------------------------------------------------------------
 # The resumable run plan
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class _Segment:
-    """One deterministic slice of the run plan.
-
-    ``new_source`` is ``(pattern, injection_rate, rng_seed)`` when the
-    segment starts a fresh synthetic source (shared by the following
-    segments until replaced); ``None`` keeps the current source.
-    """
-
-    phase: str  # pretrain | drain | freeze | warmup | measure
-    cycles: int = 0
-    forced_mode: Optional[int] = None
-    new_source: Optional[Tuple[str, float, int]] = None
-
-
-def _plan_segments(
-    config: SimulationConfig, trainable: bool
-) -> List[_Segment]:
-    """The full run plan; mirrors Simulator.pretrain/warmup exactly."""
-    segments: List[_Segment] = []
-    cycles = config.pretrain_cycles
-    if cycles > 0 and trainable:
-        base = config.pretrain_injection_rate
-        rates = [0.6 * base, base, 2.2 * base]
-        span = cycles // len(rates)
-        curriculum_share = 0.6
-        forced_span = int(span * curriculum_share) // len(OperationMode)
-        free_span = span - forced_span * len(OperationMode)
-        for i, rate in enumerate(rates):
-            source = (config.pretrain_pattern, min(rate, 1.0), 101 + i)
-            for mode in OperationMode:
-                segments.append(
-                    _Segment(
-                        "pretrain", forced_span, forced_mode=int(mode),
-                        new_source=source,
-                    )
-                )
-                source = None
-            segments.append(_Segment("pretrain", free_span))
-        segments.append(_Segment("drain"))
-    segments.append(_Segment("freeze"))
-    if config.warmup_cycles > 0:
-        segments.append(
-            _Segment(
-                "warmup",
-                config.warmup_cycles,
-                new_source=(
-                    config.pretrain_pattern,
-                    config.pretrain_injection_rate,
-                    202,
-                ),
-            )
-        )
-    segments.append(_Segment("measure"))
-    return segments
-
-
 class ResumableRun:
     """One checkpointable (design, benchmark) measurement run.
 
-    Drives the classic ``Simulator`` phase pipeline through an explicit
-    segment cursor, snapshotting the whole simulation every
-    ``checkpoint_every`` cycles (and at every segment boundary) when a
-    ``checkpoint_path`` is set.  :meth:`resume` restores a snapshot and
-    continues to the same final :class:`RunResult` an uninterrupted run
-    produces.
+    Walks ``Simulator.plan()`` with a segment cursor, snapshotting the
+    whole simulation every ``checkpoint_every`` cycles (and at every
+    segment boundary) when a ``checkpoint_path`` is set.
+    :meth:`resume` restores a snapshot and continues to the same final
+    :class:`RunResult` an uninterrupted run produces.
     """
 
     def __init__(
@@ -347,12 +291,9 @@ class ResumableRun:
 
         policy = default_design_factories(seed)[design]()
         self.sim = Simulator(config, policy, seed=seed)
-        self.segments = _plan_segments(config, policy.trainable)
+        self.segments = self.sim.plan()
         self.segment_index = 0
         self.segment_offset = 0
-        self.source = None
-        self.measure_origin: Optional[int] = None
-        self.measure_start: Optional[int] = None
         self.result: Optional[RunResult] = None
         self.checkpoints_written = 0
 
@@ -409,11 +350,8 @@ class ResumableRun:
             "seed": self.seed,
             "trace_cycles": self.trace_cycles,
             "sim": self.sim,
-            "source": self.source,
             "segment_index": self.segment_index,
             "segment_offset": self.segment_offset,
-            "measure_origin": self.measure_origin,
-            "measure_start": self.measure_start,
             "result": self.result,
             "policy_state": self.sim.policy.to_state(),
             # Packet ids come from a process-global counter.  Without it
@@ -466,12 +404,9 @@ class ResumableRun:
         # the router/NI registries in the snapshot are always a superset
         # of the live entities, and both kernels are bit-identical.
         run.sim.network.kernel = resolve_kernel(None)
-        run.source = payload["source"]
-        run.segments = _plan_segments(run.config, run.sim.policy.trainable)
+        run.segments = run.sim.plan()
         run.segment_index = payload["segment_index"]
         run.segment_offset = payload["segment_offset"]
-        run.measure_origin = payload["measure_origin"]
-        run.measure_start = payload["measure_start"]
         run.result = payload["result"]
         run.checkpoints_written = 0
         # Restore the packet-id counter so ids issued after the resume
@@ -504,106 +439,28 @@ class ResumableRun:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def _checkpoint_cb(self, base_offset: int):
-        if self.checkpoint_path is None or not self.checkpoint_every:
-            return None, 0
-
-        def callback(done: int) -> None:
-            self.segment_offset = base_offset + done
-            self.save()
-
-        return callback, self.checkpoint_every
-
-    def _build_source(self, spec: Tuple[str, float, int]) -> SyntheticTraffic:
-        pattern, rate, seed_offset = spec
-        return SyntheticTraffic(
-            self.sim.network.topology,
-            pattern=pattern,
-            injection_rate=rate,
-            packet_size=self.config.packet_size,
-            flit_bits=self.config.flit_bits,
-            rng=random.Random(self.seed + seed_offset),
-        )
-
     def run(self) -> RunResult:
         """Execute (or continue) the plan to completion."""
-        while self.result is None and self.segment_index < len(self.segments):
+        sim = self.sim
+        every = self.checkpoint_every if self.checkpoint_path is not None else 0
+        while self.result is None:
             segment = self.segments[self.segment_index]
-            handler = getattr(self, f"_run_{segment.phase}")
-            handler(segment)
+            measure = segment.phase == "measure"
+            if measure and not self.segment_offset:
+                sim.source = sim.make_replayer(
+                    synthesize_benchmark_trace(
+                        self.benchmark, self.config, self.trace_cycles, self.seed
+                    )
+                )
+            sim.run_segment(segment, self.segment_offset, every, self._snapshot)
+            if measure:
+                self.result = sim.finish_measurement(self.benchmark)
             self.segment_index += 1
             self.segment_offset = 0
             if self.checkpoint_path is not None:
                 self.save()
-        if self.result is None:  # pragma: no cover - plan always measures
-            raise RuntimeError("run plan finished without a measurement")
         return self.result
 
-    def _run_pretrain(self, segment: _Segment) -> None:
-        sim = self.sim
-        if segment.new_source is not None and self.segment_offset == 0:
-            self.source = self._build_source(segment.new_source)
-        sim.forced_mode = (
-            OperationMode(segment.forced_mode)
-            if segment.forced_mode is not None
-            else None
-        )
-        remaining = segment.cycles - self.segment_offset
-        callback, every = self._checkpoint_cb(self.segment_offset)
-        if remaining > 0:
-            sim.run(
-                self.source, remaining, learn=True,
-                checkpoint_every=every, on_checkpoint=callback,
-            )
-        sim.forced_mode = None
-
-    def _run_drain(self, segment: _Segment) -> None:
-        sim = self.sim
-        callback, every = self._checkpoint_cb(self.segment_offset)
-        done = 0
-        while not sim.network.quiescent:
-            sim._cycle()
-            if sim.network.now % self.config.epoch_cycles == 0:
-                sim._epoch_boundary(learn=True)
-            done += 1
-            if every and callback is not None and done % every == 0:
-                callback(done)
-
-    def _run_freeze(self, segment: _Segment) -> None:
-        self.sim.policy.freeze()
-
-    def _run_warmup(self, segment: _Segment) -> None:
-        sim = self.sim
-        if segment.new_source is not None and self.segment_offset == 0:
-            self.source = self._build_source(segment.new_source)
-        remaining = segment.cycles - self.segment_offset
-        callback, every = self._checkpoint_cb(self.segment_offset)
-        if remaining > 0:
-            sim.run(
-                self.source, remaining, learn=True,
-                checkpoint_every=every, on_checkpoint=callback,
-            )
-
-    def _run_measure(self, segment: _Segment) -> None:
-        sim = self.sim
-        if self.segment_offset == 0:
-            records = synthesize_benchmark_trace(
-                self.benchmark, self.config, self.trace_cycles, self.seed
-            )
-            self.source = sim.make_replayer(records)
-            sim.begin_measurement()
-            self.measure_origin = sim.network.now
-            self.measure_start = sim.network.now
-        replayer = self.source
-        callback, every = self._checkpoint_cb(self.segment_offset)
-        sim.run_until_drained(
-            replayer,
-            lambda: replayer.exhausted,
-            learn=True,
-            time_origin=self.measure_origin,
-            checkpoint_every=every,
-            on_checkpoint=callback,
-        )
-        execution = sim.network.now - self.measure_start
-        self.result = sim.finish_measurement(self.benchmark, execution)
-        self.source = None
+    def _snapshot(self, done: int) -> None:
+        self.segment_offset = done
+        self.save()

@@ -14,13 +14,18 @@ Assembles every substrate into the paper's evaluation platform:
 Phases follow Section V-B: a pre-training phase on synthetic traffic
 (learning enabled), a warm-up period, then the measured testing phase
 replaying an application trace until every message is delivered.
+:meth:`Simulator.plan` is the one place that schedule is written down;
+the phase methods and :class:`~repro.sim.checkpoint.ResumableRun` all
+execute its segments through :meth:`Simulator.run_segment`, and one
+private loop advances every cycle.
 """
 
 from __future__ import annotations
 
 import logging
 import random
-from typing import Callable, Dict, List, Optional, Protocol, Sequence
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Protocol, Sequence, Tuple
 
 from repro.core.controller import ControlPolicy, ObservationGuard, compute_reward
 from repro.core.modes import OperationMode, TmrModeBank
@@ -48,7 +53,7 @@ from repro.sim.metrics import RunResult, StatsSnapshot
 from repro.traffic.synthetic import SyntheticTraffic
 from repro.traffic.trace import TraceRecord, TraceReplayer
 
-__all__ = ["TrafficSource", "Simulator"]
+__all__ = ["TrafficSource", "Segment", "Simulator"]
 
 logger = logging.getLogger("repro.sim.simulator")
 
@@ -62,6 +67,21 @@ class TrafficSource(Protocol):
     """Anything that can offer packets cycle by cycle."""
 
     def packets_for_cycle(self, now: int) -> List[Packet]: ...
+
+
+@dataclass(frozen=True)
+class Segment:
+    """One deterministic slice of the run plan (:meth:`Simulator.plan`).
+
+    ``source`` is ``(pattern, injection_rate, rng_seed)`` when the segment
+    starts a fresh synthetic source, kept by the following segments until
+    replaced; ``None`` keeps the current source.
+    """
+
+    phase: str  # pretrain | drain | freeze | warmup | measure
+    cycles: int = 0
+    forced_mode: Optional[OperationMode] = None
+    source: Optional[Tuple[str, float, int]] = None
 
 
 class Simulator:
@@ -185,9 +205,13 @@ class Simulator:
         #: used by the pre-training curriculum to collect off-policy
         #: experience under consistent network-wide behaviour
         self.forced_mode: Optional[OperationMode] = None
+        #: the traffic source of the current plan segment; rides the
+        #: checkpoint pickle so a resumed segment keeps injecting from it
+        self.source: Optional[TrafficSource] = None
 
         # Measurement accumulators (active between begin/end measurement)
         self._measuring = False
+        self._measure_start = 0
         self._measured_dynamic_pj = 0.0
         self._measured_static_pj = 0.0
         self._measured_epochs = 0
@@ -350,7 +374,7 @@ class Simulator:
             sums.setdefault(src, []).append(p)
         return {src: sum(ps) / len(ps) for src, ps in sums.items()}
 
-    def _epoch_boundary(self, learn: bool, span: Optional[int] = None) -> None:
+    def _epoch_boundary(self, span: Optional[int] = None) -> None:
         config = self.config
         network = self.network
         span = config.epoch_cycles if span is None else span
@@ -423,18 +447,11 @@ class Simulator:
                         tracer.emit(
                             network.now, "sensor", "quarantine", subject=router.id
                         )
-                if corrupted and not report.dirty:
-                    # Surviving corruption (in-range stuck/noisy values the
-                    # guard cannot distinguish from real readings) must
-                    # still reach the policy through the discrete state.
-                    obs.discrete = discretize_observation(
-                        obs,
-                        self.state_config,
-                        compact=config.compact_state,
-                        mode=int(router.mode) if config.include_mode_in_state else None,
-                    )
-            elif corrupted:
-                # Defenses disabled: the controller consumes exactly what
+            if corrupted and (obs_guard is None or not report.dirty):
+                # Corruption the guard did not repair (in-range stuck/noisy
+                # values it cannot tell from real readings) must still
+                # reach the policy through the discrete state.  With
+                # defenses disabled the controller consumes exactly what
                 # the corrupted sensors report (this may raise — the
                 # hardened path exists precisely to prevent that).
                 obs.discrete = discretize_observation(
@@ -446,7 +463,7 @@ class Simulator:
             observations.append(obs)
 
         guard = self._reward_guard_counter
-        if learn and self._prev_obs is not None:
+        if self._prev_obs is not None:
             for router, obs, prev, action in zip(
                 network.routers, observations, self._prev_obs, self._prev_actions
             ):
@@ -684,101 +701,17 @@ class Simulator:
         m.snapshot_epoch(self.network.now)
 
     # ------------------------------------------------------------------
-    # Phase drivers
+    # The run plan and the one cycle loop
     # ------------------------------------------------------------------
-    def run(
-        self,
-        source: Optional[TrafficSource],
-        cycles: int,
-        learn: bool = True,
-        time_origin: Optional[int] = None,
-        checkpoint_every: int = 0,
-        on_checkpoint: Optional[Callable[[int], None]] = None,
-    ) -> None:
-        """Advance a fixed number of cycles, injecting from ``source``.
+    def plan(self) -> List[Segment]:
+        """The Section V-B run plan, segment by segment.
 
-        With ``checkpoint_every=N`` (and a callback), ``on_checkpoint``
-        fires after every N completed cycles with the count of cycles
-        done so far — the hook :mod:`repro.sim.checkpoint` uses to
-        serialize the run.  The callback must not mutate simulation
-        state, so a checkpointed run and a plain one are bit-identical.
-        """
-        network = self.network
-        epoch = self.config.epoch_cycles
-        origin = network.now if time_origin is None else time_origin
-        for done in range(1, cycles + 1):
-            if source is not None:
-                for packet in source.packets_for_cycle(network.now - origin):
-                    # Sources see trace-relative time; latency accounting
-                    # needs the absolute injection timestamp.
-                    packet.created_at = network.now
-                    packet.message_id = self._next_message_id
-                    self._next_message_id += 1
-                    network.inject(packet)
-            self._cycle()
-            if network.now % epoch == 0:
-                self._epoch_boundary(learn)
-            if (
-                checkpoint_every
-                and on_checkpoint is not None
-                and done % checkpoint_every == 0
-            ):
-                on_checkpoint(done)
-
-    def run_until_drained(
-        self,
-        source: TrafficSource,
-        source_exhausted,
-        learn: bool = True,
-        time_origin: Optional[int] = None,
-        checkpoint_every: int = 0,
-        on_checkpoint: Optional[Callable[[int], None]] = None,
-    ) -> int:
-        """Inject a finite source and run until every message delivers.
-
-        ``source_exhausted`` is a zero-argument callable (the replayer's
-        ``exhausted`` flag).  Returns the cycles the whole trace took —
-        the execution-time metric of Fig. 7.
-        """
-        network = self.network
-        epoch = self.config.epoch_cycles
-        origin = network.now if time_origin is None else time_origin
-        start = network.now
-        done = 0
-        while not (source_exhausted() and network.quiescent):
-            for packet in source.packets_for_cycle(network.now - origin):
-                packet.created_at = network.now
-                packet.message_id = self._next_message_id
-                self._next_message_id += 1
-                network.inject(packet)
-            self._cycle()
-            if network.now % epoch == 0:
-                self._epoch_boundary(learn)
-            if network.now - start > self.config.max_drain_cycles:
-                raise RuntimeError(
-                    "trace failed to drain within max_drain_cycles "
-                    f"({self.config.max_drain_cycles})"
-                )
-            done += 1
-            if (
-                checkpoint_every
-                and on_checkpoint is not None
-                and done % checkpoint_every == 0
-            ):
-                on_checkpoint(done)
-        return network.now - start
-
-    # ------------------------------------------------------------------
-    # Paper phases
-    # ------------------------------------------------------------------
-    def pretrain(self, cycles: Optional[int] = None) -> None:
-        """Section V-B pre-training on synthetic traffic.
-
-        The synthetic phase sweeps three load levels (light, nominal,
+        Pre-training sweeps three synthetic load levels (light, nominal,
         heavy) so the learning policies visit the cool/quiet *and*
         hot/error-prone regions of the Table I state space before any
         application trace runs — the role the paper's 1M-cycle synthetic
-        phase plays at full scale.
+        phase plays at full scale.  Static designs (and
+        ``pretrain_cycles=0``) get no pre-training segments.
 
         Within each load level, the first part of the segment is a
         *curriculum*: the whole mesh is pinned to each operation mode in
@@ -786,55 +719,160 @@ class Simulator:
         under consistent network-wide behaviour.  Without this, epsilon-
         greedy exploration in a shortened run cannot separate an action's
         effect from the congestion caused by 63 other exploring routers.
-        The remainder of each segment runs free epsilon-greedy control.
+        The remainder of each level runs free epsilon-greedy control.
+
+        In-flight pre-training packets then drain, the policy freezes, a
+        warm-up runs (none when ``warmup_cycles=0``), and the measured
+        trace replays until every message is delivered.
         """
-        cycles = self.config.pretrain_cycles if cycles is None else cycles
-        if cycles <= 0 or not self.policy.trainable:
-            return
-        base = self.config.pretrain_injection_rate
-        segments = [0.6 * base, base, 2.2 * base]
-        span = cycles // len(segments)
-        curriculum_share = 0.6
-        forced_span = int(span * curriculum_share) // len(OperationMode)
-        for i, rate in enumerate(segments):
-            source = SyntheticTraffic(
-                self.network.topology,
-                pattern=self.config.pretrain_pattern,
-                injection_rate=min(rate, 1.0),
-                packet_size=self.config.packet_size,
-                flit_bits=self.config.flit_bits,
-                rng=random.Random(self.seed + 101 + i),
-            )
+        config = self.config
+        segments: List[Segment] = []
+        if config.pretrain_cycles > 0 and self.policy.trainable:
+            base = config.pretrain_injection_rate
+            levels = (0.6 * base, base, 2.2 * base)
+            span = config.pretrain_cycles // len(levels)
+            curriculum_share = 0.6
+            forced_span = int(span * curriculum_share) // len(OperationMode)
             free_span = span - forced_span * len(OperationMode)
-            for mode in OperationMode:
-                self.forced_mode = mode
-                self.run(source, forced_span, learn=True)
-            self.forced_mode = None
-            self.run(source, free_span, learn=True)
-        # Let in-flight pretraining packets drain before the next phase.
-        self.drain_epochs()
+            for i, rate in enumerate(levels):
+                source = (config.pretrain_pattern, min(rate, 1.0), self.seed + 101 + i)
+                for mode in OperationMode:
+                    segments.append(Segment("pretrain", forced_span, mode, source))
+                    source = None
+                segments.append(Segment("pretrain", free_span))
+            segments.append(Segment("drain"))
+        segments.append(Segment("freeze"))
+        if config.warmup_cycles > 0:
+            source = (
+                config.pretrain_pattern,
+                config.pretrain_injection_rate,
+                self.seed + 202,
+            )
+            segments.append(Segment("warmup", config.warmup_cycles, source=source))
+        segments.append(Segment("measure"))
+        return segments
 
-    def drain_epochs(self, learn: bool = True) -> None:
-        """Run (with epoch boundaries) until no message is outstanding."""
-        while not self.network.quiescent:
-            self._cycle()
-            if self.network.now % self.config.epoch_cycles == 0:
-                self._epoch_boundary(learn=learn)
+    def run_segment(
+        self,
+        segment: Segment,
+        done: int = 0,
+        checkpoint_every: int = 0,
+        on_checkpoint: Optional[Callable[[int], None]] = None,
+    ) -> None:
+        """Run one plan segment, or continue it after ``done`` of its cycles.
 
-    def warmup(self, cycles: Optional[int] = None) -> None:
-        """Section V-B warm-up period (no measurement)."""
-        cycles = self.config.warmup_cycles if cycles is None else cycles
-        if cycles <= 0:
+        ``done`` counts cycles from the segment's start: it is the time
+        the source sees and where a drain or measure segment's
+        ``max_drain_cycles`` budget counts from, so a resumed segment
+        continues exactly where it stopped.  A measure segment replays
+        :attr:`source` (see :meth:`measure_trace`); it and the
+        pre-training drain raise when their budget runs out.
+        ``on_checkpoint(done)`` fires every ``checkpoint_every`` cycles and
+        must not mutate simulation state, so a checkpointed run and a
+        plain one are bit-identical.
+        """
+        phase = segment.phase
+        if phase == "freeze":
+            self.policy.freeze()
             return
-        source = SyntheticTraffic(
-            self.network.topology,
-            pattern=self.config.pretrain_pattern,
-            injection_rate=self.config.pretrain_injection_rate,
-            packet_size=self.config.packet_size,
-            flit_bits=self.config.flit_bits,
-            rng=random.Random(self.seed + 202),
+        if not done:
+            if segment.source is not None:
+                pattern, rate, seed = segment.source
+                self.source = SyntheticTraffic(
+                    self.network.topology,
+                    pattern=pattern,
+                    injection_rate=rate,
+                    packet_size=self.config.packet_size,
+                    flit_bits=self.config.flit_bits,
+                    rng=random.Random(seed),
+                )
+            if phase == "measure":
+                self.begin_measurement()
+        if phase == "pretrain":
+            self.forced_mode = segment.forced_mode
+        if phase in ("pretrain", "warmup"):
+            self._advance(
+                self.source, done, segment.cycles, None,
+                checkpoint_every, on_checkpoint,
+            )
+            return
+        # drain / measure: until the source is spent and the network empty
+        network = self.network
+        source = self.source if phase == "measure" else None
+
+        def complete() -> bool:
+            return (source is None or source.exhausted) and network.quiescent
+
+        self._advance(
+            source, done, self.config.max_drain_cycles, complete,
+            checkpoint_every, on_checkpoint,
         )
-        self.run(source, cycles, learn=True)
+        if not complete():
+            what = "trace" if phase == "measure" else "pre-training"
+            raise RuntimeError(
+                f"{what} failed to drain within max_drain_cycles "
+                f"({self.config.max_drain_cycles})"
+            )
+        self.source = None
+
+    def run(self, source: Optional[TrafficSource], cycles: int) -> None:
+        """Advance a fixed number of cycles, injecting from ``source``."""
+        self._advance(source, 0, cycles)
+
+    def drain(self) -> bool:
+        """Run epochs, injecting nothing, until the network is quiescent
+        or ``max_drain_cycles`` have passed; returns whether it drained."""
+        network = self.network
+        self._advance(None, 0, self.config.max_drain_cycles, lambda: network.quiescent)
+        return network.quiescent
+
+    def _advance(
+        self,
+        source: Optional[TrafficSource],
+        done: int,
+        limit: int,
+        until: Optional[Callable[[], bool]] = None,
+        checkpoint_every: int = 0,
+        on_checkpoint: Optional[Callable[[int], None]] = None,
+    ) -> None:
+        """The cycle loop: inject -> cycle -> epoch boundary -> snapshot.
+
+        Steps from cycle ``done`` of the current phase until ``limit``
+        cycles of it have run or ``until()`` holds (checked before every
+        cycle).  The source is asked for the packets of phase cycle
+        ``done``; latency accounting stamps the absolute cycle.
+        """
+        network = self.network
+        epoch = self.config.epoch_cycles
+        while done < limit and not (until is not None and until()):
+            if source is not None:
+                for packet in source.packets_for_cycle(done):
+                    packet.created_at = network.now
+                    packet.message_id = self._next_message_id
+                    self._next_message_id += 1
+                    network.inject(packet)
+            self._cycle()
+            if network.now % epoch == 0:
+                self._epoch_boundary()
+            done += 1
+            if checkpoint_every and done % checkpoint_every == 0:
+                on_checkpoint(done)
+
+    # ------------------------------------------------------------------
+    # Paper phases
+    # ------------------------------------------------------------------
+    def pretrain(self) -> None:
+        """Section V-B pre-training: the plan's pretrain and drain segments."""
+        self._run_phases("pretrain", "drain")
+
+    def warmup(self) -> None:
+        """Section V-B warm-up period (no measurement)."""
+        self._run_phases("warmup")
+
+    def _run_phases(self, *phases: str) -> None:
+        for segment in self.plan():
+            if segment.phase in phases:
+                self.run_segment(segment)
 
     def make_replayer(self, records: List[TraceRecord]) -> TraceReplayer:
         """The measurement-phase trace replayer (seeded per Section V-B)."""
@@ -846,8 +884,10 @@ class Simulator:
         )
 
     def begin_measurement(self) -> None:
-        """Arm the measurement window: snapshot stats, zero accumulators."""
+        """Arm the measurement window: snapshot stats, zero accumulators,
+        record the start cycle."""
         self._measure_before = StatsSnapshot(self.network.stats)
+        self._measure_start = self.network.now
         self._measuring = True
         self._measured_dynamic_pj = 0.0
         self._measured_static_pj = 0.0
@@ -857,19 +897,17 @@ class Simulator:
 
     def measure_trace(self, records: List[TraceRecord], benchmark: str) -> RunResult:
         """The measured testing phase: replay a trace to completion."""
-        replayer = self.make_replayer(records)
-        self.begin_measurement()
-        execution = self.run_until_drained(
-            replayer, lambda: replayer.exhausted, learn=True
-        )
-        return self.finish_measurement(benchmark, execution)
+        self.source = self.make_replayer(records)
+        self._run_phases("measure")
+        return self.finish_measurement(benchmark)
 
-    def finish_measurement(self, benchmark: str, execution: int) -> RunResult:
-        """Close the measurement window and assemble the RunResult."""
+    def finish_measurement(self, benchmark: str) -> RunResult:
+        """Close the measurement window and assemble the RunResult; the
+        execution time (Fig. 7) is the cycles since the window opened."""
         partial = self.network.now % self.config.epoch_cycles
         if partial:
             # Fold the final partial epoch into the measurement window.
-            self._epoch_boundary(learn=True, span=partial)
+            self._epoch_boundary(span=partial)
 
         self._measuring = False
         after = StatsSnapshot(self.network.stats)
@@ -878,7 +916,7 @@ class Simulator:
         return RunResult(
             design=self.policy.name,
             benchmark=benchmark,
-            execution_cycles=execution,
+            execution_cycles=self.network.now - self._measure_start,
             mean_latency=window["mean_latency"],
             packets_delivered=int(window["packets_delivered"]),
             flits_delivered=int(window["flits_delivered"]),

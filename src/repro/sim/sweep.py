@@ -95,7 +95,7 @@ from repro.sim.experiment import (
 )
 from repro.sim.metrics import RunResult
 from repro.sim.simulator import Simulator
-from repro.traffic.synthetic import NullTraffic, SyntheticTraffic
+from repro.traffic.synthetic import SyntheticTraffic
 
 __all__ = [
     "CACHE_SCHEMA",
@@ -365,8 +365,7 @@ def _eval_load(config: SimulationConfig, point: SweepPoint) -> Dict[str, object]
     config = dataclasses.replace(config, error_scale=point.error_scale)
     policy = default_design_factories(point.seed)[point.design]()
     sim = Simulator(config, policy, seed=point.seed)
-    if sim.policy.trainable:
-        sim.pretrain()
+    sim.pretrain()
     sim.policy.freeze()
     source = SyntheticTraffic(
         sim.network.topology,
@@ -376,10 +375,8 @@ def _eval_load(config: SimulationConfig, point: SweepPoint) -> Dict[str, object]
         flit_bits=config.flit_bits,
         rng=random.Random(point.seed + 9),
     )
-    sim.run(source, point.cycles, learn=True)
-    try:
-        sim.run_until_drained(NullTraffic(), lambda: True, learn=True)
-    except RuntimeError:
+    sim.run(source, point.cycles)
+    if not sim.drain():
         return {
             "load": {"rate": point.rate, "latency": None,
                      "throughput": 0.0, "saturated": True},
@@ -552,13 +549,10 @@ def _eval_control_chaos(
     )
     policy = default_design_factories(point.seed)[point.design]()
     sim = Simulator(config, policy, seed=point.seed, tracer=tracer)
-    if sim.policy.trainable and config.pretrain_cycles > 0:
-        sim.pretrain()
+    sim.pretrain()
     sim.policy.freeze()
-    if config.warmup_cycles > 0:
-        sim.warmup()
+    sim.warmup()
     sim.begin_measurement()
-    start = sim.network.now
     rate = point.rate if point.rate > 0.0 else 0.05
     source = SyntheticTraffic(
         sim.network.topology,
@@ -570,19 +564,15 @@ def _eval_control_chaos(
     )
     diagnosis = None
     try:
-        sim.run(source, point.cycles, learn=True)
-        deadline = sim.network.now + config.max_drain_cycles
-        while not sim.network.quiescent and sim.network.now < deadline:
-            sim._cycle()
-            if sim.network.now % config.epoch_cycles == 0:
-                sim._epoch_boundary(learn=True)
+        sim.run(source, point.cycles)
+        sim.drain()
     except NoCInvariantError as exc:
         diagnosis = {
             "error": type(exc).__name__,
             "message": str(exc),
             "report": exc.report,
         }
-    result = sim.finish_measurement(point.traffic or "uniform", sim.network.now - start)
+    result = sim.finish_measurement(point.traffic or "uniform")
     guard = sim.obs_guard
     injected: Dict[str, int] = {}
     for model in (sim.sensors, sim.soft_errors):

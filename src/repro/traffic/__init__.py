@@ -7,7 +7,6 @@ from repro.traffic.parsec import (
 )
 from repro.traffic.synthetic import (
     PATTERNS,
-    NullTraffic,
     SyntheticTraffic,
     destination_for,
 )
@@ -18,7 +17,6 @@ __all__ = [
     "BenchmarkProfile",
     "ParsecTraceSynthesizer",
     "PATTERNS",
-    "NullTraffic",
     "SyntheticTraffic",
     "destination_for",
     "TraceRecord",

@@ -19,7 +19,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 from repro.noc.packet import Packet
 from repro.noc.topology import MeshTopology
 
-__all__ = ["PATTERNS", "NullTraffic", "SyntheticTraffic", "destination_for"]
+__all__ = ["PATTERNS", "SyntheticTraffic", "destination_for"]
 
 
 def _bits_needed(n: int) -> int:
@@ -93,18 +93,6 @@ def destination_for(
         raise ValueError(f"unknown pattern {pattern!r}") from None
     dest = fn(topology, src, rng)
     return None if dest == src else dest
-
-
-class NullTraffic:
-    """A traffic source that never injects.
-
-    Drain phases need a source that satisfies the ``TrafficSource``
-    protocol but stops offering packets so the network can empty
-    (e.g. the tail of a load-sweep point after the injection span).
-    """
-
-    def packets_for_cycle(self, now: int) -> List[Packet]:
-        return []
 
 
 class SyntheticTraffic:

@@ -39,6 +39,20 @@ class TestEncodeDecode:
             assert result.data == data
             assert result.ok
 
+    @pytest.mark.parametrize(
+        "data,codeword",
+        [
+            (0x0, 0x0),
+            (0xFFFFFFFF, 0x3F7FFFFFF4),
+            (0xDEADBEEF, 0x77D5B76E77),
+            (0x400, 0x400000408B),  # 1.0 in the Q-table storage's Q10 format
+        ],
+    )
+    def test_pinned_39_32_codewords(self, data, codeword):
+        # The Q-table SEU digests depend on this exact bit layout.
+        assert SecdedCode(32).encode(data) == codeword
+        assert SecdedCode(32).decode(codeword).data == data
+
     def test_encode_rejects_oversized(self):
         with pytest.raises(ValueError):
             SecdedCode(8).encode(256)

@@ -101,3 +101,41 @@ def test_interrupted_run_resumes_bit_identically(tmp_path):
             snap, checkpoint_path=tmp_path / "scratch.ckpt", checkpoint_every=0
         ).run()
         assert resumed == baseline, f"resume from {phase} diverged"
+
+
+def test_resumed_measurement_keeps_its_drain_budget(tmp_path):
+    """The measurement's max_drain_cycles budget counts from the phase
+    start, so every measure-phase snapshot of a run that fails to drain
+    fails the same way on resume instead of getting a fresh budget."""
+    config = scaled_config(
+        width=3, height=3, epoch_cycles=100, pretrain_cycles=0,
+        warmup_cycles=300, max_drain_cycles=250,
+    )
+    with pytest.raises(RuntimeError, match="max_drain_cycles"):
+        ResumableRun(config, "crc", "swaptions", trace_cycles=300).run()
+
+    run = ResumableRun(
+        config, "crc", "swaptions", trace_cycles=300,
+        checkpoint_path=tmp_path / "run.ckpt", checkpoint_every=90,
+    )
+    copies = []
+    original_save = run.save
+
+    def keep(path=None):
+        saved = original_save(path)
+        if read_checkpoint_meta(saved)["phase"] == "measure":
+            copy = tmp_path / f"{run.sim.network.now}.snap"
+            shutil.copy(saved, copy)
+            copies.append(copy)
+        return saved
+
+    run.save = keep
+    with pytest.raises(RuntimeError, match="max_drain_cycles"):
+        run.run()
+    assert len(copies) == 3  # the phase start, then cycles 90 and 180 into it
+    for snap in copies:
+        resumed = ResumableRun.resume(
+            snap, checkpoint_path=tmp_path / "scratch.ckpt", checkpoint_every=0
+        )
+        with pytest.raises(RuntimeError, match="max_drain_cycles"):
+            resumed.run()

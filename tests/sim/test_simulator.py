@@ -5,13 +5,15 @@ power -> thermal -> errors -> observation -> policy -> modes — runs end
 to end in well under a second per test.
 """
 
+import random
+
 import pytest
 
 from repro.baselines import arq_ecc_policy, crc_policy
 from repro.core.modes import OperationMode
 from repro.core.rl_policy import RLControlPolicy
 from repro.sim import Simulator, scaled_config
-from repro.traffic import TraceRecord
+from repro.traffic import SyntheticTraffic, TraceRecord
 
 
 def tiny_config(**overrides):
@@ -117,7 +119,7 @@ class TestPhases:
     def test_forced_mode_pins_routers(self):
         sim = Simulator(tiny_config(), RLControlPolicy(share_table=True), seed=2)
         sim.forced_mode = OperationMode.MODE_2
-        sim.run(None, sim.config.epoch_cycles + 1, learn=False)
+        sim.run(None, sim.config.epoch_cycles + 1)
         assert all(r.mode is OperationMode.MODE_2 for r in sim.network.routers)
 
     def test_drain_guard_raises(self):
@@ -125,6 +127,19 @@ class TestPhases:
         sim = Simulator(config, crc_policy(), seed=2)
         with pytest.raises(RuntimeError, match="max_drain_cycles"):
             sim.measure_trace(tiny_trace(200), "tiny")
+
+    def test_drain_stops_at_its_budget(self):
+        config = tiny_config(max_drain_cycles=40)
+        sim = Simulator(config, crc_policy(), seed=2)
+        assert sim.drain() and sim.network.now == 0  # already quiescent
+        flood = SyntheticTraffic(
+            sim.network.topology, injection_rate=0.5, rng=random.Random(2)
+        )
+        sim.run(flood, 150)
+        start = sim.network.now
+        assert sim.drain() is False
+        assert sim.network.now - start == config.max_drain_cycles
+        assert not sim.network.quiescent
 
 
 class TestDeterminism:
