@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import abc
 import math
+from math import inf, isfinite
+from operator import ne
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.modes import OperationMode
@@ -101,6 +103,10 @@ def compute_reward(
     return 1.0 / (latency * power)
 
 
+#: (low, high) clamp bounds of the list fields whose range is fixed
+_LIST_BOUNDS = {"util": (0.0, inf), "nack": (0.0, 1.0)}
+
+
 class GuardReport:
     """What :meth:`ObservationGuard.inspect` did to one observation."""
 
@@ -144,14 +150,15 @@ class ObservationGuard:
     with the simulator, keeping resumed runs bit-identical.
     """
 
-    #: (attribute, kind) pairs; kind selects validation + clamp rules
-    _FIELDS: Tuple[Tuple[str, str], ...] = (
+    #: (attribute, kind) of the list-valued Table I fields; kind selects
+    #: the clamp bounds and default.  The sixth field, ``temperature``, is
+    #: a scalar and is inspected last.
+    _LIST_FIELDS: Tuple[Tuple[str, str], ...] = (
         ("occupied_vcs", "buf"),
         ("input_utilization", "util"),
         ("output_utilization", "util"),
         ("input_nack_rate", "nack"),
         ("output_nack_rate", "nack"),
-        ("temperature", "temp"),
     )
     #: physically plausible ceiling for an on-die temperature reading
     MAX_TEMPERATURE = 250.0
@@ -187,48 +194,36 @@ class ObservationGuard:
         self.quarantined: Set[int] = set()
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _valid_list(value: object) -> bool:
-        if not isinstance(value, list) or len(value) != NUM_PORTS:
-            return False
-        try:
-            return all(math.isfinite(el) for el in value)
-        except TypeError:
-            return False
-
-    @staticmethod
-    def _valid_scalar(value: object) -> bool:
-        return isinstance(value, (int, float)) and math.isfinite(value)
-
-    def _default_for(self, attr: str, kind: str) -> object:
+    def _default_for(self, kind: str) -> object:
         if kind == "temp":
             return self.default_temperature
         if kind == "buf":
             return [0] * NUM_PORTS
         return [0.0] * NUM_PORTS
 
-    def _clamp(self, kind: str, value: object) -> Tuple[object, int]:
-        """Clamp a *valid* field into its physical range; returns
-        (possibly-new value, number of elements clamped)."""
-        if kind == "temp":
-            clamped = min(max(value, 0.0), self.MAX_TEMPERATURE)
-            return clamped, int(clamped != value)
-        if kind == "buf":
-            lo, hi = 0, self.state_config.num_vcs
-        elif kind == "nack":
-            lo, hi = 0.0, 1.0
-        else:  # util: non-negative, no hard ceiling (binning saturates)
-            lo, hi = 0.0, None
-        out = None
-        hits = 0
-        for i, el in enumerate(value):
-            fixed = lo if el < lo else (hi if (hi is not None and el > hi) else el)
-            if fixed != el:
-                if out is None:
-                    out = list(value)
-                out[i] = fixed
-                hits += 1
-        return (out if out is not None else value), hits
+    def _repair(
+        self,
+        report: GuardReport,
+        obs: RouterObservation,
+        attr: str,
+        kind: str,
+        last_good: Dict[str, Tuple[int, object]],
+        epoch_index: int,
+    ) -> None:
+        """Replace an invalid field by its last valid reading if that is
+        at most ``hold_ttl`` epochs old, else by the default."""
+        report.rejected = True
+        held = last_good.get(attr)
+        if held is not None and epoch_index - held[0] <= self.hold_ttl:
+            replacement = held[1]
+            report.holds += 1
+        else:
+            replacement = self._default_for(kind)
+            report.defaults += 1
+        setattr(
+            obs, attr,
+            list(replacement) if isinstance(replacement, list) else replacement,
+        )
 
     def inspect(
         self,
@@ -240,35 +235,45 @@ class ObservationGuard:
         """Validate/repair one observation in place; returns the report.
 
         Must be called once per router per epoch so the reject streaks
-        and hold TTLs advance correctly.
+        and hold TTLs advance correctly.  A valid field is clamped into
+        its physical range: VC counts to [0, num_vcs], utilizations to
+        [0, inf) (binning saturates them), NACK rates to [0, 1] and the
+        temperature to [0, MAX_TEMPERATURE].
         """
         report = GuardReport()
         last_good = self._last_good[router_id]
-        for attr, kind in self._FIELDS:
+        num_vcs = self.state_config.num_vcs
+        for attr, kind in self._LIST_FIELDS:
             value = getattr(obs, attr)
-            valid = self._valid_scalar(value) if kind == "temp" else self._valid_list(value)
-            if not valid:
-                report.rejected = True
-                held = last_good.get(attr)
-                if held is not None and epoch_index - held[0] <= self.hold_ttl:
-                    replacement = held[1]
-                    report.holds += 1
-                else:
-                    replacement = self._default_for(attr, kind)
-                    report.defaults += 1
-                setattr(
-                    obs, attr,
-                    list(replacement) if isinstance(replacement, list) else replacement,
+            # Valid: a list of NUM_PORTS finite numbers.
+            try:
+                valid = (
+                    isinstance(value, list)
+                    and len(value) == NUM_PORTS
+                    and all(map(isfinite, value))
                 )
+            except TypeError:
+                valid = False
+            if not valid:
+                self._repair(report, obs, attr, kind, last_good, epoch_index)
                 continue
-            clamped, hits = self._clamp(kind, value)
+            lo, hi = (0, num_vcs) if kind == "buf" else _LIST_BOUNDS[kind]
+            clamped = [lo if el < lo else hi if el > hi else el for el in value]
+            hits = sum(map(ne, clamped, value))
             if hits:
                 report.clamps += hits
                 setattr(obs, attr, clamped)
-            last_good[attr] = (
-                epoch_index,
-                list(clamped) if isinstance(clamped, list) else clamped,
-            )
+                clamped = list(clamped)
+            last_good[attr] = (epoch_index, clamped)
+        temperature = obs.temperature
+        if isinstance(temperature, (int, float)) and isfinite(temperature):
+            clamped = min(max(temperature, 0.0), self.MAX_TEMPERATURE)
+            if clamped != temperature:
+                report.clamps += 1
+                obs.temperature = clamped
+            last_good["temperature"] = (epoch_index, clamped)
+        else:
+            self._repair(report, obs, "temperature", "temp", last_good, epoch_index)
         if report.rejected:
             self._streak[router_id] += 1
             if (

@@ -122,24 +122,24 @@ class TmrModeBank:
         self.copies[router][copy % self.COPIES] ^= 1 << (bit % self.REGISTER_BITS)
         self.upsets += 1
 
+    @classmethod
+    def _majority(cls, regs: List[int]) -> int:
+        a, b, c = regs
+        return ((a & b) | (a & c) | (b & c)) & ((1 << cls.REGISTER_BITS) - 1)
+
     def read(self, router: int) -> int:
         """Per-bit majority over the three copies (the datapath view)."""
-        regs = self.copies[router]
-        value = 0
-        for bit in range(self.REGISTER_BITS):
-            if sum((reg >> bit) & 1 for reg in regs) >= 2:
-                value |= 1 << bit
-        return value
+        return self._majority(self.copies[router])
 
     def vote(self) -> int:
         """Resync every register to its majority; returns copies repaired."""
         repaired = 0
-        for router, regs in enumerate(self.copies):
-            value = self.read(router)
-            for i, reg in enumerate(regs):
-                if reg != value:
-                    regs[i] = value
-                    repaired += 1
+        for regs in self.copies:
+            value = self._majority(regs)
+            wrong = self.COPIES - regs.count(value)
+            if wrong:
+                regs[:] = [value] * self.COPIES
+                repaired += wrong
         self.votes += repaired
         return repaired
 

@@ -105,11 +105,15 @@ class QTableStorage:
         """Value as actually representable in the fixed-point word."""
         if math.isnan(value):
             value = 0.0
-        word = int(round(min(max(value * cls._SCALE, cls._WORD_MIN), cls._WORD_MAX)))
-        return word / cls._SCALE
+        return cls._fixed(value) / cls._SCALE
 
-    def _encode(self, value: float) -> int:
-        word = int(round(min(max(value * self._SCALE, self._WORD_MIN), self._WORD_MAX)))
+    @classmethod
+    def _fixed(cls, value: float) -> int:
+        """The signed fixed-point word of ``value`` (raises on NaN)."""
+        return int(round(min(max(value * cls._SCALE, cls._WORD_MIN), cls._WORD_MAX)))
+
+    def _pack(self, word: int) -> int:
+        """The stored form of a signed word: its codeword, or raw bits."""
         unsigned = word & ((1 << self.DATA_BITS) - 1)
         return self.code.encode(unsigned) if self.ecc else unsigned
 
@@ -138,13 +142,15 @@ class QTableStorage:
         """Store a fresh row; returns the quantized cache row."""
         if state not in self._words:
             self._row_order.append(state)
-        self._words[state] = [self._encode(v) for v in values]
-        return [self.quantize(v) for v in values]
+        words = [self._fixed(v) for v in values]
+        self._words[state] = [self._pack(word) for word in words]
+        return [word / self._SCALE for word in words]
 
     def store(self, state: State, action: int, value: float) -> float:
         """Store one Q-write; returns the quantized value for the cache."""
-        self._words[state][action] = self._encode(value)
-        return self.quantize(value)
+        word = self._fixed(value)
+        self._words[state][action] = self._pack(word)
+        return word / self._SCALE
 
     # ------------------------------------------------------------------
     # SEU injection surface
@@ -185,7 +191,6 @@ class QTableStorage:
             self._dirty.clear()
             self._dirty_set.clear()
             return stats
-        q_init = self.quantize(self.agent.q_init)
         for state, action in self._dirty:
             result = self.code.decode(self._words[state][action])
             if result.status is DecodeStatus.CLEAN:
@@ -196,7 +201,8 @@ class QTableStorage:
                 stats["corrected"] += 1
                 continue
             # DETECTED: the word is unrecoverable — lose the row loudly.
-            self._words[state] = [self._encode(q_init)] * self.num_actions
+            q_init = self.quantize(self.agent.q_init)
+            self._words[state] = [self._pack(self._fixed(q_init))] * self.num_actions
             self.agent._table[state] = [q_init] * self.num_actions
             stats["detected"] += 1
             stats["quarantined_rows"] += 1

@@ -69,18 +69,25 @@ class FaultInjector:
         """Recompute per-channel error probabilities for the next epoch."""
         if len(temperatures) != self.network.topology.num_nodes:
             raise ValueError("one temperature per router required")
-        cache: Dict[int, Tuple[float, float]] = {}
-        for (src, _port), model in self.network.channel_models():
-            if src not in cache:
-                p = self.varius.timing_error_probability(
-                    src, temperatures[src], self.voltage
-                )
-                p_relaxed = self.varius.timing_error_probability(
-                    src, temperatures[src], self.voltage, relax_cycles=RELAX_CYCLES
-                )
-                cache[src] = (p, p_relaxed)
-            p, p_relaxed = cache[src]
-            raw = p * self.error_scale
+        varius = self.varius
+        # One (p, p * error_scale, relax factor) per router: every output
+        # channel of a router shares its die conditions.
+        per_router = []
+        for src, temperature in enumerate(temperatures):
+            p = varius.timing_error_probability(src, temperature, self.voltage)
+            p_relaxed = varius.timing_error_probability(
+                src, temperature, self.voltage, relax_cycles=RELAX_CYCLES
+            )
+            # p_relaxed can exceed p in pathological corners of the VARIUS
+            # fit; the relax factor is a probability multiplier and must
+            # stay inside [0, 1].
+            ratio = (p_relaxed / p) if p > 0.0 else 0.0
+            per_router.append(
+                (p, p * self.error_scale, min(1.0, max(0.0, ratio)))
+            )
+        current = self.current
+        for key, model in self.network.channel_models():
+            p, raw, relax = per_router[key[0]]
             if raw > 1.0:
                 if self._saturation_counter.value == 0:
                     warnings.warn(
@@ -92,15 +99,11 @@ class FaultInjector:
                         stacklevel=2,
                     )
                 self._saturation_counter.inc()
-            # p_relaxed can exceed p in pathological corners of the VARIUS
-            # fit; the relax factor is a probability multiplier and must
-            # stay inside [0, 1].
-            ratio = (p_relaxed / p) if p > 0.0 else 0.0
             # Routed through the model's setters so an unchanged epoch
             # keeps the skip-sampling countdowns (geometric gaps are
             # memoryless — no resample, no RNG draw, no extra work).
-            model.set_probabilities(min(1.0, raw), min(1.0, max(0.0, ratio)))
-            self.current[(src, _port)] = model.event_probability
+            model.set_probabilities(min(1.0, raw), relax)
+            current[key] = model.event_probability
 
     def set_uniform(self, probability: float, relax_factor: float = 0.0) -> None:
         """Bypass the physical models with a flat probability (testing)."""

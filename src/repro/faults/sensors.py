@@ -229,6 +229,9 @@ class SensorFaultModel:
     inside the simulator, so checkpointed runs resume bit-identically.
     """
 
+    #: per-kind views of :attr:`rules`, rebuilt on unpickling, never pickled
+    _DERIVED = ("_noise", "_drop", "_stuck_by_router", "_stale_by_router")
+
     def __init__(
         self,
         rules: Sequence[SensorFaultRule],
@@ -246,21 +249,43 @@ class SensorFaultModel:
         self.rules: List[SensorFaultRule] = sorted(rules, key=SensorFaultRule.sort_key)
         self.num_routers = num_routers
         self.rng = random.Random(seed)
-        #: last *reported* (post-corruption) reading per router, the
-        #: snapshot a newly-activating stale rule freezes and replays
+        #: last *reported* (post-corruption) reading of each router a
+        #: stale rule targets, the snapshot a newly-activating stale rule
+        #: freezes and replays
         self._prev: Dict[int, Tuple] = {}
         #: per stale-rule index: held snapshot + remaining epochs
         self._stale: Dict[int, Dict[str, object]] = {}
         #: injections actually applied, as (kind, field) counts
         self.injected: Dict[str, int] = {}
+        self._partition()
+
+    def _partition(self) -> None:
+        """Split :attr:`rules` by kind, keeping the canonical order."""
+        self._noise = [rule for rule in self.rules if rule.kind == "noise"]
+        self._drop = [rule for rule in self.rules if rule.kind == "drop"]
+        #: router -> its stuck rules / its (rule index, stale rule) pairs
+        self._stuck_by_router: Dict[int, List[SensorFaultRule]] = {}
+        self._stale_by_router: Dict[int, List[Tuple[int, SensorFaultRule]]] = {}
+        for index, rule in enumerate(self.rules):
+            if rule.kind == "stuck":
+                self._stuck_by_router.setdefault(rule.router, []).append(rule)
+            elif rule.kind == "stale":
+                self._stale_by_router.setdefault(rule.router, []).append((index, rule))
+
+    def __getstate__(self) -> Dict[str, object]:
+        state = self.__dict__.copy()
+        for name in self._DERIVED:
+            del state[name]
+        return state
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        self.__dict__.update(state)
+        self._partition()
 
     # ------------------------------------------------------------------
     @property
     def spec(self) -> str:
         return format_sensor_spec(self.rules)
-
-    def _count(self, kind: str) -> None:
-        self.injected[kind] = self.injected.get(kind, 0) + 1
 
     def corrupt(self, obs, now: int) -> List[Tuple[str, str]]:
         """Corrupt one observation in place; returns (kind, field) events.
@@ -271,34 +296,27 @@ class SensorFaultModel:
         RNG stream's length never depends on what the faults did.
         """
         rng = self.rng
+        gauss = rng.gauss
         events: List[Tuple[str, str]] = []
         router = obs.router_id
         # Noise first: a jittery sensor underneath any later corruption.
-        for rule in self.rules:
-            if rule.kind != "noise":
-                continue
+        for rule in self._noise:
+            sigma = rule.sigma
             for attr in _FIELD_ATTRS[rule.field]:
                 current = getattr(obs, attr)
                 if attr == "temperature":
-                    setattr(obs, attr, current + rng.gauss(0.0, rule.sigma))
+                    setattr(obs, attr, current + gauss(0.0, sigma))
                 else:
-                    setattr(
-                        obs, attr,
-                        [el + rng.gauss(0.0, rule.sigma) for el in current],
-                    )
+                    setattr(obs, attr, [el + gauss(0.0, sigma) for el in current])
             events.append(("noise", rule.field))
         # Dropout: the reading is simply gone this epoch.
-        for rule in self.rules:
-            if rule.kind != "drop":
-                continue
+        for rule in self._drop:
             if rng.random() < rule.probability:
                 for attr in _FIELD_ATTRS[rule.field]:
                     setattr(obs, attr, None)
                 events.append(("drop", rule.field))
         # Stuck-at: the sensor is wedged; nothing else shows through.
-        for rule in self.rules:
-            if rule.kind != "stuck" or rule.router != router:
-                continue
+        for rule in self._stuck_by_router.get(router, ()):
             for attr in _FIELD_ATTRS[rule.field]:
                 if attr == "temperature":
                     obs.temperature = float(rule.value)
@@ -312,8 +330,8 @@ class SensorFaultModel:
                     )
             events.append(("stuck", rule.field))
         # Staleness: replay the last reported reading for K epochs.
-        for index, rule in enumerate(self.rules):
-            if rule.kind != "stale" or rule.router != router or now < rule.cycle:
+        for index, rule in self._stale_by_router.get(router, ()):
+            if now < rule.cycle:
                 continue
             state = self._stale.get(index)
             if state is None:
@@ -327,7 +345,11 @@ class SensorFaultModel:
             _restore(obs, state["held"])
             state["remaining"] -= 1
             events.append(("stale", "all"))
-        self._prev[router] = _snapshot(obs)
+        if router in self._stale_by_router:
+            # Only stale rules replay a reading, so only their routers'
+            # readings are kept.
+            self._prev[router] = _snapshot(obs)
+        injected = self.injected
         for kind, _field in events:
-            self._count(kind)
+            injected[kind] = injected.get(kind, 0) + 1
         return events

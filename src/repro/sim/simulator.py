@@ -25,9 +25,16 @@ from __future__ import annotations
 import logging
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Protocol, Sequence, Tuple
+from functools import reduce
+from operator import add
+from typing import Callable, Dict, List, Optional, Protocol, Tuple
 
-from repro.core.controller import ControlPolicy, ObservationGuard, compute_reward
+from repro.core.controller import (
+    ControlPolicy,
+    GuardReport,
+    ObservationGuard,
+    compute_reward,
+)
 from repro.core.modes import OperationMode, TmrModeBank
 from repro.core.state import (
     DiscretizationConfig,
@@ -330,33 +337,60 @@ class Simulator:
             network.watchdog.rearm(network.now)
 
     # ------------------------------------------------------------------
-    # Control epoch
+    # Control epoch: ordered stages
     # ------------------------------------------------------------------
+    def _epoch_boundary(self, span: Optional[int] = None) -> None:
+        """One control epoch, closing a span of ``span`` cycles (default:
+        a full epoch).  The stages run in a fixed order, each over every
+        router in id order, and each calls the substrate entry points
+        (``observe_router``, the guard, the fault models, the policy)
+        through names looked up at call time."""
+        span = self.config.epoch_cycles if span is None else span
+        router_powers, mean_temperature = self._thermal_stage(span)
+        latency = self._epoch_network_latency()
+        observations = self._observe_stage(span)
+        self._learn_stage(observations, router_powers, latency)
+        actions = self._select_stage(observations)
+        self._prev_obs = observations
+        self._prev_actions = actions
+        self._epoch_index += 1
+        self._soft_error_stage(actions)
+        self._measure_stage(span, latency, mean_temperature, router_powers)
+
+    def _thermal_stage(self, span: int) -> Tuple[List[float], float]:
+        """Power, one thermal step, then the channel error probabilities.
+
+        Returns the per-router power (watts) and the mean temperature.
+        """
+        router_powers = self._router_power_watts(span)
+        tiles = [
+            self.core_params.core_power(router.epoch.core_activity_flits / span) + watts
+            for router, watts in zip(self.network.routers, router_powers)
+        ]
+        temperatures = self.thermal.step(tiles).tolist()
+        for router, temperature in zip(self.network.routers, temperatures):
+            router.temperature = temperature
+        self.injector.refresh(temperatures)
+        # Added in order, not with sum(): from Python 3.12 sum() of floats
+        # compensates rounding, which would move the last bit of the mean
+        # (and of every result digest) between Python versions.
+        return router_powers, reduce(add, temperatures, 0) / len(temperatures)
+
     def _router_power_watts(self, span: int) -> List[float]:
         """Per-router total power over the epoch (or partial span) ended."""
-        config = self.config
+        clock_hz = self.config.clock_hz
+        profile = self.policy.profile
+        epoch_energy = self.power_model.epoch_energy
         powers = []
         for router in self.network.routers:
-            energy = self.power_model.epoch_energy(
-                router.epoch,
-                self.policy.profile,
-                router.behaviour.ecc_enabled,
-                span,
+            energy = epoch_energy(
+                router.epoch, profile, router.behaviour.ecc_enabled, span
             )
-            powers.append(
-                RouterPowerModel.to_watts(energy.total_pj, span, config.clock_hz)
-            )
+            powers.append(RouterPowerModel.to_watts(energy.total_pj, span, clock_hz))
             if self._measuring:
                 self._measured_dynamic_pj += energy.dynamic_pj
                 self._measured_static_pj += energy.static_pj
         return powers
-
-    def _tile_power_watts(self, router_powers: Sequence[float], span: int) -> List[float]:
-        tiles = []
-        for router, router_w in zip(self.network.routers, router_powers):
-            rate = router.epoch.core_activity_flits / span
-            tiles.append(self.core_params.core_power(rate) + router_w)
-        return tiles
 
     def _epoch_network_latency(self) -> float:
         acc = self.network.stats.latency
@@ -374,80 +408,41 @@ class Simulator:
             sums.setdefault(src, []).append(p)
         return {src: sum(ps) / len(ps) for src, ps in sums.items()}
 
-    def _epoch_boundary(self, span: Optional[int] = None) -> None:
-        config = self.config
-        network = self.network
-        span = config.epoch_cycles if span is None else span
-
-        router_powers = self._router_power_watts(span)
-        tile_powers = self._tile_power_watts(router_powers, span)
-        temperatures = self.thermal.step(tile_powers)
-        for router, temperature in zip(network.routers, temperatures):
-            router.temperature = float(temperature)
-        self.injector.refresh(temperatures)
-
-        default_latency = self._epoch_network_latency()
-        error_by_router = self._channel_error_by_router()
-        tracer = self.tracer
-        trace_sensor = tracer is not None and tracer.wants("sensor")
-        m = self.metrics
+    def _observe_stage(self, span: int) -> List[RouterObservation]:
+        """Observe every router, corrupt the reading, guard it, and
+        re-discretize corruption the guard did not repair."""
+        state_config = self.state_config
+        compact = self.config.compact_state
+        include_mode = self.config.include_mode_in_state
+        now = self.network.now
         sensors = self.sensors
         obs_guard = self.obs_guard
+        error_by_router = self._channel_error_by_router()
+        injected: Dict[str, int] = {}
+        holds = clamps = defaults = 0
         observations = []
-        for router in network.routers:
-            obs = observe_router(
-                router,
-                span,
-                self.state_config,
-                config.compact_state,
-                config.include_mode_in_state,
-            )
+        for router in self.network.routers:
+            obs = observe_router(router, span, state_config, compact, include_mode)
             obs.true_error_probability = error_by_router.get(router.id, 0.0)
             corrupted = False
             if sensors is not None:
-                events = sensors.corrupt(obs, network.now)
-                if events:
-                    corrupted = True
-                    for kind, _field_name in events:
-                        m.counter("sensor.injected." + kind).inc()
+                events = sensors.corrupt(obs, now)
+                corrupted = bool(events)
+                for kind, _field in events:
+                    injected[kind] = injected.get(kind, 0) + 1
             if obs_guard is not None:
                 report = obs_guard.inspect(
                     router.id, int(router.mode), obs, self._epoch_index
                 )
-                if report.holds:
-                    m.counter("sensor.holds").inc(report.holds)
-                if report.clamps:
-                    m.counter("sensor.clamps").inc(report.clamps)
-                if report.defaults:
-                    m.counter("sensor.defaults").inc(report.defaults)
-                if report.rejected:
-                    m.counter("sensor.rejected_observations").inc()
-                    if trace_sensor:
-                        tracer.emit(
-                            network.now,
-                            "sensor",
-                            "reject",
-                            subject=router.id,
-                            holds=report.holds,
-                            defaults=report.defaults,
-                        )
-                if report.quarantined:
-                    m.counter("sensor.quarantines").inc()
-                    reason = (
-                        f"sensor quarantine: {obs_guard.quarantine_after} "
-                        "consecutive rejected observations"
-                    )
-                    if not self.policy.enter_safe_mode(router.id, reason):
-                        self._safe_routers.add(router.id)
-                    logger.warning(
-                        "router %d quarantined at cycle %d: %s",
-                        router.id, network.now, reason,
-                    )
-                    if trace_sensor:
-                        tracer.emit(
-                            network.now, "sensor", "quarantine", subject=router.id
-                        )
-            if corrupted and (obs_guard is None or not report.dirty):
+                if report.dirty:
+                    # The guard re-discretized what it repaired.
+                    corrupted = False
+                    holds += report.holds
+                    clamps += report.clamps
+                    defaults += report.defaults
+                    if report.rejected:
+                        self._guard_reject(router.id, report)
+            if corrupted:
                 # Corruption the guard did not repair (in-range stuck/noisy
                 # values it cannot tell from real readings) must still
                 # reach the policy through the discrete state.  With
@@ -456,49 +451,105 @@ class Simulator:
                 # hardened path exists precisely to prevent that).
                 obs.discrete = discretize_observation(
                     obs,
-                    self.state_config,
-                    compact=config.compact_state,
-                    mode=int(router.mode) if config.include_mode_in_state else None,
+                    state_config,
+                    compact=compact,
+                    mode=int(router.mode) if include_mode else None,
                 )
             observations.append(obs)
+        # One increment per counter and epoch; a counter whose tally is
+        # zero is not created.
+        tallies = [("sensor.injected." + kind, n) for kind, n in injected.items()]
+        tallies += [
+            ("sensor.holds", holds),
+            ("sensor.clamps", clamps),
+            ("sensor.defaults", defaults),
+        ]
+        for name, count in tallies:
+            if count:
+                self.metrics.counter(name).inc(count)
+        return observations
 
+    def _guard_reject(self, router_id: int, report: GuardReport) -> None:
+        """Count and trace a rejected observation; degrade the router if
+        the guard quarantined it."""
+        m = self.metrics
+        tracer = self.tracer
+        trace_sensor = tracer is not None and tracer.wants("sensor")
+        now = self.network.now
+        m.counter("sensor.rejected_observations").inc()
+        if trace_sensor:
+            tracer.emit(
+                now,
+                "sensor",
+                "reject",
+                subject=router_id,
+                holds=report.holds,
+                defaults=report.defaults,
+            )
+        if report.quarantined:
+            m.counter("sensor.quarantines").inc()
+            reason = (
+                f"sensor quarantine: {self.obs_guard.quarantine_after} "
+                "consecutive rejected observations"
+            )
+            if not self.policy.enter_safe_mode(router_id, reason):
+                self._safe_routers.add(router_id)
+            logger.warning(
+                "router %d quarantined at cycle %d: %s", router_id, now, reason
+            )
+            if trace_sensor:
+                tracer.emit(now, "sensor", "quarantine", subject=router_id)
+
+    def _learn_stage(
+        self,
+        observations: List[RouterObservation],
+        router_powers: List[float],
+        latency: float,
+    ) -> None:
+        """Reward every router's previous action (paper equation 3) and
+        hand the policy the transition."""
+        if self._prev_obs is None:
+            return
         guard = self._reward_guard_counter
-        if self._prev_obs is not None:
-            for router, obs, prev, action in zip(
-                network.routers, observations, self._prev_obs, self._prev_actions
-            ):
-                before = guard.value
-                reward = compute_reward(
-                    router.epoch.mean_delivered_latency(default_latency),
-                    router_powers[router.id],
-                    counter=guard,
+        tracer = self.tracer
+        learn = self.policy.learn
+        for router, obs, prev, action in zip(
+            self.network.routers, observations, self._prev_obs, self._prev_actions
+        ):
+            before = guard.value
+            reward = compute_reward(
+                router.epoch.mean_delivered_latency(latency),
+                router_powers[router.id],
+                counter=guard,
+            )
+            if tracer is not None and guard.value != before:
+                tracer.emit(
+                    self.network.now,
+                    "reward",
+                    "guard_clamp",
+                    subject=router.id,
+                    clamps=guard.value - before,
                 )
-                if tracer is not None and guard.value != before:
-                    tracer.emit(
-                        network.now,
-                        "reward",
-                        "guard_clamp",
-                        subject=router.id,
-                        clamps=guard.value - before,
-                    )
-                self.policy.learn(router.id, prev, action, reward, obs)
+            learn(router.id, prev, action, reward, obs)
 
+    def _select_stage(
+        self, observations: List[RouterObservation]
+    ) -> List[OperationMode]:
+        """Select each router's mode, debounce it, pin degraded routers to
+        mode 3 and actuate; returns the modes applied."""
+        network = self.network
+        tracer = self.tracer
         trace_rl = tracer is not None and tracer.wants("rl")
-        hysteresis = config.mode_hysteresis_epochs
-        pinned: set = set()
-        if hysteresis:
-            # Debouncing never delays a degradation: quarantined/safe
-            # routers must reach the conservative mode immediately.
-            pinned |= self._safe_routers
-            pinned |= getattr(self.policy, "safe_mode_routers", set())
-            if obs_guard is not None:
-                pinned |= obs_guard.quarantined
+        trace_sensor = tracer is not None and tracer.wants("sensor")
+        hysteresis = self.config.mode_hysteresis_epochs
+        pinned = self._degraded_routers() if hysteresis else set()
+        select = self.policy.select
         actions = []
         for router, obs in zip(network.routers, observations):
             if self.forced_mode is not None:
                 mode = self.forced_mode
             else:
-                mode = self.policy.select(router.id, obs)
+                mode = select(router.id, obs)
                 if trace_rl:
                     q = self.policy.q_values(router.id, obs.discrete)
                     tracer.emit(
@@ -519,7 +570,7 @@ class Simulator:
                 ):
                     # Debounce: a fresh switch holds for the hysteresis
                     # window, so a flapping sensor cannot thrash modes.
-                    m.counter("sensor.debounced_switches").inc()
+                    self.metrics.counter("sensor.debounced_switches").inc()
                     if trace_sensor:
                         tracer.emit(
                             network.now,
@@ -538,52 +589,49 @@ class Simulator:
                 self._last_mode_switch[router.id] = self._epoch_index
             network.set_mode(router.id, mode)
             actions.append(mode)
-        self._prev_obs = observations
-        self._prev_actions = actions
-        self._epoch_index += 1
+        return actions
 
-        if self.mode_bank is not None:
+    def _degraded_routers(self) -> set:
+        """Routers in safe mode or quarantine; debouncing never delays a
+        degradation, so these reach the conservative mode immediately."""
+        degraded = set(self._safe_routers)
+        degraded |= getattr(self.policy, "safe_mode_routers", set())
+        if self.obs_guard is not None:
+            degraded |= self.obs_guard.quarantined
+        return degraded
+
+    def _soft_error_stage(self, actions: List[OperationMode]) -> None:
+        """Latch the modes into the TMR bank, inject this epoch's SEUs,
+        then scrub on the configured cadence.
+
+        Runs after the policy's mode writes: corruption lands *after*
+        this epoch's decisions and influences the next one — unless the
+        scrub repairs it first (``scrub_every=1`` repairs every
+        single-bit upset before it can ever drive behaviour, which is
+        exactly the defended contract the acceptance suite pins down).
+        """
+        if self.soft_errors is None:
+            return
+        network = self.network
+        mode_bank = self.mode_bank
+        if mode_bank is not None:
             # The TMR register bank latches the commanded modes; upsets
             # land in the copies, the datapath reads the majority.
             for router_id, mode in enumerate(actions):
-                self.mode_bank.write(router_id, int(mode))
-        if self.soft_errors is not None:
-            self._soft_error_epoch(network.now)
-
-        if self._measuring:
-            self._measured_epochs += 1
-            self._measured_temp_sum += float(sum(temperatures)) / len(temperatures)
-            self._measured_error_sum += self.injector.mean_probability()
-
-        self._record_epoch_metrics(span, default_latency, temperatures, router_powers)
-
-        network.harvest_epoch_counters(span)
-        network.reset_epoch_counters()
-
-    def _soft_error_epoch(self, now: int) -> None:
-        """Inject this epoch's SEUs, then scrub on the configured cadence.
-
-        Runs at the very end of the epoch boundary, after the policy's
-        mode writes: corruption lands *after* this epoch's decisions and
-        influences the next one — unless the scrub repairs it first
-        (``scrub_every=1`` repairs every single-bit upset before it can
-        ever drive behaviour, which is exactly the defended contract the
-        acceptance suite pins down).
-        """
-        m = self.metrics
-        network = self.network
-        storages = self.policy.q_storages()
+                mode_bank.write(router_id, int(mode))
 
         def flip_mode(router_id: int, bit: int, copy: int) -> None:
-            if self.mode_bank is not None:
-                self.mode_bank.upset(router_id, bit, copy)
+            if mode_bank is not None:
+                mode_bank.upset(router_id, bit, copy)
             else:
                 # Unprotected register: the upset drives the datapath
                 # until the policy's next write overwrites it.
                 current = int(network.routers[router_id].mode)
                 network.set_mode(router_id, OperationMode(current ^ (1 << bit)))
 
-        stats = self.soft_errors.inject(now, storages, flip_mode)
+        m = self.metrics
+        storages = self.policy.q_storages()
+        stats = self.soft_errors.inject(network.now, storages, flip_mode)
         for kind in ("qtable", "mode", "burst"):
             if stats[kind]:
                 m.counter("softerror.injected." + kind).inc(stats[kind])
@@ -594,7 +642,7 @@ class Simulator:
 
         scrub_every = self.config.scrub_every
         if scrub_every and self._epoch_index % scrub_every == 0:
-            self._scrub(now, storages)
+            self._scrub(network.now, storages)
 
     def _scrub(self, now: int, storages) -> None:
         """One scrub pass over every Q storage plus the TMR mode bank."""
@@ -621,26 +669,12 @@ class Simulator:
                 and index not in self._ecc_escalated
                 and storage.quarantined_rows >= storage.QUARANTINE_LIMIT
             ):
-                # The router's learned table is being eaten faster than
-                # it can relearn: degrade it to the safe mode (with a
-                # shared table there is no single router to blame, so
-                # escalation is per-router-agent only).
-                self._ecc_escalated.add(index)
-                reason = (
-                    f"ECC quarantine: {storage.quarantined_rows} Q-table "
-                    "rows lost to uncorrectable soft errors"
-                )
-                if not self.policy.enter_safe_mode(index, reason):
-                    self._safe_routers.add(index)
-                m.counter("ecc.safe_mode_entries").inc()
-                logger.warning(
-                    "router %d degraded at cycle %d: %s", index, now, reason
-                )
+                self._escalate_ecc(now, index, storage.quarantined_rows)
         mode_votes = 0
         if self.mode_bank is not None:
             mode_votes = self.mode_bank.vote()
-            for router in self.network.routers:
-                value = self.mode_bank.read(router.id)
+            for router, copies in zip(self.network.routers, self.mode_bank.copies):
+                value = copies[0]  # after the vote, every copy is the majority
                 if value != int(router.mode):
                     # Majority corrupted (two copies upset between
                     # writes): the register output drives the datapath.
@@ -669,36 +703,58 @@ class Simulator:
                 votes=mode_votes,
             )
 
-    def _record_epoch_metrics(
+    def _escalate_ecc(self, now: int, router_id: int, rows: int) -> None:
+        """The router's learned table is being eaten faster than it can
+        relearn: degrade it to the safe mode (with a shared table there
+        is no single router to blame, so escalation is per-router-agent
+        only)."""
+        self._ecc_escalated.add(router_id)
+        reason = (
+            f"ECC quarantine: {rows} Q-table rows lost to uncorrectable soft errors"
+        )
+        if not self.policy.enter_safe_mode(router_id, reason):
+            self._safe_routers.add(router_id)
+        self.metrics.counter("ecc.safe_mode_entries").inc()
+        logger.warning("router %d degraded at cycle %d: %s", router_id, now, reason)
+
+    def _measure_stage(
         self,
         span: int,
-        mean_latency: float,
-        temperatures: Sequence[float],
-        router_powers: Sequence[float],
+        latency: float,
+        mean_temperature: float,
+        router_powers: List[float],
     ) -> None:
-        """Fold this epoch into the registry and append a timeline row.
+        """Fold the epoch into the measurement window and the metric
+        registry, then harvest and reset the routers' epoch counters.
 
-        Runs at epoch frequency only, touches no RNG, and reads the same
-        aggregates the control loop already computed — so it cannot
-        perturb simulation results (the bench digest gates enforce it).
+        The registry update runs at epoch frequency only, touches no RNG,
+        and reads the same aggregates the control loop already computed
+        — so it cannot perturb simulation results (the bench digest gates
+        enforce it).
         """
+        network = self.network
+        error_probability = self.injector.mean_probability()
+        if self._measuring:
+            self._measured_epochs += 1
+            self._measured_temp_sum += mean_temperature
+            self._measured_error_sum += error_probability
         m = self.metrics
         m.counter("epochs").inc()
         m.gauge("epoch.span").set(span)
-        m.gauge("epoch.mean_latency").set(mean_latency)
-        m.histogram("epoch.latency").record(mean_latency)
-        m.gauge("epoch.mean_temperature").set(
-            float(sum(temperatures)) / len(temperatures)
-        )
-        m.gauge("epoch.mean_error_probability").set(self.injector.mean_probability())
+        m.gauge("epoch.mean_latency").set(latency)
+        m.histogram("epoch.latency").record(latency)
+        m.gauge("epoch.mean_temperature").set(mean_temperature)
+        m.gauge("epoch.mean_error_probability").set(error_probability)
         m.gauge("epoch.mean_router_power_watts").set(
             sum(router_powers) / len(router_powers)
         )
         m.gauge("watchdog.safe_mode_trips").set(len(self.safe_mode_events))
-        if self.network.watchdog is not None:
-            m.gauge("watchdog.checks").set(self.network.watchdog.checks)
-        m.ingest("net", self.network.stats.as_dict())
-        m.snapshot_epoch(self.network.now)
+        if network.watchdog is not None:
+            m.gauge("watchdog.checks").set(network.watchdog.checks)
+        m.ingest("net", network.stats.as_dict())
+        m.snapshot_epoch(network.now)
+        network.harvest_epoch_counters(span)
+        network.reset_epoch_counters()
 
     # ------------------------------------------------------------------
     # The run plan and the one cycle loop

@@ -6,6 +6,7 @@ scrub pass corrects single-bit errors, quarantines double-bit rows, and
 leaves the cache equal to the decoded words at all times.
 """
 
+import itertools
 import math
 import random
 
@@ -41,6 +42,16 @@ class TestQuantization:
 
     def test_quantize_clamps_nan_to_zero(self):
         assert QTableStorage.quantize(float("nan")) == 0.0
+
+    @pytest.mark.parametrize("ecc", [True, False])
+    def test_store_returns_the_quantized_value_and_rejects_nan(self, ecc):
+        agent, storage = _agent_with_storage(ecc=ecc)
+        state = next(iter(storage._words))
+        for value in (1.2345, -7.5, 1e12, -1e12, 0.0):
+            assert storage.store(state, 1, value) == QTableStorage.quantize(value)
+            assert storage._decode(storage._words[state][1]) == QTableStorage.quantize(value)
+        with pytest.raises(ValueError):
+            storage.store(state, 1, float("nan"))
 
     def test_quantize_saturates(self):
         huge = 1e12
@@ -175,6 +186,22 @@ class TestTmrModeBank:
         assert bank.vote() == 2
         assert bank.votes == 2
         assert bank.upsets == 2
+
+    def test_bitwise_majority_equals_per_bit_vote(self):
+        # Exhaustive over three copies of 3-bit values: bits above the
+        # 2-bit register never reach the datapath.
+        bank = TmrModeBank(1)
+        for copies in itertools.product(range(8), repeat=3):
+            expected = sum(
+                1 << bit
+                for bit in range(TmrModeBank.REGISTER_BITS)
+                if sum((reg >> bit) & 1 for reg in copies) >= 2
+            )
+            bank.copies[0] = list(copies)
+            assert bank.read(0) == expected, copies
+            wrong = sum(reg != expected for reg in copies)
+            assert bank.vote() == wrong
+            assert bank.copies[0] == [expected] * 3
 
     def test_needs_routers(self):
         with pytest.raises(ValueError, match="at least one router"):

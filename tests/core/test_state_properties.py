@@ -98,6 +98,15 @@ class TestBoundaries:
         assert CFG.utilization_bin(step * 0.999) == 0
         assert CFG.utilization_bin(step) == 1
 
+    @given(any_float)
+    def test_nack_bin_matches_the_threshold_scan(self, value):
+        # The scan nack_bin's bisection replaced: first threshold above.
+        expected = next(
+            (i for i, t in enumerate(CFG.nack_thresholds) if value < t),
+            len(CFG.nack_thresholds),
+        )
+        assert CFG.nack_bin(value) == expected
+
     def test_nack_thresholds_are_half_open(self):
         for i, threshold in enumerate(CFG.nack_thresholds):
             assert CFG.nack_bin(threshold * 0.999) == i
