@@ -1061,8 +1061,9 @@ def cmd_trace(args) -> int:
     print(f"{len(events)} event(s), {span}")
     for key in sorted(by_kind):
         print(f"  {key:28s} {by_kind[key]}")
-    safe_entries = (
-        by_kind.get("watchdog/safe_mode", 0) + by_kind.get("sensor/quarantine", 0)
+    safe_entries = sum(
+        by_kind.get(key, 0)
+        for key in ("watchdog/safe_mode", "sensor/quarantine", "ecc/safe_mode")
     )
     rejects = by_kind.get("sensor/reject", 0)
     debounced = by_kind.get("sensor/debounce", 0)

@@ -22,7 +22,8 @@ import abc
 import math
 from math import inf, isfinite
 from operator import ne
-from typing import Dict, List, Optional, Set, Tuple
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Set, Tuple
 
 from repro.core.modes import OperationMode
 from repro.core.state import (
@@ -37,36 +38,8 @@ __all__ = [
     "ControlPolicy",
     "GuardReport",
     "ObservationGuard",
-    "RewardGuard",
-    "REWARD_GUARD",
     "compute_reward",
 ]
-
-
-class RewardGuard:
-    """Counts non-finite reward inputs clamped by :func:`compute_reward`.
-
-    A NaN latency or power measurement would flow straight through
-    ``max()`` (NaN comparisons are False, so ``max(nan, floor)`` returns
-    NaN) into the Q-update and poison the table permanently.  The guard
-    clamps such inputs to the idle-epoch floors and keeps a per-process
-    tally so harnesses can surface that the platform produced garbage.
-    """
-
-    __slots__ = ("events",)
-
-    def __init__(self) -> None:
-        self.events = 0
-
-    def reset(self) -> int:
-        """Zero the tally; returns the count consumed."""
-        count = self.events
-        self.events = 0
-        return count
-
-
-#: Process-wide tally of clamped non-finite reward inputs.
-REWARD_GUARD = RewardGuard()
 
 
 def compute_reward(
@@ -85,16 +58,13 @@ def compute_reward(
 
     ``counter`` is any object with an ``inc()`` method (e.g. a
     ``repro.obs.metrics.Counter`` from a per-run registry, which resets
-    cleanly between runs).  The process-wide :data:`REWARD_GUARD` is
-    still bumped as well, for callers without a registry.
+    cleanly between runs); without one the inputs are still clamped.
     """
     if not math.isfinite(mean_latency_cycles):
-        REWARD_GUARD.events += 1
         if counter is not None:
             counter.inc()
         mean_latency_cycles = 1.0
     if not math.isfinite(power_watts):
-        REWARD_GUARD.events += 1
         if counter is not None:
             counter.inc()
         power_watts = 1e-6
@@ -141,7 +111,7 @@ class ObservationGuard:
       and tallied instead of flowing into discretization;
     * **quarantine** — ``quarantine_after`` *consecutive* rejected
       observations escalate the router into the safe-mode fallback
-      (the caller routes this to ``ControlPolicy.enter_safe_mode``).
+      (the simulator records it in its degradation ledger).
 
     A healthy observation passes through untouched — the guard touches
     no RNG and only re-discretizes when it actually repaired something,
@@ -299,6 +269,9 @@ class ControlPolicy(abc.ABC):
 
     #: power/area profile of the router design this policy runs on
     profile: DesignPowerProfile
+    #: routers the policy itself pins to mode 3 (router -> reason), e.g.
+    #: after :meth:`load_state` rejected their tables; read-only
+    safe_mode_routers: Mapping[int, str] = MappingProxyType({})
 
     @property
     def name(self) -> str:
@@ -364,13 +337,13 @@ class ControlPolicy(abc.ABC):
         """
         return []
 
-    def enter_safe_mode(self, router_id: int, reason: str) -> bool:
-        """A runtime invariant tripped (or a loaded table was rejected)
-        for ``router_id``.  Policies that can degrade gracefully pin the
-        router to a conservative mode and return True; the default
-        returns False, telling the simulator to pin the mode itself.
+    def enter_safe_mode(self, router_id: int, reason: str) -> None:
+        """Notification: the simulator pinned ``router_id`` to mode 3
+        (watchdog trip, sensor quarantine or ECC escalation) and keeps it
+        there whatever :meth:`select` returns.  Policies with per-router
+        learned state may stop training the router; the default ignores
+        it.
         """
-        return False
 
     def to_state(self) -> Dict[str, object]:
         """Durable snapshot of the policy's learned state (checkpoints).
@@ -385,6 +358,6 @@ class ControlPolicy(abc.ABC):
 
         The default is a no-op — stateless policies have nothing to
         restore.  Implementations must *validate* before trusting the
-        state and degrade to safe-mode control instead of raising when a
-        router's table is rejected.
+        state and, instead of raising, pin a router whose table is
+        rejected in :attr:`safe_mode_routers`.
         """

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import logging
 import random
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional
 
 from repro.core.controller import ControlPolicy
 from repro.core.modes import OperationMode
@@ -71,10 +71,9 @@ class RLControlPolicy(ControlPolicy):
         self.share_table = share_table
         self.seed = seed
         self._agents: List[QLearningAgent] = []
-        #: routers degraded to SAFE_MODE (rejected table / invariant trip)
-        self.safe_mode_routers: Set[int] = set()
-        #: structured log of every degradation, for reports and tests
-        self.safe_mode_events: List[Dict[str, object]] = []
+        #: routers degraded to SAFE_MODE -> the reason of the first
+        #: degradation (rejected table, or the simulator's notification)
+        self.safe_mode_routers: Dict[int, str] = {}
 
     # ------------------------------------------------------------------
     @property
@@ -198,22 +197,19 @@ class RLControlPolicy(ControlPolicy):
     # ------------------------------------------------------------------
     # Resilience: safe-mode degradation and durable state
     # ------------------------------------------------------------------
-    def enter_safe_mode(self, router_id: int, reason: str) -> bool:
+    def enter_safe_mode(self, router_id: int, reason: str) -> None:
         """Pin ``router_id`` to SAFE_MODE and log the degradation.
 
-        Called when the router's loaded Q-table was rejected or a
-        runtime invariant watchdog tripped mid-epoch.  Idempotent.
+        Called when the router's loaded Q-table was rejected, or by the
+        simulator when it degrades the router.  Idempotent: the first
+        reason is kept.
         """
         if router_id not in self.safe_mode_routers:
-            self.safe_mode_routers.add(router_id)
-            self.safe_mode_events.append(
-                {"router": router_id, "mode": int(SAFE_MODE), "reason": reason}
-            )
+            self.safe_mode_routers[router_id] = reason
             logger.warning(
                 "router %d degraded to mode %d (safe mode): %s",
                 router_id, int(SAFE_MODE), reason,
             )
-        return True
 
     def to_state(self) -> Dict[str, object]:
         """Durable snapshot: hyper-parameters plus every agent's table.
@@ -246,8 +242,7 @@ class RLControlPolicy(ControlPolicy):
         if num_routers <= 0:
             return
         self.share_table = bool(state.get("share_table", self.share_table))
-        self.safe_mode_routers = set()
-        self.safe_mode_events = []
+        self.safe_mode_routers = {}
         agent_states = state.get("agents", [])
         self._agents = []
         self.reset(num_routers)

@@ -1,8 +1,8 @@
 """Structured observability: event tracing and a unified metric registry.
 
 The simulator, network, watchdog, and sweep supervisor historically kept
-ad-hoc tallies (``NetworkStats`` slots, the ``REWARD_GUARD`` module
-global, ``FaultInjector.saturation_events``, ``SweepReport`` fields) and
+ad-hoc tallies (``NetworkStats`` slots, a process-global reward-guard
+tally, ``FaultInjector.saturation_events``, ``SweepReport`` fields) and
 no event-level record at all — end-of-run aggregates could not answer
 *when* a router switched modes or *why* an agent picked an action.
 

@@ -105,7 +105,11 @@ CHECKPOINT_MAGIC = b"RNOCCKPT"
 #: current traffic source and the measurement's start cycle, which the
 #: payload no longer stores beside it, so a version-5 body would resume
 #: without its traffic source.
-CHECKPOINT_VERSION = 6
+#: Version 7: one degradation ledger (``Simulator.degraded``, router ->
+#: reason) replaces the simulator's safe-router, ECC-escalation and
+#: trip-log attributes, and the RL policy's pins became a dict — a
+#: version-6 body has no ledger for the select stage to read.
+CHECKPOINT_VERSION = 7
 
 #: Pretrained-policy campaign artifacts share the container format but
 #: version independently: an artifact body is a ``ControlPolicy.to_state``
@@ -416,11 +420,15 @@ class ResumableRun:
         run.sim.restore_packet_counter(payload.get("next_pid"))
         # Route the learned state through validation: a poisoned table
         # degrades its router to safe mode rather than resuming garbage.
-        run.sim.policy.load_state(payload.get("policy_state"))
-        if getattr(run.sim.policy, "safe_mode_routers", None):
+        policy = run.sim.policy
+        policy.load_state(payload.get("policy_state"))
+        rejected = sorted(policy.safe_mode_routers.keys() - run.sim.degraded.keys())
+        for router_id in rejected:
+            run.sim.degrade(router_id, policy.safe_mode_routers[router_id])
+        if rejected:
             logger.warning(
-                "resume degraded %d router(s) to safe mode",
-                len(run.sim.policy.safe_mode_routers),
+                "resume degraded %d router(s) to safe mode: %s",
+                len(rejected), ", ".join(map(str, rejected)),
             )
         # The trace buffer (if any) travelled inside the pickled sim; the
         # restore marker is the only event a resumed stream has that the

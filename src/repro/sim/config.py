@@ -63,16 +63,13 @@ class SimulationConfig:
     # Hard faults / runtime invariants.  ``fault_spec`` is the campaign
     # spec string of repro.faults.hardfaults ("" = healthy baseline); the
     # watchdog knobs gate the conservation/deadlock/livelock checks
-    # (watchdog_interval=0 disables them entirely).
+    # (watchdog_interval=0 disables them entirely).  A deadlock/livelock
+    # trip pins the implicated routers to mode 3 and the run goes on; a
+    # conservation violation always raises.
     fault_spec: str = ""
     watchdog_interval: int = 256
     deadlock_cycles: int = 4096
     max_packet_age: int = 500_000
-    #: Graceful degradation: when a deadlock/livelock watchdog trips
-    #: mid-epoch, pin the implicated routers to mode 3 (timing
-    #: relaxation) and keep running instead of crashing the simulation.
-    #: Conservation violations always raise regardless of this flag.
-    safe_mode: bool = True
 
     # Sensor faults / control-plane hardening.  ``sensor_spec`` is the
     # telemetry-corruption campaign of repro.faults.sensors ("" = healthy

@@ -184,6 +184,11 @@ class Simulator:
         self._last_mode_switch: List[int] = [-(1 << 30)] * topology.num_nodes
 
         self.policy.reset(topology.num_nodes)
+        #: the degradation ledger: router -> reason it was first pinned to
+        #: mode 3 (watchdog trip, sensor quarantine, ECC escalation, or a
+        #: pin the policy already holds, e.g. from a loaded artifact).
+        #: :meth:`degrade` is its one writer; the select stage reads it.
+        self.degraded: Dict[int, str] = dict(self.policy.safe_mode_routers)
 
         #: memory soft-error campaign (None when config.soft_error_spec
         #: is empty — in which case no storage attaches and the learned
@@ -191,8 +196,6 @@ class Simulator:
         self.soft_errors: Optional[SoftErrorModel] = None
         #: TMR'd mode registers (None when unprotected or upset-free)
         self.mode_bank: Optional[TmrModeBank] = None
-        #: storages already escalated to safe mode by ECC quarantines
-        self._ecc_escalated: set = set()
         if config.soft_error_spec:
             self.soft_errors = SoftErrorModel(
                 parse_soft_error_spec(config.soft_error_spec),
@@ -225,12 +228,6 @@ class Simulator:
         self._measured_temp_sum = 0.0
         self._measured_error_sum = 0.0
         self._measure_before: Optional[StatsSnapshot] = None
-
-        #: structured log of handled watchdog trips (safe-mode entries)
-        self.safe_mode_events: List[Dict[str, object]] = []
-        #: routers the *simulator* pins to mode 3 because the policy
-        #: could not handle the degradation itself
-        self._safe_routers: set = set()
 
         #: run-local message-id sequence for simulator-injected traffic.
         #: Generators leave ``message_id`` to default to the process-global
@@ -279,7 +276,7 @@ class Simulator:
     # Guarded cycle: invariant trips degrade instead of crashing
     # ------------------------------------------------------------------
     def _cycle(self) -> None:
-        """One network cycle; watchdog trips enter safe mode when enabled.
+        """One network cycle; watchdog trips enter safe mode.
 
         Packet-conservation violations always propagate — they indicate a
         protocol bug, not congestion, and no mode change can repair lost
@@ -292,9 +289,7 @@ class Simulator:
         except ConservationError:
             raise
         except NoCInvariantError as exc:
-            if not self.config.safe_mode:
-                raise
-            if len(self.safe_mode_events) >= MAX_SAFE_MODE_TRIPS:
+            if self.metrics.peek("watchdog.safe_mode_entries") >= MAX_SAFE_MODE_TRIPS:
                 raise
             self._enter_safe_mode(exc)
 
@@ -309,17 +304,8 @@ class Simulator:
         ) or [router.id for router in network.routers]
         reason = f"{type(exc).__name__} at cycle {network.now}: {exc}"
         for router_id in implicated:
-            if not self.policy.enter_safe_mode(router_id, reason):
-                self._safe_routers.add(router_id)
+            self.degrade(router_id, reason)
             network.set_mode(router_id, OperationMode.MODE_3)
-        self.safe_mode_events.append(
-            {
-                "cycle": network.now,
-                "error": type(exc).__name__,
-                "routers": implicated,
-                "report": exc.report,
-            }
-        )
         logger.warning(
             "invariant trip handled: %s — %d router(s) degraded to mode 3",
             type(exc).__name__, len(implicated),
@@ -335,6 +321,13 @@ class Simulator:
             )
         if network.watchdog is not None:
             network.watchdog.rearm(network.now)
+
+    def degrade(self, router_id: int, reason: str) -> None:
+        """Record ``router_id`` in the degradation ledger (the first
+        reason is kept) and notify the policy.  From the next select
+        stage on, the router runs in mode 3 and skips the debounce."""
+        self.degraded.setdefault(router_id, reason)
+        self.policy.enter_safe_mode(router_id, reason)
 
     # ------------------------------------------------------------------
     # Control epoch: ordered stages
@@ -492,8 +485,7 @@ class Simulator:
                 f"sensor quarantine: {self.obs_guard.quarantine_after} "
                 "consecutive rejected observations"
             )
-            if not self.policy.enter_safe_mode(router_id, reason):
-                self._safe_routers.add(router_id)
+            self.degrade(router_id, reason)
             logger.warning(
                 "router %d quarantined at cycle %d: %s", router_id, now, reason
             )
@@ -542,7 +534,7 @@ class Simulator:
         trace_rl = tracer is not None and tracer.wants("rl")
         trace_sensor = tracer is not None and tracer.wants("sensor")
         hysteresis = self.config.mode_hysteresis_epochs
-        pinned = self._degraded_routers() if hysteresis else set()
+        degraded = self.degraded
         select = self.policy.select
         actions = []
         for router, obs in zip(network.routers, observations):
@@ -564,7 +556,7 @@ class Simulator:
                 if (
                     hysteresis
                     and mode != router.mode
-                    and router.id not in pinned
+                    and router.id not in degraded
                     and self._epoch_index - self._last_mode_switch[router.id]
                     < hysteresis
                 ):
@@ -581,24 +573,15 @@ class Simulator:
                             wanted=int(mode),
                         )
                     mode = router.mode
-            if router.id in self._safe_routers:
-                # The policy could not degrade itself; the simulator pins
-                # the router to the conservative mode on its behalf.
+            if router.id in degraded:
+                # A degraded router stays in the conservative mode, whatever
+                # the policy or the pre-training curriculum asks for.
                 mode = OperationMode.MODE_3
             if mode != router.mode:
                 self._last_mode_switch[router.id] = self._epoch_index
             network.set_mode(router.id, mode)
             actions.append(mode)
         return actions
-
-    def _degraded_routers(self) -> set:
-        """Routers in safe mode or quarantine; debouncing never delays a
-        degradation, so these reach the conservative mode immediately."""
-        degraded = set(self._safe_routers)
-        degraded |= getattr(self.policy, "safe_mode_routers", set())
-        if self.obs_guard is not None:
-            degraded |= self.obs_guard.quarantined
-        return degraded
 
     def _soft_error_stage(self, actions: List[OperationMode]) -> None:
         """Latch the modes into the TMR bank, inject this epoch's SEUs,
@@ -666,7 +649,7 @@ class Simulator:
                 )
             if (
                 per_router
-                and index not in self._ecc_escalated
+                and index not in self.degraded
                 and storage.quarantined_rows >= storage.QUARANTINE_LIMIT
             ):
                 self._escalate_ecc(now, index, storage.quarantined_rows)
@@ -708,14 +691,15 @@ class Simulator:
         relearn: degrade it to the safe mode (with a shared table there
         is no single router to blame, so escalation is per-router-agent
         only)."""
-        self._ecc_escalated.add(router_id)
         reason = (
             f"ECC quarantine: {rows} Q-table rows lost to uncorrectable soft errors"
         )
-        if not self.policy.enter_safe_mode(router_id, reason):
-            self._safe_routers.add(router_id)
+        self.degrade(router_id, reason)
         self.metrics.counter("ecc.safe_mode_entries").inc()
         logger.warning("router %d degraded at cycle %d: %s", router_id, now, reason)
+        tracer = self.tracer
+        if tracer is not None and tracer.wants("ecc"):
+            tracer.emit(now, "ecc", "safe_mode", subject=router_id, rows=rows)
 
     def _measure_stage(
         self,
@@ -748,7 +732,6 @@ class Simulator:
         m.gauge("epoch.mean_router_power_watts").set(
             sum(router_powers) / len(router_powers)
         )
-        m.gauge("watchdog.safe_mode_trips").set(len(self.safe_mode_events))
         if network.watchdog is not None:
             m.gauge("watchdog.checks").set(network.watchdog.checks)
         m.ingest("net", network.stats.as_dict())

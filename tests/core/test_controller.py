@@ -5,6 +5,7 @@ import pytest
 from repro.core.controller import ControlPolicy, compute_reward
 from repro.core.modes import OperationMode
 from repro.core.state import RouterObservation
+from repro.obs import MetricRegistry
 from repro.power.orion import DesignPowerProfile
 
 
@@ -68,29 +69,25 @@ class TestPolicyInterface:
 
 class TestRewardGuard:
     def test_nan_latency_clamped_and_counted(self):
-        from repro.core.controller import REWARD_GUARD
-
-        REWARD_GUARD.reset()
-        reward = compute_reward(float("nan"), 0.01)
+        counter = MetricRegistry().counter("reward.guard_clamps")
+        reward = compute_reward(float("nan"), 0.01, counter=counter)
         assert reward == pytest.approx(compute_reward(1.0, 0.01))
-        assert REWARD_GUARD.events == 1
+        assert counter.value == 1
 
     def test_nan_power_clamped_and_counted(self):
-        from repro.core.controller import REWARD_GUARD
-
-        REWARD_GUARD.reset()
-        reward = compute_reward(20.0, float("nan"))
+        counter = MetricRegistry().counter("reward.guard_clamps")
+        reward = compute_reward(20.0, float("nan"), counter=counter)
         assert reward == pytest.approx(compute_reward(20.0, 1e-6))
-        assert REWARD_GUARD.events == 1
+        assert counter.value == 1
 
     def test_inf_inputs_clamped(self):
-        from repro.core.controller import REWARD_GUARD
-
-        REWARD_GUARD.reset()
         import math
 
-        assert math.isfinite(compute_reward(float("inf"), float("-inf")))
-        assert REWARD_GUARD.events == 2
+        counter = MetricRegistry().counter("reward.guard_clamps")
+        assert math.isfinite(
+            compute_reward(float("inf"), float("-inf"), counter=counter)
+        )
+        assert counter.value == 2
 
     def test_reward_never_nan(self):
         import math
@@ -98,11 +95,3 @@ class TestRewardGuard:
         for latency in (float("nan"), float("inf"), -1.0, 0.0, 5.0):
             for power in (float("nan"), float("inf"), -1.0, 0.0, 0.01):
                 assert math.isfinite(compute_reward(latency, power))
-
-    def test_guard_reset_returns_count(self):
-        from repro.core.controller import REWARD_GUARD
-
-        REWARD_GUARD.reset()
-        compute_reward(float("nan"), float("nan"))
-        assert REWARD_GUARD.reset() == 2
-        assert REWARD_GUARD.events == 0

@@ -13,7 +13,7 @@ import warnings
 
 import pytest
 
-from repro.core.controller import REWARD_GUARD, compute_reward
+from repro.core.controller import compute_reward
 from repro.faults.hardfaults import HardFaultModel, HardFaultSchedule
 from repro.faults.injector import FaultInjector
 from repro.faults.varius import VariusModel
@@ -159,15 +159,13 @@ class TestTallyMigration:
         registry.reset()
         assert injector.saturation_events == 0
 
-    def test_compute_reward_counts_into_both_guard_and_counter(self):
+    def test_compute_reward_counts_into_the_given_counter(self):
         registry = MetricRegistry()
         counter = registry.counter("reward.guard_clamps")
-        REWARD_GUARD.reset()
         reward = compute_reward(float("nan"), float("inf"), counter=counter)
         assert reward == compute_reward(1.0, 1e-6)
         assert counter.value == 2
-        assert REWARD_GUARD.events == 2
-        REWARD_GUARD.reset()
+        assert registry.snapshot()["counters"]["reward.guard_clamps"] == 2
 
     def test_fresh_simulator_registry_starts_clean(self):
         from repro.sim import Simulator, default_design_factories

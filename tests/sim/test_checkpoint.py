@@ -299,8 +299,21 @@ class TestResumableRun:
         save_checkpoint(tmp_path / "run.ckpt", payload, meta)
 
         resumed = ResumableRun.resume(tmp_path / "run.ckpt")
-        assert resumed.sim.policy.safe_mode_routers
-        assert resumed.sim.policy.safe_mode_events
+        # The "rl" design shares one table, so its rejection pins every
+        # router, in the policy and in the simulator's ledger.
+        every_router = set(range(config.num_nodes))
+        assert set(resumed.sim.policy.safe_mode_routers) == every_router
+        assert set(resumed.sim.degraded) == every_router
+        assert all(
+            reason.startswith("rejected Q-table")
+            for reason in resumed.sim.degraded.values()
+        )
+
+    def test_checkpoint_from_before_the_ledger_rejected(self, tmp_path):
+        """Version-6 bodies pickle a simulator without ``degraded``."""
+        save_checkpoint(tmp_path / "old.ckpt", {"sim": None}, {}, version=6)
+        with pytest.raises(CheckpointError, match="checkpoint version 6;"):
+            ResumableRun.resume(tmp_path / "old.ckpt")
 
     def test_non_run_checkpoint_rejected(self, tmp_path):
         save_checkpoint(tmp_path / "other.ckpt", {"not": "a run"}, {})

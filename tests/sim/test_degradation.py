@@ -1,0 +1,213 @@
+"""The degradation paths: watchdog trips, guard quarantines, ECC
+escalation and pinned routers during the pre-training curriculum.
+
+A degraded router runs in mode 3 (timing relaxation) from the epoch it
+degrades until the run ends, whatever the policy or the curriculum asks
+for.  These tests drive each path on a 3x3 mesh and watch the modes the
+select stage hands to ``Network.set_mode``.
+"""
+
+import re
+
+import pytest
+
+from repro.baselines import crc_policy
+from repro.cli import main
+from repro.core.modes import OperationMode
+from repro.core.qlearning import QTableStorage
+from repro.core.rl_policy import RLControlPolicy
+from repro.noc.watchdog import ConservationError, DeadlockError
+from repro.obs import TraceBuffer, write_trace_jsonl
+from repro.sim import Simulator, scaled_config, synthesize_benchmark_trace
+from repro.sim.simulator import MAX_SAFE_MODE_TRIPS
+from repro.traffic import TraceRecord
+
+STUCK_ROUTER = 3
+#: Q-table upsets heavy enough that some per-router tables pass
+#: QUARANTINE_LIMIT during pre-training
+SOFT_ERRORS = "qtable@2e-3"
+
+
+def mesh_config(**overrides):
+    """A 3x3 mesh whose 3000-cycle pre-training gives every curriculum
+    segment at least one epoch boundary."""
+    return scaled_config(
+        width=3, height=3, epoch_cycles=100, pretrain_cycles=3000,
+        warmup_cycles=0, **overrides,
+    )
+
+
+def record_set_mode(sim):
+    """Log every ``(cycle, router, mode)`` handed to ``Network.set_mode``."""
+    calls = []
+    real = sim.network.set_mode
+
+    def set_mode(router_id, mode):
+        calls.append((sim.network.now, router_id, int(mode)))
+        real(router_id, mode)
+
+    sim.network.set_mode = set_mode
+    return calls
+
+
+def trip_when(sim, when, error=DeadlockError):
+    """After each real cycle for which ``when(cycle)`` holds, raise a
+    watchdog error that names :data:`STUCK_ROUTER`."""
+    real = sim.network.cycle
+
+    def cycle():
+        real()
+        if when(sim.network.now):
+            raise error("stuck", {"stuck": [{"router": STUCK_ROUTER}]})
+
+    sim.network.cycle = cycle
+
+
+def long_trace(n=200):
+    return [TraceRecord(i * 3, i % 9, (i + 4) % 9, 4) for i in range(n)]
+
+
+class TestWatchdogTrip:
+    TRIP_CYCLE = 150
+
+    def test_trip_pins_the_router_for_the_rest_of_the_run(self):
+        sim = Simulator(mesh_config(), crc_policy(), seed=2)
+        calls = record_set_mode(sim)
+        trip_when(sim, lambda now: now == self.TRIP_CYCLE)
+        result = sim.measure_trace(long_trace(), "tiny")
+
+        assert result.safe_mode_entries == 1
+        later = [(now, mode) for now, rid, mode in calls
+                 if rid == STUCK_ROUTER and now >= self.TRIP_CYCLE]
+        assert {mode for _, mode in later} == {int(OperationMode.MODE_3)}
+        epoch = sim.config.epoch_cycles
+        epochs = {now for now, _ in later if now % epoch == 0}
+        first = -(-self.TRIP_CYCLE // epoch) * epoch
+        assert epochs == set(range(first, sim.network.now + 1, epoch))
+        # The static design keeps every other router in its own mode.
+        others = {mode for _, rid, mode in calls if rid != STUCK_ROUTER}
+        assert others == {int(OperationMode.MODE_0)}
+
+    def test_trip_past_the_cap_propagates(self):
+        sim = Simulator(mesh_config(), crc_policy(), seed=2)
+        trip_when(sim, lambda now: now >= 10)
+        with pytest.raises(DeadlockError):
+            sim.measure_trace(long_trace(), "tiny")
+        assert sim.network.now == 10 + MAX_SAFE_MODE_TRIPS
+        assert sim.metrics.peek("watchdog.safe_mode_entries") == MAX_SAFE_MODE_TRIPS
+
+    def test_conservation_error_propagates_at_once(self):
+        sim = Simulator(mesh_config(), crc_policy(), seed=2)
+        trip_when(sim, lambda now: now == 50, error=ConservationError)
+        with pytest.raises(ConservationError):
+            sim.measure_trace(long_trace(), "tiny")
+        assert sim.network.now == 50
+        assert sim.metrics.peek("watchdog.safe_mode_entries") == 0
+
+
+class TestGuardQuarantine:
+    def test_quarantined_static_router_is_pinned_without_debounce(self):
+        """Every reading lost: the guard quarantines each router after
+        ``sensor_quarantine_k`` epochs.  The static design keeps asking
+        for mode 0, so right after the pin the debounce would hold the
+        router back if the pin were not exempt from it."""
+        config = mesh_config(
+            sensor_spec="drop@1.0:all", sensor_quarantine_k=2, mode_hysteresis_epochs=3,
+        )
+        sim = Simulator(config, crc_policy(), seed=2)
+        calls = record_set_mode(sim)
+        result = sim.measure_trace(long_trace(), "tiny")
+
+        assert result.safe_mode_entries == 9
+        assert sim.metrics.peek("sensor.debounced_switches") == 0
+        epoch = config.epoch_cycles
+        # Quarantined at the second epoch's observe stage, pinned by its
+        # select stage and held in mode 3 from then on.
+        assert {mode for now, _, mode in calls if now < 2 * epoch} == {0}
+        assert {mode for now, _, mode in calls if now >= 2 * epoch} == {3}
+
+
+def over_limit(policy):
+    """Routers whose Q storage lost at least QUARANTINE_LIMIT rows."""
+    return {
+        index
+        for index, storage in enumerate(policy.q_storages())
+        if storage.quarantined_rows >= QTableStorage.QUARANTINE_LIMIT
+    }
+
+
+class TestEccEscalation:
+    def test_every_router_over_the_limit_is_pinned_once(self):
+        policy = RLControlPolicy(share_table=False, seed=0)
+        escalations = []
+        notify = policy.enter_safe_mode
+
+        def enter_safe_mode(router_id, reason):
+            if reason.startswith("ECC quarantine"):
+                escalations.append(router_id)
+            return notify(router_id, reason)
+
+        policy.enter_safe_mode = enter_safe_mode
+        sim = Simulator(mesh_config(soft_error_spec=SOFT_ERRORS), policy, seed=0)
+        sim.pretrain()
+        escalated = over_limit(policy)
+        assert len(escalated) == 5
+        assert set(policy.safe_mode_routers) == escalated
+        assert sorted(escalations) == sorted(escalated)
+        assert sim.metrics.peek("ecc.safe_mode_entries") == len(escalated)
+
+    def test_trace_summary_counts_ecc_escalations(self, tmp_path, capsys):
+        config = mesh_config(soft_error_spec=SOFT_ERRORS)
+        policy = RLControlPolicy(share_table=False, seed=0)
+        tracer = TraceBuffer()
+        sim = Simulator(config, policy, seed=0, tracer=tracer)
+        sim.pretrain()
+        policy.freeze()
+        records = synthesize_benchmark_trace("blackscholes", config, 100, 0)
+        result = sim.measure_trace(records, "blackscholes")
+        assert tracer.dropped == 0
+        escalated = [
+            ev.subject for ev in tracer if (ev.category, ev.kind) == ("ecc", "safe_mode")
+        ]
+        assert sorted(escalated) == sorted(sim.degraded) == sorted(over_limit(policy))
+
+        trace_file = tmp_path / "ecc.jsonl"
+        write_trace_jsonl(tracer, str(trace_file))
+        assert main(["trace", str(trace_file)]) == 0
+        summary = capsys.readouterr().out
+        count = re.search(r"degradation: (\d+) safe-mode entr", summary)
+        assert count is not None
+        assert int(count.group(1)) == result.safe_mode_entries == len(escalated)
+
+
+class TestCurriculum:
+    PINNED = 4
+
+    def _pinned_policy(self):
+        # As a loaded artifact would: the policy already pins the router
+        # when the simulator is built.
+        policy = RLControlPolicy(share_table=True, seed=0)
+        policy.enter_safe_mode(self.PINNED, "degraded before snapshot")
+        return policy
+
+    def test_ledger_starts_with_the_policys_pins(self):
+        sim = Simulator(mesh_config(), self._pinned_policy(), seed=0)
+        assert sim.degraded == {self.PINNED: "degraded before snapshot"}
+        sim.degrade(self.PINNED, "watchdog trip")
+        sim.degrade(STUCK_ROUTER, "watchdog trip")
+        # The first reason is kept, and the policy hears of every pin.
+        expected = {self.PINNED: "degraded before snapshot", STUCK_ROUTER: "watchdog trip"}
+        assert sim.degraded == expected
+        assert sim.policy.safe_mode_routers == expected
+
+    def test_curriculum_keeps_a_pinned_router_in_mode_3(self):
+        sim = Simulator(mesh_config(), self._pinned_policy(), seed=0)
+        calls = record_set_mode(sim)
+        sim.pretrain()
+        pinned = [mode for _, rid, mode in calls if rid == self.PINNED]
+        # One select stage per epoch, forced-mode segments included.
+        assert len(pinned) == sim.network.now // sim.config.epoch_cycles
+        assert set(pinned) == {int(OperationMode.MODE_3)}
+        # The curriculum did force every mode onto the other routers.
+        others = {mode for _, rid, mode in calls if rid != self.PINNED}
+        assert others == {int(mode) for mode in OperationMode}
