@@ -1,6 +1,6 @@
 """Command-line interface: run experiments without writing Python.
 
-Eight subcommands:
+Seven subcommands:
 
 ``run``
     One (design, benchmark) measurement with the full phase structure,
@@ -34,11 +34,6 @@ Eight subcommands:
     holds, quarantines; ECC corrections, detections, TMR votes; or,
     with ``--no-sensor-defenses`` / ``--no-ecc``, what the faults did
     unopposed).
-``bench``
-    Kernel throughput benchmark (fast vs naive cycle kernel) over the
-    idle/saturated/chaos/traced scenarios; ``--check BENCH_kernel.json``
-    fails on a speedup-ratio regression or a result-digest mismatch,
-    ``--output`` appends the run to the trajectory file.
 ``trace``
     Inspect a JSONL event trace written by ``run/resume/chaos --trace``:
     per-category summary, ``--tail N`` events, the canonical stream
@@ -116,13 +111,6 @@ from repro.obs import (
     write_metrics_csv,
     write_metrics_json,
     write_trace_jsonl,
-)
-from repro.sim.bench import (
-    SCENARIOS as BENCH_SCENARIOS,
-    check_digests,
-    check_regression,
-    format_report,
-    run_bench,
 )
 from repro.sim.checkpoint import CheckpointError, ResumableRun, read_checkpoint_meta
 from repro.sim.sweep import (
@@ -416,39 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_platform_args(chaos)
     _add_sweep_args(chaos)
     _add_trace_args(chaos)
-
-    bench = sub.add_parser(
-        "bench", help="fast-vs-naive cycle-kernel throughput benchmark"
-    )
-    bench.add_argument(
-        "--quick", action="store_true",
-        help="reduced cycle counts (CI smoke scale)",
-    )
-    bench.add_argument(
-        "--scenarios", default=None,
-        help="comma-separated subset of: " + ", ".join(BENCH_SCENARIOS),
-    )
-    bench.add_argument("--width", type=int, default=4, help="mesh width")
-    bench.add_argument("--height", type=int, default=4, help="mesh height")
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument(
-        "--check", default=None, metavar="FILE",
-        help="compare speedup ratios against the latest entry of FILE; "
-        "exit 1 on regression",
-    )
-    bench.add_argument(
-        "--threshold", type=float, default=0.25,
-        help="allowed fractional speedup erosion for --check (default: %(default)s)",
-    )
-    bench.add_argument(
-        "--output", default=None, metavar="FILE",
-        help="append this run as a new entry of the trajectory FILE",
-    )
-    bench.add_argument(
-        "--label", default=None,
-        help="label recorded with the --output entry",
-    )
-    bench.add_argument("--json", action="store_true", help="emit JSON instead of text")
 
     camp = sub.add_parser(
         "campaign",
@@ -934,106 +889,6 @@ def cmd_chaos(args) -> int:
     return 0 if succeeded and not worst else 1
 
 
-def _load_trajectory(path: str) -> dict:
-    """Read a BENCH_kernel.json trajectory file ({version, entries})."""
-    try:
-        with open(path) as handle:
-            data = json.load(handle)
-    except FileNotFoundError:
-        return {"version": 1, "entries": []}
-    except (OSError, ValueError) as exc:
-        raise SystemExit(f"cannot read {path}: {exc}") from None
-    if not isinstance(data, dict) or not isinstance(data.get("entries"), list):
-        raise SystemExit(f"{path} is not a bench trajectory file")
-    return data
-
-
-def _latest_baseline(trajectory: dict) -> Optional[dict]:
-    """Most recent entry carrying speedup ratios (regression baseline)."""
-    for entry in reversed(trajectory["entries"]):
-        if entry.get("speedups"):
-            return entry
-    return None
-
-
-def cmd_bench(args) -> int:
-    names = None
-    if args.scenarios:
-        names = [s.strip() for s in args.scenarios.split(",") if s.strip()]
-        unknown = [n for n in names if n not in BENCH_SCENARIOS]
-        if unknown:
-            raise SystemExit(
-                f"unknown scenario(s) {', '.join(unknown)}; pick from "
-                + ", ".join(BENCH_SCENARIOS)
-            )
-    print(
-        f"benchmarking kernels ({'quick' if args.quick else 'full'} scale, "
-        f"{args.width}x{args.height} mesh, seed {args.seed}) ...",
-        file=sys.stderr,
-    )
-    try:
-        payload = run_bench(
-            quick=args.quick, seed=args.seed,
-            width=args.width, height=args.height, scenarios=names,
-        )
-    except RuntimeError as exc:
-        raise SystemExit(str(exc)) from None
-
-    status = 0
-    failures: list = []
-    if args.check is not None:
-        trajectory = _load_trajectory(args.check)
-        baseline = _latest_baseline(trajectory)
-        if baseline is None:
-            print(
-                f"[bench] no baseline with speedups in {args.check}; "
-                "nothing to check against",
-                file=sys.stderr,
-            )
-        else:
-            failures = check_regression(payload, baseline, args.threshold)
-            for failure in failures:
-                print(f"[bench] REGRESSION {failure}", file=sys.stderr)
-            if not failures:
-                print(
-                    f"[bench] speedups within {args.threshold:.0%} of baseline "
-                    f"{baseline.get('label', '(unlabelled)')}",
-                    file=sys.stderr,
-                )
-        digest_failures = check_digests(payload, trajectory)
-        for failure in digest_failures:
-            print(f"[bench] DIGEST DRIFT {failure}", file=sys.stderr)
-        if not digest_failures:
-            print(
-                "[bench] stats digests match every baseline entry at this "
-                "measurement point",
-                file=sys.stderr,
-            )
-        failures = failures + digest_failures
-        if failures:
-            status = 1
-
-    if args.output is not None:
-        trajectory = _load_trajectory(args.output)
-        entry = dict(payload)
-        if args.label:
-            entry["label"] = args.label
-        trajectory["entries"].append(entry)
-        with open(args.output, "w") as handle:
-            json.dump(trajectory, handle, indent=2)
-            handle.write("\n")
-        print(
-            f"[bench] appended entry #{len(trajectory['entries'])} to {args.output}",
-            file=sys.stderr,
-        )
-
-    if args.json:
-        print(json.dumps({"result": payload, "regressions": failures}, indent=2))
-    else:
-        print(format_report(payload))
-    return status
-
-
 def cmd_trace(args) -> int:
     try:
         events = read_trace_jsonl(args.file)
@@ -1092,7 +947,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "compare": cmd_compare,
         "sweep": cmd_sweep,
         "chaos": cmd_chaos,
-        "bench": cmd_bench,
         "trace": cmd_trace,
         "campaign": cmd_campaign,
     }

@@ -17,7 +17,6 @@ encodes everything router-specific the reward depends on.
 
 from __future__ import annotations
 
-import logging
 import random
 from typing import Dict, List, Optional
 
@@ -29,7 +28,6 @@ from repro.power.orion import DesignPowerProfile
 
 __all__ = ["RLControlPolicy", "SAFE_MODE"]
 
-logger = logging.getLogger("repro.core.rl_policy")
 
 #: The conservative fallback: mode 3 (timing relaxation) makes errors and
 #: retransmissions essentially vanish at a known latency cost — the right
@@ -198,18 +196,13 @@ class RLControlPolicy(ControlPolicy):
     # Resilience: safe-mode degradation and durable state
     # ------------------------------------------------------------------
     def enter_safe_mode(self, router_id: int, reason: str) -> None:
-        """Pin ``router_id`` to SAFE_MODE and log the degradation.
+        """Pin ``router_id`` to SAFE_MODE.
 
         Called when the router's loaded Q-table was rejected, or by the
-        simulator when it degrades the router.  Idempotent: the first
-        reason is kept.
+        simulator when it degrades the router (the simulator logs the
+        degradation).  Idempotent: the first reason is kept.
         """
-        if router_id not in self.safe_mode_routers:
-            self.safe_mode_routers[router_id] = reason
-            logger.warning(
-                "router %d degraded to mode %d (safe mode): %s",
-                router_id, int(SAFE_MODE), reason,
-            )
+        self.safe_mode_routers.setdefault(router_id, reason)
 
     def to_state(self) -> Dict[str, object]:
         """Durable snapshot: hyper-parameters plus every agent's table.

@@ -19,8 +19,9 @@ This package adds two cross-cutting primitives:
 Both are strictly opt-in: every hook site in the hot kernels guards on
 ``tracer is not None`` at *event* frequency (never per flit or per
 cycle), so a run with tracing disabled is bit-identical to the
-pre-observability code paths — enforced by the ``traced`` bench scenario
-and the digest gates against ``BENCH_kernel.json``.
+pre-observability code paths, and one with tracing enabled gives the
+same results — enforced by ``tests/obs/test_overhead.py`` and the
+golden-trace tests.
 """
 
 from repro.obs.trace import (

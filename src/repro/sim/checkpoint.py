@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import logging
 import os
 import pickle
 import struct
@@ -76,7 +75,6 @@ __all__ = [
     "ResumableRun",
 ]
 
-logger = logging.getLogger("repro.sim.checkpoint")
 
 CHECKPOINT_MAGIC = b"RNOCCKPT"
 #: Version 2: the pickled object graph gained the activity-driven kernel
@@ -425,11 +423,6 @@ class ResumableRun:
         rejected = sorted(policy.safe_mode_routers.keys() - run.sim.degraded.keys())
         for router_id in rejected:
             run.sim.degrade(router_id, policy.safe_mode_routers[router_id])
-        if rejected:
-            logger.warning(
-                "resume degraded %d router(s) to safe mode: %s",
-                len(rejected), ", ".join(map(str, rejected)),
-            )
         # The trace buffer (if any) travelled inside the pickled sim; the
         # restore marker is the only event a resumed stream has that the
         # uninterrupted one lacks, and the canonical digest excludes it.

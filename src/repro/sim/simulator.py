@@ -50,7 +50,6 @@ from repro.faults.thermal import ThermalGrid
 from repro.faults.varius import VariusModel
 from repro.noc.network import Network
 from repro.noc.packet import Packet
-from repro.noc.routing import ROUTING_FUNCTIONS
 from repro.noc.topology import MeshTopology, Port
 from repro.noc.watchdog import ConservationError, NoCInvariantError
 from repro.obs.metrics import MetricRegistry
@@ -60,7 +59,7 @@ from repro.sim.metrics import RunResult, StatsSnapshot
 from repro.traffic.synthetic import SyntheticTraffic
 from repro.traffic.trace import TraceRecord, TraceReplayer
 
-__all__ = ["TrafficSource", "Segment", "Simulator"]
+__all__ = ["TrafficSource", "Segment", "Simulator", "build_network"]
 
 logger = logging.getLogger("repro.sim.simulator")
 
@@ -68,6 +67,36 @@ logger = logging.getLogger("repro.sim.simulator")
 #: the original exception propagates — safe mode is a degradation path,
 #: not an infinite retry loop.
 MAX_SAFE_MODE_TRIPS = 16
+
+
+def build_network(
+    config: SimulationConfig,
+    rng: random.Random,
+    routing: Optional[str] = None,
+    routing_seed: int = 0,
+    kernel: Optional[str] = None,
+) -> Network:
+    """The mesh ``config`` describes: its size, routing (``routing``
+    overrides ``config.routing``), router, link and error parameters and
+    watchdog settings.  ``kernel`` is deliberately not part of
+    :class:`SimulationConfig`: both kernels are bit-identical, and
+    sweep-cache keys hash the config."""
+    return Network(
+        MeshTopology(config.width, config.height),
+        routing_fn=routing or config.routing,
+        num_vcs=config.num_vcs,
+        vc_depth=config.vc_depth,
+        flit_bits=config.flit_bits,
+        arq_capacity=config.arq_capacity,
+        channel_latency=config.channel_latency,
+        rng=rng,
+        error_severity=config.error_severity,
+        routing_seed=routing_seed,
+        watchdog_interval=config.watchdog_interval,
+        deadlock_cycles=config.deadlock_cycles,
+        max_packet_age=config.max_packet_age,
+        kernel=kernel,
+    )
 
 
 class TrafficSource(Protocol):
@@ -108,25 +137,10 @@ class Simulator:
         self.policy = policy
         self.seed = seed
 
-        topology = MeshTopology(config.width, config.height)
-        self.network = Network(
-            topology,
-            routing_fn=ROUTING_FUNCTIONS[config.routing],
-            num_vcs=config.num_vcs,
-            vc_depth=config.vc_depth,
-            flit_bits=config.flit_bits,
-            arq_capacity=config.arq_capacity,
-            channel_latency=config.channel_latency,
-            rng=random.Random(seed),
-            error_severity=config.error_severity,
-            routing_seed=seed,
-            watchdog_interval=config.watchdog_interval,
-            deadlock_cycles=config.deadlock_cycles,
-            max_packet_age=config.max_packet_age,
-            # Deliberately NOT part of SimulationConfig: both kernels are
-            # bit-identical, and sweep-cache keys hash the config.
-            kernel=kernel,
+        self.network = build_network(
+            config, random.Random(seed), routing_seed=seed, kernel=kernel
         )
+        topology = self.network.topology
         #: hard-fault campaign (None when config.fault_spec is empty)
         self.hard_faults: Optional[HardFaultModel] = None
         if config.fault_spec:
@@ -188,7 +202,9 @@ class Simulator:
         #: mode 3 (watchdog trip, sensor quarantine, ECC escalation, or a
         #: pin the policy already holds, e.g. from a loaded artifact).
         #: :meth:`degrade` is its one writer; the select stage reads it.
-        self.degraded: Dict[int, str] = dict(self.policy.safe_mode_routers)
+        self.degraded: Dict[int, str] = {}
+        for router_id, reason in list(self.policy.safe_mode_routers.items()):
+            self.degrade(router_id, reason)
 
         #: memory soft-error campaign (None when config.soft_error_spec
         #: is empty — in which case no storage attaches and the learned
@@ -306,10 +322,6 @@ class Simulator:
         for router_id in implicated:
             self.degrade(router_id, reason)
             network.set_mode(router_id, OperationMode.MODE_3)
-        logger.warning(
-            "invariant trip handled: %s — %d router(s) degraded to mode 3",
-            type(exc).__name__, len(implicated),
-        )
         self.metrics.counter("watchdog.safe_mode_entries").inc()
         if self.tracer is not None:
             self.tracer.emit(
@@ -323,10 +335,16 @@ class Simulator:
             network.watchdog.rearm(network.now)
 
     def degrade(self, router_id: int, reason: str) -> None:
-        """Record ``router_id`` in the degradation ledger (the first
-        reason is kept) and notify the policy.  From the next select
-        stage on, the router runs in mode 3 and skips the debounce."""
-        self.degraded.setdefault(router_id, reason)
+        """Record ``router_id`` in the degradation ledger and notify the
+        policy.  The first call for a router keeps its reason and logs
+        the router's one WARNING line.  From the next select stage on,
+        the router runs in mode 3 and skips the debounce."""
+        if router_id not in self.degraded:
+            self.degraded[router_id] = reason
+            logger.warning(
+                "router %d degraded to mode 3 at cycle %d: %s",
+                router_id, self.network.now, reason,
+            )
         self.policy.enter_safe_mode(router_id, reason)
 
     # ------------------------------------------------------------------
@@ -486,9 +504,6 @@ class Simulator:
                 "consecutive rejected observations"
             )
             self.degrade(router_id, reason)
-            logger.warning(
-                "router %d quarantined at cycle %d: %s", router_id, now, reason
-            )
             if trace_sensor:
                 tracer.emit(now, "sensor", "quarantine", subject=router_id)
 
@@ -696,7 +711,6 @@ class Simulator:
         )
         self.degrade(router_id, reason)
         self.metrics.counter("ecc.safe_mode_entries").inc()
-        logger.warning("router %d degraded at cycle %d: %s", router_id, now, reason)
         tracer = self.tracer
         if tracer is not None and tracer.wants("ecc"):
             tracer.emit(now, "ecc", "safe_mode", subject=router_id, rows=rows)

@@ -79,10 +79,8 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.core.modes import OperationMode
 from repro.faults.hardfaults import HardFaultModel, HardFaultSchedule
-from repro.noc.network import Network
 from repro.noc.packet import Packet
 from repro.noc.routing import ROUTING_FUNCTIONS
-from repro.noc.topology import MeshTopology
 from repro.noc.watchdog import NoCInvariantError
 from repro.sim.checkpoint import load_policy_artifact
 from repro.sim.config import SimulationConfig
@@ -94,7 +92,7 @@ from repro.sim.experiment import (
     synthesize_benchmark_trace,
 )
 from repro.sim.metrics import RunResult
-from repro.sim.simulator import Simulator
+from repro.sim.simulator import Simulator, build_network
 from repro.traffic.synthetic import SyntheticTraffic
 
 __all__ = [
@@ -132,7 +130,11 @@ __all__ = [
 #: Schema 7: ``sensor_chaos`` and ``soft_error`` merge into one
 #: ``control_chaos`` kind that applies every point spec and returns one
 #: union ledger, so entries of the two retired kinds must miss.
-CACHE_SCHEMA = 7
+#: Schema 8: ``mode_error`` points build their network from the config
+#: (routing, VCs, buffer depth, flit width, ARQ, link latency, error
+#: severity, watchdog) instead of the constructor defaults, and ``chaos``
+#: points now honour ``error_severity``: non-default configs changed.
+CACHE_SCHEMA = 8
 
 DEFAULT_CACHE_DIR = ".sweep_cache"
 
@@ -391,9 +393,7 @@ def _eval_load(config: SimulationConfig, point: SweepPoint) -> Dict[str, object]
 def _eval_mode_error(config: SimulationConfig, point: SweepPoint) -> Dict[str, object]:
     mode = OperationMode(int(point.design[len("mode"):]))
     rng = random.Random(point.seed)
-    net = Network(
-        MeshTopology(config.width, config.height), rng=random.Random(point.seed + 1)
-    )
+    net = build_network(config, random.Random(point.seed + 1), routing_seed=point.seed)
     net.set_all_modes(mode)
     for _, model in net.channel_models():
         model.event_probability = point.error_probability
@@ -444,20 +444,9 @@ def _eval_chaos(
     result cache — a tracer cannot cross the worker-process boundary,
     and events are a side channel the cache key does not cover.
     """
-    topology = MeshTopology(config.width, config.height)
-    network = Network(
-        topology,
-        routing_fn=point.design,
-        num_vcs=config.num_vcs,
-        vc_depth=config.vc_depth,
-        flit_bits=config.flit_bits,
-        arq_capacity=config.arq_capacity,
-        channel_latency=config.channel_latency,
-        rng=random.Random(point.seed + 1),
+    network = build_network(
+        config, random.Random(point.seed + 1), routing=point.design,
         routing_seed=point.seed,
-        watchdog_interval=config.watchdog_interval,
-        deadlock_cycles=config.deadlock_cycles,
-        max_packet_age=config.max_packet_age,
     )
     if tracer is not None:
         network.attach_tracer(tracer)
@@ -465,7 +454,7 @@ def _eval_chaos(
     network.hard_faults = model
     rate = point.rate if point.rate > 0.0 else 0.1
     rng = random.Random(point.seed + 7)
-    nodes = topology.num_nodes
+    nodes = network.topology.num_nodes
     diagnosis = None
     message_id = 0
     try:

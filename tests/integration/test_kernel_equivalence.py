@@ -7,9 +7,13 @@ pattern, same final statistics.  These tests drive matched networks
 through healthy and hard-fault campaigns under both routing policies and
 under every operation mode (ARQ ACK/NACK traffic, go-back-N rewinds,
 mode-2 duplicates, mode-3 stalls), and compare everything observable.
+Three longer workloads (idle, saturated, chaos) also pin the fast
+kernel's stats digest and bound how much work it skips: idle spans are
+fast-forwarded and idle routers are not visited.
 """
 
 import random
+from typing import Callable, Dict, NamedTuple, Optional
 
 import pytest
 
@@ -49,27 +53,35 @@ def _build(kernel, seed, routing, fault_spec, modes=None, error=0.01):
     return net
 
 
+def _inject_uniform(net, rng, message_id):
+    """One uniform-random 4-flit packet; returns the next message id."""
+    nodes = net.topology.num_nodes
+    src, dst = rng.randrange(nodes), rng.randrange(nodes)
+    if src == dst:
+        return message_id
+    net.inject(Packet(src, dst, 4, 128, net.now, message_id=message_id))
+    return message_id + 1
+
+
 def _drive(net, seed, cycles=1_500, rate=0.15):
     """Uniform random traffic, mixing per-cycle stepping and run() spans."""
     rng = random.Random(seed + 7)
-    nodes = net.topology.num_nodes
     message_id = 0
     end = net.now + cycles
     while net.now < end:
         if rng.random() < rate:
-            src, dst = rng.randrange(nodes), rng.randrange(nodes)
-            if src != dst:
-                net.inject(
-                    Packet(src, dst, 4, 128, net.now, message_id=message_id)
-                )
-                message_id += 1
+            message_id = _inject_uniform(net, rng, message_id)
         # Alternate single cycles with short run() spans so the
         # fast-forward path participates in the equivalence check.
         if net.now % 7 == 0:
             net.run(3)
         else:
             net.cycle()
-    deadline = net.now + 50_000
+    _drain(net)
+
+
+def _drain(net, limit=50_000):
+    deadline = net.now + limit
     while not net.quiescent and net.now < deadline:
         net.cycle()
 
@@ -136,6 +148,122 @@ def test_kernels_bit_identical_under_arq(modes, fault_spec):
     assert naive["flit_retransmissions"] > 0
     if modes in ("all2", "mixed"):
         assert naive["duplicate_flits"] > 0
+
+
+def _drive_idle(net, cycles, rng):
+    """Three packets every 2 000 cycles; run() spans the silence."""
+    message_id = 0
+    end = net.now + cycles
+    while net.now < end:
+        for _ in range(3):
+            message_id = _inject_uniform(net, rng, message_id)
+        net.run(min(2_000, end - net.now))
+    _drain(net)
+
+
+def _drive_saturated(net, cycles, rng):
+    """Offered load past the saturation knee, capped at 16 outstanding
+    messages per node, so every router is active most cycles."""
+    nodes = net.topology.num_nodes
+    message_id = 0
+    end = net.now + cycles
+    while net.now < end:
+        if net.stats.outstanding_messages < 16 * nodes:
+            for _ in range(nodes // 4):
+                if rng.random() < 0.5:
+                    message_id = _inject_uniform(net, rng, message_id)
+        net.cycle()
+    _drain(net)
+
+
+def _drive_moderate(net, cycles, rng):
+    """One packet every ten cycles on average, stepped cycle by cycle."""
+    message_id = 0
+    end = net.now + cycles
+    while net.now < end:
+        if rng.random() < 0.1:
+            message_id = _inject_uniform(net, rng, message_id)
+        net.cycle()
+    _drain(net)
+
+
+class Workload(NamedTuple):
+    routing: str
+    fault_spec: Optional[str]
+    error: float
+    driver: Callable
+    cycles: int
+    #: the fast kernel's stats digest at seed 0
+    digest: Dict[str, object]
+    #: least share of ``cycles`` the fast kernel must fast-forward
+    min_fast_forwarded: float = 0.0
+    #: most router visits the fast kernel may make, as a share of the
+    #: naive kernel's full scan
+    max_router_visits: float = 1.0
+
+
+WORKLOADS = {
+    "idle": Workload(
+        "xy", None, 0.002, _drive_idle, 40_000,
+        {
+            "messages_created": 59,
+            "packets_delivered": 59,
+            "messages_dropped": 0,
+            "retransmission_events": 1,
+            "corrected_errors": 0,
+            "mean_latency": 18.28813559322034,
+            "final_cycle": 40_000,
+        },
+        min_fast_forwarded=0.95,
+        max_router_visits=0.01,
+    ),
+    "saturated": Workload(
+        "xy", None, 0.01, _drive_saturated, 4_000,
+        {
+            "messages_created": 7479,
+            "packets_delivered": 7479,
+            "messages_dropped": 0,
+            "retransmission_events": 845,
+            "corrected_errors": 0,
+            "mean_latency": 30.484155635780184,
+            "final_cycle": 4111,
+        },
+    ),
+    # Adaptive routing around an early east-link kill, with an error
+    # burst in mid-run.
+    "chaos": Workload(
+        "adaptive", "link@2000:5E;router@8000:10;burst@4000+2000:0.05", 0.0,
+        _drive_moderate, 6_000,
+        {
+            "messages_created": 569,
+            "packets_delivered": 569,
+            "messages_dropped": 0,
+            "retransmission_events": 177,
+            "corrected_errors": 0,
+            "mean_latency": 27.449912126537786,
+            "final_cycle": 6048,
+        },
+        max_router_visits=0.25,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_workload_kernels_bit_identical(name):
+    """Each workload gives the pinned digest on both kernels, and the
+    fast kernel skips the work an idle network does not need."""
+    workload = WORKLOADS[name]
+    prints, visits = {}, {}
+    for kernel in ("fast", "naive"):
+        net = _build(kernel, 0, workload.routing, workload.fault_spec, error=workload.error)
+        workload.driver(net, workload.cycles, random.Random(97))
+        prints[kernel] = _fingerprint(net)
+        visits[kernel] = net.activity.counters()
+    assert prints["fast"] == prints["naive"]
+    assert {key: prints["fast"][key] for key in workload.digest} == workload.digest
+    fast, naive = visits["fast"], visits["naive"]
+    assert fast["fast_forwarded_cycles"] >= workload.min_fast_forwarded * workload.cycles
+    assert fast["router_visits"] <= workload.max_router_visits * naive["router_visits"]
 
 
 def test_active_sets_drain_at_quiescence():

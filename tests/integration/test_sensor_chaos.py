@@ -116,15 +116,21 @@ class TestDeterminism:
         policy.freeze()
         sim.warmup()
         trace = synthesize_benchmark_trace("swaptions", config, 400, 0)
-        return sim.measure_trace(trace, "swaptions")
+        return sim, sim.measure_trace(trace, "swaptions")
 
     def test_kernels_agree_under_sensor_faults(self):
         fast_tracer, naive_tracer = TraceBuffer(), TraceBuffer()
-        fast = self._classic("fast", fast_tracer)
-        naive = self._classic("naive", naive_tracer)
+        fast_sim, fast = self._classic("fast", fast_tracer)
+        naive_sim, naive = self._classic("naive", naive_tracer)
         assert fast == naive
-        assert fast.rejected_observations > 0  # faults actually fired
         assert fast_tracer.digest() == naive_tracer.digest()
+        # The campaign actually fired, identically on both kernels, and
+        # the guard absorbed it.
+        injected = dict(fast_sim.sensors.injected)
+        assert injected == dict(naive_sim.sensors.injected)
+        assert injected["drop"] > 0 and injected["stuck"] > 0
+        assert fast.rejected_observations > 0
+        assert fast.sensor_holds + fast.sensor_clamps > 0
 
     def test_kill_and_resume_bit_identical_with_sensor_faults(self, tmp_path):
         config = small_config(

@@ -158,9 +158,8 @@ class TestDeterminism:
         assert dict(fast_sim.soft_errors.injected) == dict(
             naive_sim.soft_errors.injected
         )
-        assert fast_sim.metrics.peek("ecc.corrected") == naive_sim.metrics.peek(
-            "ecc.corrected"
-        )
+        for name in ("ecc.scrubs", "ecc.corrected"):
+            assert fast_sim.metrics.peek(name) == naive_sim.metrics.peek(name) > 0
 
     def test_kill_and_resume_bit_identical_with_soft_errors(self, tmp_path):
         config = small_config(soft_error_spec=self.SPEC)

@@ -1,12 +1,16 @@
 """The degradation paths: watchdog trips, guard quarantines, ECC
-escalation and pinned routers during the pre-training curriculum.
+escalation, a resumed poisoned table and pinned routers during the
+pre-training curriculum.
 
 A degraded router runs in mode 3 (timing relaxation) from the epoch it
 degrades until the run ends, whatever the policy or the curriculum asks
 for.  These tests drive each path on a 3x3 mesh and watch the modes the
-select stage hands to ``Network.set_mode``.
+select stage hands to ``Network.set_mode``, and the one WARNING line
+each degraded router logs.
 """
 
+import logging
+import math
 import re
 
 import pytest
@@ -19,6 +23,7 @@ from repro.core.rl_policy import RLControlPolicy
 from repro.noc.watchdog import ConservationError, DeadlockError
 from repro.obs import TraceBuffer, write_trace_jsonl
 from repro.sim import Simulator, scaled_config, synthesize_benchmark_trace
+from repro.sim.checkpoint import ResumableRun, load_checkpoint, save_checkpoint
 from repro.sim.simulator import MAX_SAFE_MODE_TRIPS
 from repro.traffic import TraceRecord
 
@@ -65,6 +70,16 @@ def trip_when(sim, when, error=DeadlockError):
 
 def long_trace(n=200):
     return [TraceRecord(i * 3, i % 9, (i + 4) % 9, 4) for i in range(n)]
+
+
+def assert_one_warning_per_router(caplog, degraded):
+    """The WARNING lines logged are one line per router of the
+    ``degraded`` ledger, and nothing else."""
+    lines = [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
+    assert len(lines) == len(degraded), lines
+    routers = [re.match(r"router (\d+) degraded to mode 3 at cycle \d+: ", line) for line in lines]
+    assert None not in routers, lines
+    assert sorted(int(match.group(1)) for match in routers) == sorted(degraded)
 
 
 class TestWatchdogTrip:
@@ -190,15 +205,17 @@ class TestCurriculum:
         policy.enter_safe_mode(self.PINNED, "degraded before snapshot")
         return policy
 
-    def test_ledger_starts_with_the_policys_pins(self):
-        sim = Simulator(mesh_config(), self._pinned_policy(), seed=0)
-        assert sim.degraded == {self.PINNED: "degraded before snapshot"}
-        sim.degrade(self.PINNED, "watchdog trip")
-        sim.degrade(STUCK_ROUTER, "watchdog trip")
+    def test_ledger_starts_with_the_policys_pins(self, caplog):
+        with caplog.at_level(logging.WARNING):
+            sim = Simulator(mesh_config(), self._pinned_policy(), seed=0)
+            assert sim.degraded == {self.PINNED: "degraded before snapshot"}
+            sim.degrade(self.PINNED, "watchdog trip")
+            sim.degrade(STUCK_ROUTER, "watchdog trip")
         # The first reason is kept, and the policy hears of every pin.
         expected = {self.PINNED: "degraded before snapshot", STUCK_ROUTER: "watchdog trip"}
         assert sim.degraded == expected
         assert sim.policy.safe_mode_routers == expected
+        assert_one_warning_per_router(caplog, sim.degraded)
 
     def test_curriculum_keeps_a_pinned_router_in_mode_3(self):
         sim = Simulator(mesh_config(), self._pinned_policy(), seed=0)
@@ -211,3 +228,48 @@ class TestCurriculum:
         # The curriculum did force every mode onto the other routers.
         others = {mode for _, rid, mode in calls if rid != self.PINNED}
         assert others == {int(mode) for mode in OperationMode}
+
+
+class TestOneWarningPerDegradedRouter:
+    """Every path into the ledger logs exactly one line per router it
+    adds, and nothing else."""
+
+    def test_watchdog_trip(self, caplog):
+        sim = Simulator(mesh_config(), RLControlPolicy(seed=0), seed=2)
+        trip_when(sim, lambda now: now == 150)
+        with caplog.at_level(logging.WARNING):
+            sim.measure_trace(long_trace(), "tiny")
+        assert list(sim.degraded) == [STUCK_ROUTER]
+        assert_one_warning_per_router(caplog, sim.degraded)
+
+    def test_guard_quarantine(self, caplog):
+        config = mesh_config(sensor_spec="drop@1.0:all", sensor_quarantine_k=2)
+        sim = Simulator(config, RLControlPolicy(seed=0), seed=2)
+        with caplog.at_level(logging.WARNING):
+            sim.measure_trace(long_trace(), "tiny")
+        assert len(sim.degraded) == 9
+        assert_one_warning_per_router(caplog, sim.degraded)
+
+    def test_ecc_escalation(self, caplog):
+        policy = RLControlPolicy(share_table=False, seed=0)
+        sim = Simulator(mesh_config(soft_error_spec=SOFT_ERRORS), policy, seed=0)
+        with caplog.at_level(logging.WARNING):
+            sim.pretrain()
+        assert len(sim.degraded) == 5
+        assert_one_warning_per_router(caplog, sim.degraded)
+
+    def test_resume_of_a_poisoned_table(self, caplog, tmp_path):
+        config = scaled_config(
+            width=3, height=3, epoch_cycles=100, pretrain_cycles=0, warmup_cycles=200,
+        )
+        path = tmp_path / "run.ckpt"
+        run = ResumableRun(config, "rl", "swaptions", trace_cycles=300, checkpoint_path=path)
+        run.save()
+        payload, meta = load_checkpoint(path)
+        agent_state = payload["policy_state"]["agents"][0]
+        agent_state["table"] = {(0,) * 5: [math.nan] * agent_state["num_actions"]}
+        save_checkpoint(path, payload, meta)
+        with caplog.at_level(logging.WARNING):
+            resumed = ResumableRun.resume(path)
+        assert len(resumed.sim.degraded) == 9
+        assert_one_warning_per_router(caplog, resumed.sim.degraded)

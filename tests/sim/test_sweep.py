@@ -216,6 +216,29 @@ class TestControlChaos:
         assert ledger["diagnosis"] is None
 
 
+class TestModeError:
+    """A ``mode_error`` point simulates the network its config describes."""
+
+    POINT = SweepPoint(
+        kind="mode_error", design="mode1", traffic="uniform", seed=5,
+        cycles=120, error_probability=0.05,
+    )
+
+    def _stats(self, **overrides):
+        return run_sweep_point(tiny_config(**overrides), self.POINT)["stats"]
+
+    def test_fewer_shallower_vcs_raise_latency(self):
+        assert (
+            self._stats(num_vcs=2, vc_depth=2)["mean_latency"]
+            > self._stats()["mean_latency"]
+        )
+
+    def test_narrow_flits_carry_narrow_payloads(self):
+        stats = self._stats(flit_bits=64)
+        assert stats != self._stats()
+        assert stats["retransmission_events"] > 0
+
+
 class TestCacheKeys:
     def test_key_stable_across_calls(self):
         spec = tiny_campaign_spec()

@@ -370,57 +370,6 @@ class TestSpecValidation:
                   "--cache-dir", str(tmp_path)])
 
 
-class TestBenchCommand:
-    _ARGS = ["bench", "--quick", "--scenarios", "saturated", "--width", "3", "--height", "3"]
-
-    def test_report_and_payload(self, capsys):
-        assert main(self._ARGS + ["--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        row = payload["result"]["scenarios"]["saturated"]
-        # run_bench itself enforces the digest equality; spot-check shape.
-        assert row["fast"]["digest"] == row["naive"]["digest"]
-        assert row["fast"]["cycles_per_second"] > 0
-        assert payload["result"]["speedups"]["saturated"] == row["speedup"]
-
-    def test_rejects_unknown_scenario(self):
-        with pytest.raises(SystemExit, match="unknown scenario"):
-            main(["bench", "--quick", "--scenarios", "blackhole"])
-
-    def test_output_appends_trajectory(self, capsys, tmp_path):
-        out_file = tmp_path / "BENCH_kernel.json"
-        assert main(self._ARGS + ["--output", str(out_file), "--label", "first"]) == 0
-        capsys.readouterr()
-        assert main(self._ARGS + ["--output", str(out_file), "--label", "second"]) == 0
-        capsys.readouterr()
-        trajectory = json.loads(out_file.read_text())
-        assert [e["label"] for e in trajectory["entries"]] == ["first", "second"]
-
-    def test_check_against_self_passes(self, capsys, tmp_path):
-        out_file = tmp_path / "BENCH_kernel.json"
-        assert main(self._ARGS + ["--output", str(out_file)]) == 0
-        capsys.readouterr()
-        # Immediately re-checking against the entry just written passes
-        # with the generous default threshold.
-        assert main(self._ARGS + ["--check", str(out_file), "--threshold", "0.9"]) == 0
-
-    def test_check_detects_regression(self, capsys, tmp_path):
-        out_file = tmp_path / "BENCH_kernel.json"
-        baseline = {
-            "version": 1,
-            "entries": [{"label": "impossible", "speedups": {"saturated": 10_000.0}}],
-        }
-        out_file.write_text(json.dumps(baseline))
-        assert main(self._ARGS + ["--check", str(out_file)]) == 1
-        err = capsys.readouterr().err
-        assert "REGRESSION" in err
-
-    def test_check_with_no_baseline_is_lenient(self, capsys, tmp_path):
-        out_file = tmp_path / "BENCH_kernel.json"
-        out_file.write_text(json.dumps({"version": 1, "entries": []}))
-        assert main(self._ARGS + ["--check", str(out_file)]) == 0
-        assert "nothing to check" in capsys.readouterr().err
-
-
 class TestSweepEndToEnd:
     """The sweep subcommand through the parallel cached runner."""
 
