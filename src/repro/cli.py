@@ -496,18 +496,9 @@ def _print_profile(profiler, network) -> None:
     buf = io.StringIO()
     pstats.Stats(profiler, stream=buf).sort_stats("tottime").print_stats(20)
     print(buf.getvalue(), file=sys.stderr)
-    counters = network.activity.counters()
     print(f"[profile] cycle kernel: {network.kernel}", file=sys.stderr)
-    for name, value in counters.items():
+    for name, value in network.activity.counters().items():
         print(f"[profile] {name:24s} {value}", file=sys.stderr)
-    total = network.now
-    if total > 0:
-        skipped = counters["fast_forwarded_cycles"]
-        print(
-            f"[profile] {skipped} of {total} cycles "
-            f"({skipped / total:.1%}) fast-forwarded",
-            file=sys.stderr,
-        )
 
 
 def cmd_run(args) -> int:

@@ -5,13 +5,11 @@ paper compares (CRC end-to-end, ARQ+ECC per hop, and the proposed
 dynamically-switched design).
 """
 
-from repro.coding.arq import AckKind, AckMessage, ArqError, RetransmissionBuffer
+from repro.coding.arq import ArqError, RetransmissionBuffer
 from repro.coding.crc import CRC
 from repro.coding.hamming import DecodeResult, DecodeStatus, SecdedCode
 
 __all__ = [
-    "AckKind",
-    "AckMessage",
     "ArqError",
     "RetransmissionBuffer",
     "CRC",

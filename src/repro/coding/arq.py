@@ -5,90 +5,26 @@ ECC-protected link is held in a retransmission buffer at the sender until
 the downstream router acknowledges it.  On an ACK the copy is released; on
 a NACK (uncorrectable error at the receiver) the copy is retransmitted.
 
-The classes here are protocol bookkeeping only — they know nothing about
-routers or cycles beyond opaque timestamps — which keeps them unit-testable
-and lets :mod:`repro.noc.router` wire them to real channels.
-
-Two small pieces live here:
-
-* :class:`RetransmissionBuffer` — the per-output-port sender-side window
-  of unacknowledged flits (stop-and-wait generalized to a window).
-* :class:`AckMessage` — the sideband ACK/NACK token exchanged between
-  adjacent routers, carrying the sequence number it refers to.
+:class:`RetransmissionBuffer` is that sender-side window of
+unacknowledged flits (stop-and-wait generalized to a window).  It is
+protocol bookkeeping only — it knows nothing about routers or cycles —
+which keeps it unit-testable and lets :mod:`repro.noc.router` wire it to
+real channels.  The ACK/NACK tokens themselves travel the sideband as
+plain ints (see :mod:`repro.noc.channel`).
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import Generic, Iterator, Optional, Tuple, TypeVar
 
-__all__ = ["AckKind", "AckMessage", "RetransmissionBuffer", "ArqError"]
+__all__ = ["RetransmissionBuffer", "ArqError"]
 
 T = TypeVar("T")
 
 
 class ArqError(Exception):
     """Protocol violation (duplicate sequence, unknown ACK, overflow)."""
-
-
-@dataclass(frozen=True)
-class AckKind:
-    """Namespace of ACK polarity constants."""
-
-    ACK = "ack"
-    NACK = "nack"
-
-
-class AckMessage:
-    """A sideband acknowledgement for one transmitted flit.
-
-    Hand-written slotted value class (dataclass ``slots=True`` needs
-    Python 3.10, and one of these is allocated per protected flit, so it
-    sits on the hot path).
-
-    Attributes
-    ----------
-    seq:
-        Sender-side sequence number being acknowledged.
-    kind:
-        ``AckKind.ACK`` (release the copy) or ``AckKind.NACK``
-        (retransmit the copy).
-    created_at:
-        Cycle the receiver generated the message (for latency accounting).
-    """
-
-    __slots__ = ("seq", "kind", "created_at")
-
-    def __init__(self, seq: int, kind: str, created_at: int = 0) -> None:
-        self.seq = seq
-        self.kind = kind
-        self.created_at = created_at
-
-    @property
-    def is_nack(self) -> bool:
-        return self.kind == AckKind.NACK
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, AckMessage):
-            return NotImplemented
-        return (
-            self.seq == other.seq
-            and self.kind == other.kind
-            and self.created_at == other.created_at
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.seq, self.kind, self.created_at))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"AckMessage(seq={self.seq}, kind={self.kind!r}, created_at={self.created_at})"
-
-    def __getstate__(self):
-        return (self.seq, self.kind, self.created_at)
-
-    def __setstate__(self, state) -> None:
-        self.seq, self.kind, self.created_at = state
 
 
 class RetransmissionBuffer(Generic[T]):
@@ -141,11 +77,6 @@ class RetransmissionBuffer(Generic[T]):
     def is_empty(self) -> bool:
         return not self._entries
 
-    @property
-    def occupancy(self) -> float:
-        """Fraction of the window currently in use (0..1)."""
-        return len(self._entries) / self.capacity
-
     # ------------------------------------------------------------------
     def push(self, item: T) -> int:
         """Record a transmitted flit; returns its sequence number.
@@ -186,12 +117,6 @@ class RetransmissionBuffer(Generic[T]):
     def peek(self, seq: int) -> Optional[T]:
         """Return the stored copy without touching statistics."""
         return self._entries.get(seq)
-
-    def handle(self, message: AckMessage) -> Tuple[bool, T]:
-        """Apply an :class:`AckMessage`; returns ``(retransmit, item)``."""
-        if message.is_nack:
-            return True, self.nack(message.seq)
-        return False, self.ack(message.seq)
 
     def flush(self) -> None:
         """Drop all pending entries (used when a link is reconfigured)."""

@@ -11,11 +11,10 @@ A campaign is a :class:`HardFaultSchedule` — an ordered list of
 :class:`HardFaultEvent` — applied to a live network by
 :class:`HardFaultModel`.  Three properties matter for the sweep harness:
 
-* **Determinism** — a schedule is a pure value: parsed from / formatted to
-  a canonical spec string, and :meth:`HardFaultSchedule.sample` derives
-  events from an explicit seed with arithmetic mixing only.  Identical
-  (config, schedule) pairs therefore produce identical results in any
-  process, which the on-disk sweep cache depends on.
+* **Determinism** — a schedule is a pure value, parsed from / formatted
+  to a canonical spec string.  Identical (config, schedule) pairs
+  therefore produce identical results in any process, which the on-disk
+  sweep cache depends on.
 * **Idempotence** — killing a dead link/router is a no-op, so schedules
   with overlapping events (a router kill implies its link kills) apply
   cleanly.
@@ -35,12 +34,10 @@ baseline (no events).
 
 from __future__ import annotations
 
-import math
-import random
 from typing import Dict, List, Optional, Tuple
 
 from repro.faults.specs import format_spec, parse_spec
-from repro.noc.topology import MeshTopology, Port
+from repro.noc.topology import Port
 
 __all__ = [
     "HardFaultEvent",
@@ -170,53 +167,6 @@ class HardFaultSchedule:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"HardFaultSchedule({self.format()!r})"
 
-    # ------------------------------------------------------------------
-    @classmethod
-    def sample(
-        cls,
-        topology: MeshTopology,
-        seed: int,
-        link_rate: float = 0.0,
-        router_rate: float = 0.0,
-        horizon: int = 100_000,
-        max_events: int = 8,
-    ) -> "HardFaultSchedule":
-        """Sample a campaign from per-cycle failure rates.
-
-        Each directed link (in canonical ``topology.channels()`` order)
-        and each router draws one geometric failure time from its own
-        arithmetically-mixed seed, so the result is a pure function of
-        ``(topology, seed, rates, horizon)`` — independent of process,
-        interpreter hash randomization, and call order.
-        """
-        events: List[HardFaultEvent] = []
-        if link_rate > 0.0:
-            for index, spec in enumerate(topology.channels()):
-                rng = random.Random(seed * 1_000_003 + index * 7_919 + 101)
-                cycle = _geometric(rng, link_rate)
-                if cycle is not None and cycle < horizon:
-                    events.append(
-                        HardFaultEvent("link", cycle, spec.src, Port(spec.src_port))
-                    )
-        if router_rate > 0.0:
-            for node in range(topology.num_nodes):
-                rng = random.Random(seed * 1_000_003 + node * 104_729 + 977)
-                cycle = _geometric(rng, router_rate)
-                if cycle is not None and cycle < horizon:
-                    events.append(HardFaultEvent("router", cycle, node))
-        events.sort(key=HardFaultEvent.sort_key)
-        return cls(events[:max_events])
-
-
-def _geometric(rng: random.Random, rate: float) -> Optional[int]:
-    """First-success cycle of a per-cycle Bernoulli(rate) process."""
-    if rate >= 1.0:
-        return 0
-    u = rng.random()
-    if u <= 0.0:
-        return None
-    return int(math.log(u) / math.log(1.0 - rate))
-
 
 class HardFaultModel:
     """Applies a :class:`HardFaultSchedule` to a live network.
@@ -258,20 +208,6 @@ class HardFaultModel:
         while self._pending and self._pending[0].cycle <= now:
             event = self._pending.pop(0)
             self._apply(event, now)
-
-    def next_event_cycle(self) -> Optional[int]:
-        """Earliest cycle at which :meth:`tick` has any work to do.
-
-        Lets the network's idle fast-forward jump over quiescent spans
-        without skipping a scheduled kill or a burst expiry.  ``None``
-        means the campaign is fully applied and no burst is active.
-        """
-        candidates = []
-        if self._burst_until is not None:
-            candidates.append(self._burst_until)
-        if self._pending:
-            candidates.append(self._pending[0].cycle)
-        return min(candidates) if candidates else None
 
     def _apply(self, event: HardFaultEvent, now: int) -> None:
         if self.first_fault_cycle is None:

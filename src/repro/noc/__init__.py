@@ -7,7 +7,7 @@ the fault-tolerant extensions of the proposed design (per-hop ARQ+ECC
 links, flit pre-retransmission, timing-relaxed transfers).
 """
 
-from repro.noc.arbiters import MatrixArbiter, RoundRobinArbiter
+from repro.noc.arbiters import RoundRobinArbiter
 from repro.noc.buffers import InputPort, VCState, VirtualChannel
 from repro.noc.channel import Channel, ChannelErrorModel, Transmission
 from repro.noc.faultstate import FaultState
@@ -32,7 +32,6 @@ from repro.noc.watchdog import (
     LivelockError,
     NetworkWatchdog,
     NoCInvariantError,
-    UnreachableDestinationError,
 )
 
 __all__ = [
@@ -46,8 +45,6 @@ __all__ = [
     "LivelockError",
     "NetworkWatchdog",
     "NoCInvariantError",
-    "UnreachableDestinationError",
-    "MatrixArbiter",
     "RoundRobinArbiter",
     "InputPort",
     "VCState",

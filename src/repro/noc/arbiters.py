@@ -1,4 +1,4 @@
-"""Arbiters for virtual-channel and switch allocation.
+"""Round-robin arbiter for virtual-channel and switch allocation.
 
 The router uses separable allocation (standard for 4-stage VC routers):
 
@@ -12,16 +12,13 @@ The router uses separable allocation (standard for 4-stage VC routers):
 Round-robin is implemented exactly as the rotating-priority hardware:
 the grant pointer advances past the winner so every requester is served
 within N rounds (no starvation) — a property test pins this down.
-A matrix (least-recently-served) arbiter is included as an alternative.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, List, Optional, Sequence, TypeVar
+from typing import Optional, Sequence
 
-__all__ = ["RoundRobinArbiter", "MatrixArbiter"]
-
-R = TypeVar("R", bound=Hashable)
+__all__ = ["RoundRobinArbiter"]
 
 
 class RoundRobinArbiter:
@@ -35,34 +32,15 @@ class RoundRobinArbiter:
         self.size = size
         self._pointer = 0
 
-    def grant(self, requests: Sequence[bool]) -> Optional[int]:
-        """Grant one of the asserted request lines, or None.
-
-        The search starts at the line after the previous winner, giving
-        each line a fair turn.
-        """
-        if len(requests) != self.size:
-            raise ValueError(f"expected {self.size} request lines")
-        size = self.size
-        pointer = self._pointer
-        for line in range(pointer, size):
-            if requests[line]:
-                self._pointer = line + 1 if line + 1 < size else 0
-                return line
-        for line in range(pointer):
-            if requests[line]:
-                self._pointer = line + 1 if line + 1 < size else 0
-                return line
-        return None
-
     def grant_from(self, lines: Sequence[int]) -> Optional[int]:
-        """Grant among asserted line *indices* instead of a request vector.
+        """Grant one of the asserted line *indices*, or None.
 
-        Exactly equivalent to :meth:`grant` on the request vector with
-        those lines asserted — the winner is the first asserted line at
-        or after the rotating pointer — but O(candidates) instead of
-        O(size), which matters in switch allocation where a 20-line
-        vector usually carries one or two requests.
+        The winner is the first asserted line at or after the rotating
+        pointer, which then moves past it, giving each line a fair turn.
+        Taking indices instead of a request vector makes it
+        O(candidates) instead of O(size), which matters in switch
+        allocation where a 20-line vector usually carries one or two
+        requests.
         """
         size = self.size
         pointer = self._pointer
@@ -84,51 +62,3 @@ class RoundRobinArbiter:
         the scan.  The caller asserts exactly one line is requesting."""
         self._pointer = line + 1 if line + 1 < self.size else 0
         return line
-
-    def reset(self) -> None:
-        self._pointer = 0
-
-
-class MatrixArbiter:
-    """Least-recently-served arbiter.
-
-    Keeps a priority matrix ``w[i][j] = 1`` meaning *i beats j*; the winner
-    clears its row and sets its column, becoming lowest priority.  Slightly
-    fairer than round-robin under asymmetric request patterns; offered as
-    the alternative arbiter for the ablation bench.
-    """
-
-    __slots__ = ("size", "_beats")
-
-    def __init__(self, size: int) -> None:
-        if size <= 0:
-            raise ValueError("arbiter needs at least one input")
-        self.size = size
-        # Upper triangle set: initial priority order 0 > 1 > ... > n-1.
-        self._beats: List[List[bool]] = [
-            [i < j for j in range(size)] for i in range(size)
-        ]
-
-    def grant(self, requests: Sequence[bool]) -> Optional[int]:
-        if len(requests) != self.size:
-            raise ValueError(f"expected {self.size} request lines")
-        winner = None
-        for i in range(self.size):
-            if not requests[i]:
-                continue
-            if all(
-                not (requests[j] and self._beats[j][i])
-                for j in range(self.size)
-                if j != i
-            ):
-                winner = i
-                break
-        if winner is not None:
-            for j in range(self.size):
-                if j != winner:
-                    self._beats[winner][j] = False
-                    self._beats[j][winner] = True
-        return winner
-
-    def reset(self) -> None:
-        self._beats = [[i < j for j in range(self.size)] for i in range(self.size)]

@@ -23,7 +23,7 @@ invariant watchdog (:mod:`repro.noc.watchdog`) is there to catch.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 from repro.noc.topology import OPPOSITE_PORT, MeshTopology, Port
 
@@ -76,9 +76,6 @@ class FaultState:
             return False
         neighbour = self.topology.neighbour(node, Port(port))
         return neighbour is not None and neighbour not in self.dead_nodes
-
-    def alive_ports(self, node: int) -> List[Port]:
-        return [p for p in _DIRECTIONS if self.link_alive(node, p)]
 
     # ------------------------------------------------------------------
     def _dist(self, dest: int) -> Dict[int, int]:

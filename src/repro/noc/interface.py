@@ -92,16 +92,6 @@ class NetworkInterface:
         self._act_inject = inject
         self._act_eject = eject
 
-    @property
-    def needs_inject(self) -> bool:
-        """Whether :meth:`step_inject` has (or may have) work to do."""
-        return bool(self._retx_due or self._inject_queue or self._current is not None)
-
-    @property
-    def needs_eject(self) -> bool:
-        """Whether :meth:`step_eject` has queued flits to consume."""
-        return bool(self._eject_queue)
-
     def _wake_inject(self) -> None:
         if self._act_inject is not None:
             self._act_inject.add(self.id)

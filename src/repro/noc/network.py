@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import os
 import random
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.coding.crc import CRC
 from repro.core.modes import OperationMode
@@ -41,7 +41,7 @@ from repro.noc.router import OutputLink, Router
 from repro.noc.routing import RoutingFunction, resolve_routing_policy, xy_route
 from repro.noc.stats import NetworkStats
 from repro.noc.topology import OPPOSITE_PORT, MeshTopology, Port
-from repro.noc.watchdog import NetworkWatchdog, UnreachableDestinationError
+from repro.noc.watchdog import NetworkWatchdog
 
 __all__ = ["Network", "resolve_kernel"]
 
@@ -88,10 +88,8 @@ class _ActivityState:
 
     The ``*_visits`` counters record how many entity-steps each phase
     actually executed (``channel_visits`` counts channels with a due
-    delivery; the naive kernel counts its full sweeps), and
-    ``fast_forwarded`` counts cycles skipped wholesale by
-    :meth:`Network.run`'s idle early-out; ``repro run --profile``
-    surfaces both.
+    delivery; the naive kernel counts its full sweeps);
+    ``repro run --profile`` surfaces them.
     """
 
     __slots__ = (
@@ -104,7 +102,6 @@ class _ActivityState:
         "router_visits",
         "ni_eject_visits",
         "ni_inject_visits",
-        "fast_forwarded",
     )
 
     def __init__(self) -> None:
@@ -117,13 +114,6 @@ class _ActivityState:
         self.router_visits = 0
         self.ni_eject_visits = 0
         self.ni_inject_visits = 0
-        self.fast_forwarded = 0
-
-    @property
-    def any_active(self) -> bool:
-        return bool(
-            self.sideband or self.arrivals or self.routers or self.ni_eject or self.ni_inject
-        )
 
     def counters(self) -> Dict[str, int]:
         """Per-stage activity counters for the profiling report."""
@@ -132,7 +122,6 @@ class _ActivityState:
             "router_visits": self.router_visits,
             "ni_eject_visits": self.ni_eject_visits,
             "ni_inject_visits": self.ni_inject_visits,
-            "fast_forwarded_cycles": self.fast_forwarded,
         }
 
     def __getstate__(self):
@@ -163,17 +152,13 @@ class Network:
         watchdog_interval: int = 256,
         deadlock_cycles: int = 4096,
         max_packet_age: int = 500_000,
-        unreachable_action: str = "drop",
         kernel: Optional[str] = None,
     ) -> None:
-        if unreachable_action not in ("drop", "raise"):
-            raise ValueError("unreachable_action must be 'drop' or 'raise'")
         self.topology = topology
         self.flit_bits = flit_bits
         self.rng = rng if rng is not None else random.Random(0)
         self.stats = NetworkStats()
         self.now = 0
-        self.unreachable_action = unreachable_action
         #: "fast" (activity-driven) or "naive" (reference full scan)
         self.kernel = resolve_kernel(kernel)
         #: active-entity registries; hooks in channels/routers/NIs keep
@@ -376,12 +361,13 @@ class Network:
         exactly when the naive sweep would have; deregistration is lazy,
         after an entity's step confirms it has nothing left.
 
-        The activity predicates (``has_pending_*``,
-        ``NetworkInterface.needs_*``, ``Router.needs_step``) and the
-        sideband ``pop_*`` calls are inlined here as direct slot reads —
-        at saturation the call overhead of the method forms is a
-        measurable slice of the cycle.  Each inline must mirror its
-        method exactly.
+        The channel predicates (``has_pending_*``) and the sideband
+        ``pop_*`` calls are inlined here as direct slot reads — at
+        saturation the call overhead of the method forms is a measurable
+        slice of the cycle — and each inline must mirror its method
+        exactly.  The deregistration tests after each router/NI step are
+        the one definition of "has work left": they mirror the guards
+        inside ``step_eject``, ``step_inject`` and ``Router.step``.
         """
         act = self.activity
         sideband = act.sideband
@@ -434,7 +420,7 @@ class Network:
             for nid in snapshot:
                 ni = interfaces[nid]
                 ni.step_eject(now)
-                if not ni._eject_queue:  # needs_eject
+                if not ni._eject_queue:  # nothing left to eject
                     active_eject.discard(nid)
 
         if act.ni_inject:
@@ -448,7 +434,7 @@ class Network:
             for nid in snapshot:
                 ni = interfaces[nid]
                 ni.step_inject(now)
-                if not (  # needs_inject
+                if not (  # no retransmission, message or worm to send
                     ni._retx_due or ni._inject_queue or ni._current is not None
                 ):
                     active_inject.discard(nid)
@@ -464,7 +450,10 @@ class Network:
             for rid in snapshot:
                 router = routers[rid]
                 router.step(now)
-                if not (  # needs_step
+                # No pipeline stage, go-back-N rewind, fault drain or
+                # deferred mode switch left.  A non-empty ARQ window
+                # alone needs no step: sideband ACKs release it.
+                if not (
                     router._routing
                     or router._waiting
                     or router._active
@@ -475,54 +464,9 @@ class Network:
                     active_routers.discard(rid)
 
     def run(self, cycles: int) -> None:
-        """Advance ``cycles`` cycles, fast-forwarding fully idle spans.
-
-        With the fast kernel, a span where every active set is empty
-        cannot change any entity state — every phase of :meth:`cycle`
-        would be a no-op — so only the clocks, the watchdog polls, and
-        the hard-fault schedule observe those cycles.  The early-out
-        advances the clocks in bulk, still runs the *real* watchdog
-        check at every interval boundary (identical state, identical
-        verdicts — including raising on a wedged network), and never
-        jumps past the next scheduled hard-fault event.
-        """
-        end = self.now + cycles
-        if self.kernel == "naive":
-            while self.now < end:
-                self.cycle()
-            return
-        act = self.activity
-        while self.now < end:
-            if act.any_active:
-                self.cycle()
-                continue
-            target = end
-            if self.hard_faults is not None:
-                next_fault = self.hard_faults.next_event_cycle()
-                if next_fault is not None and next_fault < target:
-                    target = next_fault
-            if target <= self.now:
-                self.cycle()
-                continue
-            self._fast_forward(target)
-
-    def _fast_forward(self, target: int) -> None:
-        """Jump the clocks to ``target``, honouring watchdog cadence."""
-        act = self.activity
-        stats = self.stats
-        watchdog = self.watchdog
-        while self.now < target:
-            if watchdog is None:
-                stop = target
-            else:
-                interval = watchdog.interval
-                next_check = (self.now // interval + 1) * interval
-                stop = min(target, next_check)
-            act.fast_forwarded += stop - self.now
-            stats.cycles += stop - self.now
-            self.now = stop
-            if watchdog is not None and self.now % watchdog.interval == 0:
-                watchdog.check(self.now)
+        """Advance ``cycles`` cycles."""
+        for _ in range(cycles):
+            self.cycle()
 
     # ------------------------------------------------------------------
     # Hard faults
@@ -555,21 +499,6 @@ class Network:
                 src=packet.src,
                 dest=packet.dest,
                 unreachable=unreachable,
-            )
-        if unreachable and self.unreachable_action == "raise":
-            raise UnreachableDestinationError(
-                f"packet {packet.pid} at router {router_id}: destination "
-                f"{packet.dest} unreachable from {packet.src}",
-                report={
-                    "kind": "unreachable_destination",
-                    "router": router_id,
-                    "packet": packet.pid,
-                    "src": packet.src,
-                    "dest": packet.dest,
-                    "cycle": self.now,
-                    "dead_links": sorted(self.fault_state.dead_links),
-                    "dead_nodes": sorted(self.fault_state.dead_nodes),
-                },
             )
 
     def _recover_or_drop(self, packet: Packet, now: int) -> None:

@@ -113,14 +113,10 @@ class Flit:
     def dest(self) -> int:
         return self.packet.dest
 
-    @property
-    def src(self) -> int:
-        return self.packet.src
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Flit(pkt={self.packet.pid}, idx={self.index}, "
-            f"{self.ftype.value}, {self.src}->{self.dest})"
+            f"{self.ftype.value}, {self.packet.src}->{self.dest})"
         )
 
 

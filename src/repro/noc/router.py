@@ -168,8 +168,8 @@ class Router:
 
         #: Network-owned set of router ids whose ``step`` must run; None
         #: for standalone routers (unit tests).  Events that create
-        #: pipeline work re-register the router here; the cycle kernel
-        #: deregisters lazily once :attr:`needs_step` goes False.
+        #: pipeline work re-register the router here; the fast cycle
+        #: kernel deregisters it lazily once no stage has work left.
         self._active_set: Optional[Set[int]] = None
 
     def bind_activity(self, active: Set[int]) -> None:
@@ -179,24 +179,6 @@ class Router:
     def _wake(self) -> None:
         if self._active_set is not None:
             self._active_set.add(self.id)
-
-    @property
-    def needs_step(self) -> bool:
-        """Whether :meth:`step` would do any work this cycle.
-
-        Mirrors the guards inside :meth:`step`: pipeline stages, the
-        go-back-N rewind queue, fault drains, and a deferred mode switch.
-        A non-empty ARQ window alone does *not* require stepping — its
-        entries are released by sideband ACKs, not by the pipeline.
-        """
-        return bool(
-            self._routing
-            or self._waiting
-            or self._active
-            or self._draining
-            or self._retx_ports
-            or self._pending_mode is not None
-        )
 
     # ------------------------------------------------------------------
     # Mode control

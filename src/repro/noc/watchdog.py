@@ -35,7 +35,6 @@ __all__ = [
     "ConservationError",
     "DeadlockError",
     "LivelockError",
-    "UnreachableDestinationError",
     "NetworkWatchdog",
 ]
 
@@ -62,10 +61,6 @@ class DeadlockError(NoCInvariantError):
 
 class LivelockError(NoCInvariantError):
     """A message exceeded the maximum age while the network still moves."""
-
-
-class UnreachableDestinationError(NoCInvariantError):
-    """A packet's destination was cut off from its current position."""
 
 
 class NetworkWatchdog:

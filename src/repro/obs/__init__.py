@@ -36,8 +36,6 @@ from repro.obs.trace import (
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricRegistry
 from repro.obs.export import (
     metrics_timeline_rows,
-    read_metrics_json,
-    registry_from_snapshot,
     write_metrics_csv,
     write_metrics_json,
 )
@@ -55,8 +53,6 @@ __all__ = [
     "Histogram",
     "MetricRegistry",
     "metrics_timeline_rows",
-    "read_metrics_json",
-    "registry_from_snapshot",
     "write_metrics_csv",
     "write_metrics_json",
 ]

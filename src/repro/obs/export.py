@@ -10,14 +10,12 @@ from __future__ import annotations
 
 import csv
 import json
-from typing import Dict, List, Mapping
+from typing import Dict, List
 
 from repro.obs.metrics import MetricRegistry
 
 __all__ = [
     "metrics_timeline_rows",
-    "read_metrics_json",
-    "registry_from_snapshot",
     "write_metrics_csv",
     "write_metrics_json",
 ]
@@ -63,43 +61,3 @@ def write_metrics_json(registry: MetricRegistry, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def read_metrics_json(path: str) -> Dict[str, object]:
-    """Read a :func:`write_metrics_json` document back; validates shape."""
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if (
-        not isinstance(payload, dict)
-        or not isinstance(payload.get("snapshot"), dict)
-        or not isinstance(payload.get("timeline"), list)
-    ):
-        raise ValueError(f"{path} is not a metrics JSON export")
-    return payload
-
-
-def registry_from_snapshot(payload: Mapping[str, object]) -> MetricRegistry:
-    """Rebuild a registry from a :func:`read_metrics_json` payload.
-
-    Inverse of :func:`write_metrics_json` up to the timeline zero-fill
-    that :func:`metrics_timeline_rows` applies: re-exporting the rebuilt
-    registry produces a byte-identical document, which is the round-trip
-    contract the export tests pin down.
-    """
-    snapshot = payload["snapshot"]
-    registry = MetricRegistry()
-    for name, value in snapshot.get("counters", {}).items():
-        registry.counter(name).inc(value)
-    for name, value in snapshot.get("gauges", {}).items():
-        registry.gauge(name).set(value)
-    for name, data in snapshot.get("histograms", {}).items():
-        hist = registry.histogram(name, bounds=tuple(data["bounds"]))
-        hist.buckets = list(data["buckets"])
-        hist.count = int(data["count"])
-        hist.total = float(data["total"])
-        hist.min = data["min"]
-        hist.max = data["max"]
-    registry.timeline_dropped = int(snapshot.get("timeline_dropped", 0))
-    for row in payload.get("timeline", []):
-        registry.timeline.append(dict(row))
-    return registry

@@ -134,7 +134,9 @@ __all__ = [
 #: (routing, VCs, buffer depth, flit width, ARQ, link latency, error
 #: severity, watchdog) instead of the constructor defaults, and ``chaos``
 #: points now honour ``error_severity``: non-default configs changed.
-CACHE_SCHEMA = 8
+#: Schema 9: ``load`` points report latency and throughput over their
+#: own span; trainable designs used to fold in the pre-training traffic.
+CACHE_SCHEMA = 9
 
 DEFAULT_CACHE_DIR = ".sweep_cache"
 
@@ -302,30 +304,6 @@ class SweepSpec:
             return self.error_probabilities
         return (0.0,)
 
-    # ------------------------------------------------------------------
-    def as_dict(self) -> Dict[str, object]:
-        """JSON-able form (inverse of :meth:`from_dict`)."""
-        out = dataclasses.asdict(self)
-        out["config"] = dataclasses.asdict(self.config)
-        return out
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "SweepSpec":
-        """Build a spec from a plain dict (e.g. a JSON grid file)."""
-        kwargs = dict(data)
-        config = kwargs.pop("config", {})
-        if not isinstance(config, SimulationConfig):
-            config = dict(config)
-            if "error_severity" in config:
-                config["error_severity"] = tuple(config["error_severity"])
-            config = SimulationConfig(**config)
-        for name in ("designs", "traffics", "seeds", "error_scales",
-                     "rates", "error_probabilities", "fault_specs",
-                     "sensor_specs", "soft_error_specs"):
-            if name in kwargs:
-                kwargs[name] = tuple(kwargs[name])
-        return cls(config=config, **kwargs)
-
 
 # ----------------------------------------------------------------------
 # Point evaluators (run inside worker processes — keep module-level)
@@ -364,11 +342,14 @@ def _eval_campaign(config: SimulationConfig, point: SweepPoint) -> Dict[str, obj
 
 
 def _eval_load(config: SimulationConfig, point: SweepPoint) -> Dict[str, object]:
+    """Latency and throughput of one offered load, measured over the
+    injection span and its drain only (not over pre-training)."""
     config = dataclasses.replace(config, error_scale=point.error_scale)
     policy = default_design_factories(point.seed)[point.design]()
     sim = Simulator(config, policy, seed=point.seed)
     sim.pretrain()
     sim.policy.freeze()
+    sim.begin_measurement()
     source = SyntheticTraffic(
         sim.network.topology,
         pattern=point.traffic,
@@ -383,10 +364,11 @@ def _eval_load(config: SimulationConfig, point: SweepPoint) -> Dict[str, object]
             "load": {"rate": point.rate, "latency": None,
                      "throughput": 0.0, "saturated": True},
         }
-    stats = sim.network.stats
+    result = sim.finish_measurement(point.traffic)
     return {
-        "load": {"rate": point.rate, "latency": stats.mean_latency,
-                 "throughput": stats.throughput, "saturated": False},
+        "load": {"rate": point.rate, "latency": result.mean_latency,
+                 "throughput": result.flits_delivered / result.execution_cycles,
+                 "saturated": False},
     }
 
 
@@ -398,8 +380,13 @@ def _eval_mode_error(config: SimulationConfig, point: SweepPoint) -> Dict[str, o
     for _, model in net.channel_models():
         model.event_probability = point.error_probability
     nodes = net.topology.num_nodes
+    budget = config.max_drain_cycles
     created = 0
     while created < point.cycles or not net.quiescent:
+        if net.now >= budget:
+            raise RuntimeError(
+                f"mode_error point failed to drain within max_drain_cycles ({budget})"
+            )
         if created < point.cycles and net.now % 2 == 0:
             src, dst = rng.randrange(nodes), rng.randrange(nodes)
             if src != dst:
@@ -414,8 +401,6 @@ def _eval_mode_error(config: SimulationConfig, point: SweepPoint) -> Dict[str, o
                 )
                 created += 1
         net.cycle()
-        if net.now > 500_000:
-            raise RuntimeError("network failed to drain")
     net.harvest_epoch_counters(1)
     stats = net.stats
     return {

@@ -10,7 +10,7 @@ from repro.traffic.synthetic import (
     SyntheticTraffic,
     destination_for,
 )
-from repro.traffic.trace import TraceRecord, TraceReplayer, load_trace, save_trace
+from repro.traffic.trace import TraceRecord, TraceReplayer
 
 __all__ = [
     "PARSEC_PROFILES",
@@ -21,6 +21,4 @@ __all__ = [
     "destination_for",
     "TraceRecord",
     "TraceReplayer",
-    "load_trace",
-    "save_trace",
 ]

@@ -1,13 +1,11 @@
-"""Application trace records, file I/O, and replay.
+"""Application trace records and replay.
 
 The paper drives its evaluation with PARSEC traces that "contain packet
 information, injection/ejection events, and clock time stamps"
-(Section V-B).  This module defines the equivalent portable trace format:
+(Section V-B).  This module defines the equivalent in-memory trace:
 
 * a :class:`TraceRecord` per message — injection cycle, source,
   destination, packet size in flits;
-* a plain-text file format (one record per line, ``#`` comments) so
-  traces can be inspected, diffed, and versioned;
 * a :class:`TraceReplayer` that presents the same ``packets_for_cycle``
   protocol as the synthetic sources, so the simulator is agnostic to
   whether traffic is synthetic or replayed.
@@ -21,13 +19,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Iterable, List, Optional, Union
+from typing import List, Optional
 
 from repro.noc.packet import Packet
 from repro.noc.topology import MeshTopology
 
-__all__ = ["TraceRecord", "TraceReplayer", "load_trace", "save_trace"]
+__all__ = ["TraceRecord", "TraceReplayer"]
 
 
 @dataclass(frozen=True, order=True)
@@ -46,34 +43,6 @@ class TraceRecord:
             raise ValueError("size must be at least one flit")
         if self.src == self.dest:
             raise ValueError("source and destination must differ")
-
-
-def save_trace(records: Iterable[TraceRecord], path: Union[str, Path]) -> int:
-    """Write records to a trace file; returns the record count."""
-    path = Path(path)
-    count = 0
-    with path.open("w") as f:
-        f.write("# cycle src dest size\n")
-        for record in sorted(records):
-            f.write(f"{record.cycle} {record.src} {record.dest} {record.size}\n")
-            count += 1
-    return count
-
-
-def load_trace(path: Union[str, Path]) -> List[TraceRecord]:
-    """Read a trace file written by :func:`save_trace`."""
-    records = []
-    with Path(path).open() as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 4:
-                raise ValueError(f"{path}:{lineno}: expected 4 fields, got {len(parts)}")
-            cycle, src, dest, size = (int(p) for p in parts)
-            records.append(TraceRecord(cycle, src, dest, size))
-    return sorted(records)
 
 
 class TraceReplayer:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.coding import AckKind, AckMessage, ArqError, RetransmissionBuffer
+from repro.coding import ArqError, RetransmissionBuffer
 
 
 class TestBasics:
@@ -20,11 +20,11 @@ class TestBasics:
 
     def test_len_and_occupancy(self):
         buf = RetransmissionBuffer(4)
-        assert buf.is_empty and buf.occupancy == 0.0
+        assert buf.is_empty and len(buf) == 0
         buf.push("a")
         buf.push("b")
         assert len(buf) == 2
-        assert buf.occupancy == 0.5
+        assert not buf.is_empty and not buf.is_full
 
     def test_overflow_raises(self):
         buf = RetransmissionBuffer(2)
@@ -64,14 +64,6 @@ class TestAckNack:
             buf.ack(99)
         with pytest.raises(ArqError):
             buf.nack(99)
-
-    def test_handle_dispatches_on_kind(self):
-        buf = RetransmissionBuffer(4)
-        seq = buf.push("x")
-        retransmit, item = buf.handle(AckMessage(seq, AckKind.NACK))
-        assert retransmit and item == "x"
-        retransmit, item = buf.handle(AckMessage(seq, AckKind.ACK))
-        assert not retransmit and item == "x"
 
     def test_flush_empties(self):
         buf = RetransmissionBuffer(4)

@@ -51,31 +51,6 @@ class TestSpecParsing:
             parse_fault_spec(bad)
 
 
-class TestSampling:
-    def test_deterministic_in_seed(self):
-        topo = MeshTopology(4, 4)
-        a = HardFaultSchedule.sample(topo, seed=3, link_rate=1e-4, router_rate=1e-5)
-        b = HardFaultSchedule.sample(topo, seed=3, link_rate=1e-4, router_rate=1e-5)
-        assert a == b and a.format() == b.format()
-
-    def test_seed_changes_campaign(self):
-        topo = MeshTopology(4, 4)
-        a = HardFaultSchedule.sample(topo, seed=3, link_rate=1e-4)
-        b = HardFaultSchedule.sample(topo, seed=4, link_rate=1e-4)
-        assert a != b
-
-    def test_zero_rates_empty(self):
-        topo = MeshTopology(4, 4)
-        assert len(HardFaultSchedule.sample(topo, seed=1)) == 0
-
-    def test_max_events_cap(self):
-        topo = MeshTopology(4, 4)
-        schedule = HardFaultSchedule.sample(
-            topo, seed=1, link_rate=0.5, max_events=3
-        )
-        assert len(schedule) == 3
-
-
 def _mesh(routing="adaptive", **kwargs):
     return Network(
         MeshTopology(4, 4), routing_fn=routing, rng=random.Random(0), **kwargs

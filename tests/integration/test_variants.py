@@ -1,6 +1,6 @@
 """Integration tests for platform variants beyond the paper's defaults:
-torus topology, YX routing, alternate packet geometry, and trace file
-round trips through a live simulation."""
+torus topology, YX routing, alternate packet geometry, and synthesized
+traces replayed through a live simulation."""
 
 import random
 
@@ -12,7 +12,7 @@ from repro.noc import MeshTopology, Network, Packet
 from repro.noc.routing import yx_route
 from repro.power import CorePowerParams
 from repro.sim import Simulator, scaled_config
-from repro.traffic import ParsecTraceSynthesizer, PARSEC_PROFILES, load_trace, save_trace
+from repro.traffic import ParsecTraceSynthesizer, PARSEC_PROFILES
 
 
 def run_uniform(net, n_packets=100, seed=5, size=4):
@@ -75,8 +75,8 @@ class TestPacketGeometry:
         assert stats.flits_delivered == 60 * size
 
 
-class TestTraceFileRoundTrip:
-    def test_synthesized_trace_survives_disk_and_replay(self, tmp_path):
+class TestTraceReplay:
+    def test_synthesized_trace_replays_to_completion(self):
         config = scaled_config(
             width=3, height=3, epoch_cycles=100, pretrain_cycles=0, warmup_cycles=0
         )
@@ -84,14 +84,9 @@ class TestTraceFileRoundTrip:
         records = ParsecTraceSynthesizer(
             PARSEC_PROFILES["dedup"], topo, random.Random(6)
         ).synthesize(500)
-        path = tmp_path / "dedup.trace"
-        save_trace(records, path)
-        loaded = load_trace(path)
-        assert loaded == sorted(records)
-
         sim = Simulator(config, crc_policy(), seed=6)
-        result = sim.measure_trace(loaded, "dedup-from-file")
-        assert result.packets_delivered == len(loaded)
+        result = sim.measure_trace(records, "dedup")
+        assert result.packets_delivered == len(records)
 
 
 class TestCorePowerParams:

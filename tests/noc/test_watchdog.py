@@ -10,10 +10,8 @@ from repro.noc import (
     LivelockError,
     MeshTopology,
     Network,
-    NoCInvariantError,
     Packet,
     Port,
-    UnreachableDestinationError,
 )
 
 
@@ -124,21 +122,6 @@ class TestUnreachable:
         net.kill_link(0, Port.NORTH)
         net.kill_link(1, Port.WEST)
         net.kill_link(4, Port.SOUTH)
-
-    def test_raise_mode_gives_structured_diagnosis(self):
-        net = _mesh(
-            routing="adaptive", watchdog_interval=8, unreachable_action="raise"
-        )
-        self._isolate_node_zero(net)
-        net.inject(Packet(5, 0, 4, net.flit_bits, net.now, message_id=1))
-        with pytest.raises(UnreachableDestinationError) as err:
-            net.run(64)
-        report = err.value.report
-        assert report["kind"] == "unreachable_destination"
-        assert report["dest"] == 0
-        assert sorted(report["dead_nodes"]) == []
-        assert (0, int(Port.EAST)) in [tuple(x) for x in report["dead_links"]]
-        assert isinstance(err.value, NoCInvariantError)
 
     def test_drop_mode_counts_and_conserves(self):
         net = _mesh(routing="adaptive", watchdog_interval=8)

@@ -1,11 +1,10 @@
 """Round-trip tests for the metric exporters (CSV and JSON).
 
 The JSON export is the registry's durable form — ``run --metrics`` dumps
-it, and downstream notebooks read it back.  These tests pin the
-round-trip contract: an exported document re-ingests (via
-``read_metrics_json`` + ``registry_from_snapshot``) into a registry that
-re-exports byte-identically, for the empty registry, for unicode metric
-names, and (property-tested) for arbitrary instrument populations.
+it.  These tests pin what a reader gets back with ``json.load``: the
+registry's snapshot and its zero-filled timeline rows, for the empty
+registry, for unicode metric names, and (property-tested) for arbitrary
+instrument populations.
 """
 
 import csv
@@ -15,26 +14,24 @@ import pytest
 
 from repro.obs.export import (
     metrics_timeline_rows,
-    read_metrics_json,
-    registry_from_snapshot,
     write_metrics_csv,
     write_metrics_json,
 )
 from repro.obs.metrics import MetricRegistry
 
 
-def _roundtrip(registry: MetricRegistry, tmp_path) -> MetricRegistry:
-    path = str(tmp_path / "metrics.json")
-    write_metrics_json(registry, path)
-    return registry_from_snapshot(read_metrics_json(path))
+def _roundtrip(registry: MetricRegistry, path) -> dict:
+    """Write ``registry`` as JSON and read the document back."""
+    write_metrics_json(registry, str(path))
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 class TestEmptyRegistry:
     def test_json_round_trip(self, tmp_path):
         registry = MetricRegistry()
-        rebuilt = _roundtrip(registry, tmp_path)
-        assert rebuilt.snapshot() == registry.snapshot()
-        assert rebuilt.timeline == []
+        payload = _roundtrip(registry, tmp_path / "metrics.json")
+        assert payload == {"snapshot": registry.snapshot(), "timeline": []}
 
     def test_csv_has_header_only(self, tmp_path):
         path = str(tmp_path / "metrics.csv")
@@ -50,10 +47,10 @@ class TestUnicodeLabels:
         registry.counter("链路.失败").inc(3)
         registry.gauge("température.°C").set(45.5)
         registry.histogram("λ-latency").record(12.0)
-        rebuilt = _roundtrip(registry, tmp_path)
-        assert rebuilt.peek("链路.失败") == 3
-        assert rebuilt.peek("température.°C") == 45.5
-        assert rebuilt.snapshot() == registry.snapshot()
+        snapshot = _roundtrip(registry, tmp_path / "metrics.json")["snapshot"]
+        assert snapshot["counters"]["链路.失败"] == 3
+        assert snapshot["gauges"]["température.°C"] == 45.5
+        assert snapshot == registry.snapshot()
 
     def test_unicode_metric_names_survive_csv(self, tmp_path):
         registry = MetricRegistry()
@@ -66,20 +63,6 @@ class TestUnicodeLabels:
         assert rows[0]["θ.中文"] == "1.25"
 
 
-class TestReadValidation:
-    def test_rejects_non_export_document(self, tmp_path):
-        path = tmp_path / "bogus.json"
-        path.write_text(json.dumps({"snapshot": []}))
-        with pytest.raises(ValueError, match="not a metrics JSON export"):
-            read_metrics_json(str(path))
-
-    def test_rejects_non_dict(self, tmp_path):
-        path = tmp_path / "list.json"
-        path.write_text("[1, 2, 3]")
-        with pytest.raises(ValueError, match="not a metrics JSON export"):
-            read_metrics_json(str(path))
-
-
 class TestTimelineRoundTrip:
     def test_timeline_rows_and_dropped_survive(self, tmp_path):
         registry = MetricRegistry(max_timeline=2)
@@ -87,9 +70,9 @@ class TestTimelineRoundTrip:
             registry.counter("epochs").inc()
             registry.snapshot_epoch(cycle)
         assert registry.timeline_dropped == 1
-        rebuilt = _roundtrip(registry, tmp_path)
-        assert rebuilt.timeline_dropped == 1
-        assert metrics_timeline_rows(rebuilt) == metrics_timeline_rows(registry)
+        payload = _roundtrip(registry, tmp_path / "metrics.json")
+        assert payload["snapshot"]["timeline_dropped"] == 1
+        assert payload["timeline"] == metrics_timeline_rows(registry)
 
 
 # ----------------------------------------------------------------------
@@ -126,13 +109,8 @@ def registries(draw):
 @settings(max_examples=50, deadline=None)
 @given(registries())
 def test_export_reingests_to_equal_registry(tmp_path_factory, registry):
-    """write -> read -> rebuild -> write is a fixed point."""
-    tmp = tmp_path_factory.mktemp("export")
-    first = str(tmp / "first.json")
-    second = str(tmp / "second.json")
-    write_metrics_json(registry, first)
-    rebuilt = registry_from_snapshot(read_metrics_json(first))
-    assert rebuilt.snapshot() == registry.snapshot()
-    write_metrics_json(rebuilt, second)
-    with open(first) as a, open(second) as b:
-        assert a.read() == b.read()
+    """The written document reads back as the registry's snapshot and
+    timeline rows."""
+    payload = _roundtrip(registry, tmp_path_factory.mktemp("export") / "metrics.json")
+    assert payload["snapshot"] == registry.snapshot()
+    assert payload["timeline"] == metrics_timeline_rows(registry)

@@ -164,19 +164,11 @@ class TestGridExpansion:
         # The retired per-design "suite" kind: the Figs 6-10 grid runs
         # only through repro.sim.campaign.
         with pytest.raises(ValueError, match="unknown sweep kind 'suite'"):
-            SweepSpec.from_dict({"config": {}, "kind": "suite"})
+            SweepSpec(config=tiny_config(), kind="suite")
         # The retired in-place "trace" kind: designs are compared on a
         # benchmark trace only through repro.sim.campaign.
         with pytest.raises(ValueError, match="unknown sweep kind 'trace'"):
-            SweepSpec.from_dict({"config": {}, "kind": "trace"})
-
-    def test_spec_dict_round_trip(self):
-        spec = tiny_campaign_spec(
-            seeds=(3, 4), error_scales=(0.5,),
-            soft_error_specs=("", "qtable@1e-5"),
-        )
-        blob = json.dumps(spec.as_dict())
-        assert SweepSpec.from_dict(json.loads(blob)) == spec
+            SweepSpec(config=tiny_config(), kind="trace")
 
     def test_control_chaos_composes_every_spec_axis(self):
         spec = SweepSpec(
@@ -237,6 +229,39 @@ class TestModeError:
         stats = self._stats(flit_bits=64)
         assert stats != self._stats()
         assert stats["retransmission_events"] > 0
+
+    def test_drains_within_the_config_budget(self):
+        # 120 packets, one every other cycle: injection alone outlasts
+        # a 100-cycle budget.
+        with pytest.raises(RuntimeError, match=r"max_drain_cycles \(100\)"):
+            self._stats(max_drain_cycles=100)
+
+
+class TestLoadWindow:
+    """A ``load`` point measures its injection span and drain, not the
+    pre-training before them."""
+
+    CONFIG = tiny_config(pretrain_cycles=1200)
+
+    def _load(self, design):
+        point = SweepPoint(
+            kind="load", design=design, traffic="uniform", seed=0,
+            cycles=300, rate=0.01,
+        )
+        return run_sweep_point(self.CONFIG, point)["load"]
+
+    def test_trainable_design_excludes_pretraining(self):
+        load = self._load("rl")
+        offered = 0.01 * self.CONFIG.num_nodes * self.CONFIG.packet_size
+        assert load["throughput"] <= offered  # flits per cycle
+        assert load["latency"] == pytest.approx(32.64)
+        assert load["throughput"] == pytest.approx(100 / 301)
+
+    def test_static_design_has_nothing_to_exclude(self):
+        assert self._load("crc") == {
+            "rate": 0.01, "latency": 15.68, "throughput": 0.3125,
+            "saturated": False,
+        }
 
 
 class TestCacheKeys:

@@ -51,8 +51,8 @@ class TestCommands:
         assert code == 0
         err = capsys.readouterr().err
         assert "[profile] cycle kernel: fast" in err
-        assert "channel_visits" in err
-        assert "fast-forwarded" in err
+        for name in ("channel", "router", "ni_eject", "ni_inject"):
+            assert f"[profile] {name}_visits" in err
 
     def test_run_rejects_unknown_benchmark(self):
         with pytest.raises(SystemExit):

@@ -1,11 +1,11 @@
-"""Tests for trace records, file I/O, and replay."""
+"""Tests for trace records and replay."""
 
 import random
 
 import pytest
 
 from repro.noc import MeshTopology
-from repro.traffic import TraceRecord, TraceReplayer, load_trace, save_trace
+from repro.traffic import TraceRecord, TraceReplayer
 
 
 class TestRecord:
@@ -20,30 +20,6 @@ class TestRecord:
     def test_ordering_by_cycle(self):
         records = [TraceRecord(5, 0, 1, 4), TraceRecord(2, 1, 0, 4)]
         assert sorted(records)[0].cycle == 2
-
-
-class TestFileIO:
-    def test_roundtrip(self, tmp_path):
-        records = [
-            TraceRecord(0, 0, 5, 4),
-            TraceRecord(3, 2, 7, 1),
-            TraceRecord(3, 1, 4, 4),
-        ]
-        path = tmp_path / "trace.txt"
-        assert save_trace(records, path) == 3
-        loaded = load_trace(path)
-        assert loaded == sorted(records)
-
-    def test_comments_and_blank_lines_ignored(self, tmp_path):
-        path = tmp_path / "trace.txt"
-        path.write_text("# header\n\n1 0 2 4\n# trailer\n")
-        assert load_trace(path) == [TraceRecord(1, 0, 2, 4)]
-
-    def test_malformed_line_rejected(self, tmp_path):
-        path = tmp_path / "trace.txt"
-        path.write_text("1 0 2\n")
-        with pytest.raises(ValueError, match="expected 4 fields"):
-            load_trace(path)
 
 
 class TestReplayer:
