@@ -159,9 +159,13 @@ def _add_platform_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--epoch", type=int, default=250, help="control epoch cycles (paper: 1000)")
     parser.add_argument("--pretrain", type=int, default=60_000, help="pre-training cycles (paper: 1e6)")
     parser.add_argument("--warmup", type=int, default=2_000, help="warm-up cycles (paper: 3e5)")
-    parser.add_argument("--trace-cycles", type=int, default=3_000, help="trace injection span")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--json", action="store_true", help="emit JSON instead of text")
+
+
+def _add_trace_cycles_arg(parser: argparse.ArgumentParser) -> None:
+    """For the subcommands that replay a benchmark trace."""
+    parser.add_argument("--trace-cycles", type=int, default=3_000, help="trace injection span")
 
 
 def _add_sweep_args(parser: argparse.ArgumentParser) -> None:
@@ -329,6 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_soft_error_args(run)
     _add_platform_args(run)
+    _add_trace_cycles_arg(run)
     _add_trace_args(run)
 
     resume = sub.add_parser(
@@ -356,6 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     comp.add_argument("--benchmark", default="canneal")
     _add_platform_args(comp)
+    _add_trace_cycles_arg(comp)
     _add_sweep_args(comp)
 
     sweep = sub.add_parser("sweep", help="latency vs offered load for one design")
@@ -436,6 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="also write the normalized report as Markdown to FILE",
     )
     _add_platform_args(camp)
+    _add_trace_cycles_arg(camp)
     _add_sweep_args(camp)
     _add_trace_args(camp)
     # compare runs as a one-benchmark campaign: every campaign setting

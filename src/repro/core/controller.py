@@ -27,6 +27,7 @@ from typing import Dict, List, Mapping, Optional, Set, Tuple
 
 from repro.core.modes import OperationMode
 from repro.core.state import (
+    AMBIENT_C,
     NUM_PORTS,
     DiscretizationConfig,
     RouterObservation,
@@ -141,7 +142,7 @@ class ObservationGuard:
         include_mode: bool = True,
         hold_ttl: int = 3,
         quarantine_after: int = 8,
-        default_temperature: float = 45.0,
+        default_temperature: float = AMBIENT_C,
     ) -> None:
         if num_routers <= 0:
             raise ValueError("need at least one router")

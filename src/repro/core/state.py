@@ -35,6 +35,7 @@ from typing import List, Optional, Tuple
 from repro.noc.router import Router
 
 __all__ = [
+    "AMBIENT_C",
     "NUM_PORTS",
     "DiscretizationConfig",
     "RouterObservation",
@@ -45,6 +46,11 @@ __all__ = [
 #: Number of router ports (LOCAL + 4 directions).
 NUM_PORTS = 5
 _NUM_PORTS = NUM_PORTS
+
+#: Ambient (heatsink) temperature in degrees C: where the thermal grid
+#: starts and settles without power, and the reading the observation
+#: guard substitutes for a lost temperature sensor.
+AMBIENT_C = 45.0
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,8 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
+from repro.core.state import AMBIENT_C
+
 __all__ = ["ThermalGrid"]
 
 
@@ -55,7 +57,7 @@ class ThermalGrid:
         self,
         width: int,
         height: int,
-        t_ambient: float = 45.0,
+        t_ambient: float = AMBIENT_C,
         r_vertical: float = 100.0,
         r_lateral: float = 50.0,
         alpha: float = 0.25,

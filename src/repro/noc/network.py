@@ -48,6 +48,9 @@ __all__ = ["Network", "resolve_kernel"]
 #: Directed links a router terminates (LOCAL has no channel).
 _LINK_PORTS = (Port.EAST, Port.WEST, Port.NORTH, Port.SOUTH)
 
+#: Cycles a flit spends on an inter-router link.
+LINK_LATENCY = 1
+
 #: Environment switch selecting the reference full-scan kernel.
 NAIVE_KERNEL_ENV = "REPRO_NAIVE_KERNEL"
 
@@ -142,12 +145,7 @@ class Network:
         num_vcs: int = 4,
         vc_depth: int = 4,
         flit_bits: int = 128,
-        arq_capacity: int = 8,
-        channel_latency: int = 1,
-        crc: Optional[CRC] = None,
         rng: Optional[random.Random] = None,
-        error_severity: Tuple[float, float, float] = (0.33, 0.47, 0.20),
-        relax_factor: float = 1e-4,
         routing_seed: int = 0,
         watchdog_interval: int = 256,
         deadlock_cycles: int = 4096,
@@ -175,7 +173,6 @@ class Network:
                 self.routing_policy.build(topology, i, routing_seed, self.fault_state),
                 num_vcs,
                 vc_depth,
-                arq_capacity,
                 fault_state=self.fault_state,
             )
             for i in range(topology.num_nodes)
@@ -211,10 +208,7 @@ class Network:
         self._meta_sideband: List[Tuple[Channel, Router, int]] = []
         self._meta_data: List[Tuple[Channel, Router, int]] = []
         for index, spec in enumerate(topology.channels()):
-            model = ChannelErrorModel(
-                self.rng, flit_bits, 0.0, error_severity, relax_factor
-            )
-            channel = Channel(spec, channel_latency, model)
+            channel = Channel(spec, LINK_LATENCY, ChannelErrorModel(self.rng, flit_bits))
             channel.bind_activity(index, self.activity.sideband, self.activity.arrivals)
             self.channels[(spec.src, spec.src_port)] = channel
             self._meta_sideband.append(
@@ -224,7 +218,7 @@ class Network:
                 (channel, self.routers[spec.dst], int(spec.dst_port))
             )
             self.routers[spec.src].outputs[int(spec.src_port)] = OutputLink(
-                spec.src_port, channel, num_vcs, vc_depth, arq_capacity
+                spec.src_port, channel, num_vcs, vc_depth
             )
             self.routers[spec.dst].in_channels[int(spec.dst_port)] = channel
         for router in self.routers:
@@ -234,7 +228,7 @@ class Network:
         #: saturation steady state), skipping the per-cycle sort
         self._all_nodes = list(range(topology.num_nodes))
 
-        crc = crc if crc is not None else CRC.crc16()
+        crc = CRC.crc16()
         self.interfaces: List[NetworkInterface] = [
             NetworkInterface(i, self.routers[i], topology, crc, self.stats)
             for i in range(topology.num_nodes)

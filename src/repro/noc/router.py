@@ -51,6 +51,9 @@ __all__ = ["OutputLink", "Router", "ECC_PIPELINE_CYCLES"]
 #: Extra cycles a protected (ECC) transfer spends in the encoder/decoder.
 ECC_PIPELINE_CYCLES = 1
 
+#: Transmissions an output port's ARQ buffer holds awaiting an ACK.
+ARQ_CAPACITY = 8
+
 _NUM_PORTS = len(Port)
 _LOCAL = int(Port.LOCAL)
 #: rotating output-port scan orders for SA, indexed by ``now % N`` —
@@ -76,14 +79,12 @@ class OutputLink:
         "alive",
     )
 
-    def __init__(
-        self, port: Port, channel: Channel, num_vcs: int, vc_depth: int, arq_capacity: int
-    ) -> None:
+    def __init__(self, port: Port, channel: Channel, num_vcs: int, vc_depth: int) -> None:
         self.port = port
         self.channel = channel
         #: cleared by the network's hard-fault sweep when the link dies
         self.alive = True
-        self.arq: RetransmissionBuffer[Transmission] = RetransmissionBuffer(arq_capacity)
+        self.arq: RetransmissionBuffer[Transmission] = RetransmissionBuffer(ARQ_CAPACITY)
         self.credits = [vc_depth] * num_vcs
         self.vc_allocated = [False] * num_vcs
         self.vc_draining = [False] * num_vcs
@@ -103,7 +104,6 @@ class Router:
         routing_fn: RoutingFunction,
         num_vcs: int,
         vc_depth: int,
-        arq_capacity: int = 8,
         fault_state: Optional[FaultState] = None,
     ) -> None:
         self.id = router_id
@@ -111,7 +111,6 @@ class Router:
         self.routing_fn = routing_fn
         self.num_vcs = num_vcs
         self.vc_depth = vc_depth
-        self.arq_capacity = arq_capacity
         #: shared hard-fault state (None only for standalone router tests)
         self.fault_state = fault_state
         self._fault_aware = bool(getattr(routing_fn, "fault_aware", False))

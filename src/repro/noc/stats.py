@@ -23,57 +23,23 @@ _NUM_PORTS = len(Port)
 
 
 class LatencyAccumulator:
-    """Streaming mean/min/max/histogram of packet latencies."""
+    """Streaming count, sum and mean of packet latencies."""
 
-    __slots__ = ("count", "total", "minimum", "maximum", "_buckets")
-
-    #: histogram bucket upper bounds in cycles (last bucket = overflow)
-    BUCKET_BOUNDS = (16, 32, 64, 128, 256, 512, 1024, 4096)
+    __slots__ = ("count", "total")
 
     def __init__(self) -> None:
         self.count = 0
         self.total = 0
-        self.minimum = None
-        self.maximum = None
-        self._buckets = [0] * (len(self.BUCKET_BOUNDS) + 1)
 
     def record(self, latency: int) -> None:
         if latency < 0:
             raise ValueError("latency cannot be negative")
         self.count += 1
         self.total += latency
-        if self.minimum is None or latency < self.minimum:
-            self.minimum = latency
-        if self.maximum is None or latency > self.maximum:
-            self.maximum = latency
-        for i, bound in enumerate(self.BUCKET_BOUNDS):
-            if latency <= bound:
-                self._buckets[i] += 1
-                break
-        else:
-            self._buckets[-1] += 1
 
     @property
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
-
-    @property
-    def histogram(self) -> List[int]:
-        return list(self._buckets)
-
-    def merge(self, other: "LatencyAccumulator") -> None:
-        self.count += other.count
-        self.total += other.total
-        if other.minimum is not None:
-            self.minimum = (
-                other.minimum if self.minimum is None else min(self.minimum, other.minimum)
-            )
-        if other.maximum is not None:
-            self.maximum = (
-                other.maximum if self.maximum is None else max(self.maximum, other.maximum)
-            )
-        for i, n in enumerate(other._buckets):
-            self._buckets[i] += n
 
 
 class RouterEpochStats:
@@ -157,16 +123,15 @@ class RouterEpochStats:
         """NACKs received as a fraction of flits sent, per output port
         (Table I feature 4: percentage rate of NACK received)."""
         return [
-            self.nacks_in[p] / self.flits_out[p] if self.flits_out[p] else 0.0
-            for p in range(_NUM_PORTS)
+            n / sent if sent else 0.0 for n, sent in zip(self.nacks_in, self.flits_out)
         ]
 
     def output_nack_rate(self) -> List[float]:
         """NACKs sent as a fraction of flits received, per input port
         (Table I feature 5: percentage rate of NACK sent)."""
         return [
-            self.nacks_out[p] / self.flits_in[p] if self.flits_in[p] else 0.0
-            for p in range(_NUM_PORTS)
+            n / received if received else 0.0
+            for n, received in zip(self.nacks_out, self.flits_in)
         ]
 
     def mean_delivered_latency(self, default: float) -> float:

@@ -1,4 +1,4 @@
-"""Mesh/torus topology: node coordinates, ports, and channel wiring.
+"""Mesh topology: node coordinates, ports, and channel wiring.
 
 The paper evaluates an 8x8 2D mesh (Table II) and illustrates a 4x4 mesh
 (Fig. 1(a)).  Each router has five ports: one local (core) port plus the
@@ -63,18 +63,17 @@ class ChannelSpec:
 
 
 class MeshTopology:
-    """A ``width`` x ``height`` 2D mesh (optionally a torus).
+    """A ``width`` x ``height`` 2D mesh.
 
     Node ids are ``y * width + x`` with (0, 0) at the south-west corner,
     matching the usual Booksim convention.
     """
 
-    def __init__(self, width: int, height: int, torus: bool = False) -> None:
+    def __init__(self, width: int, height: int) -> None:
         if width < 2 or height < 2:
             raise ValueError("mesh must be at least 2x2")
         self.width = width
         self.height = height
-        self.torus = torus
         self.num_nodes = width * height
         self.num_ports = len(Port)
         self._channels: List[ChannelSpec] = []
@@ -87,10 +86,7 @@ class MeshTopology:
             x, y = self.coordinates(node)
             for port, (dx, dy) in _PORT_DELTA.items():
                 nx, ny = x + dx, y + dy
-                if self.torus:
-                    nx %= self.width
-                    ny %= self.height
-                elif not (0 <= nx < self.width and 0 <= ny < self.height):
+                if not (0 <= nx < self.width and 0 <= ny < self.height):
                     continue
                 neighbour = self.node_id(nx, ny)
                 self._neighbour[(node, port)] = neighbour
@@ -124,15 +120,10 @@ class MeshTopology:
         return len(self._channels)
 
     def hop_distance(self, src: int, dest: int) -> int:
-        """Minimal hop count between two nodes (Manhattan on a mesh)."""
+        """Minimal hop count between two nodes (Manhattan distance)."""
         sx, sy = self.coordinates(src)
         dx, dy = self.coordinates(dest)
-        span_x = abs(sx - dx)
-        span_y = abs(sy - dy)
-        if self.torus:
-            span_x = min(span_x, self.width - span_x)
-            span_y = min(span_y, self.height - span_y)
-        return span_x + span_y
+        return abs(sx - dx) + abs(sy - dy)
 
     def ports_of(self, node: int) -> List[Port]:
         """Ports of ``node`` that are wired (LOCAL plus real neighbours)."""
@@ -141,5 +132,4 @@ class MeshTopology:
         return ports
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        kind = "torus" if self.torus else "mesh"
-        return f"MeshTopology({self.width}x{self.height} {kind})"
+        return f"MeshTopology({self.width}x{self.height})"

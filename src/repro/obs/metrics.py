@@ -87,12 +87,7 @@ class Gauge:
 
 
 class Histogram:
-    """Fixed-bound bucket histogram with running sum/min/max.
-
-    ``merge`` is associative and commutative (pure element-wise sums
-    plus min/max), which the hypothesis property tests pin down — the
-    sweep supervisor relies on it when folding worker results together.
-    """
+    """Fixed-bound bucket histogram with running sum/min/max."""
 
     __slots__ = ("bounds", "buckets", "count", "total", "min", "max", "guard")
 
@@ -128,25 +123,6 @@ class Histogram:
         if self.max is None or value > self.max:
             self.max = value
 
-    def merge(self, other: "Histogram") -> None:
-        if self.bounds != other.bounds:
-            raise ValueError("cannot merge histograms with different bounds")
-        for i, n in enumerate(other.buckets):
-            self.buckets[i] += n
-        self.count += other.count
-        self.total += other.total
-        for bound_attr in ("min", "max"):
-            theirs = getattr(other, bound_attr)
-            if theirs is None:
-                continue
-            mine = getattr(self, bound_attr)
-            if mine is None:
-                setattr(self, bound_attr, theirs)
-            elif bound_attr == "min":
-                self.min = min(mine, theirs)
-            else:
-                self.max = max(mine, theirs)
-
     @property
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
@@ -169,21 +145,6 @@ class Histogram:
             "min": self.min,
             "max": self.max,
         }
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Histogram):
-            return NotImplemented
-        # totals are float sums, so reassociating merges perturbs the
-        # last bits — compare with a relative tolerance, not exactly
-        scale = max(1.0, abs(self.total), abs(other.total))
-        return (
-            self.bounds == other.bounds
-            and self.buckets == other.buckets
-            and self.count == other.count
-            and abs(self.total - other.total) <= 1e-9 * scale
-            and self.min == other.min
-            and self.max == other.max
-        )
 
 
 class MetricRegistry:

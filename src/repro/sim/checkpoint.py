@@ -107,7 +107,11 @@ CHECKPOINT_MAGIC = b"RNOCCKPT"
 #: reason) replaces the simulator's safe-router, ECC-escalation and
 #: trip-log attributes, and the RL policy's pins became a dict — a
 #: version-6 body has no ledger for the select stage to read.
-CHECKPOINT_VERSION = 7
+#: Version 8: ``LatencyAccumulator`` keeps only its count and total, so
+#: a version-7 body's minimum, maximum and histogram slots have nowhere
+#: to go (routers, topologies and trace replayers also dropped their
+#: ``arq_capacity``, ``torus`` and ``stretch`` attributes).
+CHECKPOINT_VERSION = 8
 
 #: Pretrained-policy campaign artifacts share the container format but
 #: version independently: an artifact body is a ``ControlPolicy.to_state``

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Tuple
+from dataclasses import dataclass, replace
 
 __all__ = ["SimulationConfig", "paper_config", "scaled_config"]
 
@@ -27,8 +26,6 @@ class SimulationConfig:
     flit_bits: int = 128
     packet_size: int = 4
     routing: str = "xy"
-    channel_latency: int = 1
-    arq_capacity: int = 8
 
     # Electrical operating point (Table II)
     clock_hz: float = 2.0e9
@@ -41,20 +38,13 @@ class SimulationConfig:
 
     # Fault model
     error_scale: float = 1.0
-    error_severity: Tuple[float, float, float] = (0.33, 0.47, 0.20)
-    varius_seed: int = 1
-
-    # Thermal model
-    t_ambient: float = 45.0
-    thermal_alpha: float = 0.25
 
     # RL state encoding (see repro.core.state: compact vs full Table I,
     # and the Markov-completing current-mode feature)
     compact_state: bool = True
     include_mode_in_state: bool = True
 
-    # Traffic / pretraining
-    pretrain_pattern: str = "uniform"
+    # Pre-training and warm-up traffic (uniform random)
     pretrain_injection_rate: float = 0.015
 
     # Safety valve for drain loops
@@ -74,14 +64,13 @@ class SimulationConfig:
     # Sensor faults / control-plane hardening.  ``sensor_spec`` is the
     # telemetry-corruption campaign of repro.faults.sensors ("" = healthy
     # sensor bank).  The defenses sit between observe_router and the
-    # policy: last-good hold within ``sensor_hold_ttl`` epochs, per-router
-    # quarantine into the safe-mode fallback after ``sensor_quarantine_k``
+    # policy: last-good hold for up to three epochs, per-router quarantine
+    # into the safe-mode fallback after ``sensor_quarantine_k``
     # consecutive rejected observations, and mode-switch debouncing that
     # keeps a router's mode for ``mode_hysteresis_epochs`` epochs after a
     # switch (0 = off, the behavior-identical default).
     sensor_spec: str = ""
     sensor_defenses: bool = True
-    sensor_hold_ttl: int = 3
     sensor_quarantine_k: int = 8
     mode_hysteresis_epochs: int = 0
 
@@ -110,8 +99,6 @@ class SimulationConfig:
             raise ValueError(f"unknown routing {self.routing!r}")
         if self.watchdog_interval < 0:
             raise ValueError("watchdog_interval cannot be negative")
-        if self.sensor_hold_ttl < 1:
-            raise ValueError("sensor_hold_ttl must be at least one epoch")
         if self.sensor_quarantine_k < 1:
             raise ValueError("sensor_quarantine_k must be at least 1")
         if self.mode_hysteresis_epochs < 0:

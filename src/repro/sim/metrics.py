@@ -149,43 +149,10 @@ class RunResult:
             return 0.0
         return self.total_energy_pj * 1e-12 / self.execution_seconds
 
-    def constructor_dict(self) -> Dict[str, object]:
-        """All constructor fields — lossless serialization round trip."""
-        return {
-            "design": self.design,
-            "benchmark": self.benchmark,
-            "execution_cycles": self.execution_cycles,
-            "mean_latency": self.mean_latency,
-            "packets_delivered": self.packets_delivered,
-            "flits_delivered": self.flits_delivered,
-            "packet_retransmissions": self.packet_retransmissions,
-            "flit_retransmissions": self.flit_retransmissions,
-            "corrected_errors": self.corrected_errors,
-            "escaped_errors": self.escaped_errors,
-            "silent_corruptions": self.silent_corruptions,
-            "duplicate_flits": self.duplicate_flits,
-            "dynamic_energy_pj": self.dynamic_energy_pj,
-            "static_energy_pj": self.static_energy_pj,
-            "clock_hz": self.clock_hz,
-            "mode_cycles": {str(k): v for k, v in self.mode_cycles.items()},
-            "mean_temperature": self.mean_temperature,
-            "mean_error_probability": self.mean_error_probability,
-            "messages_created": self.messages_created,
-            "messages_dropped": self.messages_dropped,
-            "reroutes": self.reroutes,
-            "fault_recoveries": self.fault_recoveries,
-            "unreachable_drops": self.unreachable_drops,
-            "post_fault_latency": self.post_fault_latency,
-            "safe_mode_entries": self.safe_mode_entries,
-            "rejected_observations": self.rejected_observations,
-            "sensor_holds": self.sensor_holds,
-            "sensor_clamps": self.sensor_clamps,
-            "mode_switches": self.mode_switches,
-        }
-
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "RunResult":
-        """Inverse of :meth:`constructor_dict`."""
+        """Inverse of ``dataclasses.asdict``, also after a JSON round
+        trip (which turns the ``mode_cycles`` keys into strings)."""
         kwargs = dict(data)
         kwargs["mode_cycles"] = {int(k): v for k, v in data["mode_cycles"].items()}
         return cls(**kwargs)

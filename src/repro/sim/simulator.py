@@ -77,8 +77,8 @@ def build_network(
     kernel: Optional[str] = None,
 ) -> Network:
     """The mesh ``config`` describes: its size, routing (``routing``
-    overrides ``config.routing``), router, link and error parameters and
-    watchdog settings.  ``kernel`` is deliberately not part of
+    overrides ``config.routing``), router parameters and watchdog
+    settings.  ``kernel`` is deliberately not part of
     :class:`SimulationConfig`: both kernels are bit-identical, and
     sweep-cache keys hash the config."""
     return Network(
@@ -87,10 +87,7 @@ def build_network(
         num_vcs=config.num_vcs,
         vc_depth=config.vc_depth,
         flit_bits=config.flit_bits,
-        arq_capacity=config.arq_capacity,
-        channel_latency=config.channel_latency,
         rng=rng,
-        error_severity=config.error_severity,
         routing_seed=routing_seed,
         watchdog_interval=config.watchdog_interval,
         deadlock_cycles=config.deadlock_cycles,
@@ -128,8 +125,6 @@ class Simulator:
         config: SimulationConfig,
         policy: ControlPolicy,
         seed: int = 0,
-        energy_params: Optional[EnergyParams] = None,
-        core_params: Optional[CorePowerParams] = None,
         kernel: Optional[str] = None,
         tracer=None,
     ) -> None:
@@ -147,13 +142,9 @@ class Simulator:
             schedule = HardFaultSchedule.parse(config.fault_spec)
             self.hard_faults = HardFaultModel(self.network, schedule)
             self.network.hard_faults = self.hard_faults
-        self.varius = VariusModel(config.width, config.height, seed=config.varius_seed)
-        self.thermal = ThermalGrid(
-            config.width,
-            config.height,
-            t_ambient=config.t_ambient,
-            alpha=config.thermal_alpha,
-        )
+        # Every run samples the same die: VARIUS variation map seed 1.
+        self.varius = VariusModel(config.width, config.height, seed=1)
+        self.thermal = ThermalGrid(config.width, config.height)
         #: per-run metric registry; counters here (unlike the module
         #: globals they replace) reset with the simulator instance
         self.metrics = MetricRegistry()
@@ -165,9 +156,8 @@ class Simulator:
             error_scale=config.error_scale,
             registry=self.metrics,
         )
-        params = energy_params if energy_params is not None else EnergyParams(clock_hz=config.clock_hz)
-        self.power_model = RouterPowerModel(params)
-        self.core_params = core_params if core_params is not None else CorePowerParams()
+        self.power_model = RouterPowerModel(EnergyParams(clock_hz=config.clock_hz))
+        self.core_params = CorePowerParams()
         self.state_config = DiscretizationConfig(num_vcs=config.num_vcs)
 
         #: sensor-fault campaign (None when config.sensor_spec is empty)
@@ -186,9 +176,7 @@ class Simulator:
                 state_config=self.state_config,
                 compact=config.compact_state,
                 include_mode=config.include_mode_in_state,
-                hold_ttl=config.sensor_hold_ttl,
                 quarantine_after=config.sensor_quarantine_k,
-                default_temperature=config.t_ambient,
             )
         #: epoch counter for hold TTLs and mode-switch debouncing; rides
         #: the checkpoint pickle so resumed runs continue the sequence
@@ -759,9 +747,9 @@ class Simulator:
     def plan(self) -> List[Segment]:
         """The Section V-B run plan, segment by segment.
 
-        Pre-training sweeps three synthetic load levels (light, nominal,
-        heavy) so the learning policies visit the cool/quiet *and*
-        hot/error-prone regions of the Table I state space before any
+        Pre-training sweeps three uniform-random load levels (light,
+        nominal, heavy) so the learning policies visit the cool/quiet
+        *and* hot/error-prone regions of the Table I state space before any
         application trace runs — the role the paper's 1M-cycle synthetic
         phase plays at full scale.  Static designs (and
         ``pretrain_cycles=0``) get no pre-training segments.
@@ -775,8 +763,9 @@ class Simulator:
         The remainder of each level runs free epsilon-greedy control.
 
         In-flight pre-training packets then drain, the policy freezes, a
-        warm-up runs (none when ``warmup_cycles=0``), and the measured
-        trace replays until every message is delivered.
+        uniform-random warm-up runs at the nominal pre-training rate (none
+        when ``warmup_cycles=0``), and the measured trace replays until
+        every message is delivered.
         """
         config = self.config
         segments: List[Segment] = []
@@ -788,7 +777,7 @@ class Simulator:
             forced_span = int(span * curriculum_share) // len(OperationMode)
             free_span = span - forced_span * len(OperationMode)
             for i, rate in enumerate(levels):
-                source = (config.pretrain_pattern, min(rate, 1.0), self.seed + 101 + i)
+                source = ("uniform", min(rate, 1.0), self.seed + 101 + i)
                 for mode in OperationMode:
                     segments.append(Segment("pretrain", forced_span, mode, source))
                     source = None
@@ -796,11 +785,7 @@ class Simulator:
             segments.append(Segment("drain"))
         segments.append(Segment("freeze"))
         if config.warmup_cycles > 0:
-            source = (
-                config.pretrain_pattern,
-                config.pretrain_injection_rate,
-                self.seed + 202,
-            )
+            source = ("uniform", config.pretrain_injection_rate, self.seed + 202)
             segments.append(Segment("warmup", config.warmup_cycles, source=source))
         segments.append(Segment("measure"))
         return segments

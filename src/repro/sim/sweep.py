@@ -1,7 +1,7 @@
 """Parallel sweep orchestration with on-disk result caching.
 
-The paper's evaluation (Figs 6-10) is a grid of (design x error-rate x
-traffic x seed) measurement runs.  Each point is an independent,
+The paper's evaluation (Figs 6-10) is a grid of (design x traffic x
+seed) measurement runs.  Each point is an independent,
 deterministic simulation, so the grid parallelizes perfectly and every
 completed point is worth persisting.  This module provides:
 
@@ -136,7 +136,10 @@ __all__ = [
 #: points now honour ``error_severity``: non-default configs changed.
 #: Schema 9: ``load`` points report latency and throughput over their
 #: own span; trainable designs used to fold in the pre-training traffic.
-CACHE_SCHEMA = 9
+#: Schema 10: eight config fields and the point's ``error_scale`` are
+#: gone, so every key changed; ``load`` points now run the config's
+#: warm-up and drain it before their measured span opens.
+CACHE_SCHEMA = 10
 
 DEFAULT_CACHE_DIR = ".sweep_cache"
 
@@ -169,7 +172,6 @@ class SweepPoint:
     traffic: str
     seed: int
     cycles: int
-    error_scale: float = 1.0
     rate: float = 0.0
     error_probability: float = 0.0
     #: hard-fault campaign spec ("" = healthy); part of the cache key, so
@@ -220,8 +222,6 @@ class SweepPoint:
             parts.append(f"r{self.rate:g}")
         if self.kind == "mode_error":
             parts.append(f"p{self.error_probability:g}")
-        if self.error_scale != 1.0:
-            parts.append(f"x{self.error_scale:g}")
         if self.fault_spec:
             parts.append(self.fault_spec)
         if self.sensor_spec:
@@ -237,9 +237,10 @@ class SweepPoint:
 class SweepSpec:
     """Declarative grid: the cross product expanded by :meth:`expand`.
 
-    Expansion order is deterministic — traffic (outer), error scale,
-    rate / error probability, seed, design (inner) — so result lists
-    line up across runs and ``--jobs`` settings.
+    Expansion order is deterministic — traffic (outer), fault, sensor
+    and soft-error specs, rate / error probability, seed, design
+    (inner) — so result lists line up across runs and ``--jobs``
+    settings.
     """
 
     config: SimulationConfig
@@ -247,7 +248,6 @@ class SweepSpec:
     designs: Tuple[str, ...] = DESIGN_ORDER
     traffics: Tuple[str, ...] = ("canneal",)
     seeds: Tuple[int, ...] = (0,)
-    error_scales: Tuple[float, ...] = (1.0,)
     rates: Tuple[float, ...] = (0.0,)
     error_probabilities: Tuple[float, ...] = (0.0,)
     #: hard-fault campaign axis (chaos kinds only; "" = healthy baseline)
@@ -261,7 +261,7 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if self.kind not in POINT_KINDS:
             raise ValueError(f"unknown sweep kind {self.kind!r}")
-        for name in ("designs", "traffics", "seeds", "error_scales",
+        for name in ("designs", "traffics", "seeds",
                      "fault_specs", "sensor_specs", "soft_error_specs"):
             if not getattr(self, name):
                 raise ValueError(f"{name} cannot be empty")
@@ -271,7 +271,6 @@ class SweepSpec:
         closed_loop = self.kind == "control_chaos"
         axes = itertools.product(
             self.traffics,
-            self.error_scales,
             self.fault_specs if self.kind in ("chaos", "control_chaos") else ("",),
             self.sensor_specs if closed_loop else ("",),
             self.soft_error_specs if closed_loop else ("",),
@@ -286,14 +285,13 @@ class SweepSpec:
                 traffic=traffic,
                 seed=seed,
                 cycles=self.cycles,
-                error_scale=scale,
                 rate=extra if self.kind in _RATED_KINDS else 0.0,
                 error_probability=extra if self.kind == "mode_error" else 0.0,
                 fault_spec=fault_spec,
                 sensor_spec=sensor_spec,
                 soft_error_spec=soft_error_spec,
             )
-            for (traffic, scale, fault_spec, sensor_spec, soft_error_spec,
+            for (traffic, fault_spec, sensor_spec, soft_error_spec,
                  extra, seed, design) in axes
         ]
 
@@ -318,7 +316,6 @@ def _eval_campaign(config: SimulationConfig, point: SweepPoint) -> Dict[str, obj
     evaluator failure, which the supervisor retries and then
     quarantines instead of measuring garbage.
     """
-    config = dataclasses.replace(config, error_scale=point.error_scale)
     factory = default_design_factories(point.seed)[point.design]
     policy = factory()
     if point.artifact_path:
@@ -338,17 +335,24 @@ def _eval_campaign(config: SimulationConfig, point: SweepPoint) -> Dict[str, obj
     result = run_design_on_trace(
         policy, records, config, benchmark=point.traffic, seed=point.seed
     )
-    return {"run": result.constructor_dict()}
+    return {"run": dataclasses.asdict(result)}
 
 
 def _eval_load(config: SimulationConfig, point: SweepPoint) -> Dict[str, object]:
     """Latency and throughput of one offered load, measured over the
-    injection span and its drain only (not over pre-training)."""
-    config = dataclasses.replace(config, error_scale=point.error_scale)
+    injection span and its drain only: pre-training and the warm-up run
+    and drain before the measured window opens."""
     policy = default_design_factories(point.seed)[point.design]()
     sim = Simulator(config, policy, seed=point.seed)
     sim.pretrain()
     sim.policy.freeze()
+    sim.warmup()
+    saturated = {
+        "load": {"rate": point.rate, "latency": None,
+                 "throughput": 0.0, "saturated": True},
+    }
+    if not sim.drain():
+        return saturated
     sim.begin_measurement()
     source = SyntheticTraffic(
         sim.network.topology,
@@ -360,10 +364,7 @@ def _eval_load(config: SimulationConfig, point: SweepPoint) -> Dict[str, object]
     )
     sim.run(source, point.cycles)
     if not sim.drain():
-        return {
-            "load": {"rate": point.rate, "latency": None,
-                     "throughput": 0.0, "saturated": True},
-        }
+        return saturated
     result = sim.finish_measurement(point.traffic)
     return {
         "load": {"rate": point.rate, "latency": result.mean_latency,
@@ -516,7 +517,6 @@ def _eval_control_chaos(
     """
     config = dataclasses.replace(
         config,
-        error_scale=point.error_scale,
         fault_spec=point.fault_spec,
         sensor_spec=point.sensor_spec,
         soft_error_spec=point.soft_error_spec,

@@ -54,12 +54,7 @@ class TraceReplayer:
         topology: MeshTopology,
         flit_bits: int = 128,
         rng: Optional[random.Random] = None,
-        stretch: float = 1.0,
     ) -> None:
-        """``stretch`` rescales all timestamps (2.0 = half the offered
-        load), which benches use for load sweeps on a fixed trace."""
-        if stretch <= 0:
-            raise ValueError("stretch must be positive")
         for record in records:
             if record.src >= topology.num_nodes or record.dest >= topology.num_nodes:
                 raise ValueError(f"record {record} outside the topology")
@@ -67,7 +62,6 @@ class TraceReplayer:
         self.topology = topology
         self.flit_bits = flit_bits
         self.rng = rng if rng is not None else random.Random(0)
-        self.stretch = stretch
         self._cursor = 0
 
     # ------------------------------------------------------------------
@@ -75,30 +69,11 @@ class TraceReplayer:
     def exhausted(self) -> bool:
         return self._cursor >= len(self.records)
 
-    @property
-    def remaining(self) -> int:
-        return len(self.records) - self._cursor
-
-    @property
-    def total_messages(self) -> int:
-        return len(self.records)
-
-    @property
-    def last_cycle(self) -> int:
-        """Stretched timestamp of the final record (0 for empty traces)."""
-        if not self.records:
-            return 0
-        return int(self.records[-1].cycle * self.stretch)
-
-    def reset(self) -> None:
-        self._cursor = 0
-
     def packets_for_cycle(self, now: int) -> List[Packet]:
         packets = []
         while self._cursor < len(self.records):
             record = self.records[self._cursor]
-            due = int(record.cycle * self.stretch)
-            if due > now:
+            if record.cycle > now:
                 break
             payloads = [
                 self.rng.getrandbits(self.flit_bits) for _ in range(record.size)

@@ -9,6 +9,7 @@ RL policy, both static modes (CRC and ARQ+ECC), and the CART
 decision-tree baseline.
 """
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -43,7 +44,7 @@ def measure(design: str, seed: int = SEED) -> str:
     result = run_design_on_trace(
         policy, records, config, benchmark="swaptions", seed=seed
     )
-    return json.dumps(result.constructor_dict(), sort_keys=True)
+    return json.dumps(dataclasses.asdict(result), sort_keys=True)
 
 
 @pytest.mark.parametrize("design", DESIGN_ORDER)

@@ -1,6 +1,6 @@
 """Integration tests for platform variants beyond the paper's defaults:
-torus topology, YX routing, alternate packet geometry, and synthesized
-traces replayed through a live simulation."""
+YX routing, alternate packet geometry, and synthesized traces replayed
+through a live simulation."""
 
 import random
 
@@ -29,22 +29,6 @@ def run_uniform(net, n_packets=100, seed=5, size=4):
         assert net.now < 100_000
     net.harvest_epoch_counters(1)
     return net.stats
-
-
-class TestTorus:
-    def test_torus_delivers_traffic(self):
-        net = Network(MeshTopology(4, 4, torus=True), rng=random.Random(1))
-        stats = run_uniform(net, 120)
-        assert stats.packets_delivered == 120
-
-    def test_torus_under_errors_with_ecc(self):
-        net = Network(MeshTopology(4, 4, torus=True), rng=random.Random(1))
-        net.set_all_modes(OperationMode.MODE_1)
-        for _, model in net.channel_models():
-            model.event_probability = 0.05
-        stats = run_uniform(net, 100)
-        assert stats.packets_delivered == 100
-        assert stats.corrected_errors > 0
 
 
 class TestYXRouting:

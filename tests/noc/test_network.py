@@ -125,7 +125,9 @@ class TestFaultyDelivery:
         assert net.stats.duplicate_flits > 0
 
     def test_mode3_eliminates_retransmissions(self):
-        net = make_network(mode=OperationMode.MODE_3, error=0.2, relax_factor=0.0)
+        net = make_network(mode=OperationMode.MODE_3, error=0.2)
+        for _, model in net.channel_models():
+            model.relax_factor = 0.0
         run_random_traffic(net, 150)
         assert net.stats.retransmission_events == 0
         assert net.stats.corrected_errors == 0

@@ -1,4 +1,4 @@
-"""Tests for mesh/torus topology construction."""
+"""Tests for mesh topology construction."""
 
 import pytest
 from hypothesis import given, settings
@@ -23,10 +23,6 @@ class TestConstruction:
         # 2 * (w-1) * h horizontal + 2 * w * (h-1) vertical directed links
         topo = MeshTopology(4, 4)
         assert topo.num_channels == 2 * 3 * 4 + 2 * 4 * 3
-
-    def test_channel_count_torus(self):
-        topo = MeshTopology(4, 4, torus=True)
-        assert topo.num_channels == 4 * 16  # every node has all 4 dirs
 
 
 class TestCoordinates:
@@ -60,11 +56,6 @@ class TestNeighbours:
         assert topo.neighbour(0, Port.EAST) == 1
         assert topo.neighbour(0, Port.NORTH) == 4
 
-    def test_torus_wraparound(self):
-        topo = MeshTopology(4, 4, torus=True)
-        assert topo.neighbour(0, Port.WEST) == 3
-        assert topo.neighbour(0, Port.SOUTH) == 12
-
     def test_channels_are_symmetric(self):
         topo = MeshTopology(4, 4)
         pairs = {(c.src, c.dst) for c in topo.channels()}
@@ -86,10 +77,6 @@ class TestHopDistance:
         assert topo.hop_distance(0, 15) == 6
         assert topo.hop_distance(0, 0) == 0
         assert topo.hop_distance(0, 3) == 3
-
-    def test_torus_shortcut(self):
-        topo = MeshTopology(4, 4, torus=True)
-        assert topo.hop_distance(0, 3) == 1
 
 
 @settings(max_examples=100)

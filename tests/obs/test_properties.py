@@ -1,12 +1,10 @@
 """Property-based tests for the observability primitives.
 
-Three invariants the rest of the layer leans on:
+Two invariants the rest of the layer leans on:
 
 * the canonical JSONL encoding of a trace round-trips losslessly (the
   ``repro trace`` CLI and the golden-digest tests read files written by
   ``--trace``);
-* histogram ``merge`` is associative and commutative (the sweep
-  supervisor folds worker histograms in arbitrary completion order);
 * the ring buffer's drop/filter accounting is exact for any interleaving
   of capacities, filters, and event streams.
 """
@@ -17,7 +15,6 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st
 
-from repro.obs.metrics import Histogram
 from repro.obs.trace import CATEGORIES, TraceBuffer, TraceEvent, trace_digest
 
 # JSON-scalar payload values; floats restricted to finite (NaN does not
@@ -67,51 +64,6 @@ class TestJsonlRoundTrip:
     @settings(deadline=None)
     def test_single_event_json_round_trip(self, ev):
         assert TraceEvent.from_json(ev.to_json()) == ev
-
-
-BOUNDS = (5.0, 25.0, 125.0)
-samples = st.lists(
-    st.floats(min_value=0.0, max_value=1e6, allow_nan=False), max_size=30
-)
-
-
-def _hist(values):
-    h = Histogram(bounds=BOUNDS)
-    for v in values:
-        h.record(v)
-    return h
-
-
-class TestHistogramMerge:
-    @given(a=samples, b=samples, c=samples)
-    @settings(deadline=None)
-    def test_merge_is_associative(self, a, b, c):
-        left = _hist(a)
-        ab = _hist(b)
-        ab.merge(_hist(c))
-        left.merge(ab)  # a + (b + c)
-
-        right = _hist(a)
-        right.merge(_hist(b))
-        right.merge(_hist(c))  # (a + b) + c
-        assert left == right
-
-    @given(a=samples, b=samples)
-    @settings(deadline=None)
-    def test_merge_is_commutative(self, a, b):
-        ab = _hist(a)
-        ab.merge(_hist(b))
-        ba = _hist(b)
-        ba.merge(_hist(a))
-        assert ab == ba
-
-    @given(values=samples)
-    @settings(deadline=None)
-    def test_merge_equals_bulk_record(self, values):
-        split = len(values) // 2
-        merged = _hist(values[:split])
-        merged.merge(_hist(values[split:]))
-        assert merged == _hist(values)
 
 
 class TestRingAccounting:

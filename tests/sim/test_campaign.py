@@ -159,10 +159,7 @@ class TestRunCampaign:
         )
         for bench in result.suite:
             for design in result.suite[bench]:
-                assert (
-                    serial.suite[bench][design].constructor_dict()
-                    == result.suite[bench][design].constructor_dict()
-                )
+                assert serial.suite[bench][design] == result.suite[bench][design]
 
     def test_registry_and_tracer_observe_campaign(self, campaign_setup):
         spec, _result, root = campaign_setup
@@ -200,10 +197,9 @@ class TestOrderIndependence:
         assert set(forward) == set(reversed_) == set(BENCHMARKS)
         for benchmark, results in forward.items():
             for design, result in results.items():
-                assert (
-                    result.constructor_dict()
-                    == reversed_[benchmark][design].constructor_dict()
-                ), f"{benchmark}/{design} changed with benchmark order"
+                assert result == reversed_[benchmark][design], (
+                    f"{benchmark}/{design} changed with benchmark order"
+                )
 
 
 class TestCampaignCell:

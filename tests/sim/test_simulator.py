@@ -50,7 +50,7 @@ class TestClosedLoop:
     def test_temperatures_rise_above_ambient_under_load(self):
         sim = Simulator(tiny_config(), crc_policy(), seed=2)
         sim.measure_trace(tiny_trace(), "tiny")
-        assert all(r.temperature > sim.config.t_ambient for r in sim.network.routers)
+        assert all(r.temperature > sim.thermal.t_ambient for r in sim.network.routers)
 
     def test_error_probabilities_follow_temperature(self):
         sim = Simulator(tiny_config(), crc_policy(), seed=2)

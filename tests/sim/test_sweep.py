@@ -50,23 +50,19 @@ class TestGridExpansion:
             designs=("crc", "rl"),
             traffics=("canneal", "x264"),
             seeds=(0, 1),
-            error_scales=(1.0, 2.0),
             cycles=500,
         )
         points = spec.expand()
-        assert len(points) == 2 * 2 * 2 * 2
-        # Deterministic order: traffic, scale, seed, design.
-        assert [
-            (p.traffic, p.error_scale, p.seed, p.design) for p in points[:4]
-        ] == [
-            ("canneal", 1.0, 0, "crc"),
-            ("canneal", 1.0, 0, "rl"),
-            ("canneal", 1.0, 1, "crc"),
-            ("canneal", 1.0, 1, "rl"),
+        assert len(points) == 2 * 2 * 2
+        # Deterministic order: traffic, seed, design.
+        assert [(p.traffic, p.seed, p.design) for p in points[:4]] == [
+            ("canneal", 0, "crc"),
+            ("canneal", 0, "rl"),
+            ("canneal", 1, "crc"),
+            ("canneal", 1, "rl"),
         ]
         assert points[-1] == SweepPoint(
-            kind="campaign", design="rl", traffic="x264", seed=1,
-            cycles=500, error_scale=2.0,
+            kind="campaign", design="rl", traffic="x264", seed=1, cycles=500,
         )
 
     def test_load_rate_axis(self):
@@ -239,29 +235,39 @@ class TestModeError:
 
 class TestLoadWindow:
     """A ``load`` point measures its injection span and drain, not the
-    pre-training before them."""
+    pre-training and warm-up before them."""
 
     CONFIG = tiny_config(pretrain_cycles=1200)
+    #: offered load in flits per cycle
+    OFFERED = 0.01 * CONFIG.num_nodes * CONFIG.packet_size
 
-    def _load(self, design):
+    def _load(self, design, **overrides):
         point = SweepPoint(
             kind="load", design=design, traffic="uniform", seed=0,
             cycles=300, rate=0.01,
         )
-        return run_sweep_point(self.CONFIG, point)["load"]
+        config = dataclasses.replace(self.CONFIG, **overrides)
+        return run_sweep_point(config, point)["load"]
 
     def test_trainable_design_excludes_pretraining(self):
         load = self._load("rl")
-        offered = 0.01 * self.CONFIG.num_nodes * self.CONFIG.packet_size
-        assert load["throughput"] <= offered  # flits per cycle
-        assert load["latency"] == pytest.approx(32.64)
-        assert load["throughput"] == pytest.approx(100 / 301)
+        assert load["throughput"] <= self.OFFERED
+        assert load["latency"] == pytest.approx(21.08)
+        assert load["throughput"] == pytest.approx(100 / 300)
 
     def test_static_design_has_nothing_to_exclude(self):
         assert self._load("crc") == {
-            "rate": 0.01, "latency": 15.68, "throughput": 0.3125,
+            "rate": 0.01, "latency": 20.04, "throughput": 100 / 398,
             "saturated": False,
         }
+
+    def test_warmup_drains_before_the_window(self):
+        # The warm-up changes the platform the span runs on, but none
+        # of its packets may land in the window.
+        short, long = self._load("rl"), self._load("rl", warmup_cycles=2000)
+        assert short != long
+        assert short["throughput"] <= self.OFFERED
+        assert long["throughput"] <= self.OFFERED
 
 
 class TestCacheKeys:
@@ -283,10 +289,9 @@ class TestCacheKeys:
             {"seed": 1},
             {"traffic": "x264"},
             {"cycles": 500},
-            {"error_scale": 2.0},
         ):
             keys.add(point_cache_key(config, dataclasses.replace(base, **change)))
-        assert len(keys) == 6
+        assert len(keys) == 5
 
     def test_key_sensitive_to_fault_spec(self):
         config = tiny_config()
@@ -592,7 +597,7 @@ class TestRunnerCaching:
         assert second.executed == 0
         assert all(r.cached for r in replayed)
         for fresh, cached in zip(results, replayed):
-            assert fresh.run.constructor_dict() == cached.run.constructor_dict()
+            assert fresh.run == cached.run
 
     def test_resume_after_interrupt(self, tmp_path):
         """Losing part of the cache re-runs only the missing points."""
@@ -661,10 +666,7 @@ class TestParallelEqualsSerial:
         assert serial_grid.keys() == parallel_grid.keys()
         for benchmark in serial_grid:
             for design in serial_grid[benchmark]:
-                assert (
-                    serial_grid[benchmark][design].constructor_dict()
-                    == parallel_grid[benchmark][design].constructor_dict()
-                )
+                assert serial_grid[benchmark][design] == parallel_grid[benchmark][design]
 
     def test_load_points_match_across_jobs(self, tmp_path):
         spec = SweepSpec(

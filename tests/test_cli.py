@@ -22,13 +22,21 @@ class TestParser:
         args = build_parser().parse_args(["sweep", "--rates", "0.01,0.02"])
         assert args.rates == "0.01,0.02"
 
+    @pytest.mark.parametrize("command", ["sweep", "chaos"])
+    def test_trace_span_only_where_a_trace_replays(self, command):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, "--trace-cycles", "400"])
+
 
 class TestCommands:
     def _fast(self, extra):
+        """``extra`` at the small test scale; ``sweep`` replays no trace,
+        so it takes no trace span."""
+        span = [] if extra[0] == "sweep" else ["--trace-cycles", "400"]
         return extra + [
             "--width", "3", "--height", "3",
             "--epoch", "100", "--pretrain", "1200",
-            "--warmup", "200", "--trace-cycles", "400",
+            "--warmup", "200", *span,
         ]
 
     def test_run_json(self, capsys):

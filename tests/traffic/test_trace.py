@@ -50,35 +50,11 @@ class TestReplayer:
         assert (packet.src, packet.dest, packet.size) == (3, 0, 2)
         assert packet.flit_bits == 32
 
-    def test_stretch_rescales_time(self):
-        replayer = TraceReplayer(self._records(), MeshTopology(2, 2), stretch=2.0)
-        assert len(replayer.packets_for_cycle(3)) == 1  # only the cycle-0 record
-        assert len(replayer.packets_for_cycle(4)) == 2  # cycle-2 records land at 4
-        assert replayer.last_cycle == 20
-
-    def test_rejects_bad_stretch(self):
-        with pytest.raises(ValueError):
-            TraceReplayer([], MeshTopology(2, 2), stretch=0.0)
-
     def test_rejects_off_mesh_records(self):
         with pytest.raises(ValueError):
             TraceReplayer([TraceRecord(0, 0, 99, 4)], MeshTopology(2, 2))
 
-    def test_reset(self):
-        replayer = TraceReplayer(self._records(), MeshTopology(2, 2))
-        replayer.packets_for_cycle(99)
-        assert replayer.exhausted
-        replayer.reset()
-        assert replayer.remaining == 4
-
-    def test_counts(self):
-        replayer = TraceReplayer(self._records(), MeshTopology(2, 2))
-        assert replayer.total_messages == 4
-        replayer.packets_for_cycle(2)
-        assert replayer.remaining == 1
-
     def test_empty_trace(self):
         replayer = TraceReplayer([], MeshTopology(2, 2))
         assert replayer.exhausted
-        assert replayer.last_cycle == 0
         assert replayer.packets_for_cycle(0) == []
