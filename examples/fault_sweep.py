@@ -40,7 +40,8 @@ def main() -> None:
         cycles=250,  # packets injected per point
     )
     runner = SweepRunner(
-        spec,
+        spec.config,
+        spec.expand(),
         jobs=args.jobs,
         cache_dir=args.cache_dir,
         use_cache=not args.no_cache,

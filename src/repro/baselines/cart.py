@@ -190,9 +190,6 @@ class RegressionTree:
             node = node.left if row[node.feature] <= node.threshold else node.right
         return node.prediction
 
-    def predict_many(self, rows: Sequence[Sequence[float]]) -> List[float]:
-        return [self.predict(row) for row in rows]
-
     @property
     def depth(self) -> int:
         def walk(node: Optional[TreeNode]) -> int:

@@ -114,13 +114,6 @@ class DecisionTreePolicy(ControlPolicy):
             self._frozen = True
 
     # ------------------------------------------------------------------
-    def predicted_error_rate(self, observation: RouterObservation) -> float:
-        """Expose the raw prediction for inspection/benchmarks."""
-        if not self.is_fitted:
-            raise RuntimeError("decision tree has not been trained")
-        return self._tree.predict(observation.raw_vector())
-
-    # ------------------------------------------------------------------
     # Durable state (checkpoints and pretrained campaign artifacts)
     # ------------------------------------------------------------------
     def to_state(self) -> Dict[str, object]:

@@ -83,6 +83,7 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -124,16 +125,26 @@ from repro.traffic import PARSEC_PROFILES
 __all__ = ["main", "build_parser"]
 
 
+@contextlib.contextmanager
+def _bad_arguments(prefix: str = ""):
+    """Build the objects that come from command-line values inside this
+    block: the ValueError a constructor or parser raises for a bad value
+    becomes a one-line exit, never a traceback.  Never run a simulation
+    inside it — a ValueError raised mid-run is a bug and keeps its
+    traceback."""
+    try:
+        yield
+    except ValueError as exc:
+        raise SystemExit(f"{prefix}{exc}") from None
+
+
 def _validate_spec(spec: str, parser_fn, flag: str) -> None:
     """Fail fast on a malformed fault/sensor spec: one line naming the
-    bad clause via SystemExit, never a traceback.  Shared by every
-    subcommand that accepts either grammar."""
-    if not spec:
-        return
-    try:
-        parser_fn(spec)
-    except ValueError as exc:
-        raise SystemExit(f"{flag}: {exc}") from None
+    flag and the bad clause.  Shared by every subcommand that accepts
+    either grammar."""
+    if spec:
+        with _bad_arguments(f"{flag}: "):
+            parser_fn(spec)
 
 
 def _config_from_args(args) -> "SimulationConfig":
@@ -250,11 +261,9 @@ def _make_tracer(args) -> Optional[TraceBuffer]:
         if getattr(args, "trace_filter", None):
             raise SystemExit("--trace-filter requires --trace FILE")
         return None
-    try:
+    with _bad_arguments():
         categories = parse_categories(args.trace_filter)
-    except ValueError as exc:
-        raise SystemExit(str(exc)) from None
-    return TraceBuffer(capacity=args.trace_capacity, categories=categories)
+        return TraceBuffer(capacity=args.trace_capacity, categories=categories)
 
 
 def _export_observability(args, tracer, registry) -> None:
@@ -276,9 +285,10 @@ def _export_observability(args, tracer, registry) -> None:
             print(f"[metrics] snapshot + timeline -> {args.metrics}", file=sys.stderr)
 
 
-def _make_runner(spec: SweepSpec, args) -> SweepRunner:
+def _make_runner(config, points, args) -> SweepRunner:
     return SweepRunner(
-        spec,
+        config,
+        points,
         jobs=args.jobs,
         cache_dir=args.cache_dir,
         use_cache=not args.no_cache,
@@ -288,14 +298,23 @@ def _make_runner(spec: SweepSpec, args) -> SweepRunner:
     )
 
 
-def _print_quarantine(runner: SweepRunner) -> None:
+def _run_grid(runner: SweepRunner, tag: str) -> list:
+    """Run a ``sweep`` or ``chaos`` grid; print its simulated / cached
+    counts and any quarantined points on stderr."""
+    results = runner.run()
     report = runner.report
-    if report is not None and report.quarantined:
+    print(
+        f"[{tag}] {report.executed} point(s) simulated, "
+        f"{report.from_cache} from cache",
+        file=sys.stderr,
+    )
+    if report.quarantined:
         print(
             f"[sweep] {len(report.quarantined)} point(s) quarantined: "
             + ", ".join(report.quarantined),
             file=sys.stderr,
         )
+    return results
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -517,14 +536,14 @@ def cmd_run(args) -> int:
     _validate_spec(args.fault_spec, parse_fault_spec, "--fault-spec")
     _validate_spec(args.sensor_spec, parse_sensor_spec, "--sensor-spec")
     _validate_spec(args.soft_error_spec, parse_soft_error_spec, "--soft-error-spec")
-    config = _config_from_args(args)
     tracer = _make_tracer(args)
-    run = ResumableRun(
-        config, args.design, args.benchmark,
-        seed=args.seed, trace_cycles=args.trace_cycles,
-        checkpoint_path=args.checkpoint,
-        checkpoint_every=args.checkpoint_every,
-    )
+    with _bad_arguments():
+        run = ResumableRun(
+            _config_from_args(args), args.design, args.benchmark,
+            seed=args.seed, trace_cycles=args.trace_cycles,
+            checkpoint_path=args.checkpoint,
+            checkpoint_every=args.checkpoint_every,
+        )
     if tracer is not None:
         run.sim.attach_tracer(tracer)
     snapshots = ""
@@ -584,22 +603,23 @@ def cmd_compare(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    config = _config_from_args(args)
-    rates = [float(r) for r in args.rates.split(",") if r]
-    if not rates:
-        raise SystemExit("no injection rates given")
-    spec = SweepSpec(
-        config=config,
-        kind="load",
-        designs=(args.design,),
-        traffics=(args.pattern,),
-        rates=tuple(rates),
-        seeds=(args.seed,),
-        cycles=args.span,
-    )
-    runner = _make_runner(spec, args)
+    with _bad_arguments():
+        config = _config_from_args(args)
+        rates = tuple(float(r) for r in args.rates.split(",") if r)
+        if not rates:
+            raise SystemExit("no injection rates given")
+        points = SweepSpec(
+            config=config,
+            kind="load",
+            designs=(args.design,),
+            traffics=(args.pattern,),
+            rates=rates,
+            seeds=(args.seed,),
+            cycles=args.span,
+        ).expand()
+        runner = _make_runner(config, points, args)
     rows = []
-    for point, p in zip(spec.expand(), runner.run()):
+    for point, p in zip(points, _run_grid(runner, "sweep")):
         if p is None:  # quarantined: keep the row, mark it unusable
             rows.append((point.rate, None, None, None))
         else:
@@ -607,12 +627,6 @@ def cmd_sweep(args) -> int:
                 p.load["rate"], p.load["latency"],
                 p.load["throughput"], p.load["saturated"],
             ))
-    print(
-        f"[sweep] {runner.executed} point(s) simulated, "
-        f"{runner.report.from_cache} from cache",
-        file=sys.stderr,
-    )
-    _print_quarantine(runner)
     if args.json:
         print(json.dumps([
             {"rate": r, "latency": lat, "throughput": thr, "saturated": sat,
@@ -630,16 +644,20 @@ def cmd_sweep(args) -> int:
     return 0 if runner.report.succeeded else 1
 
 
+def _names(raw: str) -> tuple:
+    """Split a comma-separated list flag (``--designs``, ``--routings``,
+    ``--benchmarks``)."""
+    return tuple(name.strip() for name in raw.split(",") if name.strip())
+
+
 def cmd_campaign(args) -> int:
     if args.benchmarks:
-        benchmarks = tuple(b.strip() for b in args.benchmarks.split(",") if b.strip())
+        benchmarks = _names(args.benchmarks)
     else:
         benchmarks = tuple(sorted(PARSEC_PROFILES))
-    for benchmark in benchmarks:
-        _check_benchmark(benchmark)
-    designs = tuple(d.strip() for d in args.designs.split(",") if d.strip())
-    config = _config_from_args(args)
-    try:
+    designs = _names(args.designs)
+    with _bad_arguments():
+        config = _config_from_args(args)
         spec = CampaignSpec(
             config=config,
             benchmarks=benchmarks,
@@ -647,8 +665,9 @@ def cmd_campaign(args) -> int:
             seed=args.seed,
             trace_cycles=args.trace_cycles,
         )
-    except ValueError as exc:
-        raise SystemExit(str(exc)) from None
+        # run_campaign builds its runner after pre-training; check the
+        # sweep flags before any of it runs.
+        _make_runner(config, (), args)
     if "crc" not in designs:
         raise SystemExit(
             "campaign: --designs must include crc, the baseline every "
@@ -704,54 +723,6 @@ def cmd_campaign(args) -> int:
     else:
         print(render_report_markdown(report))
     return 0 if result.succeeded else 1
-
-
-def _pick_names(raw: str, valid: Sequence[str], what: str) -> tuple:
-    """Split a comma-separated ``--routings`` / ``--designs`` value and
-    reject names outside ``valid`` with one line naming the bad one."""
-    names = tuple(name.strip() for name in raw.split(",") if name.strip())
-    if not names:
-        raise SystemExit(f"no {what}s given")
-    for name in names:
-        if name not in valid:
-            raise SystemExit(
-                f"unknown {what} {name!r}; pick one of {', '.join(valid)}"
-            )
-    return names
-
-
-def _run_chaos_grid(spec: SweepSpec, args, evaluator):
-    """Evaluate a chaos grid; returns ``(results, succeeded)``.
-
-    A tracer cannot cross the worker-process boundary and events are
-    invisible to the result cache, so a traced run must be a single
-    point, evaluated in-process with the cache bypassed.  Untraced grids
-    go through the supervised, cached :class:`SweepRunner`.
-    """
-    tracer = _make_tracer(args)
-    if tracer is None:
-        runner = _make_runner(spec, args)
-        results = runner.run()
-        print(
-            f"[chaos] {runner.executed} point(s) simulated, "
-            f"{runner.report.from_cache} from cache",
-            file=sys.stderr,
-        )
-        _print_quarantine(runner)
-        return results, runner.report.succeeded
-    points = spec.expand()
-    if len(points) != 1:
-        raise SystemExit(
-            "chaos --trace requires a single-point grid "
-            "(one routing or design, one fault spec, one seed)"
-        )
-    payload = evaluator(spec.config, points[0], tracer=tracer)
-    print(
-        "[chaos] 1 point simulated in-process (traced; cache bypassed)",
-        file=sys.stderr,
-    )
-    _export_observability(args, tracer, None)
-    return [_payload_to_result(points[0], payload, cached=False)], True
 
 
 def _print_routing_table(points, results) -> int:
@@ -850,40 +821,54 @@ def cmd_chaos(args) -> int:
         _validate_spec(fault_spec, parse_fault_spec, "--fault-specs")
     _validate_spec(args.sensor_spec, parse_sensor_spec, "--sensor-spec")
     _validate_spec(args.soft_error_spec, parse_soft_error_spec, "--soft-error-spec")
-    config = _config_from_args(args)
-    grid = dict(
-        config=config,
-        traffics=("uniform",),
-        seeds=(args.seed,),
-        rates=(args.rate,),
-        fault_specs=fault_specs,
-        cycles=args.span,
-    )
     if closed_loop:
-        spec = SweepSpec(
-            kind="control_chaos",
-            designs=_pick_names(args.designs, DESIGN_ORDER, "design"),
-            sensor_specs=(args.sensor_spec,),
-            soft_error_specs=(args.soft_error_spec,),
-            **grid,
-        )
+        kind, designs = "control_chaos", _names(args.designs)
         evaluator, ledger, table = _eval_control_chaos, "control", _print_control_table
     else:
-        spec = SweepSpec(
-            kind="chaos",
-            designs=_pick_names(
-                args.routings, sorted(ROUTING_FUNCTIONS), "routing"
-            ),
-            **grid,
-        )
+        kind, designs = "chaos", _names(args.routings)
         evaluator, ledger, table = _eval_chaos, "chaos", _print_routing_table
-    results, succeeded = _run_chaos_grid(spec, args, evaluator)
+    tracer = _make_tracer(args)
+    with _bad_arguments():
+        config = _config_from_args(args)
+        points = SweepSpec(
+            config=config,
+            kind=kind,
+            designs=designs,
+            traffics=("uniform",),
+            seeds=(args.seed,),
+            rates=(args.rate,),
+            fault_specs=fault_specs,
+            sensor_specs=(args.sensor_spec,),
+            soft_error_specs=(args.soft_error_spec,),
+            cycles=args.span,
+        ).expand()
+        runner = _make_runner(config, points, args) if tracer is None else None
+    if runner is not None:
+        results = _run_grid(runner, "chaos")
+        succeeded = runner.report.succeeded
+    else:
+        # A tracer cannot cross the worker-process boundary and events
+        # are invisible to the result cache, so a traced run is a single
+        # point, evaluated in-process with the cache bypassed.
+        if len(points) != 1:
+            raise SystemExit(
+                "chaos --trace requires a single-point grid "
+                "(one routing or design, one fault spec, one seed)"
+            )
+        payload = evaluator(config, points[0], tracer=tracer)
+        print(
+            "[chaos] 1 point simulated in-process (traced; cache bypassed)",
+            file=sys.stderr,
+        )
+        _export_observability(args, tracer, None)
+        results = [_payload_to_result(points[0], payload, cached=False)]
+        succeeded = True
     if args.json:
         print(json.dumps(
             [None if p is None else getattr(p, ledger) for p in results], indent=2
         ))
         return 0 if succeeded else 1
-    worst = table(spec.expand(), results)
+    worst = table(points, results)
     return 0 if succeeded and not worst else 1
 
 
@@ -895,10 +880,8 @@ def cmd_trace(args) -> int:
     except ValueError as exc:
         raise SystemExit(f"{args.file} is not a JSONL trace: {exc}") from None
     if args.categories:
-        try:
+        with _bad_arguments():
             wanted = parse_categories(args.categories)
-        except ValueError as exc:
-            raise SystemExit(str(exc)) from None
         events = [ev for ev in events if ev.category in wanted]
     if args.digest:
         print(trace_digest(events))

@@ -146,13 +146,3 @@ class CRC:
     def verify(self, payload: int, payload_bits: int, check: int) -> bool:
         """Return ``True`` iff ``check`` matches the CRC of ``payload``."""
         return self.compute(payload, payload_bits) == check
-
-    def detects(self, error_mask: int, payload_bits: int) -> bool:
-        """Return ``True`` iff the error pattern ``error_mask`` is detected.
-
-        CRC is linear: an error is undetected exactly when the error
-        polynomial is a multiple of the generator, i.e. when the CRC of
-        the error mask alone (with zero init) is zero.
-        """
-        zero_init = CRC(self.poly, self.width, init=0, name=self.name)
-        return zero_init.compute(error_mask, payload_bits) != 0 if error_mask else False

@@ -128,16 +128,6 @@ class SecdedCode:
             r += 1
         return r
 
-    @property
-    def overhead_bits(self) -> int:
-        """Number of redundant bits added per payload."""
-        return self.codeword_bits - self.data_bits
-
-    @property
-    def code_rate(self) -> float:
-        """Fraction of the codeword that carries data."""
-        return self.data_bits / self.codeword_bits
-
     # ------------------------------------------------------------------
     def encode(self, data: int) -> int:
         """Encode ``data`` into a SECDED codeword integer.

@@ -158,10 +158,12 @@ class RLControlPolicy(ControlPolicy):
         )
 
     def freeze(self) -> None:
-        """End of pre-training: anneal to the paper's testing-phase
-        parameters (alpha = 0.1, epsilon = 0.1).  The policy keeps
-        learning and exploring during testing, exactly as the paper
-        describes — only the DT baseline actually freezes its model."""
+        """End of pre-training: anneal to the testing-phase parameters
+        ``alpha`` and ``epsilon`` (by default the paper's alpha = 0.1 and
+        epsilon = 0.02, below the paper's 0.1; see ``__init__``).  The
+        policy keeps learning and exploring during testing, exactly as
+        the paper describes — only the DT baseline actually freezes its
+        model."""
         for agent in self._unique_agents():
             agent.set_alpha(self.alpha)
             agent.set_epsilon(self.epsilon)

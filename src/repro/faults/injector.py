@@ -105,15 +105,6 @@ class FaultInjector:
             model.set_probabilities(min(1.0, raw), relax)
             current[key] = model.event_probability
 
-    def set_uniform(self, probability: float, relax_factor: float = 0.0) -> None:
-        """Bypass the physical models with a flat probability (testing)."""
-        if not 0.0 <= probability <= 1.0:
-            raise ValueError("probability must be in [0, 1]")
-        for key, model in self.network.channel_models():
-            model.event_probability = probability
-            model.relax_factor = relax_factor
-            self.current[key] = probability
-
     def mean_probability(self) -> float:
         """Average per-transfer error probability across all channels."""
         if not self.current:

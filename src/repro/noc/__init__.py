@@ -17,10 +17,8 @@ from repro.noc.packet import Flit, FlitType, Packet
 from repro.noc.router import Router
 from repro.noc.routing import (
     ROUTING_FUNCTIONS,
-    RoutingPolicy,
-    make_adaptive_route,
+    AdaptiveRoute,
     minimal_ports,
-    resolve_routing_policy,
     xy_route,
     yx_route,
 )
@@ -37,9 +35,7 @@ from repro.noc.watchdog import (
 __all__ = [
     "FaultState",
     "ROUTING_FUNCTIONS",
-    "RoutingPolicy",
-    "make_adaptive_route",
-    "resolve_routing_policy",
+    "AdaptiveRoute",
     "ConservationError",
     "DeadlockError",
     "LivelockError",

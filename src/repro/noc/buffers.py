@@ -147,10 +147,6 @@ class InputPort:
         """Number of VCs currently holding a packet (Table I feature 1)."""
         return sum(1 for vc in self.vcs if vc.state is not VCState.IDLE or vc.fifo)
 
-    @property
-    def buffered_flits(self) -> int:
-        return sum(len(vc.fifo) for vc in self.vcs)
-
     def free_vc_for_head(self) -> Optional[VirtualChannel]:
         """An idle, empty VC that can accept a new packet's head flit."""
         for vc in self.vcs:

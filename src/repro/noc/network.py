@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import os
 import random
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from repro.coding.crc import CRC
 from repro.core.modes import OperationMode
@@ -38,7 +38,7 @@ from repro.noc.faultstate import FaultState
 from repro.noc.interface import SIDEBAND_BASE_LATENCY, NetworkInterface
 from repro.noc.packet import Packet
 from repro.noc.router import OutputLink, Router
-from repro.noc.routing import RoutingFunction, resolve_routing_policy, xy_route
+from repro.noc.routing import RoutingFunction, build_routing, xy_route
 from repro.noc.stats import NetworkStats
 from repro.noc.topology import OPPOSITE_PORT, MeshTopology, Port
 from repro.noc.watchdog import NetworkWatchdog
@@ -141,7 +141,7 @@ class Network:
     def __init__(
         self,
         topology: MeshTopology,
-        routing_fn: RoutingFunction = xy_route,
+        routing_fn: Union[str, RoutingFunction] = xy_route,
         num_vcs: int = 4,
         vc_depth: int = 4,
         flit_bits: int = 128,
@@ -165,12 +165,11 @@ class Network:
 
         #: live hard-fault topology shared by routers and routing functions
         self.fault_state = FaultState(topology)
-        self.routing_policy = resolve_routing_policy(routing_fn)
         self.routers: List[Router] = [
             Router(
                 i,
                 topology,
-                self.routing_policy.build(topology, i, routing_seed, self.fault_state),
+                build_routing(routing_fn, topology, i, routing_seed, self.fault_state),
                 num_vcs,
                 vc_depth,
                 fault_state=self.fault_state,

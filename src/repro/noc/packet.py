@@ -105,11 +105,6 @@ class Flit:
         return self.payload ^ self.error_mask
 
     @property
-    def is_corrupted(self) -> bool:
-        """Whether any uncorrected bit errors are present."""
-        return self.error_mask != 0
-
-    @property
     def dest(self) -> int:
         return self.packet.dest
 

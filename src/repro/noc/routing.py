@@ -1,4 +1,4 @@
-"""Routing functions and the named routing-policy registry.
+"""Routing functions and the named routing registry.
 
 The paper uses deterministic X-Y dimension-order routing (Table II), which
 is deadlock-free on a mesh without extra virtual-channel classes.  A Y-X
@@ -7,31 +7,30 @@ extension benchmarks; both restrict themselves to minimal quadrants.
 
 A routing function maps ``(topology, current_node, dest_node)`` to the
 output :class:`~repro.noc.topology.Port` the head flit must request.
-Because some policies need per-router state (the O1TURN selector) or
-shared network state (the fault-aware adaptive policy reads the live
-:class:`~repro.noc.faultstate.FaultState`), the registry holds
-:class:`RoutingPolicy` factories; the network builds one concrete
-routing function per router from ``(topology, router_id, seed,
-fault_state)``.
+Because some need per-router state (the O1TURN selector) or shared
+network state (the fault-aware adaptive routing reads the live
+:class:`~repro.noc.faultstate.FaultState`), the registry maps each name
+to a builder; the network builds one routing function per router from
+``(topology, router_id, seed, fault_state)``.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Sequence, Union
 
 from repro.noc.faultstate import FaultState
 from repro.noc.topology import MeshTopology, Port
 
 __all__ = [
     "RoutingFunction",
-    "RoutingPolicy",
+    "RoutingBuilder",
     "xy_route",
     "yx_route",
     "minimal_ports",
-    "make_o1turn_route",
-    "make_adaptive_route",
-    "resolve_routing_policy",
+    "O1TurnRoute",
+    "AdaptiveRoute",
+    "build_routing",
     "ROUTING_FUNCTIONS",
 ]
 
@@ -40,6 +39,10 @@ O1TURN_SELECTOR_BITS = 1024
 
 #: Signature shared by all routing functions.
 RoutingFunction = Callable[[MeshTopology, int, int], Port]
+
+#: ``(topology, router_id, seed, fault_state)`` -> one router's routing
+#: function; the registry's values.
+RoutingBuilder = Callable[[MeshTopology, int, int, FaultState], RoutingFunction]
 
 
 def xy_route(topology: MeshTopology, node: int, dest: int) -> Port:
@@ -118,11 +121,6 @@ class O1TurnRoute:
         self.selector, self.index = state
 
 
-def make_o1turn_route(selector: Sequence[int]) -> RoutingFunction:
-    """Build a round-robin XY/YX selector routing function."""
-    return O1TurnRoute(selector)
-
-
 class AdaptiveRoute:
     """Fault-aware minimal-adaptive routing over the alive subgraph.
 
@@ -165,49 +163,6 @@ class AdaptiveRoute:
         self.fault_state = state
 
 
-def make_adaptive_route(fault_state: FaultState) -> RoutingFunction:
-    """Build a fault-aware adaptive routing function over ``fault_state``."""
-    return AdaptiveRoute(fault_state)
-
-
-class RoutingPolicy:
-    """Named factory: builds one routing function per router.
-
-    ``fault_aware`` marks policies that consult the shared
-    :class:`FaultState` and can route around dead links; the router's RC
-    stage uses it to count reroutes and to decide whether hitting a dead
-    output port is expected (deterministic policies) or a bug.
-    """
-
-    __slots__ = ("name", "fault_aware", "_build")
-
-    def __init__(
-        self,
-        name: str,
-        build: Callable[[MeshTopology, int, int, FaultState], RoutingFunction],
-        fault_aware: bool = False,
-    ) -> None:
-        self.name = name
-        self.fault_aware = fault_aware
-        self._build = build
-
-    def build(
-        self,
-        topology: MeshTopology,
-        router_id: int,
-        seed: int = 0,
-        fault_state: Optional[FaultState] = None,
-    ) -> RoutingFunction:
-        if fault_state is None:
-            fault_state = FaultState(topology)
-        return self._build(topology, router_id, seed, fault_state)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"RoutingPolicy({self.name!r}, fault_aware={self.fault_aware})"
-
-
-# Module-level builders (not lambdas) keep RoutingPolicy instances — and
-# therefore checkpointed Network snapshots — picklable.
 def _build_xy(
     topology: MeshTopology, router_id: int, seed: int, fault_state: FaultState
 ) -> RoutingFunction:
@@ -227,43 +182,42 @@ def _build_o1turn(
     # across interpreters/processes, which sweep caching depends on.
     rng = random.Random(seed * 1_000_003 + router_id * 7_919 + 17)
     selector = tuple(rng.randrange(2) for _ in range(O1TURN_SELECTOR_BITS))
-    return make_o1turn_route(selector)
+    return O1TurnRoute(selector)
 
 
 def _build_adaptive(
     topology: MeshTopology, router_id: int, seed: int, fault_state: FaultState
 ) -> RoutingFunction:
-    return make_adaptive_route(fault_state)
+    return AdaptiveRoute(fault_state)
 
 
-#: Registry used by :class:`repro.sim.config.SimulationConfig`.
-ROUTING_FUNCTIONS: Dict[str, RoutingPolicy] = {
-    "xy": RoutingPolicy("xy", _build_xy),
-    "yx": RoutingPolicy("yx", _build_yx),
-    "o1turn": RoutingPolicy("o1turn", _build_o1turn),
-    "adaptive": RoutingPolicy("adaptive", _build_adaptive, fault_aware=True),
+#: Registry used by :class:`repro.sim.config.SimulationConfig`: each
+#: name maps to the builder of one router's routing function.
+ROUTING_FUNCTIONS: Dict[str, RoutingBuilder] = {
+    "xy": _build_xy,
+    "yx": _build_yx,
+    "o1turn": _build_o1turn,
+    "adaptive": _build_adaptive,
 }
 
 
-def resolve_routing_policy(spec) -> RoutingPolicy:
-    """Coerce a name, policy, or bare routing function into a policy.
-
-    Bare callables (how tests drive custom routing) become anonymous
-    policies whose every router shares the given function — the exact
-    pre-registry behaviour.
-    """
-    if isinstance(spec, RoutingPolicy):
-        return spec
-    if isinstance(spec, str):
-        try:
-            return ROUTING_FUNCTIONS[spec]
-        except KeyError:
-            raise ValueError(
-                f"unknown routing {spec!r}; pick one of "
-                f"{', '.join(sorted(ROUTING_FUNCTIONS))}"
-            ) from None
-    if callable(spec):
-        fault_aware = bool(getattr(spec, "fault_aware", False))
-        name = getattr(spec, "__name__", "custom")
-        return RoutingPolicy(name, lambda topo, rid, seed, fs: spec, fault_aware)
-    raise TypeError(f"cannot interpret {spec!r} as a routing policy")
+def build_routing(
+    routing: Union[str, RoutingFunction],
+    topology: MeshTopology,
+    router_id: int,
+    seed: int,
+    fault_state: FaultState,
+) -> RoutingFunction:
+    """One router's routing function: a registry name is built for the
+    router, a bare routing function (how tests drive custom routing) is
+    shared by every router as is."""
+    if callable(routing):
+        return routing
+    try:
+        build = ROUTING_FUNCTIONS[routing]
+    except KeyError:
+        raise ValueError(
+            f"unknown routing {routing!r}; pick one of "
+            f"{', '.join(sorted(ROUTING_FUNCTIONS))}"
+        ) from None
+    return build(topology, router_id, seed, fault_state)

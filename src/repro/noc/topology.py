@@ -115,21 +115,11 @@ class MeshTopology:
         """All directed inter-router channels."""
         return iter(self._channels)
 
-    @property
-    def num_channels(self) -> int:
-        return len(self._channels)
-
     def hop_distance(self, src: int, dest: int) -> int:
         """Minimal hop count between two nodes (Manhattan distance)."""
         sx, sy = self.coordinates(src)
         dx, dy = self.coordinates(dest)
         return abs(sx - dx) + abs(sy - dy)
-
-    def ports_of(self, node: int) -> List[Port]:
-        """Ports of ``node`` that are wired (LOCAL plus real neighbours)."""
-        ports = [Port.LOCAL]
-        ports.extend(p for p in _PORT_DELTA if (node, p) in self._neighbour)
-        return ports
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"MeshTopology({self.width}x{self.height})"

@@ -58,7 +58,6 @@ from repro.sim.sweep import (
     DEFAULT_CACHE_DIR,
     PointResult,
     SweepPoint,
-    SweepProgress,
     SweepReport,
     SweepRunner,
 )
@@ -67,7 +66,6 @@ from repro.traffic.parsec import PARSEC_PROFILES
 __all__ = [
     "DEFAULT_ARTIFACT_DIR",
     "CampaignSpec",
-    "CampaignGrid",
     "CampaignResult",
     "artifact_key",
     "artifact_file",
@@ -205,23 +203,6 @@ class CampaignSpec:
             raise ValueError("trace_cycles must be positive")
 
 
-@dataclass(frozen=True)
-class CampaignGrid:
-    """Pre-built campaign points behind the runner's spec interface.
-
-    The generic :class:`~repro.sim.sweep.SweepSpec` cross product cannot
-    carry per-design artifact bindings, so campaigns hand the runner an
-    already-expanded point list through the same ``config`` +
-    ``expand()`` surface.
-    """
-
-    config: SimulationConfig
-    points: Tuple[SweepPoint, ...]
-
-    def expand(self) -> List[SweepPoint]:
-        return list(self.points)
-
-
 def build_artifacts(
     spec: CampaignSpec,
     artifact_dir: Union[str, Path] = DEFAULT_ARTIFACT_DIR,
@@ -328,7 +309,7 @@ def run_campaign(
     use_cache: bool = True,
     refresh: bool = False,
     refresh_artifacts: bool = False,
-    progress: Optional[Callable[[SweepProgress], None]] = None,
+    progress: Optional[Callable[[SweepReport], None]] = None,
     point_timeout: Optional[float] = None,
     max_retries: int = 2,
     registry=None,
@@ -344,9 +325,9 @@ def run_campaign(
     benchmark orderings and ``jobs`` settings, and replay from the point
     cache on reruns.  ``artifact_dir`` defaults to
     ``<cache_dir>/artifacts``, so one ``cache_dir`` relocates the whole
-    campaign state.  ``registry`` additionally absorbs ``campaign.*``
-    counters; ``tracer`` receives artifact build/reuse events (campaign
-    category).
+    campaign state.  ``registry`` absorbs the runner's ``sweep.*`` and
+    then the ``campaign.*`` counters as gauges; ``tracer`` receives
+    artifact build/reuse events (campaign category).
     """
     started = time.monotonic()
     if artifact_dir is None:
@@ -354,9 +335,9 @@ def run_campaign(
     artifacts = build_artifacts(
         spec, artifact_dir, refresh=refresh_artifacts, tracer=tracer
     )
-    grid = CampaignGrid(config=spec.config, points=campaign_points(spec, artifacts))
     runner = SweepRunner(
-        grid,
+        spec.config,
+        campaign_points(spec, artifacts),
         jobs=jobs,
         cache_dir=cache_dir,
         use_cache=use_cache,
@@ -364,7 +345,6 @@ def run_campaign(
         progress=progress,
         point_timeout=point_timeout,
         max_retries=max_retries,
-        registry=registry,
     )
     results = runner.run()
     result = CampaignResult(
@@ -380,6 +360,7 @@ def run_campaign(
     )
     counters = result.counters()
     if registry is not None:
+        registry.ingest("sweep", runner.report.as_dict())
         registry.ingest("campaign", counters)
     if tracer is not None:
         tracer.emit(

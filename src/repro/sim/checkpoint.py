@@ -111,7 +111,9 @@ CHECKPOINT_MAGIC = b"RNOCCKPT"
 #: a version-7 body's minimum, maximum and histogram slots have nowhere
 #: to go (routers, topologies and trace replayers also dropped their
 #: ``arq_capacity``, ``torus`` and ``stretch`` attributes).
-CHECKPOINT_VERSION = 8
+#: Version 9: the network no longer stores a ``routing_policy`` wrapper
+#: beside its routers' routing functions.
+CHECKPOINT_VERSION = 9
 
 #: Pretrained-policy campaign artifacts share the container format but
 #: version independently: an artifact body is a ``ControlPolicy.to_state``

@@ -10,22 +10,21 @@ completed point is worth persisting.  This module provides:
 * :func:`run_sweep_point` — the process-safe evaluator for a single
   point (also the ``--jobs 1`` serial path, so serial and parallel runs
   execute byte-identical code);
-* :class:`SweepRunner` — fans pending points out over supervised
-  ``multiprocessing`` workers, caches every result as JSON under
-  ``.sweep_cache/`` keyed by a stable content hash of (config, point),
-  and reports structured progress (done / cached / running, ETA).
-  Re-running an identical grid — or resuming an interrupted one —
-  replays cached points without executing a single simulation.
+* :class:`SweepRunner` — runs a list of points, fanning pending ones out
+  over supervised ``multiprocessing`` workers, caches every result as
+  JSON under ``.sweep_cache/`` keyed by a stable content hash of
+  (config, point), and keeps one :class:`SweepReport` ledger of
+  progress (done / cached / running, ETA) and outcome.  Re-running an
+  identical grid — or resuming an interrupted one — replays cached
+  points without executing a single simulation.
 
-  The runner is a *supervisor*, not a fire-and-forget pool: each point
-  runs in its own worker process with an optional wall-clock timeout,
-  a crashed or killed worker is detected by its exit code and its slot
-  replenished, and a failed point is retried with seeded exponential
-  backoff before being quarantined.  Results flush to the cache the
-  moment each point lands, so a SIGKILL mid-sweep loses at most the
-  points in flight.  :attr:`SweepRunner.report` summarizes the outcome
-  (completed / retried / quarantined / elapsed) as a
-  :class:`SweepReport`.
+  The runner is a *supervisor*, not a fire-and-forget pool: with
+  ``jobs > 1`` each point runs in its own worker process with an
+  optional wall-clock timeout, a crashed or killed worker is detected
+  by its exit code and its slot replenished, and a failed point — on
+  either path — is retried with seeded exponential backoff before being
+  quarantined.  Results flush to the cache the moment each point lands,
+  so a SIGKILL mid-sweep loses at most the points in flight.
 
 Point kinds
 -----------
@@ -75,7 +74,7 @@ import zlib
 from dataclasses import dataclass, field
 from multiprocessing import connection
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.modes import OperationMode
 from repro.faults.hardfaults import HardFaultModel, HardFaultSchedule
@@ -98,10 +97,11 @@ from repro.traffic.synthetic import SyntheticTraffic
 __all__ = [
     "CACHE_SCHEMA",
     "DEFAULT_CACHE_DIR",
+    "RETRY_BASE_DELAY",
+    "RETRY_JITTER",
     "SweepPoint",
     "SweepSpec",
     "PointResult",
-    "SweepProgress",
     "SweepReport",
     "SweepCache",
     "SweepRunner",
@@ -205,8 +205,8 @@ class SweepPoint:
             # Chaos points compare routing policies, not RL designs.
             if self.design not in ROUTING_FUNCTIONS:
                 raise ValueError(
-                    f"chaos points take routings "
-                    f"{tuple(sorted(ROUTING_FUNCTIONS))}, got {self.design!r}"
+                    f"unknown routing {self.design!r}; chaos points take "
+                    f"routings {', '.join(sorted(ROUTING_FUNCTIONS))}"
                 )
         elif self.design not in DESIGN_ORDER:
             raise ValueError(
@@ -792,75 +792,57 @@ def _payload_to_result(
 
 
 @dataclass
-class SweepProgress:
-    """Structured progress snapshot handed to the reporter callback."""
-
-    total: int
-    done: int = 0
-    cached: int = 0
-    running: int = 0
-    retried: int = 0
-    quarantined: int = 0
-    executed_seconds: List[float] = field(default_factory=list)
-    jobs: int = 1
-    current: Optional[str] = None
-
-    @property
-    def pending(self) -> int:
-        return self.total - self.done
-
-    def eta_seconds(self) -> Optional[float]:
-        """Wall-clock estimate for the remaining points, or None before
-        the first executed point lands."""
-        if not self.executed_seconds or not self.pending:
-            return None
-        mean = sum(self.executed_seconds) / len(self.executed_seconds)
-        return mean * self.pending / max(1, self.jobs)
-
-
-def stderr_progress(progress: SweepProgress) -> None:
-    """Default human-readable reporter: one status line per event."""
-    eta = progress.eta_seconds()
-    eta_text = f", eta ~{eta:.0f}s" if eta is not None else ""
-    trouble = ""
-    if progress.retried or progress.quarantined:
-        trouble = (
-            f", {progress.retried} retried, "
-            f"{progress.quarantined} quarantined"
-        )
-    tail = f" [{progress.current}]" if progress.current else ""
-    print(
-        f"[sweep] {progress.done}/{progress.total} done "
-        f"({progress.cached} cached, {progress.running} running"
-        f"{trouble}{eta_text}){tail}",
-        file=sys.stderr,
-    )
-
-
-@dataclass
 class SweepReport:
-    """Structured outcome of one :meth:`SweepRunner.run` invocation.
+    """The one ledger of a :meth:`SweepRunner.run` invocation: its
+    progress while it runs (handed to the progress callback after every
+    event) and its outcome afterwards.
 
+    ``completed`` counts points with a result, replayed from the cache
+    (``from_cache``) or executed (one ``executed_seconds`` entry each);
     ``quarantined`` lists the labels of points that kept failing after
-    every retry (their result slots are None); ``retries`` counts retry
+    every retry (their result slots are None).  ``retries`` counts retry
     *attempts* across all points, ``timeouts`` and ``worker_deaths``
-    break down why workers were replaced.
+    break down why workers were replaced.  ``running`` and ``current``
+    (the label of the point last started or settled) describe the
+    moment of the latest callback.
     """
 
     total: int = 0
+    jobs: int = 1
     completed: int = 0
     from_cache: int = 0
-    executed: int = 0
     retries: int = 0
     timeouts: int = 0
     worker_deaths: int = 0
     quarantined: List[str] = field(default_factory=list)
+    executed_seconds: List[float] = field(default_factory=list)
+    running: int = 0
+    current: Optional[str] = None
     elapsed_seconds: float = 0.0
+
+    @property
+    def executed(self) -> int:
+        """Simulations actually performed (cache misses that finished)."""
+        return len(self.executed_seconds)
+
+    @property
+    def done(self) -> int:
+        """Points settled so far: completed or quarantined."""
+        return self.completed + len(self.quarantined)
 
     @property
     def succeeded(self) -> bool:
         """True when every point produced a result."""
         return not self.quarantined
+
+    def eta_seconds(self) -> Optional[float]:
+        """Wall-clock estimate for the remaining points, or None before
+        the first executed point lands."""
+        pending = self.total - self.done
+        if not self.executed_seconds or not pending:
+            return None
+        mean = sum(self.executed_seconds) / len(self.executed_seconds)
+        return mean * pending / max(1, self.jobs)
 
     def as_dict(self) -> Dict[str, object]:
         return {
@@ -876,19 +858,57 @@ class SweepReport:
         }
 
 
+def stderr_progress(report: SweepReport) -> None:
+    """Default human-readable reporter: one status line per event."""
+    eta = report.eta_seconds()
+    eta_text = f", eta ~{eta:.0f}s" if eta is not None else ""
+    trouble = ""
+    if report.retries or report.quarantined:
+        trouble = (
+            f", {report.retries} retried, "
+            f"{len(report.quarantined)} quarantined"
+        )
+    tail = f" [{report.current}]" if report.current else ""
+    print(
+        f"[sweep] {report.done}/{report.total} done "
+        f"({report.from_cache} cached, {report.running} running"
+        f"{trouble}{eta_text}){tail}",
+        file=sys.stderr,
+    )
+
+
 # ----------------------------------------------------------------------
 # Runner
 # ----------------------------------------------------------------------
-class SweepRunner:
-    """Expand a spec, replay cached points, supervise the rest.
+#: Exponential backoff between the attempts of a failing point:
+#: ``RETRY_BASE_DELAY * 2**(attempt-1) * (1 + RETRY_JITTER * u)`` seconds,
+#: with ``u`` drawn from a :class:`random.Random` seeded by (cache key,
+#: attempt) — deterministic per point, decorrelated across points.
+RETRY_BASE_DELAY = 0.5
+RETRY_JITTER = 0.5
 
-    ``jobs=1`` runs pending points serially in-process through the exact
-    same evaluator the workers use, so results are bit-identical across
-    job counts.  ``use_cache=False`` disables both lookup and storage;
+
+def _backoff_delay(key: str, attempt: int) -> float:
+    """Seeded exponential backoff with jitter for retry ``attempt``."""
+    rng = random.Random(zlib.crc32(key.encode("utf-8")) + attempt)
+    return (
+        RETRY_BASE_DELAY
+        * (2.0 ** (attempt - 1))
+        * (1.0 + RETRY_JITTER * rng.random())
+    )
+
+
+class SweepRunner:
+    """Replay cached points of a grid, supervise the rest.
+
+    ``points`` is the grid (a :meth:`SweepSpec.expand` list, or campaign
+    cells); results come back in its order.  ``jobs=1`` evaluates pending
+    points in this process through :func:`run_sweep_point`, the function
+    the workers run, so results are bit-identical across job counts.
+    ``use_cache=False`` disables both lookup and storage;
     ``refresh=True`` skips lookup but stores fresh results.  After
-    :meth:`run`, ``executed`` counts simulations actually performed
-    (i.e. cache misses) and :attr:`report` holds the structured
-    :class:`SweepReport`.
+    :meth:`run`, :attr:`report` holds the :class:`SweepReport`, the same
+    object ``progress`` receives after every event.
 
     Supervision knobs:
 
@@ -900,27 +920,25 @@ class SweepRunner:
         How many times a failing point (evaluator exception, timeout, or
         hard worker death) is relaunched before being *quarantined*: its
         result slot stays None and the sweep carries on, so one poison
-        point cannot take down a thousand-point grid.
-    ``retry_base_delay`` / ``retry_jitter``
-        Exponential backoff between attempts:
-        ``base * 2**(attempt-1) * (1 + jitter * u)`` with ``u`` drawn
-        from a :class:`random.Random` seeded by (cache key, attempt) —
-        deterministic per point, decorrelated across points.
+        point cannot take down a thousand-point grid.  Each relaunch
+        waits out a seeded exponential backoff (``RETRY_BASE_DELAY``,
+        ``RETRY_JITTER``).
+
+    Both paths settle every attempt through :meth:`_finish` or
+    :meth:`_handle_failure`, the one retry/backoff/quarantine policy.
     """
 
     def __init__(
         self,
-        spec: SweepSpec,
+        config: SimulationConfig,
+        points: Sequence[SweepPoint],
         jobs: int = 1,
         cache_dir: Union[str, Path] = DEFAULT_CACHE_DIR,
         use_cache: bool = True,
         refresh: bool = False,
-        progress: Optional[Callable[[SweepProgress], None]] = None,
+        progress: Optional[Callable[[SweepReport], None]] = None,
         point_timeout: Optional[float] = None,
         max_retries: int = 2,
-        retry_base_delay: float = 0.5,
-        retry_jitter: float = 0.5,
-        registry=None,
     ) -> None:
         if jobs < 1:
             raise ValueError("jobs must be at least 1")
@@ -928,111 +946,76 @@ class SweepRunner:
             raise ValueError("point_timeout must be positive (or None)")
         if max_retries < 0:
             raise ValueError("max_retries cannot be negative")
-        if retry_base_delay < 0 or retry_jitter < 0:
-            raise ValueError("backoff parameters cannot be negative")
-        self.spec = spec
+        self.config = config
+        self.points = list(points)
         self.jobs = jobs
         self.cache = SweepCache(cache_dir) if use_cache else None
         self.refresh = refresh
         self.progress = progress
         self.point_timeout = point_timeout
         self.max_retries = max_retries
-        self.retry_base_delay = retry_base_delay
-        self.retry_jitter = retry_jitter
-        self.executed = 0
         self.report: Optional[SweepReport] = None
-        #: optional repro.obs MetricRegistry that absorbs the final
-        #: SweepReport counts as ``sweep.*`` gauges after each run
-        self.registry = registry
 
     # ------------------------------------------------------------------
     def run(self) -> List[Optional[PointResult]]:
-        """Execute the grid; results are in spec expansion order.
+        """Execute the grid; results are in point order.
 
         A quarantined point's slot is None — the merge helpers skip
         None, and :attr:`report` names every quarantined point.
         """
         started = time.monotonic()
-        points = self.spec.expand()
-        results: List[Optional[PointResult]] = [None] * len(points)
-        state = SweepProgress(total=len(points), jobs=self.jobs)
-        report = SweepReport(total=len(points))
-        self.executed = 0
-        self.report = report
-
-        pending: List[_PendingTask] = []
-        for index, point in enumerate(points):
-            key = point_cache_key(self.spec.config, point)
+        results: List[Optional[PointResult]] = [None] * len(self.points)
+        report = self.report = SweepReport(total=len(self.points), jobs=self.jobs)
+        waiting: List[_PendingTask] = []
+        for index, point in enumerate(self.points):
+            key = point_cache_key(self.config, point)
             payload = (
                 self.cache.load(key) if self.cache and not self.refresh else None
             )
-            if payload is not None:
+            if payload is None:
+                waiting.append(_PendingTask(index, key, point))
+            else:
                 results[index] = _payload_to_result(point, payload, cached=True)
-                state.cached += 1
-                state.done += 1
                 report.from_cache += 1
                 report.completed += 1
-            else:
-                pending.append(_PendingTask(index, key, point))
-        self._report(state)
+        self._report()
 
-        if pending:
+        if waiting:
             if self.jobs == 1:
-                self._run_serial(pending, results, state, report)
+                self._run_serial(waiting, results)
             else:
-                self._run_supervised(pending, results, state, report)
+                self._run_supervised(waiting, results)
         report.elapsed_seconds = time.monotonic() - started
-        if self.registry is not None:
-            self.registry.ingest("sweep", report.as_dict())
         return results
 
     # ------------------------------------------------------------------
-    def _backoff_delay(self, key: str, attempt: int) -> float:
-        """Seeded exponential backoff with jitter for retry ``attempt``."""
-        rng = random.Random(zlib.crc32(key.encode("utf-8")) + attempt)
-        return (
-            self.retry_base_delay
-            * (2.0 ** (attempt - 1))
-            * (1.0 + self.retry_jitter * rng.random())
-        )
-
-    def _run_serial(self, pending, results, state, report) -> None:
-        for task in pending:
-            state.running = 1
-            state.current = task.point.label()
-            self._report(state)
-            payload = None
-            reason = ""
-            while payload is None:
-                try:
-                    payload = run_sweep_point(self.spec.config, task.point)
-                except Exception as exc:  # noqa: BLE001 - quarantine, not crash
-                    task.attempts += 1
-                    reason = f"{type(exc).__name__}: {exc}"
-                    if task.attempts > self.max_retries:
-                        break
-                    report.retries += 1
-                    state.retried += 1
-                    delay = self._backoff_delay(task.key, task.attempts)
-                    logger.warning(
-                        "point %s failed (%s); retry %d/%d in %.2fs",
-                        task.point.label(), reason,
-                        task.attempts, self.max_retries, delay,
-                    )
-                    if delay > 0:
-                        time.sleep(delay)
-            state.running = 0
-            if payload is None:
-                self._quarantine(task, reason, report, state)
+    def _run_serial(self, waiting, results) -> None:
+        """Evaluate the lowest-index waiting point in this process, after
+        its backoff, until every point is settled."""
+        report = self.report
+        while waiting:
+            task = min(waiting, key=lambda t: t.index)
+            waiting.remove(task)
+            delay = task.not_before - time.monotonic()
+            if delay > 0:
+                time.sleep(delay)
+            report.running = 1
+            report.current = task.point.label()
+            self._report()
+            try:
+                payload = run_sweep_point(self.config, task.point)
+            except Exception as exc:  # noqa: BLE001 - quarantine, not crash
+                report.running = 0
+                self._handle_failure(task, f"{type(exc).__name__}: {exc}", waiting)
             else:
-                self._finish(task.index, task.key, task.point, payload,
-                             results, state, report)
+                report.running = 0
+                self._finish(task, payload, results)
 
     # ------------------------------------------------------------------
-    def _run_supervised(self, pending, results, state, report) -> None:
+    def _run_supervised(self, waiting, results) -> None:
         """Per-point worker processes under timeout/retry supervision."""
         ctx = multiprocessing.get_context()
-        waiting = list(pending)
+        report = self.report
         active: Dict[object, List] = {}  # conn -> [task, process, deadline]
         try:
             while waiting or active:
@@ -1047,7 +1030,7 @@ class SweepRunner:
                     parent, child = ctx.Pipe(duplex=False)
                     process = ctx.Process(
                         target=_supervised_worker,
-                        args=(child, self.spec.config, task.point),
+                        args=(child, self.config, task.point),
                         daemon=True,
                     )
                     process.start()
@@ -1059,9 +1042,9 @@ class SweepRunner:
                     )
                     active[parent] = [task, process, deadline]
                     launched = True
-                state.running = len(active)
+                report.running = len(active)
                 if launched:
-                    self._report(state)
+                    self._report()
 
                 if not active:
                     # Every remaining task is backing off; sleep until the
@@ -1076,14 +1059,13 @@ class SweepRunner:
                 for conn in ready_conns:
                     task, process, _deadline = active.pop(conn)
                     outcome, value = self._collect(conn, process)
-                    state.running = len(active)
+                    report.running = len(active)
                     if outcome == "ok":
-                        self._finish(task.index, task.key, task.point, value,
-                                     results, state, report)
+                        self._finish(task, value, results)
                     else:
                         if outcome == "death":
                             report.worker_deaths += 1
-                        self._handle_failure(task, value, waiting, report, state)
+                        self._handle_failure(task, value, waiting)
 
                 now = time.monotonic()
                 for conn in list(active):
@@ -1093,11 +1075,9 @@ class SweepRunner:
                         self._kill(process)
                         conn.close()
                         report.timeouts += 1
-                        state.running = len(active)
+                        report.running = len(active)
                         self._handle_failure(
-                            task,
-                            f"timed out after {self.point_timeout:g}s",
-                            waiting, report, state,
+                            task, f"timed out after {self.point_timeout:g}s", waiting
                         )
         finally:
             for conn, (task, process, _deadline) in active.items():
@@ -1149,48 +1129,42 @@ class SweepRunner:
             process.kill()
             process.join(timeout=2.0)
 
-    def _handle_failure(self, task, reason, waiting, report, state) -> None:
-        task.attempts += 1
-        if task.attempts > self.max_retries:
-            self._quarantine(task, reason, report, state)
-            return
-        report.retries += 1
-        state.retried += 1
-        delay = self._backoff_delay(task.key, task.attempts)
-        task.not_before = time.monotonic() + delay
-        waiting.append(task)
-        logger.warning(
-            "point %s failed (%s); retry %d/%d in %.2fs",
-            task.point.label(), reason, task.attempts, self.max_retries, delay,
-        )
-        self._report(state)
-
-    def _quarantine(self, task, reason, report, state) -> None:
-        label = task.point.label()
-        report.quarantined.append(label)
-        state.quarantined += 1
-        state.done += 1
-        state.current = label
-        logger.error(
-            "point %s quarantined after %d attempt(s): %s",
-            label, task.attempts, reason,
-        )
-        self._report(state)
-
     # ------------------------------------------------------------------
-    def _finish(self, index, key, point, payload, results, state, report) -> None:
+    def _handle_failure(self, task, reason, waiting) -> None:
+        """Put a failed point back in ``waiting`` behind its backoff, or
+        quarantine it once its retries are spent."""
+        report = self.report
+        task.attempts += 1
+        label = task.point.label()
+        if task.attempts > self.max_retries:
+            report.quarantined.append(label)
+            report.current = label
+            logger.error(
+                "point %s quarantined after %d attempt(s): %s",
+                label, task.attempts, reason,
+            )
+        else:
+            report.retries += 1
+            delay = _backoff_delay(task.key, task.attempts)
+            task.not_before = time.monotonic() + delay
+            waiting.append(task)
+            logger.warning(
+                "point %s failed (%s); retry %d/%d in %.2fs",
+                label, reason, task.attempts, self.max_retries, delay,
+            )
+        self._report()
+
+    def _finish(self, task, payload, results) -> None:
         if self.cache:
             # Flush incrementally: a kill between points loses nothing.
-            self.cache.store(key, point, payload)
-        self.executed += 1
-        report.executed += 1
+            self.cache.store(task.key, task.point, payload)
+        report = self.report
         report.completed += 1
-        state.executed_seconds.append(float(payload.get("elapsed", 0.0)))
-        results[index] = _payload_to_result(point, payload, cached=False)
-        state.done += 1
-        state.current = point.label()
-        self._report(state)
+        report.executed_seconds.append(float(payload.get("elapsed", 0.0)))
+        results[task.index] = _payload_to_result(task.point, payload, cached=False)
+        report.current = task.point.label()
+        self._report()
 
-    def _report(self, state: SweepProgress) -> None:
+    def _report(self) -> None:
         if self.progress is not None:
-            self.progress(state)
+            self.progress(self.report)

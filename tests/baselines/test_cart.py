@@ -81,13 +81,6 @@ class TestFitting:
         errors = [abs(tree.predict(row) - 2.0 * row[0]) for row in x]
         assert max(errors) < 0.2
 
-    def test_predict_many(self):
-        tree = RegressionTree(min_samples_leaf=1).fit([[0.0], [1.0]], [0.0, 1.0])
-        assert tree.predict_many([[0.0], [1.0]]) == [
-            tree.predict([0.0]),
-            tree.predict([1.0]),
-        ]
-
 
 @settings(max_examples=60, deadline=None)
 @given(

@@ -83,16 +83,6 @@ class TestDecisionTreePolicy:
         assert hot in (OperationMode.MODE_2, OperationMode.MODE_3)
         assert int(cold) < int(warm) <= int(hot)
 
-    def test_predicted_error_rate_exposed(self):
-        policy = self._trained()
-        low = policy.predicted_error_rate(obs(temperature=55.0))
-        high = policy.predicted_error_rate(obs(temperature=96.0))
-        assert low < high
-
-    def test_predicted_error_rate_requires_training(self):
-        with pytest.raises(RuntimeError):
-            DecisionTreePolicy().predicted_error_rate(obs())
-
     def test_too_few_samples_keeps_training_mode(self):
         policy = DecisionTreePolicy(min_samples_leaf=8)
         policy.learn(0, obs(), OperationMode.MODE_1, 1.0, obs())

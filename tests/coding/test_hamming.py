@@ -23,11 +23,6 @@ class TestGeometry:
     def test_codeword_width(self, data_bits, expected_codeword):
         assert SecdedCode(data_bits).codeword_bits == expected_codeword
 
-    def test_overhead_and_rate(self):
-        code = SecdedCode(64)
-        assert code.overhead_bits == 8
-        assert abs(code.code_rate - 64 / 72) < 1e-12
-
     def test_rejects_nonpositive_width(self):
         with pytest.raises(ValueError):
             SecdedCode(0)

@@ -132,19 +132,6 @@ class TestSaturationAndClamp:
 
 
 class TestUniform:
-    def test_set_uniform(self):
-        net, varius = make_setup()
-        injector = FaultInjector(net, varius)
-        injector.set_uniform(0.07)
-        assert all(p == 0.07 for p in injector.current.values())
-        for _, model in net.channel_models():
-            assert model.event_probability == 0.07
-
-    def test_rejects_invalid_probability(self):
-        net, varius = make_setup()
-        with pytest.raises(ValueError):
-            FaultInjector(net, varius).set_uniform(1.5)
-
     def test_mean_probability_empty(self):
         net, varius = make_setup()
         assert FaultInjector(net, varius).mean_probability() == 0.0

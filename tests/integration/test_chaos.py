@@ -114,8 +114,9 @@ class TestDeterminism:
             fault_specs=self.SPECS,
             cycles=800,
         )
-        serial = SweepRunner(spec, jobs=1, use_cache=False).run()
-        pooled = SweepRunner(spec, jobs=2, use_cache=False).run()
+        points = spec.expand()
+        serial = SweepRunner(spec.config, points, jobs=1, use_cache=False).run()
+        pooled = SweepRunner(spec.config, points, jobs=2, use_cache=False).run()
         assert [dataclasses.replace(r, elapsed=0.0) for r in serial] == [
             dataclasses.replace(r, elapsed=0.0) for r in pooled
         ]

@@ -76,10 +76,3 @@ class TestInputPort:
         assert free is port.vcs[1]
         port.vcs[1].push(_flit())
         assert port.free_vc_for_head() is None
-
-    def test_buffered_flits_total(self):
-        port = InputPort(Port.NORTH, 2, 4)
-        port.vcs[0].push(_flit(0))
-        port.vcs[0].push(_flit(1))
-        port.vcs[1].push(_flit(0))
-        assert port.buffered_flits == 3

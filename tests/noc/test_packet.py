@@ -48,8 +48,8 @@ class TestPayloads:
         p = Packet(src=0, dest=1, size=2, flit_bits=8, created_at=0, payloads=[0xAB, 0xCD])
         p.flits[0].error_mask = 0x01
         assert p.combined_payload(received=True) == (0xCD << 8) | 0xAA
-        assert p.flits[0].is_corrupted
-        assert not p.flits[1].is_corrupted
+        assert p.flits[0].received_payload != p.flits[0].payload
+        assert p.flits[1].received_payload == p.flits[1].payload
 
     def test_total_bits(self):
         p = Packet(src=0, dest=1, size=4, flit_bits=128, created_at=0)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.noc import MeshTopology, Port, minimal_ports, xy_route, yx_route
-from repro.noc.routing import make_o1turn_route
+from repro.noc.routing import O1TurnRoute
 
 
 def _walk(topology, route_fn, src, dest, limit=64):
@@ -93,7 +93,7 @@ class TestMinimalPorts:
 class TestO1Turn:
     def test_alternates_between_xy_and_yx(self):
         topo = MeshTopology(4, 4)
-        route = make_o1turn_route([0, 1])
+        route = O1TurnRoute([0, 1])
         dest = topo.node_id(2, 2)
         assert route(topo, 0, dest) is Port.EAST   # XY
         assert route(topo, 0, dest) is Port.NORTH  # YX

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.noc import FaultState, MeshTopology, Port, minimal_ports, xy_route, yx_route
-from repro.noc.routing import ROUTING_FUNCTIONS, make_adaptive_route
+from repro.noc.routing import ROUTING_FUNCTIONS, AdaptiveRoute
 
 MAX_DIM = 8
 
@@ -80,7 +80,7 @@ def test_xy_never_turns_y_to_x(case):
 @given(mesh_and_pair(), st.integers(min_value=0, max_value=2**31))
 def test_o1turn_routes_are_minimal(case, seed):
     topo, src, dest = case
-    fn = ROUTING_FUNCTIONS["o1turn"].build(topo, router_id=0, seed=seed)
+    fn = ROUTING_FUNCTIONS["o1turn"](topo, 0, seed, FaultState(topo))
     path = _walk(topo, fn, src, dest)
     assert len(path) - 1 == topo.hop_distance(src, dest)
 
@@ -89,7 +89,7 @@ def test_o1turn_routes_are_minimal(case, seed):
 @given(mesh_and_pair())
 def test_adaptive_equals_xy_when_healthy(case):
     topo, src, dest = case
-    fn = make_adaptive_route(FaultState(topo))
+    fn = AdaptiveRoute(FaultState(topo))
     assert fn(topo, src, dest) == xy_route(topo, src, dest)
 
 
@@ -98,7 +98,7 @@ def test_adaptive_equals_xy_when_healthy(case):
 def test_adaptive_reaches_destination_around_one_dead_link(case, rnd):
     topo, src, dest = case
     fault_state = FaultState(topo)
-    fn = make_adaptive_route(fault_state)
+    fn = AdaptiveRoute(fault_state)
     # Kill one random directed link that isn't the destination's last
     # resort: pick any; if it cuts the graph, reachability must say so.
     channels = list(topo.channels())

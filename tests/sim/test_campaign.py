@@ -170,7 +170,12 @@ class TestRunCampaign:
             registry=registry, tracer=tracer,
         )
         scalars = registry.scalars()
-        assert scalars["campaign.cells_total"] == len(BENCHMARKS) * len(DESIGNS)
+        cells = len(BENCHMARKS) * len(DESIGNS)
+        assert scalars["campaign.cells_total"] == cells
+        # the runner's ledger, replayed from the fixture's cell cache
+        assert scalars["sweep.total"] == cells
+        assert scalars["sweep.executed"] == 0
+        assert scalars["sweep.from_cache"] == cells
         kinds = {ev.kind for ev in tracer.events(["campaign"])}
         assert "artifact_reuse" in kinds
         assert "complete" in kinds

@@ -10,14 +10,14 @@ import pytest
 from repro.sim import (
     SweepCache,
     SweepPoint,
-    SweepProgress,
+    SweepReport,
     SweepRunner,
     SweepSpec,
     merge_campaign,
     point_cache_key,
     scaled_config,
 )
-from repro.sim.sweep import CACHE_SCHEMA, MODE_DESIGNS, run_sweep_point
+from repro.sim.sweep import CACHE_SCHEMA, MODE_DESIGNS, _backoff_delay, run_sweep_point
 
 
 def tiny_config(**overrides):
@@ -27,6 +27,11 @@ def tiny_config(**overrides):
     )
     kwargs.update(overrides)
     return scaled_config(**kwargs)
+
+
+def runner_for(spec, **kwargs):
+    """A runner over ``spec``'s expanded grid."""
+    return SweepRunner(spec.config, spec.expand(), **kwargs)
 
 
 def tiny_campaign_spec(**overrides):
@@ -469,10 +474,13 @@ def _dying_point(config, point):
 
 
 class TestSupervision:
+    @pytest.fixture(autouse=True)
+    def _short_backoff(self, monkeypatch):
+        monkeypatch.setattr("repro.sim.sweep.RETRY_BASE_DELAY", 0.01)
+
     def _runner(self, tmp_path, **kwargs):
         kwargs.setdefault("cache_dir", tmp_path)
-        kwargs.setdefault("retry_base_delay", 0.01)
-        return SweepRunner(tiny_campaign_spec(), **kwargs)
+        return runner_for(tiny_campaign_spec(), **kwargs)
 
     def test_serial_quarantines_poison_point(self, tmp_path, monkeypatch):
         monkeypatch.setattr(
@@ -552,20 +560,43 @@ class TestSupervision:
         key = point_cache_key(spec.config, spec.expand()[1])
         assert SweepCache(tmp_path).load(key) is not None
 
-    def test_backoff_is_seeded_and_grows(self, tmp_path):
-        runner = self._runner(
-            tmp_path, retry_base_delay=0.5, retry_jitter=0.5
-        )
-        d1 = runner._backoff_delay("somekey", 1)
-        assert d1 == runner._backoff_delay("somekey", 1)  # deterministic
-        assert runner._backoff_delay("otherkey", 1) != d1  # decorrelated
-        assert runner._backoff_delay("somekey", 3) > d1  # exponential
+    def test_backoff_is_seeded_and_grows(self, monkeypatch):
+        monkeypatch.setattr("repro.sim.sweep.RETRY_BASE_DELAY", 0.5)
+        monkeypatch.setattr("repro.sim.sweep.RETRY_JITTER", 0.5)
+        d1 = _backoff_delay("somekey", 1)
+        assert d1 == _backoff_delay("somekey", 1)  # deterministic
+        assert _backoff_delay("otherkey", 1) != d1  # decorrelated
+        assert _backoff_delay("somekey", 3) > d1  # exponential
         assert 0.5 <= d1 <= 0.75 * 1.5
+
+    def test_serial_and_supervised_settle_a_failure_alike(self, tmp_path, monkeypatch):
+        """One failure policy: a grid with one always-failing point ends
+        in the same ledger whether it runs in-process or in workers."""
+        real = run_sweep_point
+
+        def poison_crc(config, point):
+            if point.design == "crc":
+                raise RuntimeError("poison")
+            return real(config, point)
+
+        monkeypatch.setattr("repro.sim.sweep.run_sweep_point", poison_crc)
+        reports = {}
+        for jobs in (1, 2):
+            runner = self._runner(tmp_path / f"jobs{jobs}", jobs=jobs, max_retries=2)
+            runner.run()
+            reports[jobs] = runner.report
+        serial, supervised = reports[1], reports[2]
+        for name in ("total", "completed", "executed", "retries",
+                     "from_cache", "quarantined"):
+            assert getattr(serial, name) == getattr(supervised, name), name
+        assert serial.completed == serial.executed == 1
+        assert serial.retries == 2
+        assert serial.quarantined == [tiny_campaign_spec().expand()[0].label()]
 
     def test_report_counts_cache_hits(self, tmp_path):
         spec = tiny_campaign_spec()
-        SweepRunner(spec, cache_dir=tmp_path).run()
-        replay = SweepRunner(spec, cache_dir=tmp_path)
+        runner_for(spec, cache_dir=tmp_path).run()
+        replay = runner_for(spec, cache_dir=tmp_path)
         replay.run()
         report = replay.report
         assert report.total == 2
@@ -580,21 +611,19 @@ class TestSupervision:
             self._runner(tmp_path, point_timeout=0.0)
         with pytest.raises(ValueError, match="max_retries"):
             self._runner(tmp_path, max_retries=-1)
-        with pytest.raises(ValueError, match="backoff"):
-            self._runner(tmp_path, retry_base_delay=-1.0)
 
 
 class TestRunnerCaching:
     def test_cache_hit_skips_simulation(self, tmp_path):
         spec = tiny_campaign_spec()
-        first = SweepRunner(spec, cache_dir=tmp_path)
+        first = runner_for(spec, cache_dir=tmp_path)
         results = first.run()
-        assert first.executed == 2
+        assert first.report.executed == 2
         assert all(not r.cached for r in results)
 
-        second = SweepRunner(spec, cache_dir=tmp_path)
+        second = runner_for(spec, cache_dir=tmp_path)
         replayed = second.run()
-        assert second.executed == 0
+        assert second.report.executed == 0
         assert all(r.cached for r in replayed)
         for fresh, cached in zip(results, replayed):
             assert fresh.run == cached.run
@@ -602,67 +631,67 @@ class TestRunnerCaching:
     def test_resume_after_interrupt(self, tmp_path):
         """Losing part of the cache re-runs only the missing points."""
         spec = tiny_campaign_spec()
-        runner = SweepRunner(spec, cache_dir=tmp_path)
+        runner = runner_for(spec, cache_dir=tmp_path)
         runner.run()
         victim = point_cache_key(spec.config, spec.expand()[1])
         SweepCache(tmp_path).path(victim).unlink()
 
-        resumed = SweepRunner(spec, cache_dir=tmp_path)
+        resumed = runner_for(spec, cache_dir=tmp_path)
         results = resumed.run()
-        assert resumed.executed == 1
+        assert resumed.report.executed == 1
         assert results[0].cached and not results[1].cached
 
     def test_no_cache_runs_everything(self, tmp_path):
         spec = tiny_campaign_spec()
-        SweepRunner(spec, cache_dir=tmp_path).run()
-        runner = SweepRunner(spec, cache_dir=tmp_path, use_cache=False)
+        runner_for(spec, cache_dir=tmp_path).run()
+        runner = runner_for(spec, cache_dir=tmp_path, use_cache=False)
         runner.run()
-        assert runner.executed == 2
+        assert runner.report.executed == 2
 
     def test_refresh_recomputes_but_stores(self, tmp_path):
         spec = tiny_campaign_spec()
-        SweepRunner(spec, cache_dir=tmp_path).run()
-        refresher = SweepRunner(spec, cache_dir=tmp_path, refresh=True)
+        runner_for(spec, cache_dir=tmp_path).run()
+        refresher = runner_for(spec, cache_dir=tmp_path, refresh=True)
         refresher.run()
-        assert refresher.executed == 2
-        replay = SweepRunner(spec, cache_dir=tmp_path)
+        assert refresher.report.executed == 2
+        replay = runner_for(spec, cache_dir=tmp_path)
         replay.run()
-        assert replay.executed == 0
+        assert replay.report.executed == 0
 
     def test_progress_reporting(self, tmp_path):
         snapshots = []
 
-        def record(progress):
+        def record(report):
             snapshots.append(
-                (progress.done, progress.cached, progress.running, progress.total)
+                (report.done, report.from_cache, report.running, report.total)
             )
 
         spec = tiny_campaign_spec()
-        SweepRunner(spec, cache_dir=tmp_path, progress=record).run()
+        runner_for(spec, cache_dir=tmp_path, progress=record).run()
         assert snapshots[0] == (0, 0, 0, 2)
         assert snapshots[-1] == (2, 0, 0, 2)
 
-        cached_run = SweepRunner(spec, cache_dir=tmp_path, progress=record)
+        cached_run = runner_for(spec, cache_dir=tmp_path, progress=record)
         snapshots.clear()
         cached_run.run()
         assert snapshots == [(2, 2, 0, 2)]
 
     def test_eta_appears_after_first_executed_point(self):
-        progress = SweepProgress(total=4, jobs=2)
-        assert progress.eta_seconds() is None
-        progress.executed_seconds.append(2.0)
-        progress.done = 1
-        assert progress.eta_seconds() == pytest.approx(2.0 * 3 / 2)
+        report = SweepReport(total=4, jobs=2)
+        assert report.eta_seconds() is None
+        report.executed_seconds.append(2.0)
+        report.completed = 1
+        assert report.eta_seconds() == pytest.approx(2.0 * 3 / 2)
 
 
 class TestParallelEqualsSerial:
     def test_jobs1_and_jobs2_merge_identically(self, tmp_path):
         spec = tiny_campaign_spec(traffics=("swaptions", "blackscholes"))
-        serial = SweepRunner(spec, jobs=1, cache_dir=tmp_path / "serial")
-        parallel = SweepRunner(spec, jobs=2, cache_dir=tmp_path / "parallel")
+        serial = runner_for(spec, jobs=1, cache_dir=tmp_path / "serial")
+        parallel = runner_for(spec, jobs=2, cache_dir=tmp_path / "parallel")
         serial_grid = merge_campaign(serial.run())
         parallel_grid = merge_campaign(parallel.run())
-        assert serial.executed == parallel.executed == 4
+        assert serial.report.executed == parallel.report.executed == 4
         assert serial_grid.keys() == parallel_grid.keys()
         for benchmark in serial_grid:
             for design in serial_grid[benchmark]:
@@ -673,7 +702,7 @@ class TestParallelEqualsSerial:
             config=tiny_config(), kind="load", designs=("crc",),
             traffics=("uniform",), rates=(0.005, 0.01), cycles=400,
         )
-        serial = SweepRunner(spec, jobs=1, cache_dir=tmp_path / "s").run()
-        parallel = SweepRunner(spec, jobs=2, cache_dir=tmp_path / "p").run()
+        serial = runner_for(spec, jobs=1, cache_dir=tmp_path / "s").run()
+        parallel = runner_for(spec, jobs=2, cache_dir=tmp_path / "p").run()
         assert [r.load for r in serial] == [r.load for r in parallel]
         assert all(r.load["latency"] > 0 for r in serial)

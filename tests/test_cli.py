@@ -377,6 +377,34 @@ class TestSpecValidation:
             main(["chaos", "--fault-specs", "meteor@1:2",
                   "--cache-dir", str(tmp_path)])
 
+    @pytest.mark.parametrize("argv, message", [
+        (["sweep", "--rates", "0.01,abc"], "could not convert string to float: 'abc'"),
+        (["sweep", "--jobs", "0"], "jobs must be at least 1"),
+        (["sweep", "--design", "bogus"], "unknown design 'bogus'"),
+        (["sweep", "--span", "0"], "cycles must be positive"),
+        (["run", "--width", "1"], "mesh must be at least 2x2"),
+        (["run", "--epoch", "0"], "epoch must span at least one cycle"),
+        (["sweep", "--retries", "-1"], "max_retries cannot be negative"),
+        (["chaos", "--point-timeout", "0"], "point_timeout must be positive"),
+        (["campaign", "--designs", "crc", "--benchmarks", "canneal", "--jobs", "0"],
+         "jobs must be at least 1"),
+        (["run", "--checkpoint-every", "-1"], "checkpoint_every cannot be negative"),
+        (["run", "--hysteresis", "-1"], "mode_hysteresis_epochs cannot be negative"),
+        (["chaos", "--soft-error-spec", "qtable@1e-5", "--scrub-every", "-1"],
+         "scrub_every cannot be negative"),
+    ])
+    def test_bad_argument_exits_with_one_line(self, argv, message, tmp_path):
+        """A value a model constructor rejects ends the command with its
+        one-line reason, never a traceback, before anything runs."""
+        if argv[0] != "run":
+            argv = argv + ["--cache-dir", str(tmp_path / "cache")]
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        reason = exited.value.code
+        assert isinstance(reason, str) and "\n" not in reason
+        assert reason.startswith(message)
+        assert not (tmp_path / "cache").exists()
+
 
 class TestSweepEndToEnd:
     """The sweep subcommand through the parallel cached runner."""
