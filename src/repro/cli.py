@@ -571,9 +571,10 @@ def cmd_run(args) -> int:
 def cmd_resume(args) -> int:
     try:
         meta = read_checkpoint_meta(args.snapshot)
-        run = ResumableRun.resume(
-            args.snapshot, checkpoint_every=args.checkpoint_every
-        )
+        with _bad_arguments():
+            run = ResumableRun.resume(
+                args.snapshot, checkpoint_every=args.checkpoint_every
+            )
     except CheckpointError as exc:
         raise SystemExit(str(exc)) from None
     print(

@@ -15,8 +15,7 @@ plain ints (see :mod:`repro.noc.channel`).
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Generic, Iterator, Optional, Tuple, TypeVar
+from typing import Dict, Generic, Iterator, Optional, Tuple, TypeVar
 
 __all__ = ["RetransmissionBuffer", "ArqError"]
 
@@ -38,44 +37,37 @@ class RetransmissionBuffer(Generic[T]):
         :meth:`is_full` before link traversal.
 
     Entries are keyed by a monotonically increasing sequence number issued
-    by :meth:`push`.  Iteration order is insertion (i.e. transmission)
-    order, which the router relies on when draining retransmissions.
+    by :meth:`push`.  :attr:`entries` is a plain dict, so iteration order
+    is insertion (i.e. transmission) order, which the router relies on
+    when draining retransmissions.  A NACK leaves its entry in place (the
+    router resends it from :meth:`peek`); only an ACK releases it.
     """
 
-    __slots__ = (
-        "capacity",
-        "_entries",
-        "_next_seq",
-        "total_pushed",
-        "total_acked",
-        "total_nacked",
-    )
+    __slots__ = ("capacity", "entries", "_next_seq")
 
     def __init__(self, capacity: int) -> None:
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
-        self._entries: "OrderedDict[int, T]" = OrderedDict()
+        #: sequence number -> stored copy, oldest first.  The router's
+        #: per-flit path reads and pops it directly.
+        self.entries: Dict[int, T] = {}
         self._next_seq = 0
-        # Statistics
-        self.total_pushed = 0
-        self.total_acked = 0
-        self.total_nacked = 0
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self.entries)
 
     def __iter__(self) -> Iterator[Tuple[int, T]]:
-        return iter(self._entries.items())
+        return iter(self.entries.items())
 
     @property
     def is_full(self) -> bool:
-        return len(self._entries) >= self.capacity
+        return len(self.entries) >= self.capacity
 
     @property
     def is_empty(self) -> bool:
-        return not self._entries
+        return not self.entries
 
     # ------------------------------------------------------------------
     def push(self, item: T) -> int:
@@ -88,36 +80,20 @@ class RetransmissionBuffer(Generic[T]):
             raise ArqError("retransmission buffer overflow")
         seq = self._next_seq
         self._next_seq += 1
-        self._entries[seq] = item
-        self.total_pushed += 1
+        self.entries[seq] = item
         return seq
 
     def ack(self, seq: int) -> T:
         """Positive acknowledgement: release and return the stored copy."""
         try:
-            item = self._entries.pop(seq)
+            return self.entries.pop(seq)
         except KeyError:
             raise ArqError(f"ACK for unknown sequence {seq}") from None
-        self.total_acked += 1
-        return item
-
-    def nack(self, seq: int) -> T:
-        """Negative acknowledgement: return the copy for retransmission.
-
-        The entry stays buffered (the retransmitted flit may itself be
-        corrupted and NACKed again); it is only released by a later ACK.
-        """
-        try:
-            item = self._entries[seq]
-        except KeyError:
-            raise ArqError(f"NACK for unknown sequence {seq}") from None
-        self.total_nacked += 1
-        return item
 
     def peek(self, seq: int) -> Optional[T]:
-        """Return the stored copy without touching statistics."""
-        return self._entries.get(seq)
+        """Return the stored copy, if still unacknowledged."""
+        return self.entries.get(seq)
 
     def flush(self) -> None:
         """Drop all pending entries (used when a link is reconfigured)."""
-        self._entries.clear()
+        self.entries.clear()

@@ -39,6 +39,10 @@ class VCState(enum.Enum):
     DRAINING = "draining"
 
 
+#: read on every VC release and head injection (enum class reads are slow)
+_IDLE = VCState.IDLE
+
+
 class VirtualChannel:
     """One FIFO lane of an input port with its pipeline state."""
 
@@ -54,7 +58,6 @@ class VirtualChannel:
         "out_vc",
         "stage_ready_cycle",
         "current_packet",
-        "sent",
     )
 
     def __init__(self, port: Port, vc_id: int, depth: int, num_vcs: int = 0) -> None:
@@ -69,7 +72,7 @@ class VirtualChannel:
         self.line = self.port_index * num_vcs + vc_id
         self.depth = depth
         self.fifo: Deque[Flit] = deque()
-        self.state = VCState.IDLE
+        self.state = _IDLE
         self.out_port: Optional[Port] = None
         self.out_vc: Optional[int] = None
         #: earliest cycle the *next* pipeline stage may act on this VC —
@@ -78,8 +81,6 @@ class VirtualChannel:
         #: packet occupying this VC (set at head arrival) — lets the
         #: hard-fault sweep and the watchdog identify worms in place
         self.current_packet = None
-        #: flits of the current packet already forwarded out of this VC
-        self.sent = 0
 
     # ------------------------------------------------------------------
     @property
@@ -87,16 +88,13 @@ class VirtualChannel:
         return len(self.fifo)
 
     @property
-    def is_full(self) -> bool:
-        return len(self.fifo) >= self.depth
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.fifo
-
-    @property
     def front(self) -> Optional[Flit]:
         return self.fifo[0] if self.fifo else None
+
+    @property
+    def head_sent(self) -> bool:
+        """Whether an active VC's packet head has left (it holds one packet)."""
+        return not (self.fifo and self.fifo[0].is_head)
 
     def push(self, flit: Flit) -> None:
         """Buffer write (BW stage).  Overflow is a flow-control bug."""
@@ -116,11 +114,10 @@ class VirtualChannel:
 
     def release(self) -> None:
         """Return to IDLE after the tail flit departs."""
-        self.state = VCState.IDLE
+        self.state = _IDLE
         self.out_port = None
         self.out_vc = None
         self.current_packet = None
-        self.sent = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -145,11 +142,11 @@ class InputPort:
     @property
     def occupied_vcs(self) -> int:
         """Number of VCs currently holding a packet (Table I feature 1)."""
-        return sum(1 for vc in self.vcs if vc.state is not VCState.IDLE or vc.fifo)
+        return sum(1 for vc in self.vcs if vc.state is not _IDLE or vc.fifo)
 
     def free_vc_for_head(self) -> Optional[VirtualChannel]:
         """An idle, empty VC that can accept a new packet's head flit."""
         for vc in self.vcs:
-            if vc.state is VCState.IDLE and vc.is_empty:
+            if vc.state is _IDLE and not vc.fifo:
                 return vc
         return None

@@ -69,6 +69,8 @@ class NetworkInterface:
         self._current: Optional[Packet] = None
         self._current_index = 0
         self._current_vc: Optional[int] = None
+        #: ``router.local_pops`` when the router last refused a flit
+        self._refused_at = -1
         #: source-side copies of in-flight messages, by message id
         self._store: Dict[int, Packet] = {}
         #: (due_cycle, message_id) retransmission requests received
@@ -193,6 +195,9 @@ class NetworkInterface:
             self.router.epoch.crc_ops += clone.size
             self._inject_queue.appendleft(clone)
 
+        router = self.router
+        if self._refused_at == router.local_pops:
+            return  # the local port is still as full as it was
         if self._current is None:
             if not self._inject_queue:
                 return
@@ -203,15 +208,17 @@ class NetworkInterface:
         packet = self._current
         flit = packet.flits[self._current_index]
         if flit.is_head and self._current_vc is None:
-            vc = self.router.try_inject_head(flit, now)
-            if vc is None:
-                return  # all local input VCs busy; retry next cycle
+            vc = router.try_inject_head(flit, now)
+            if vc is None:  # all local input VCs busy
+                self._refused_at = router.local_pops
+                return
             self._current_vc = vc
             packet.injected_at = now
             self.stats.packets_injected += 1
         else:
-            if not self.router.try_inject_body(flit, self._current_vc):
-                return  # VC full; retry next cycle
+            if not router.try_inject_body(flit, self._current_vc):
+                self._refused_at = router.local_pops  # VC full
+                return
         flit.injected_at = now
         if packet.retransmission == 0:
             self.router.epoch.core_activity_flits += 1
@@ -255,9 +262,12 @@ class NetworkInterface:
 
     def _finish_packet(self, packet: Packet, now: int) -> None:
         self.router.epoch.crc_ops += packet.size
-        word = packet.combined_payload(received=True)
-        if self.crc.verify(word, packet.total_bits, packet.crc_check):
-            corrupted = any(f.error_mask for f in packet.flits)
+        corrupted = any(f.error_mask for f in packet.flits)
+        # An error-free packet is the word its CRC was computed over
+        # (``enqueue``), so only a corrupted one is checked.
+        if not corrupted or self.crc.verify(
+            packet.combined_payload(received=True), packet.total_bits, packet.crc_check
+        ):
             if corrupted:
                 # An escaped error pattern the CRC cannot see: silent
                 # data corruption, worth tracking separately.

@@ -447,9 +447,9 @@ class Network:
                 # deferred mode switch left.  A non-empty ARQ window
                 # alone needs no step: sideband ACKs release it.
                 if not (
-                    router._routing
+                    router._active
                     or router._waiting
-                    or router._active
+                    or router._routing
                     or router._draining
                     or router._retx_ports
                     or router._pending_mode is not None
@@ -592,6 +592,7 @@ class Network:
             if seq >= expected:
                 mark(t.flit.packet)
         link.arq.flush()
+        link.in_flight = [0] * len(link.in_flight)
         link.pending_retx.clear()
         if int(port) in sender._retx_ports:
             sender._retx_ports.remove(int(port))

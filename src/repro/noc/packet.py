@@ -29,13 +29,9 @@ class FlitType(enum.Enum):
     #: single-flit packet: simultaneously head and tail
     HEAD_TAIL = "head_tail"
 
-    @property
-    def is_head(self) -> bool:
-        return self in (FlitType.HEAD, FlitType.HEAD_TAIL)
 
-    @property
-    def is_tail(self) -> bool:
-        return self in (FlitType.TAIL, FlitType.HEAD_TAIL)
+#: flit types as globals: reading an enum member through its class is slow
+_HEAD, _BODY, _TAIL, _HEAD_TAIL = FlitType.HEAD, FlitType.BODY, FlitType.TAIL, FlitType.HEAD_TAIL
 
 
 class Flit:
@@ -83,11 +79,10 @@ class Flit:
         self.packet = packet
         self.index = index
         self.ftype = ftype
-        #: head/tail classification cached as plain attributes — these
-        #: are read in every pipeline stage, and enum-property chains
-        #: showed up in the cycle-kernel profile
-        self.is_head = ftype.is_head
-        self.is_tail = ftype.is_tail
+        #: head/tail classification as plain attributes, read in every
+        #: pipeline stage
+        self.is_head = ftype is _HEAD or ftype is _HEAD_TAIL
+        self.is_tail = ftype is _TAIL or ftype is _HEAD_TAIL
         self.payload = payload
         self.error_mask = 0
         self.vc: Optional[int] = None
@@ -206,12 +201,12 @@ class Packet:
     @staticmethod
     def _flit_type(index: int, size: int) -> FlitType:
         if size == 1:
-            return FlitType.HEAD_TAIL
+            return _HEAD_TAIL
         if index == 0:
-            return FlitType.HEAD
+            return _HEAD
         if index == size - 1:
-            return FlitType.TAIL
-        return FlitType.BODY
+            return _TAIL
+        return _BODY
 
     @property
     def total_bits(self) -> int:

@@ -27,7 +27,7 @@ Implementation note: the pipeline stages iterate over dictionaries of
 VCs keyed by pipeline state (``_routing`` / ``_waiting`` / ``_active``)
 rather than scanning every (port, VC) pair each cycle — iteration order
 is insertion order, keeping runs bit-reproducible while making idle
-routers nearly free.
+routers nearly free — and each stage runs only when it can change state.
 """
 
 from __future__ import annotations
@@ -56,12 +56,29 @@ ARQ_CAPACITY = 8
 
 _NUM_PORTS = len(Port)
 _LOCAL = int(Port.LOCAL)
+_LOCAL_BIT = 1 << _LOCAL
+#: VC states as globals: reading an enum member through its class is slow
+_IDLE, _ROUTING, _WAITING, _ACTIVE, _DRAINING = (
+    VCState.IDLE, VCState.ROUTING, VCState.WAITING_VC, VCState.ACTIVE, VCState.DRAINING
+)
+#: a stage wake-up cycle no simulation reaches
+_NEVER = 1 << 62
+_new_transmission = object.__new__
 #: rotating output-port scan orders for SA, indexed by ``now % N`` —
 #: precomputed so the hot loop does no per-step modular arithmetic
 _PORT_ORDERS = tuple(
     tuple((start + k) % _NUM_PORTS for k in range(_NUM_PORTS))
     for start in range(_NUM_PORTS)
 )
+
+
+#: per mode: (protected, relaxed, delay beyond the wire, duplicated, link slots)
+_SEND_MODES = {
+    mode: (b.ecc_enabled, b.timing_relaxed,
+           b.extra_cycles_before_send + (ECC_PIPELINE_CYCLES if b.ecc_enabled else 0),
+           b.pre_retransmit and b.ecc_enabled, b.link_slots_per_flit)
+    for mode, b in MODE_BEHAVIOUR.items()
+}
 
 
 class OutputLink:
@@ -77,6 +94,7 @@ class OutputLink:
         "free_at",
         "pending_retx",
         "alive",
+        "in_flight",
     )
 
     def __init__(self, port: Port, channel: Channel, num_vcs: int, vc_depth: int) -> None:
@@ -92,6 +110,8 @@ class OutputLink:
         self.free_at = 0
         #: sequence numbers scheduled for go-back-N retransmission
         self.pending_retx: Deque[int] = deque()
+        #: ARQ entries awaiting an ACK, per downstream VC
+        self.in_flight = [0] * num_vcs
 
 
 class Router:
@@ -132,12 +152,12 @@ class Router:
         self.ejection_sink: Optional[Callable[[Flit, int], None]] = None
 
         self._local_vc_allocated = [False] * num_vcs
+        #: flits sent or drained from the local VCs: a refused NI waits for it
+        self.local_pops = 0
 
         self.mode = OperationMode.MODE_0
         self.behaviour: ModeBehaviour = MODE_BEHAVIOUR[self.mode]
-        #: ``behaviour.link_slots_per_flit``, cached per mode change (the
-        #: property would otherwise be evaluated on every traversal)
-        self._link_slots = self.behaviour.link_slots_per_flit
+        self._send_mode = _SEND_MODES[self.mode]
         self._pending_mode: Optional[OperationMode] = None
 
         self._va_arbiters = [RoundRobinArbiter(_NUM_PORTS * num_vcs) for _ in range(_NUM_PORTS)]
@@ -147,11 +167,16 @@ class Router:
         # insertion order (deterministic).
         self._routing: Dict[VirtualChannel, None] = {}
         self._waiting: Dict[VirtualChannel, None] = {}
-        self._active: Dict[VirtualChannel, None] = {}
+        #: active VC -> its output link (None for the local port)
+        self._active: Dict[VirtualChannel, Optional[OutputLink]] = {}
         #: VCs discarding a fault-killed packet in place (see VCState)
         self._draining: Dict[VirtualChannel, None] = {}
         #: output ports with a non-empty go-back-N rewind queue
         self._retx_ports: List[int] = []
+        #: SA runs from this cycle on (see step)
+        self._sa_wake = 0
+        #: mask of the output ports VA may grant on (see step)
+        self._va_due = 0
 
         self.epoch = RouterEpochStats()
         #: local temperature in degrees C, refreshed by the thermal model
@@ -214,7 +239,7 @@ class Router:
                 )
         self.mode = mode
         self.behaviour = MODE_BEHAVIOUR[mode]
-        self._link_slots = self.behaviour.link_slots_per_flit
+        self._send_mode = _SEND_MODES[mode]
         self._pending_mode = None
 
     def _arq_quiescent(self) -> bool:
@@ -231,26 +256,29 @@ class Router:
         credits = link.credits
         depth = self.vc_depth
         for vc in vcs:
-            credits[vc] += 1
-            if credits[vc] > depth:
+            credits[vc] = count = credits[vc] + 1
+            if count == 1:
+                self._sa_wake = 0  # the VC's first credit: SA may send
+            if count == depth and link.vc_draining[vc] and not link.in_flight[vc]:
+                self._release_output_vc(port, link, vc)
+            elif count > depth:
                 raise RuntimeError(
                     f"router {self.id} port {Port(port).name} vc {vc}: credit overflow"
                 )
-            if credits[vc] == depth and link.vc_draining[vc]:
-                self._maybe_release_output_vc(link, vc)
 
     def receive_ack(self, port: int, codes: List[int]) -> None:
         """Apply one cycle's ACKs (``seq``) and NACKs (``~seq``) from ``port``."""
         link = self.outputs[port]
         epoch = self.epoch
         arq = link.arq
+        window = arq.entries
         for code in codes:
             if code < 0:
                 seq = ~code
                 epoch.nacks_in[port] += 1
                 # Go-back-N rewind: schedule the NACKed flit and everything
                 # sent after it (still unacknowledged) for in-order resend.
-                link.pending_retx = deque(s for s, _ in arq if s >= seq)
+                link.pending_retx = deque(s for s in window if s >= seq)
                 if link.pending_retx and port not in self._retx_ports:
                     self._retx_ports.append(port)
                     self._wake()
@@ -260,13 +288,16 @@ class Router:
                 # This ACK may be the one that drains the window and
                 # unblocks the deferred mode switch in step().
                 self._wake()
-            if arq.peek(code) is not None:
-                item = arq.ack(code)
+            item = window.pop(code, None)  # None: a stale duplicate ACK
+            if item is not None:
                 epoch.arq_buffer_ops += 1
-                # The ACK may complete a draining packet's in-flight set.
+                if len(window) == ARQ_CAPACITY - 1:
+                    self._sa_wake = 0  # the window has room again
                 vc = item.vc
-                if link.vc_draining[vc] and link.credits[vc] == self.vc_depth:
-                    self._maybe_release_output_vc(link, vc)
+                link.in_flight[vc] = in_flight = link.in_flight[vc] - 1
+                # The ACK may complete a draining packet's in-flight set.
+                if not in_flight and link.vc_draining[vc] and link.credits[vc] == self.vc_depth:
+                    self._release_output_vc(port, link, vc)
             if link.pending_retx and code in link.pending_retx:
                 # A mode-2 duplicate repaired the flit before the rewind
                 # resent it — cancel the now-pointless retransmission.
@@ -281,9 +312,16 @@ class Router:
         error_model = channel.error_model
         flits_in = epoch.flits_in
         vcs = self.inputs[port].vcs
+        routed = False  # a head arrived for RC
         for t in arrivals:
             flits_in[port] += 1
-            errors = error_model.sample_error_bits(t.relaxed)
+            gap = error_model._gap
+            if gap and not t.relaxed:  # sample_error_bits' countdown, inlined
+                errors = 0
+                if gap > 0:
+                    error_model._gap = gap - 1
+            else:
+                errors = error_model.sample_error_bits(t.relaxed)
             if t.protected:
                 # The -Link decoder runs on every protected transfer.
                 epoch.ecc_decodes += 1
@@ -317,7 +355,11 @@ class Router:
                     # and escapes to the destination CRC.
                     t.flit.error_mask ^= error_model.sample_mask(errors)
                     epoch.escaped_errors += 1
-                channel.send_ack(expected)
+                # Channel.send_ack(expected), inlined (it delivers: alive)
+                acks = channel._acks
+                if not (acks or channel._credits):
+                    channel._sideband_due.append(channel.index)
+                acks.append(expected)
                 epoch.acks_out[port] += 1
                 self.expected_seq[port] = expected + 1
             elif errors:
@@ -328,19 +370,28 @@ class Router:
             flit = t.flit
             flit.hops += 1
             vc = vcs[t.vc]
-            vc.push(flit)
+            fifo = vc.fifo
+            if not fifo and vc.state is _ACTIVE:
+                self._sa_wake = 0  # a flit for an empty active VC
+            if len(fifo) < vc.depth:  # VirtualChannel.push, inlined
+                flit.vc = t.vc
+                fifo.append(flit)
+            else:
+                vc.push(flit)  # raises: the credit protocol was violated
             epoch.buffer_writes += 1
             if flit.is_head:
-                if vc.state is not VCState.IDLE:
+                if vc.state is not _IDLE:
                     raise RuntimeError(
                         f"router {self.id}: head flit arrived at busy VC "
                         f"{vc.port.name}.{vc.vc_id}"
                     )
-                vc.state = VCState.ROUTING
+                vc.state = _ROUTING
                 vc.current_packet = flit.packet
                 vc.stage_ready_cycle = now + 1
                 self._routing[vc] = None
-                self._wake()
+                routed = True
+        if routed:
+            self._wake()
 
     # ------------------------------------------------------------------
     # Injection from the local network interface
@@ -352,7 +403,7 @@ class Router:
         if vc is None:
             return None
         vc.push(flit)
-        vc.state = VCState.ROUTING
+        vc.state = _ROUTING
         vc.current_packet = flit.packet
         vc.stage_ready_cycle = now + 1
         self._routing[vc] = None
@@ -364,8 +415,10 @@ class Router:
     def try_inject_body(self, flit: Flit, vc_id: int) -> bool:
         """Inject a body/tail flit on the packet's VC; False if full."""
         vc = self.inputs[_LOCAL].vcs[vc_id]
-        if vc.is_full:
+        if len(vc.fifo) >= vc.depth:
             return False
+        if not vc.fifo and vc.state is _ACTIVE:
+            self._sa_wake = 0
         vc.push(flit)
         self.epoch.buffer_writes += 1
         self.epoch.flits_in[_LOCAL] += 1
@@ -375,6 +428,11 @@ class Router:
     # Pipeline step (called once per cycle, after deliveries)
     # ------------------------------------------------------------------
     def step(self, now: int) -> None:
+        """Run the stages that can change state (skip rules: DESIGN.md §11).
+
+        Stages run in reverse pipeline order, so a VC handed on by one
+        stage waits a cycle for the next.
+        """
         if self._pending_mode is not None and self._arq_quiescent():
             self._apply_mode(self._pending_mode)
         if self._draining:
@@ -383,11 +441,12 @@ class Router:
             used_output = self._stage_retransmissions(now)
         else:
             used_output = None
-        if self._active:
+        if self._active and self._sa_wake <= now:
             self._stage_switch_allocation(now, used_output)
-        if self._waiting:
+        if self._va_due and self._waiting:
             self._stage_vc_allocation(now)
-        if self._routing:
+        routing = self._routing
+        if routing and next(iter(routing)).stage_ready_cycle <= now:
             self._stage_route_computation(now)
 
     # -- ST (retransmission drain has priority on each output link) ------
@@ -416,21 +475,13 @@ class Router:
                 self._retx_ports.remove(port)
             link.credits[original.vc] -= 1
             behaviour = self.behaviour
-            retx = Transmission(
-                flit=original.flit,
-                seq=seq,
-                vc=original.vc,
-                protected=True,
-                relaxed=behaviour.timing_relaxed,
-                duplicate=False,
-                arrive_at=now
-                + link.channel.latency
-                + ECC_PIPELINE_CYCLES
-                + behaviour.extra_cycles_before_send,
+            stall = behaviour.extra_cycles_before_send
+            arrive = now + link.channel.latency + ECC_PIPELINE_CYCLES + stall
+            link.channel.send(
+                Transmission(original.flit, seq, original.vc, True,
+                             behaviour.timing_relaxed, False, arrive)
             )
-            link.channel.send(retx)
-            link.free_at = now + 1 + behaviour.extra_cycles_before_send
-            link.arq.nack(seq)  # counts the retransmission in ARQ stats
+            link.free_at = now + 1 + stall
             self.epoch.flit_retransmissions += 1
             self.epoch.flits_out[port] += 1
             self.epoch.arq_buffer_ops += 1
@@ -439,31 +490,32 @@ class Router:
 
     # -- SA + ST ---------------------------------------------------------
     def _stage_switch_allocation(self, now: int, used_output: Optional[List[bool]]) -> None:
-        outputs = self.outputs
         ecc = self.behaviour.ecc_enabled
-        # Ready VCs whose output has a free link slot, a credit and ARQ
-        # room, grouped by output port.  ``first`` collects the first
-        # port's candidates; the dict is built only once a second port
-        # shows up.
+        # VCs holding a flit whose output has a free link slot, a credit and
+        # ARQ room, grouped by output port.  ``first`` collects the first
+        # port's candidates; the dict is built once a second port shows up.
         first_port = -1
         first: Optional[List[VirtualChannel]] = None
         by_port: Optional[Dict[int, List[VirtualChannel]]] = None
-        for vc in self._active:
-            if not vc.fifo or vc.stage_ready_cycle > now:
+        wake = _NEVER
+        for vc, link in self._active.items():
+            if not vc.fifo:
                 continue
             out_port = vc.out_port
-            if used_output is not None and used_output[out_port]:
-                continue
-            if out_port != _LOCAL:
-                link = outputs[out_port]
-                if link.free_at > now or link.credits[vc.out_vc] <= 0:
+            if link is not None:
+                if used_output is not None and used_output[out_port]:
                     continue
-                if ecc:
-                    arq = link.arq
-                    if len(arq._entries) >= arq.capacity:  # inlined arq.is_full
-                        continue
+                free_at = link.free_at
+                if free_at > now:
+                    wake = free_at if free_at < wake else wake
+                    continue
+                if link.credits[vc.out_vc] <= 0 or (
+                    ecc and len(link.arq.entries) >= ARQ_CAPACITY  # arq.is_full
+                ):
+                    continue
             if first is None:
                 first_port = out_port
+                first_link = link
                 first = [vc]
             elif out_port == first_port:
                 first.append(vc)
@@ -475,7 +527,10 @@ class Router:
                     by_port[out_port] = [vc]
                 else:
                     candidates.append(vc)
+        if used_output is not None:
+            wake = now + 1  # a rewind holding an output may free it
         if first is None:
+            self._sa_wake = wake
             return
         arbiters = self._sa_arbiters
         epoch = self.epoch
@@ -487,14 +542,19 @@ class Router:
             if len(first) == 1:
                 vc = first[0]
                 arbiters[first_port].take(vc.line)
-                self._traverse(vc, first_port, now)
-                return
-            line = arbiters[first_port].grant_from([vc.line for vc in first])
-            for vc in first:
-                if vc.line == line:
-                    self._traverse(vc, first_port, now)
-                    return
+            else:
+                line = arbiters[first_port].grant_from([vc.line for vc in first])
+                for vc in first:
+                    if vc.line == line:
+                        break
+            self._traverse(vc, first_port, first_link, now)
+            if len(first) > 1 or vc.fifo:
+                # The losers and the winner's next flit wait for the port.
+                free = now + 1 if first_link is None else first_link.free_at
+                wake = free if free < wake else wake
+            self._sa_wake = wake
             return
+        outputs = self.outputs
         used_input = [False] * _NUM_PORTS
         for out_port in _PORT_ORDERS[now % _NUM_PORTS]:
             candidates = by_port.get(out_port)
@@ -507,7 +567,7 @@ class Router:
                 epoch.arbitration_ops += 1
                 arbiters[out_port].take(vc.line)
                 used_input[vc.port_index] = True
-                self._traverse(vc, out_port, now)
+                self._traverse(vc, out_port, outputs.get(out_port), now)
                 continue
             eligible = [vc.line for vc in candidates if not used_input[vc.port_index]]
             if not eligible:
@@ -519,169 +579,162 @@ class Router:
             for vc in candidates:
                 if vc.line == line:
                     used_input[vc.port_index] = True
-                    self._traverse(vc, out_port, now)
+                    self._traverse(vc, out_port, outputs.get(out_port), now)
                     break
+        # A port that had a request may grant again once its link is free.
+        for out_port in by_port:
+            link = outputs.get(out_port)
+            wake = min(wake, now + 1 if link is None else max(now + 1, link.free_at))
+        self._sa_wake = wake
 
-    def _traverse(self, vc: VirtualChannel, out_port: int, now: int) -> None:
+    def _traverse(self, vc: VirtualChannel, out_port: int, link, now: int) -> None:
+        """ST/LT of ``vc``'s front flit; ``link`` is None for ``_LOCAL``."""
         flit = vc.fifo.popleft()  # SA only grants VCs holding a flit
-        vc.sent += 1
         epoch = self.epoch
         epoch.buffer_reads += 1
         epoch.crossbar_traversals += 1
         epoch.flits_out[out_port] += 1
-        if vc.port_index != _LOCAL:
+        in_port = vc.port_index
+        if in_port != _LOCAL:
             # The flit freed one slot of this input VC: return the credit
-            # to the upstream sender over the channel's sideband wire.
-            self.in_channels[vc.port_index].send_credit(vc.vc_id)
+            # to the upstream sender (Channel.send_credit, inlined).
+            channel = self.in_channels[in_port]
+            if channel.alive:
+                credits = channel._credits
+                if not (credits or channel._acks):
+                    channel._sideband_due.append(channel.index)
+                credits.append(vc.vc_id)
+        else:
+            self.local_pops += 1
 
-        if out_port == _LOCAL:
+        out_vc = vc.out_vc
+        if link is None:
             if self.ejection_sink is None:
                 raise RuntimeError(f"router {self.id} has no ejection sink")
             self.ejection_sink(flit, now + 1)
         else:
-            link = self.outputs[out_port]
-            behaviour = self.behaviour
-            protected = behaviour.ecc_enabled
-            out_vc = vc.out_vc
+            channel = link.channel
+            protected, relaxed, delay, duplicated, slots = self._send_mode
             link.credits[out_vc] -= 1
-            arrive = (
-                now
-                + link.channel.latency
-                + behaviour.extra_cycles_before_send
-                + (ECC_PIPELINE_CYCLES if protected else 0)
-            )
-            duplicated = behaviour.pre_retransmit and protected
-            sent = Transmission(
-                flit,
-                None,
-                out_vc,
-                protected,
-                behaviour.timing_relaxed,
-                False,
-                arrive,
-                duplicated,
-            )
+            arrive = now + channel.latency + delay
+            # Transmission(flit, None, out_vc, ...) without the __init__ call
+            sent = _new_transmission(Transmission)
+            sent.flit, sent.seq, sent.vc, sent.protected = flit, None, out_vc, protected
+            sent.relaxed, sent.duplicate, sent.paired = relaxed, False, duplicated
+            sent.arrive_at = arrive
             if protected:
                 # The ARQ window stores the sent transmission itself (its
                 # consumers read only .flit and .vc), so the rewind logic
                 # can resend it without a second allocation per flit.
                 sent.seq = link.arq.push(sent)
+                link.in_flight[out_vc] += 1
                 epoch.arq_buffer_ops += 1
                 epoch.ecc_encodes += 1
-            link.channel.send(sent)
-            link.free_at = now + self._link_slots
+            if channel.alive:  # Channel.send, inlined
+                channel._data.append(sent)
+                due = channel._arrivals_due.get(arrive)
+                if due is None:
+                    channel._arrivals_due[arrive] = [channel.index]
+                else:
+                    due.append(channel.index)
+            link.free_at = now + slots
             if duplicated:
                 # Mode 2: speculative duplicate one cycle behind.
-                link.channel.send(
-                    Transmission(
-                        flit,
-                        sent.seq,
-                        out_vc,
-                        True,
-                        behaviour.timing_relaxed,
-                        True,
-                        arrive + 1,
-                    )
+                channel.send(
+                    Transmission(flit, sent.seq, out_vc, True, relaxed, True, arrive + 1)
                 )
                 epoch.duplicate_flits += 1
                 epoch.ecc_encodes += 1
 
         if flit.is_tail:
-            out_vc = vc.out_vc
-            if out_port == _LOCAL:
+            if link is None:
                 self._local_vc_allocated[out_vc] = False
+                self._va_due |= _LOCAL_BIT
             else:
                 # The tail just spent a credit, so the output VC cannot be
                 # released yet: the last credit or ACK home releases it.
-                self.outputs[out_port].vc_draining[out_vc] = True
+                link.vc_draining[out_vc] = True
             vc.release()
             del self._active[vc]
-        # Body flits remain eligible next cycle; no stage_ready bump needed.
 
-    def _maybe_release_output_vc(self, link: OutputLink, vc: int) -> None:
-        # The downstream VC is reusable only when every flit of the old
-        # packet is out of flight: all credits home AND no ARQ entry for
-        # this VC awaits acknowledgement.  Credits alone are insufficient
-        # — a NACKed (refunded) flit still has a pending retransmission
-        # that will occupy the downstream buffer later.
-        if not (link.vc_draining[vc] and link.credits[vc] == self.vc_depth):
-            return
-        if any(t.vc == vc for _seq, t in link.arq):
-            return
+    def _release_output_vc(self, port: int, link: OutputLink, vc: int) -> None:
+        # Callers check that every flit of the old packet is out of
+        # flight: all credits home AND no ARQ entry on this VC, as a
+        # NACKed (refunded) flit will still occupy the downstream buffer.
         link.vc_draining[vc] = False
         link.vc_allocated[vc] = False
+        self._va_due |= 1 << port
 
     # -- VA ---------------------------------------------------------------
     def _stage_vc_allocation(self, now: int) -> None:
+        due = self._va_due
+        self._va_due = 0
         by_port: Dict[int, Dict[int, VirtualChannel]] = {}
         for vc in self._waiting:
-            if vc.stage_ready_cycle <= now:
-                candidates = by_port.get(vc.out_port)
+            out_port = vc.out_port
+            if due >> out_port & 1:
+                candidates = by_port.get(out_port)
                 if candidates is None:
-                    by_port[vc.out_port] = {vc.line: vc}
+                    by_port[out_port] = {vc.line: vc}
                 else:
                     candidates[vc.line] = vc
+        waiting, active = self._waiting, self._active
         for out_port, candidates in by_port.items():
-            if out_port == _LOCAL:
-                allocated = self._local_vc_allocated
-            else:
-                link = self.outputs.get(out_port)
-                if link is None:
-                    continue
-                allocated = link.vc_allocated
-            if all(allocated):
-                continue
-            eligible = list(candidates)
+            link, allocated = self._output_vcs(out_port)
             arbiter = self._va_arbiters[out_port]
             # A grant marks ``allocated[out_vc]`` only, never a later
             # index, so iterating the live list sees each VC's free state
             # as of the start of this port's allocation.
             for out_vc, taken in enumerate(allocated):
+                if not candidates:
+                    break
                 if taken:
                     continue
-                if not eligible:
-                    break
+                winner = candidates.pop(arbiter.grant_from(candidates))
                 self.epoch.arbitration_ops += 1
-                line = arbiter.grant_from(eligible)
-                if line is None:
-                    break
-                eligible.remove(line)
-                winner = candidates[line]
                 winner.out_vc = out_vc
-                winner.state = VCState.ACTIVE
-                winner.stage_ready_cycle = now + 1
-                del self._waiting[winner]
-                self._active[winner] = None
+                winner.state = _ACTIVE
+                del waiting[winner]
+                active[winner] = link
                 allocated[out_vc] = True
+                self._sa_wake = 0
+
+    def _output_vcs(self, port: int):
+        """``(link, VC allocation flags)`` of ``port``; a missing link has none free."""
+        if port == _LOCAL:
+            return None, self._local_vc_allocated
+        link = self.outputs.get(port)
+        return link, (True,) if link is None else link.vc_allocated
 
     # -- RC ---------------------------------------------------------------
     def _stage_route_computation(self, now: int) -> None:
         fault_state = self.fault_state
         faulty = fault_state is not None and fault_state.any_faults
         for vc in list(self._routing):
-            if vc.stage_ready_cycle <= now:
-                head = vc.front
-                out = int(self.routing_fn(self.topology, self.id, head.dest))
-                if faulty:
-                    if not fault_state.reachable(self.id, head.dest):
-                        self._drop_in_routing(vc, now, unreachable=True)
-                        continue
-                    if out != _LOCAL and not fault_state.link_alive(self.id, out):
-                        # A deterministic (non-fault-aware) policy steered
-                        # the packet into a dead link: discard with
-                        # accounting rather than wedging the buffer.
-                        self._drop_in_routing(vc, now, unreachable=False)
-                        continue
-                    if self._fault_aware and out != int(
-                        xy_route(self.topology, self.id, head.dest)
-                    ):
-                        self.epoch.reroutes += 1
-                vc.out_port = out
-                head.packet.path.append(self.id)
-                vc.state = VCState.WAITING_VC
-                vc.stage_ready_cycle = now + 1
-                del self._routing[vc]
-                self._waiting[vc] = None
+            if vc.stage_ready_cycle > now:
+                break  # heads are filed in due order
+            head = vc.fifo[0]
+            dest = head.packet.dest
+            out = int(self.routing_fn(self.topology, self.id, dest))
+            if faulty:
+                if not fault_state.reachable(self.id, dest):
+                    self._drop_in_routing(vc, now, unreachable=True)
+                    continue
+                if out != _LOCAL and not fault_state.link_alive(self.id, out):
+                    # A deterministic (non-fault-aware) policy steered
+                    # the packet into a dead link: discard with
+                    # accounting rather than wedging the buffer.
+                    self._drop_in_routing(vc, now, unreachable=False)
+                    continue
+                if self._fault_aware and out != int(xy_route(self.topology, self.id, dest)):
+                    self.epoch.reroutes += 1
+            vc.out_port = out
+            head.packet.path.append(self.id)
+            vc.state = _WAITING
+            del self._routing[vc]
+            self._waiting[vc] = None
+            if not all(self._output_vcs(out)[1]):
+                self._va_due |= 1 << out  # else a VC's release makes it due
 
     def _drop_in_routing(self, vc: VirtualChannel, now: int, unreachable: bool) -> None:
         """Discard the packet heading this VC before it allocates anything.
@@ -694,7 +747,7 @@ class Router:
         packet = vc.front.packet
         packet.lost = True
         del self._routing[vc]
-        vc.state = VCState.DRAINING
+        vc.state = _DRAINING
         self._draining[vc] = None
         if self.drop_sink is not None:
             self.drop_sink(packet, self.id, unreachable)
@@ -713,8 +766,10 @@ class Router:
                 flit = vc.pop()
                 self.epoch.buffer_reads += 1
                 self.epoch.dropped_flits += 1
-                if vc.port != Port.LOCAL:
-                    self.in_channels[int(vc.port)].send_credit(vc.vc_id)
+                if vc.port_index != _LOCAL:
+                    self.in_channels[vc.port_index].send_credit(vc.vc_id)
+                else:
+                    self.local_pops += 1
                 if flit.is_tail:
                     finished = True
                     break
@@ -736,26 +791,28 @@ class Router:
         can decide between source retransmission and a counted drop.
         """
         self._wake()  # kill sweeps may move VCs back into live stages
+        self._sa_wake = 0
+        self._va_due |= 1 << port  # the sweep freed this port's output VCs
         for vc in list(self._waiting):
             if vc.out_port == port:
                 del self._waiting[vc]
-                vc.state = VCState.ROUTING
+                vc.state = _ROUTING
                 vc.out_port = None
                 vc.stage_ready_cycle = now + 1
                 self._routing[vc] = None
         for vc in list(self._active):
             if vc.out_port == port:
                 del self._active[vc]
-                if vc.sent == 0:
+                if not vc.head_sent:
                     # Nothing crossed: the packet is intact; re-route it.
-                    vc.state = VCState.ROUTING
+                    vc.state = _ROUTING
                     vc.out_port = None
                     vc.out_vc = None
                     vc.stage_ready_cycle = now + 1
                     self._routing[vc] = None
                 else:
                     mark(vc.current_packet)
-                    vc.state = VCState.DRAINING
+                    vc.state = _DRAINING
                     self._draining[vc] = None
 
     def handle_dead_input(self, port: int, now: int) -> None:
@@ -771,19 +828,20 @@ class Router:
             packet = vc.current_packet
             if packet is None or not packet.lost:
                 continue
-            if vc.state is VCState.ACTIVE and vc.sent > 0:
+            if vc.state is _ACTIVE and vc.head_sent:
                 while vc.fifo:
                     vc.pop()
                     self.epoch.dropped_flits += 1
                 vc.push(packet.make_ghost_tail())
                 self.epoch.buffer_writes += 1
+                self._sa_wake = 0
             else:
                 # Nothing escaped this VC (or it was already draining and
                 # its tail died on the link): unwind it completely.
                 while vc.fifo:
                     vc.pop()
                     self.epoch.dropped_flits += 1
-                if vc.state is VCState.ACTIVE:
+                if vc.state is _ACTIVE:
                     self._release_downstream(vc)
                 self._routing.pop(vc, None)
                 self._waiting.pop(vc, None)
@@ -801,7 +859,7 @@ class Router:
         dropped = 0
         for input_port in self.inputs:
             for vc in input_port.vcs:
-                if vc.state is VCState.IDLE and not vc.fifo:
+                if vc.state is _IDLE and not vc.fifo:
                     continue
                 if vc.current_packet is not None:
                     mark(vc.current_packet)
@@ -825,14 +883,15 @@ class Router:
             return
         if out_port == _LOCAL:
             self._local_vc_allocated[out_vc] = False
+            self._va_due |= _LOCAL_BIT
             return
         link = self.outputs[out_port]
-        if link.alive:
-            link.vc_draining[out_vc] = True
-            self._maybe_release_output_vc(link, out_vc)
-        else:
-            link.vc_draining[out_vc] = False
-            link.vc_allocated[out_vc] = False
+        if not link.alive:
+            self._release_output_vc(out_port, link, out_vc)
+            return
+        link.vc_draining[out_vc] = True
+        if link.credits[out_vc] == self.vc_depth and not link.in_flight[out_vc]:
+            self._release_output_vc(out_port, link, out_vc)
 
     # ------------------------------------------------------------------
     def occupied_input_vcs(self) -> List[int]:

@@ -45,15 +45,19 @@ RoutingFunction = Callable[[MeshTopology, int, int], Port]
 RoutingBuilder = Callable[[MeshTopology, int, int, FaultState], RoutingFunction]
 
 
+#: ports as globals: reading an enum member through its class is slow
+_LOCAL, _EAST, _WEST, _NORTH, _SOUTH = Port.LOCAL, Port.EAST, Port.WEST, Port.NORTH, Port.SOUTH
+
+
 def xy_route(topology: MeshTopology, node: int, dest: int) -> Port:
     """Dimension-order X-then-Y routing (the paper's configuration)."""
     if node == dest:
-        return Port.LOCAL
-    x, y = topology.coordinates(node)
-    dx, dy = topology.coordinates(dest)
+        return _LOCAL
+    width = topology.width  # MeshTopology.coordinates, inlined
+    x, dx = node % width, dest % width
     if x != dx:
-        return Port.EAST if dx > x else Port.WEST
-    return Port.NORTH if dy > y else Port.SOUTH
+        return _EAST if dx > x else _WEST
+    return _NORTH if dest // width > node // width else _SOUTH
 
 
 def yx_route(topology: MeshTopology, node: int, dest: int) -> Port:

@@ -113,7 +113,12 @@ CHECKPOINT_MAGIC = b"RNOCCKPT"
 #: ``arq_capacity``, ``torus`` and ``stretch`` attributes).
 #: Version 9: the network no longer stores a ``routing_policy`` wrapper
 #: beside its routers' routing functions.
-CHECKPOINT_VERSION = 9
+#: Version 10: routers keep stage wake state (``_sa_wake``, ``_va_due``,
+#: ``local_pops``, ``_send_mode``) and map active VCs to their output
+#: links, output links count in-flight ARQ entries per VC, NIs remember
+#: refused injections, VCs dropped ``sent`` and ARQ windows keep a plain
+#: ``entries`` dict without counters — a version-9 body lacks them.
+CHECKPOINT_VERSION = 10
 
 #: Pretrained-policy campaign artifacts share the container format but
 #: version independently: an artifact body is a ``ControlPolicy.to_state``
@@ -387,6 +392,8 @@ class ResumableRun:
         rejected Q-table pins its router to safe mode instead of
         aborting the resume.
         """
+        if checkpoint_every is not None and checkpoint_every < 0:
+            raise ValueError("checkpoint_every cannot be negative")
         payload, meta = load_checkpoint(path)
         if not isinstance(payload, dict) or "sim" not in payload:
             raise CheckpointError(f"{path} is not a run checkpoint")

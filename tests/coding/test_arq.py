@@ -39,22 +39,20 @@ class TestAckNack:
     def test_ack_releases_entry(self):
         buf = RetransmissionBuffer(4)
         seq = buf.push("flit")
+        other = buf.push("next")
         assert buf.ack(seq) == "flit"
-        assert buf.is_empty
-        assert buf.total_acked == 1
+        assert len(buf) == 1
+        assert {s for s, _ in buf} == {other}
 
     def test_nack_keeps_entry(self):
+        """A NACKed flit is resent from ``peek`` (as often as it is
+        corrupted again) and stays buffered until its ACK."""
         buf = RetransmissionBuffer(4)
         seq = buf.push("flit")
-        assert buf.nack(seq) == "flit"
-        assert len(buf) == 1  # still buffered for a later ACK
-        assert buf.total_nacked == 1
-
-    def test_nack_then_ack(self):
-        buf = RetransmissionBuffer(4)
-        seq = buf.push("flit")
-        buf.nack(seq)
-        buf.nack(seq)  # corrupted again
+        for _ in range(2):
+            assert buf.peek(seq) == "flit"
+            assert len(buf) == 1
+            assert {s for s, _ in buf} == {seq}
         assert buf.ack(seq) == "flit"
         assert buf.is_empty
 
@@ -62,8 +60,6 @@ class TestAckNack:
         buf = RetransmissionBuffer(4)
         with pytest.raises(ArqError):
             buf.ack(99)
-        with pytest.raises(ArqError):
-            buf.nack(99)
 
     def test_flush_empties(self):
         buf = RetransmissionBuffer(4)
@@ -95,9 +91,10 @@ class TestIteration:
 
 
 @settings(max_examples=100)
-@given(ops=st.lists(st.sampled_from(["push", "ack", "nack"]), max_size=60))
+@given(ops=st.lists(st.sampled_from(["push", "ack", "resend"]), max_size=60))
 def test_property_conservation(ops):
-    """pushed == acked + pending regardless of the operation sequence."""
+    """The buffer holds exactly the pushed, not yet ACKed entries, in
+    send order, regardless of the operation sequence."""
     buf = RetransmissionBuffer(16)
     pending = []
     for op in ops:
@@ -105,7 +102,7 @@ def test_property_conservation(ops):
             pending.append(buf.push(object()))
         elif op == "ack" and pending:
             buf.ack(pending.pop(0))
-        elif op == "nack" and pending:
-            buf.nack(pending[0])
-    assert buf.total_pushed == buf.total_acked + len(buf)
-    assert sorted(s for s, _ in buf) == sorted(pending)
+        elif op == "resend" and pending:
+            assert buf.peek(pending[0]) is not None
+        assert len(buf) == len(pending)
+    assert [s for s, _ in buf] == pending

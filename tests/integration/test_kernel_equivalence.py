@@ -7,12 +7,17 @@ pattern, same final statistics.  These tests drive matched networks
 through healthy and hard-fault campaigns under both routing policies and
 under every operation mode (ARQ ACK/NACK traffic, go-back-N rewinds,
 mode-2 duplicates, mode-3 stalls), and compare everything observable.
-Three longer workloads (idle, saturated, chaos) also pin the fast
-kernel's stats digest and bound how much work it skips: idle routers
-are not visited.
+Both kernels step the same ``Router``, so agreeing with each other
+does not pin the router's behaviour: every case also pins the sha256 of
+its fingerprint.  Three longer workloads (idle, saturated, chaos) also
+pin the fast kernel's stats digest and bound how much work it skips:
+idle routers are not visited.
 """
 
+import hashlib
+import json
 import random
+from collections import Counter
 from typing import Callable, Dict, NamedTuple, Optional
 
 import pytest
@@ -21,7 +26,8 @@ from repro.core.modes import OperationMode
 from repro.faults.hardfaults import HardFaultModel, HardFaultSchedule
 from repro.noc.network import Network
 from repro.noc.packet import Packet
-from repro.noc.topology import MeshTopology
+from repro.noc.router import _SEND_MODES
+from repro.noc.topology import MeshTopology, Port
 
 CHAOS_SPEC = "link@400:1E;router@900:5;burst@600+300:0.05"
 
@@ -110,6 +116,29 @@ def _fingerprint(net):
     }
 
 
+def _sha256(fingerprint):
+    return hashlib.sha256(json.dumps(fingerprint, sort_keys=True).encode()).hexdigest()
+
+
+#: sha256 of each case's fingerprint, keyed by seed (plain cases) or by
+#: (modes, fault case) (ARQ cases)
+PINNED_FINGERPRINTS = {
+    0: "cf8b1d96194906dbf58e27f1de005b9134ae6d1937ba8d5e2a110c65174250d4",
+    1: "242a38b6c142307cb2d5005b4e08b844e6ecd0f4d382566b9ac3a40150454bda",
+    2: "8b955fd1d4b0905f45e7f6a633a7a2e973c1a4fa888ff21550bbdfee6cb9aaec",
+    3: "fc86cb544e457e7b1e3afacaad5a443cf7fbaba7a842faf61738ff895a47678c",
+    4: "fdd5c6c479b0cdcf14e5ada894dac43e85835a2d5b557170c25c40571453941e",
+    ("all1", "healthy"): "5f155745038585127240f1f693bfd24f33890707710632ecac6b892bff239a5a",
+    ("all1", "chaos"): "75335824eb01485851400b5d3b0fc2147c5a82328da9b4ff45e388929b9d3828",
+    ("all2", "healthy"): "40e11c3affb726b6fef2ab130b6eaa8a6962a57f89bed5818044a2dc59a1e368",
+    ("all2", "chaos"): "a437dcf5bb4b62c310848fe30f3b49a25b9f17594ea13b563ee139ea5f441dd7",
+    ("all3", "healthy"): "8158c0ae1ef92a46876f6f1753b3d2ac9ea636b756571dca55dddd8868566e4b",
+    ("all3", "chaos"): "1a7e0fe868f730c0396ab43b58ae147d96884be7236adcd25385f9efdc8557f8",
+    ("mixed", "healthy"): "71b393b7b8995aad5b911d8c00e2902ac96b1b789891a1fc1c51b52d0f73df7a",
+    ("mixed", "chaos"): "df3026e3dccd2060a92df11e419611ebcbd2dd8d568c90c4b47f3027402cccdd",
+}
+
+
 @pytest.mark.parametrize(
     "seed,routing,fault_spec",
     [
@@ -127,6 +156,7 @@ def test_kernels_bit_identical(seed, routing, fault_spec):
         _drive(net, seed)
         prints[kernel] = _fingerprint(net)
     assert prints["fast"] == prints["naive"]
+    assert _sha256(prints["naive"]) == PINNED_FINGERPRINTS[seed]
 
 
 @pytest.mark.parametrize("fault_spec", [None, CHAOS_SPEC], ids=["healthy", "chaos"])
@@ -140,6 +170,8 @@ def test_kernels_bit_identical_under_arq(modes, fault_spec):
         _drive(net, 5)
         prints[kernel] = _fingerprint(net)
     assert prints["fast"] == prints["naive"]
+    case = "healthy" if fault_spec is None else "chaos"
+    assert _sha256(prints["naive"]) == PINNED_FINGERPRINTS[(modes, case)]
     naive = prints["naive"]
     assert sum(map(sum, naive["acks"])) > 0
     assert sum(map(sum, naive["nacks"])) > 0
@@ -306,3 +338,73 @@ def test_channel_pending_properties():
     assert net.activity.sideband == [channel.index]
     assert channel.pop_credits() == [0]
     assert not channel.busy
+
+
+def _scan_derived_state(net, seen):
+    """Check every count and wake flag the routers and NIs keep against a
+    full scan of the state it summarises; tally the non-trivial cases."""
+    now = net.now
+    for router in net.routers:
+        assert router._send_mode == _SEND_MODES[router.mode]
+        for port, link in router.outputs.items():
+            in_flight = [0] * len(link.in_flight)
+            for _seq, t in link.arq:
+                in_flight[t.vc] += 1
+            assert link.in_flight == in_flight, (router.id, port)
+        for vc, link in router._active.items():
+            assert link is router.outputs.get(vc.out_port)
+        # RC looks only at its oldest head: heads are filed in due order.
+        ready = [vc.stage_ready_cycle for vc in router._routing]
+        assert ready == sorted(ready), router.id
+        # VA: a port outside the due mask has no free VC for its requests.
+        for vc in router._waiting:
+            if not router._va_due >> vc.out_port & 1:
+                assert all(router._output_vcs(vc.out_port)[1]), router.id
+                seen["va_idle"] += 1
+        # SA sleeps past a cycle only if no request can form before it:
+        # a VC holding a flit with a credit and ARQ room goes once its
+        # link is free.
+        ecc = router.behaviour.ecc_enabled
+        for vc, link in router._active.items():
+            if not vc.fifo:
+                continue
+            if link is None:
+                free_at = now
+            elif link.credits[vc.out_vc] <= 0 or (ecc and link.arq.is_full):
+                continue
+            else:
+                free_at = link.free_at
+            assert router._sa_wake <= max(now, free_at), (router.id, vc)
+        if router._active and router._sa_wake > now:
+            seen["sa_asleep"] += 1
+    for ni in net.interfaces:
+        # A refused injection waits only while the local port is as full.
+        if ni.alive and ni._refused_at == ni.router.local_pops:
+            local = ni.router.inputs[Port.LOCAL]
+            if ni._current_vc is None:
+                assert local.free_vc_for_head() is None, ni.id
+            else:
+                vc = local.vcs[ni._current_vc]
+                assert len(vc.fifo) >= vc.depth, ni.id
+            seen["ni_refused"] += 1
+
+
+def test_wake_state_matches_full_scan():
+    """On the chaos ARQ case (mixed modes, a link and a router kill,
+    error rate 0.05) at twice ``_drive``'s load, after every cycle, the
+    in-flight counts, stage wake state and NI refusals agree with a full
+    scan."""
+    net = _build("fast", 5, "adaptive", CHAOS_SPEC, modes="mixed", error=0.05)
+    rng = random.Random(12)
+    seen = Counter()
+    message_id = 0
+    while net.now < 1_500 or not net.quiescent:
+        if net.now < 1_500 and rng.random() < 0.3:
+            message_id = _inject_uniform(net, rng, message_id)
+        net.cycle()
+        _scan_derived_state(net, seen)
+    stats = net.stats
+    assert stats.link_kills and stats.router_kills
+    assert sum(r.epoch.flit_retransmissions for r in net.routers) > 0
+    assert sum(r.epoch.duplicate_flits for r in net.routers) > 0
+    assert min(seen.values()) > 0 and len(seen) == 3, seen

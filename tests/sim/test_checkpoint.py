@@ -280,6 +280,17 @@ class TestResumableRun:
         overridden = ResumableRun.resume(tmp_path / "run.ckpt", checkpoint_every=7)
         assert overridden.checkpoint_every == 7
 
+    def test_resume_rejects_negative_cadence(self, tmp_path):
+        """The override gets the constructor's check: a negative cadence
+        would otherwise snapshot on every cycle."""
+        run = ResumableRun(
+            small_config(pretrain_cycles=0), "crc", "swaptions", trace_cycles=300,
+            checkpoint_path=tmp_path / "run.ckpt", checkpoint_every=64,
+        )
+        run.save()
+        with pytest.raises(ValueError, match="checkpoint_every cannot be negative"):
+            ResumableRun.resume(tmp_path / "run.ckpt", checkpoint_every=-1)
+
     def test_poisoned_q_table_degrades_to_safe_mode(self, tmp_path):
         """A snapshot whose stored Q-state is corrupt must resume with the
         affected routers pinned to safe mode, not crash."""

@@ -5,6 +5,8 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.sim import scaled_config
+from repro.sim.checkpoint import ResumableRun
 
 
 class TestParser:
@@ -404,6 +406,22 @@ class TestSpecValidation:
         assert isinstance(reason, str) and "\n" not in reason
         assert reason.startswith(message)
         assert not (tmp_path / "cache").exists()
+
+    def test_resume_rejects_negative_cadence(self, tmp_path):
+        """``resume --checkpoint-every -1`` exits with one line before the
+        run continues, as ``run --checkpoint-every -1`` does."""
+        snapshot = tmp_path / "run.ckpt"
+        ResumableRun(
+            scaled_config(width=3, height=3, epoch_cycles=100, pretrain_cycles=0,
+                          warmup_cycles=200),
+            "crc", "swaptions", trace_cycles=300,
+            checkpoint_path=snapshot, checkpoint_every=64,
+        ).save()
+        before = snapshot.read_bytes()
+        with pytest.raises(SystemExit) as exited:
+            main(["resume", str(snapshot), "--checkpoint-every", "-1"])
+        assert exited.value.code == "checkpoint_every cannot be negative"
+        assert snapshot.read_bytes() == before
 
 
 class TestSweepEndToEnd:
