@@ -20,7 +20,6 @@ from repro.noc.routing import (
     AdaptiveRoute,
     minimal_ports,
     xy_route,
-    yx_route,
 )
 from repro.noc.stats import LatencyAccumulator, NetworkStats, RouterEpochStats
 from repro.noc.topology import ChannelSpec, MeshTopology, Port
@@ -56,7 +55,6 @@ __all__ = [
     "Router",
     "minimal_ports",
     "xy_route",
-    "yx_route",
     "LatencyAccumulator",
     "NetworkStats",
     "RouterEpochStats",

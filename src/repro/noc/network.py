@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import os
 import random
-from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.coding.crc import CRC
 from repro.core.modes import OperationMode
@@ -38,7 +38,7 @@ from repro.noc.faultstate import FaultState
 from repro.noc.interface import SIDEBAND_BASE_LATENCY, NetworkInterface
 from repro.noc.packet import Packet
 from repro.noc.router import OutputLink, Router
-from repro.noc.routing import RoutingFunction, build_routing, xy_route
+from repro.noc.routing import ROUTING_FUNCTIONS
 from repro.noc.stats import NetworkStats
 from repro.noc.topology import OPPOSITE_PORT, MeshTopology, Port
 from repro.noc.watchdog import NetworkWatchdog
@@ -141,12 +141,11 @@ class Network:
     def __init__(
         self,
         topology: MeshTopology,
-        routing_fn: Union[str, RoutingFunction] = xy_route,
+        routing: str = "xy",
         num_vcs: int = 4,
         vc_depth: int = 4,
         flit_bits: int = 128,
         rng: Optional[random.Random] = None,
-        routing_seed: int = 0,
         watchdog_interval: int = 256,
         deadlock_cycles: int = 4096,
         max_packet_age: int = 500_000,
@@ -163,17 +162,11 @@ class Network:
         #: them current regardless of which kernel consumes them
         self.activity = _ActivityState()
 
-        #: live hard-fault topology shared by routers and routing functions
+        #: live hard-fault topology shared by routers and the routing
         self.fault_state = FaultState(topology)
+        routing_fn = ROUTING_FUNCTIONS[routing](self.fault_state)
         self.routers: List[Router] = [
-            Router(
-                i,
-                topology,
-                build_routing(routing_fn, topology, i, routing_seed, self.fault_state),
-                num_vcs,
-                vc_depth,
-                fault_state=self.fault_state,
-            )
+            Router(i, topology, routing_fn, num_vcs, vc_depth, fault_state=self.fault_state)
             for i in range(topology.num_nodes)
         ]
         for router in self.routers:
@@ -269,12 +262,15 @@ class Network:
     # External control surface
     # ------------------------------------------------------------------
     def set_mode(self, router_id: int, mode: OperationMode) -> None:
-        """Request an operation mode for one router's output -Links."""
-        self.routers[router_id].request_mode(mode)
+        """Request an operation mode for one router's output -Links; a
+        switch applied now is active from cycle ``now`` on."""
+        router = self.routers[router_id]
+        router.book_mode(self.now)
+        router.request_mode(mode)
 
     def set_all_modes(self, mode: OperationMode) -> None:
-        for router in self.routers:
-            router.request_mode(mode)
+        for router_id in range(len(self.routers)):
+            self.set_mode(router_id, mode)
 
     def channel_models(self) -> Iterable[Tuple[Tuple[int, int], ChannelErrorModel]]:
         """(key, error model) pairs for the fault substrate to refresh."""
@@ -653,10 +649,12 @@ class Network:
         """Ground-truth outstanding-message count (full NI scan)."""
         return sum(ni.outstanding_messages for ni in self.interfaces)
 
-    def harvest_epoch_counters(self, epoch_cycles: int) -> None:
+    def harvest_epoch_counters(self) -> None:
         """Fold per-router epoch counters into the run statistics and
-        account mode residency.  Called by the simulator at each epoch
-        boundary *after* the controller has consumed the counters."""
+        book mode residency up to ``now``.  Called by the simulator at each
+        epoch boundary *after* the controller has consumed the counters."""
+        now = self.now
+        mode_cycles = self.stats.mode_cycles
         for router in self.routers:
             epoch = router.epoch
             self.stats.flit_retransmissions += epoch.flit_retransmissions
@@ -670,7 +668,10 @@ class Network:
             self.stats.buffer_ops += (
                 epoch.buffer_writes + epoch.buffer_reads + epoch.flit_retransmissions
             )
-            self.stats.mode_cycles[int(router.mode)] += epoch_cycles
+            router.book_mode(now)
+            for mode, cycles in enumerate(router.mode_cycles):
+                mode_cycles[mode] += cycles
+            router.mode_cycles = [0] * len(mode_cycles)
 
     def reset_epoch_counters(self) -> None:
         for router in self.routers:

@@ -159,6 +159,10 @@ class Router:
         self.behaviour: ModeBehaviour = MODE_BEHAVIOUR[self.mode]
         self._send_mode = _SEND_MODES[self.mode]
         self._pending_mode: Optional[OperationMode] = None
+        #: mode residency: the first cycle of ``mode`` not yet booked,
+        #: and the cycles booked to each mode since the last harvest
+        self.mode_since = 0
+        self.mode_cycles = [0] * len(OperationMode)
 
         self._va_arbiters = [RoundRobinArbiter(_NUM_PORTS * num_vcs) for _ in range(_NUM_PORTS)]
         self._sa_arbiters = [RoundRobinArbiter(_NUM_PORTS * num_vcs) for _ in range(_NUM_PORTS)]
@@ -223,6 +227,11 @@ class Router:
             self._wake()  # step() applies the switch once the ARQ drains
             return
         self._apply_mode(mode)
+
+    def book_mode(self, until: int) -> None:
+        """Book the current mode's cycles up to (excluding) ``until``."""
+        self.mode_cycles[self.mode] += until - self.mode_since
+        self.mode_since = until
 
     def _apply_mode(self, mode: OperationMode) -> None:
         if mode != self.mode:
@@ -434,6 +443,7 @@ class Router:
         stage waits a cycle for the next.
         """
         if self._pending_mode is not None and self._arq_quiescent():
+            self.book_mode(now + 1)  # this cycle ran in the old mode
             self._apply_mode(self._pending_mode)
         if self._draining:
             self._stage_drain(now)

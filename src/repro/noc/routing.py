@@ -1,48 +1,35 @@
 """Routing functions and the named routing registry.
 
 The paper uses deterministic X-Y dimension-order routing (Table II), which
-is deadlock-free on a mesh without extra virtual-channel classes.  A Y-X
-variant and a minimal-adaptive O1TURN-style router are provided for the
-extension benchmarks; both restrict themselves to minimal quadrants.
+is deadlock-free on a mesh without extra virtual-channel classes.  The
+hard-fault campaigns add a fault-aware adaptive routing that detours
+around dead links and routers.
 
 A routing function maps ``(topology, current_node, dest_node)`` to the
 output :class:`~repro.noc.topology.Port` the head flit must request.
-Because some need per-router state (the O1TURN selector) or shared
-network state (the fault-aware adaptive routing reads the live
-:class:`~repro.noc.faultstate.FaultState`), the registry maps each name
-to a builder; the network builds one routing function per router from
-``(topology, router_id, seed, fault_state)``.
+The adaptive routing reads the network's live
+:class:`~repro.noc.faultstate.FaultState`, so the registry maps each name
+to a builder from that state; the network builds one routing function
+and gives it to every router: neither routing keeps per-router state.
 """
 
 from __future__ import annotations
 
-import random
-from typing import Callable, Dict, List, Sequence, Union
+from typing import Callable, Dict, List
 
 from repro.noc.faultstate import FaultState
 from repro.noc.topology import MeshTopology, Port
 
 __all__ = [
     "RoutingFunction",
-    "RoutingBuilder",
     "xy_route",
-    "yx_route",
     "minimal_ports",
-    "O1TurnRoute",
     "AdaptiveRoute",
-    "build_routing",
     "ROUTING_FUNCTIONS",
 ]
 
-#: Round-robin selector length for the seeded O1TURN variant.
-O1TURN_SELECTOR_BITS = 1024
-
 #: Signature shared by all routing functions.
 RoutingFunction = Callable[[MeshTopology, int, int], Port]
-
-#: ``(topology, router_id, seed, fault_state)`` -> one router's routing
-#: function; the registry's values.
-RoutingBuilder = Callable[[MeshTopology, int, int, FaultState], RoutingFunction]
 
 
 #: ports as globals: reading an enum member through its class is slow
@@ -58,17 +45,6 @@ def xy_route(topology: MeshTopology, node: int, dest: int) -> Port:
     if x != dx:
         return _EAST if dx > x else _WEST
     return _NORTH if dest // width > node // width else _SOUTH
-
-
-def yx_route(topology: MeshTopology, node: int, dest: int) -> Port:
-    """Dimension-order Y-then-X routing (used by the O1TURN variant)."""
-    if node == dest:
-        return Port.LOCAL
-    x, y = topology.coordinates(node)
-    dx, dy = topology.coordinates(dest)
-    if y != dy:
-        return Port.NORTH if dy > y else Port.SOUTH
-    return Port.EAST if dx > x else Port.WEST
 
 
 def minimal_ports(topology: MeshTopology, node: int, dest: int) -> List[Port]:
@@ -87,42 +63,6 @@ def minimal_ports(topology: MeshTopology, node: int, dest: int) -> List[Port]:
     elif dy < y:
         ports.append(Port.SOUTH)
     return ports
-
-
-class O1TurnRoute:
-    """O1TURN-style routing: pick XY or YX per packet.
-
-    ``selector`` is any sequence consulted round-robin; in the simulator it
-    is seeded per-router so the choice is deterministic and reproducible.
-    Note: full O1TURN requires VC partitioning for deadlock freedom; the
-    simulator assigns even VCs to XY and odd VCs to YX packets when this
-    function is active.
-
-    A plain class (not a closure) so the consumed selector position
-    survives a checkpoint pickle — resuming a run mid-flight must replay
-    exactly the XY/YX choices an uninterrupted run would have made.
-    """
-
-    __slots__ = ("selector", "index")
-
-    fault_aware = False
-
-    def __init__(self, selector: Sequence[int]) -> None:
-        self.selector = selector
-        self.index = 0
-
-    def __call__(self, topology: MeshTopology, node: int, dest: int) -> Port:
-        choice = self.selector[self.index % len(self.selector)]
-        self.index += 1
-        return xy_route(topology, node, dest) if choice == 0 else yx_route(
-            topology, node, dest
-        )
-
-    def __getstate__(self):
-        return (self.selector, self.index)
-
-    def __setstate__(self, state) -> None:
-        self.selector, self.index = state
 
 
 class AdaptiveRoute:
@@ -167,61 +107,10 @@ class AdaptiveRoute:
         self.fault_state = state
 
 
-def _build_xy(
-    topology: MeshTopology, router_id: int, seed: int, fault_state: FaultState
-) -> RoutingFunction:
-    return xy_route
-
-
-def _build_yx(
-    topology: MeshTopology, router_id: int, seed: int, fault_state: FaultState
-) -> RoutingFunction:
-    return yx_route
-
-
-def _build_o1turn(
-    topology: MeshTopology, router_id: int, seed: int, fault_state: FaultState
-) -> RoutingFunction:
-    # Arithmetic seed mixing (not hash()) keeps the selector identical
-    # across interpreters/processes, which sweep caching depends on.
-    rng = random.Random(seed * 1_000_003 + router_id * 7_919 + 17)
-    selector = tuple(rng.randrange(2) for _ in range(O1TURN_SELECTOR_BITS))
-    return O1TurnRoute(selector)
-
-
-def _build_adaptive(
-    topology: MeshTopology, router_id: int, seed: int, fault_state: FaultState
-) -> RoutingFunction:
-    return AdaptiveRoute(fault_state)
-
-
 #: Registry used by :class:`repro.sim.config.SimulationConfig`: each
-#: name maps to the builder of one router's routing function.
-ROUTING_FUNCTIONS: Dict[str, RoutingBuilder] = {
-    "xy": _build_xy,
-    "yx": _build_yx,
-    "o1turn": _build_o1turn,
-    "adaptive": _build_adaptive,
+#: name maps to the builder of the routing function from the network's
+#: fault state.
+ROUTING_FUNCTIONS: Dict[str, Callable[[FaultState], RoutingFunction]] = {
+    "xy": lambda fault_state: xy_route,
+    "adaptive": AdaptiveRoute,
 }
-
-
-def build_routing(
-    routing: Union[str, RoutingFunction],
-    topology: MeshTopology,
-    router_id: int,
-    seed: int,
-    fault_state: FaultState,
-) -> RoutingFunction:
-    """One router's routing function: a registry name is built for the
-    router, a bare routing function (how tests drive custom routing) is
-    shared by every router as is."""
-    if callable(routing):
-        return routing
-    try:
-        build = ROUTING_FUNCTIONS[routing]
-    except KeyError:
-        raise ValueError(
-            f"unknown routing {routing!r}; pick one of "
-            f"{', '.join(sorted(ROUTING_FUNCTIONS))}"
-        ) from None
-    return build(topology, router_id, seed, fault_state)

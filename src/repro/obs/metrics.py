@@ -18,7 +18,7 @@ as before (the guard counter only exists once something tripped it).
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 __all__ = [
     "Counter",
@@ -55,7 +55,7 @@ DEFAULT_BOUNDS: Tuple[float, ...] = (
 
 
 class Counter:
-    """Monotonic within a run; reset only between runs."""
+    """Monotonic within a run (each run gets a fresh registry)."""
 
     __slots__ = ("value", "guard")
 
@@ -65,9 +65,6 @@ class Counter:
 
     def inc(self, amount: int = 1) -> None:
         self.value += _guard_value(amount, self.guard)
-
-    def reset(self) -> None:
-        self.value = 0
 
 
 class Gauge:
@@ -81,9 +78,6 @@ class Gauge:
 
     def set(self, value: float) -> None:
         self.value = _guard_value(value, self.guard)
-
-    def reset(self) -> None:
-        self.value = 0.0
 
 
 class Histogram:
@@ -126,13 +120,6 @@ class Histogram:
     @property
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
-
-    def reset(self) -> None:
-        self.buckets = [0] * (len(self.bounds) + 1)
-        self.count = 0
-        self.total = 0.0
-        self.min = None
-        self.max = None
 
     # ------------------------------------------------------------------
     def as_dict(self) -> Dict[str, object]:
@@ -244,22 +231,3 @@ class MetricRegistry:
             self.timeline_dropped += 1
         self.timeline.append(row)
         return row
-
-    # ------------------------------------------------------------------
-    def names(self) -> Dict[str, Iterable[str]]:
-        return {
-            "counters": sorted(self._counters),
-            "gauges": sorted(self._gauges),
-            "histograms": sorted(self._histograms),
-        }
-
-    def reset(self) -> None:
-        """Zero every instrument and clear the timeline (between runs)."""
-        for c in self._counters.values():
-            c.reset()
-        for g in self._gauges.values():
-            g.reset()
-        for h in self._histograms.values():
-            h.reset()
-        self.timeline.clear()
-        self.timeline_dropped = 0

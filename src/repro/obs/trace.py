@@ -194,35 +194,9 @@ class TraceBuffer:
         wanted = frozenset(categories)
         return [ev for ev in self._events if ev.category in wanted]
 
-    def clear(self) -> None:
-        self._events.clear()
-        self.emitted = 0
-        self.filtered = 0
-
     # ------------------------------------------------------------------
     def digest(self, exclude: Sequence[str] = DIGEST_EXCLUDE) -> str:
         return trace_digest(self._events, exclude=exclude)
-
-    def summary(self) -> Dict[str, object]:
-        by_category: Dict[str, int] = {}
-        by_kind: Dict[str, int] = {}
-        for ev in self._events:
-            by_category[ev.category] = by_category.get(ev.category, 0) + 1
-            key = f"{ev.category}/{ev.kind}"
-            by_kind[key] = by_kind.get(key, 0) + 1
-        first = self._events[0].cycle if self._events else None
-        last = self._events[-1].cycle if self._events else None
-        return {
-            "events": len(self._events),
-            "emitted": self.emitted,
-            "dropped": self.dropped,
-            "filtered": self.filtered,
-            "capacity": self.capacity,
-            "first_cycle": first,
-            "last_cycle": last,
-            "by_category": dict(sorted(by_category.items())),
-            "by_kind": dict(sorted(by_kind.items())),
-        }
 
 
 # ----------------------------------------------------------------------

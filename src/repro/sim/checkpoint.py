@@ -118,7 +118,9 @@ CHECKPOINT_MAGIC = b"RNOCCKPT"
 #: links, output links count in-flight ARQ entries per VC, NIs remember
 #: refused injections, VCs dropped ``sent`` and ARQ windows keep a plain
 #: ``entries`` dict without counters — a version-9 body lacks them.
-CHECKPOINT_VERSION = 10
+#: Version 11: routers book mode residency (``mode_since``,
+#: ``mode_cycles``), and the ``yx``/``o1turn`` routings are gone.
+CHECKPOINT_VERSION = 11
 
 #: Pretrained-policy campaign artifacts share the container format but
 #: version independently: an artifact body is a ``ControlPolicy.to_state``

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+from repro.noc.routing import ROUTING_FUNCTIONS
+
 __all__ = ["SimulationConfig", "paper_config", "scaled_config"]
 
 
@@ -95,8 +97,11 @@ class SimulationConfig:
             raise ValueError("epoch must span at least one cycle")
         if self.packet_size < 1:
             raise ValueError("packets need at least one flit")
-        if self.routing not in ("xy", "yx", "o1turn", "adaptive"):
-            raise ValueError(f"unknown routing {self.routing!r}")
+        if self.routing not in ROUTING_FUNCTIONS:
+            raise ValueError(
+                f"unknown routing {self.routing!r}; pick one of "
+                f"{', '.join(sorted(ROUTING_FUNCTIONS))}"
+            )
         if self.watchdog_interval < 0:
             raise ValueError("watchdog_interval cannot be negative")
         if self.sensor_quarantine_k < 1:

@@ -73,7 +73,6 @@ def build_network(
     config: SimulationConfig,
     rng: random.Random,
     routing: Optional[str] = None,
-    routing_seed: int = 0,
     kernel: Optional[str] = None,
 ) -> Network:
     """The mesh ``config`` describes: its size, routing (``routing``
@@ -83,12 +82,11 @@ def build_network(
     sweep-cache keys hash the config."""
     return Network(
         MeshTopology(config.width, config.height),
-        routing_fn=routing or config.routing,
+        routing=routing or config.routing,
         num_vcs=config.num_vcs,
         vc_depth=config.vc_depth,
         flit_bits=config.flit_bits,
         rng=rng,
-        routing_seed=routing_seed,
         watchdog_interval=config.watchdog_interval,
         deadlock_cycles=config.deadlock_cycles,
         max_packet_age=config.max_packet_age,
@@ -132,9 +130,7 @@ class Simulator:
         self.policy = policy
         self.seed = seed
 
-        self.network = build_network(
-            config, random.Random(seed), routing_seed=seed, kernel=kernel
-        )
+        self.network = build_network(config, random.Random(seed), kernel=kernel)
         topology = self.network.topology
         #: hard-fault campaign (None when config.fault_spec is empty)
         self.hard_faults: Optional[HardFaultModel] = None
@@ -738,7 +734,7 @@ class Simulator:
             m.gauge("watchdog.checks").set(network.watchdog.checks)
         m.ingest("net", network.stats.as_dict())
         m.snapshot_epoch(network.now)
-        network.harvest_epoch_counters(span)
+        network.harvest_epoch_counters()
         network.reset_epoch_counters()
 
     # ------------------------------------------------------------------

@@ -139,7 +139,10 @@ __all__ = [
 #: Schema 10: eight config fields and the point's ``error_scale`` are
 #: gone, so every key changed; ``load`` points now run the config's
 #: warm-up and drain it before their measured span opens.
-CACHE_SCHEMA = 10
+#: Schema 11: ``mode_cycles`` books each cycle to the mode active in it
+#: (it booked each epoch to the mode chosen at its end), and campaign
+#: cells carry it.
+CACHE_SCHEMA = 11
 
 DEFAULT_CACHE_DIR = ".sweep_cache"
 
@@ -376,7 +379,7 @@ def _eval_load(config: SimulationConfig, point: SweepPoint) -> Dict[str, object]
 def _eval_mode_error(config: SimulationConfig, point: SweepPoint) -> Dict[str, object]:
     mode = OperationMode(int(point.design[len("mode"):]))
     rng = random.Random(point.seed)
-    net = build_network(config, random.Random(point.seed + 1), routing_seed=point.seed)
+    net = build_network(config, random.Random(point.seed + 1))
     net.set_all_modes(mode)
     for _, model in net.channel_models():
         model.event_probability = point.error_probability
@@ -402,7 +405,7 @@ def _eval_mode_error(config: SimulationConfig, point: SweepPoint) -> Dict[str, o
                 )
                 created += 1
         net.cycle()
-    net.harvest_epoch_counters(1)
+    net.harvest_epoch_counters()
     stats = net.stats
     return {
         "stats": {
@@ -430,10 +433,7 @@ def _eval_chaos(
     result cache — a tracer cannot cross the worker-process boundary,
     and events are a side channel the cache key does not cover.
     """
-    network = build_network(
-        config, random.Random(point.seed + 1), routing=point.design,
-        routing_seed=point.seed,
-    )
+    network = build_network(config, random.Random(point.seed + 1), routing=point.design)
     if tracer is not None:
         network.attach_tracer(tracer)
     model = HardFaultModel(network, HardFaultSchedule.parse(point.fault_spec))
@@ -466,7 +466,7 @@ def _eval_chaos(
             "message": str(exc),
             "report": exc.report,
         }
-    network.harvest_epoch_counters(0)
+    network.harvest_epoch_counters()
     stats = network.stats
     outstanding = sum(ni.outstanding_messages for ni in network.interfaces)
     return {

@@ -53,7 +53,7 @@ class TestSpecParsing:
 
 def _mesh(routing="adaptive", **kwargs):
     return Network(
-        MeshTopology(4, 4), routing_fn=routing, rng=random.Random(0), **kwargs
+        MeshTopology(4, 4), routing=routing, rng=random.Random(0), **kwargs
     )
 
 

@@ -43,9 +43,8 @@ MODE_ASSIGNMENTS = {
 def _build(kernel, seed, routing, fault_spec, modes=None, error=0.01):
     net = Network(
         MeshTopology(4, 4),
-        routing_fn=routing,
+        routing=routing,
         rng=random.Random(seed + 1),
-        routing_seed=seed,
         kernel=kernel,
     )
     if fault_spec:

@@ -1,11 +1,10 @@
 """Mode residency: ``RunResult.mode_cycles`` against a per-cycle count.
 
-``Network.harvest_epoch_counters`` books each epoch's cycles to every
-router's mode *after* the select stage has applied the next epoch's mode,
-so an epoch is charged to the mode chosen at its end.  Fixing that moves
-``mode_cycles`` and with it every pinned result digest, so the fix waits
-for the next change that re-pins the benchmark; until then the per-cycle
-truth is pinned here and the booking is an expected failure.
+A router books its cycles to the old mode when a switch takes effect
+(``Network.now`` for ``set_mode``, the cycle after ``Router.step`` for a
+deferred ECC-off switch), and ``Network.harvest_epoch_counters`` books
+the rest at each epoch boundary, after the select stage has applied the
+next epoch's modes.  ``mode_cycles`` is in no pinned result digest.
 """
 
 import pytest
@@ -49,10 +48,6 @@ def test_per_cycle_residency_is_pinned(residency):
     assert sum(counted.values()) == 9 * result.execution_cycles
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="harvest books each epoch to the mode selected at its end (ROADMAP item 5)",
-)
 def test_mode_cycles_follow_the_active_mode(residency):
     result, _ = residency
     assert result.mode_cycles == PER_CYCLE_TRUTH

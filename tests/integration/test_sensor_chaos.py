@@ -131,6 +131,7 @@ class TestDeterminism:
         assert injected["drop"] > 0 and injected["stuck"] > 0
         assert fast.rejected_observations > 0
         assert fast.sensor_holds + fast.sensor_clamps > 0
+        assert fast.packets_delivered > 0
 
     def test_kill_and_resume_bit_identical_with_sensor_faults(self, tmp_path):
         config = small_config(

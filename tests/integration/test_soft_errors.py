@@ -160,6 +160,7 @@ class TestDeterminism:
         )
         for name in ("ecc.scrubs", "ecc.corrected"):
             assert fast_sim.metrics.peek(name) == naive_sim.metrics.peek(name) > 0
+        assert fast.packets_delivered > 0
 
     def test_kill_and_resume_bit_identical_with_soft_errors(self, tmp_path):
         config = small_config(soft_error_spec=self.SPEC)

@@ -1,6 +1,6 @@
 """Integration tests for platform variants beyond the paper's defaults:
-YX routing, alternate packet geometry, and synthesized traces replayed
-through a live simulation."""
+alternate packet geometry, and synthesized traces replayed through a
+live simulation."""
 
 import random
 
@@ -9,7 +9,6 @@ import pytest
 from repro.baselines import crc_policy
 from repro.core.modes import OperationMode
 from repro.noc import MeshTopology, Network, Packet
-from repro.noc.routing import yx_route
 from repro.power import CorePowerParams
 from repro.sim import Simulator, scaled_config
 from repro.traffic import ParsecTraceSynthesizer, PARSEC_PROFILES
@@ -27,24 +26,8 @@ def run_uniform(net, n_packets=100, seed=5, size=4):
                 created += 1
         net.cycle()
         assert net.now < 100_000
-    net.harvest_epoch_counters(1)
+    net.harvest_epoch_counters()
     return net.stats
-
-
-class TestYXRouting:
-    def test_yx_network_delivers(self):
-        net = Network(MeshTopology(4, 4), routing_fn=yx_route, rng=random.Random(2))
-        stats = run_uniform(net, 100)
-        assert stats.packets_delivered == 100
-
-    def test_yx_config_through_simulator(self):
-        config = scaled_config(
-            width=3, height=3, routing="yx",
-            epoch_cycles=100, pretrain_cycles=0, warmup_cycles=200,
-        )
-        sim = Simulator(config, crc_policy(), seed=3)
-        sim.warmup()
-        assert sim.network.stats.packets_delivered > 0
 
 
 class TestPacketGeometry:

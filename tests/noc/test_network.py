@@ -46,7 +46,7 @@ def run_random_traffic(net, n_packets, seed=3, rate=2, size=4, max_cycles=200_00
         net.cycle()
         if net.now > max_cycles:
             raise AssertionError("network failed to drain")
-    net.harvest_epoch_counters(1)
+    net.harvest_epoch_counters()
     return net.now
 
 
@@ -254,9 +254,10 @@ class TestEpochHarvest:
     def test_mode_cycles_accounting(self):
         net = make_network(mode=OperationMode.MODE_2)
         net.run(10)
-        net.harvest_epoch_counters(10)
-        assert net.stats.mode_cycles[2] == 10 * 16
-        assert net.stats.mode_cycles[0] == 0
+        net.set_all_modes(OperationMode.MODE_1)
+        net.run(5)
+        net.harvest_epoch_counters()
+        assert net.stats.mode_cycles == {0: 0, 1: 5 * 16, 2: 10 * 16, 3: 0}
 
     def test_reset_epoch_counters(self):
         net = make_network()

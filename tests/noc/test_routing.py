@@ -1,10 +1,9 @@
-"""Tests for XY / YX routing functions."""
+"""Tests for the XY routing function."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.noc import MeshTopology, Port, minimal_ports, xy_route, yx_route
-from repro.noc.routing import O1TurnRoute
+from repro.noc import MeshTopology, Port, minimal_ports, xy_route
 
 
 def _walk(topology, route_fn, src, dest, limit=64):
@@ -56,18 +55,6 @@ class TestXY:
                         assert not seen_y, f"YX turn on path {path}"
 
 
-class TestYX:
-    def test_y_first(self):
-        topo = MeshTopology(4, 4)
-        assert yx_route(topo, 0, topo.node_id(2, 2)) is Port.NORTH
-
-    def test_reaches_destination(self):
-        topo = MeshTopology(4, 4)
-        for src, dest in [(0, 15), (3, 12), (5, 10)]:
-            path = _walk(topo, yx_route, src, dest)
-            assert path[-1] == dest
-
-
 class TestMinimalPorts:
     def test_at_destination(self):
         topo = MeshTopology(4, 4)
@@ -88,15 +75,6 @@ class TestMinimalPorts:
             for dest in range(16):
                 if src != dest:
                     assert xy_route(topo, src, dest) in minimal_ports(topo, src, dest)
-
-
-class TestO1Turn:
-    def test_alternates_between_xy_and_yx(self):
-        topo = MeshTopology(4, 4)
-        route = O1TurnRoute([0, 1])
-        dest = topo.node_id(2, 2)
-        assert route(topo, 0, dest) is Port.EAST   # XY
-        assert route(topo, 0, dest) is Port.NORTH  # YX
 
 
 @settings(max_examples=200)

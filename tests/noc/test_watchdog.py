@@ -17,7 +17,7 @@ from repro.noc import (
 
 def _mesh(routing="xy", **kwargs):
     return Network(
-        MeshTopology(4, 4), routing_fn=routing, rng=random.Random(0), **kwargs
+        MeshTopology(4, 4), routing=routing, rng=random.Random(0), **kwargs
     )
 
 

@@ -42,9 +42,8 @@ GOLDEN_SIM = "5d942d131e3c7ca72d28f195dedb1809f42072d4a6d72c363603f655a35d12fb"
 def _build(kernel, seed, routing, fault_spec=None):
     net = Network(
         MeshTopology(4, 4),
-        routing_fn=routing,
+        routing=routing,
         rng=random.Random(seed + 1),
-        routing_seed=seed,
         kernel=kernel,
     )
     if fault_spec:

@@ -14,21 +14,17 @@ from repro.obs.metrics import Counter, Gauge, Histogram, MetricRegistry
 
 
 class TestInstruments:
-    def test_counter_inc_and_reset(self):
+    def test_counter_inc_accumulates(self):
         c = Counter()
         c.inc()
         c.inc(4)
         assert c.value == 5
-        c.reset()
-        assert c.value == 0
 
     def test_gauge_last_write_wins(self):
         g = Gauge()
         g.set(3.5)
         g.set(-1.0)
         assert g.value == -1.0
-        g.reset()
-        assert g.value == 0.0
 
 
 class TestHistogram:
@@ -48,12 +44,6 @@ class TestHistogram:
 
     def test_empty_mean_is_zero(self):
         assert Histogram().mean == 0.0
-
-    def test_reset_restores_fresh_state(self):
-        h = Histogram(bounds=(10.0,))
-        h.record(3.0)
-        h.reset()
-        assert h.as_dict() == Histogram(bounds=(10.0,)).as_dict()
 
 
 class TestMetricRegistry:
@@ -97,20 +87,6 @@ class TestMetricRegistry:
         snap = m.snapshot()
         assert list(snap["counters"]) == ["a", "b"]
         assert snap["histograms"]["lat"]["count"] == 1
-
-    def test_reset_zeroes_instruments_and_timeline(self):
-        m = MetricRegistry()
-        m.counter("a").inc()
-        m.gauge("g").set(2.0)
-        m.histogram("h").record(1.0)
-        m.snapshot_epoch(10)
-        m.reset()
-        assert m.scalars() == {"a": 0, "g": 0.0}
-        assert m.histogram("h").count == 0
-        assert m.timeline == []
-        assert m.timeline_dropped == 0
-        # instruments survive reset so producers keep their references
-        assert m.names()["counters"] == ["a"]
 
 
 class TestExport:

@@ -81,16 +81,6 @@ class TestTraceBuffer:
         assert buf.dropped == 2
         assert [ev.cycle for ev in buf] == [2, 3, 4]
 
-    def test_clear_resets_all_accounting(self):
-        buf = TraceBuffer(capacity=2, categories=["mode"])
-        buf.emit(0, "mode", "a")
-        buf.emit(1, "fault", "b")
-        buf.clear()
-        assert len(buf) == 0
-        assert buf.emitted == 0
-        assert buf.filtered == 0
-        assert buf.dropped == 0
-
     def test_events_selects_categories(self):
         buf = TraceBuffer()
         buf.emit(0, "mode", "transition")
@@ -98,17 +88,6 @@ class TestTraceBuffer:
         buf.emit(2, "mode", "transition")
         assert len(buf.events(["mode"])) == 2
         assert len(buf.events()) == 3
-
-    def test_summary_shape(self):
-        buf = TraceBuffer()
-        buf.emit(5, "mode", "transition", subject=0)
-        buf.emit(9, "mode", "transition", subject=1)
-        summary = buf.summary()
-        assert summary["events"] == 2
-        assert summary["first_cycle"] == 5
-        assert summary["last_cycle"] == 9
-        assert summary["by_category"] == {"mode": 2}
-        assert summary["by_kind"] == {"mode/transition": 2}
 
 
 class TestDigest:

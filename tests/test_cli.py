@@ -122,8 +122,12 @@ class TestChaosCommand:
         ]
 
     def test_rejects_unknown_routing(self, tmp_path):
-        with pytest.raises(SystemExit, match="unknown routing"):
-            main(self._argv(tmp_path, ["--routings", "zigzag"]))
+        for routing in ("zigzag", "yx", "o1turn"):
+            with pytest.raises(SystemExit) as exit_info:
+                main(self._argv(tmp_path, ["--routings", routing]))
+            assert str(exit_info.value) == (
+                f"unknown routing {routing!r}; chaos points take routings adaptive, xy"
+            )
 
     def test_rejects_bad_fault_spec(self, tmp_path):
         with pytest.raises(SystemExit, match="bad fault clause"):
