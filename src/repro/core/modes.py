@@ -97,7 +97,7 @@ class TmrModeBank:
     simulator and resumes bit-identically.
     """
 
-    __slots__ = ("copies", "votes", "upsets")
+    __slots__ = ("copies",)
 
     COPIES = 3
     REGISTER_BITS = 2
@@ -108,10 +108,6 @@ class TmrModeBank:
         self.copies: List[List[int]] = [
             [int(initial)] * self.COPIES for _ in range(num_routers)
         ]
-        #: cumulative copies repaired by majority votes
-        self.votes = 0
-        #: cumulative upsets injected into the bank
-        self.upsets = 0
 
     def write(self, router: int, mode: int) -> None:
         """Policy write: all three copies latch the commanded mode."""
@@ -120,7 +116,6 @@ class TmrModeBank:
     def upset(self, router: int, bit: int, copy: int) -> None:
         """SEU: flip one bit of one copy."""
         self.copies[router][copy % self.COPIES] ^= 1 << (bit % self.REGISTER_BITS)
-        self.upsets += 1
 
     @classmethod
     def _majority(cls, regs: List[int]) -> int:
@@ -140,7 +135,6 @@ class TmrModeBank:
             if wrong:
                 regs[:] = [value] * self.COPIES
                 repaired += wrong
-        self.votes += repaired
         return repaired
 
 

@@ -64,9 +64,10 @@ class QTableStorage:
       uncorrectable words by re-initializing them to ``q_init`` —
       the learned row is lost, never silently wrong.
 
-    Everything (words, tallies, dirty set) pickles with the agent, and
-    :meth:`to_state`/:meth:`from_state` carry the codewords verbatim, so
-    checkpointed campaigns resume bit-identically mid-corruption.
+    Everything (words, quarantine count, dirty set) pickles with the
+    agent, and :meth:`to_state`/:meth:`from_state` carry the codewords
+    verbatim, so checkpointed campaigns resume bit-identically
+    mid-corruption.
     """
 
     DATA_BITS = 32
@@ -91,11 +92,9 @@ class QTableStorage:
         #: (state, action) words flipped since the last scrub, in order
         self._dirty: List[Tuple[State, int]] = []
         self._dirty_set: set = set()
-        # cumulative tallies (mirrored into the run's metric registry)
-        self.corrected = 0
-        self.detected = 0
+        #: rows quarantined so far (the ECC escalation reads it; the
+        #: run's ``ecc.*`` counters keep the other scrub tallies)
         self.quarantined_rows = 0
-        self.scrubs = 0
 
     # ------------------------------------------------------------------
     # fixed-point codec
@@ -181,12 +180,11 @@ class QTableStorage:
 
         Single-bit errors are corrected in place and re-encoded;
         uncorrectable words quarantine their whole row back to
-        ``q_init``.  Returns this pass's tallies; cumulative counts
+        ``q_init``.  Returns this pass's tallies; quarantined rows also
         accumulate on the instance.  Without ECC there is nothing to
-        check — the pass only advances the scrub counter.
+        check.
         """
         stats = {"corrected": 0, "detected": 0, "quarantined_rows": 0}
-        self.scrubs += 1
         if not self.ecc:
             self._dirty.clear()
             self._dirty_set.clear()
@@ -208,8 +206,6 @@ class QTableStorage:
             stats["quarantined_rows"] += 1
         self._dirty.clear()
         self._dirty_set.clear()
-        self.corrected += stats["corrected"]
-        self.detected += stats["detected"]
         self.quarantined_rows += stats["quarantined_rows"]
         return stats
 
@@ -217,16 +213,13 @@ class QTableStorage:
     # durable state
     # ------------------------------------------------------------------
     def to_state(self) -> Dict[str, object]:
-        """Codewords + tallies, verbatim — resumes mid-corruption."""
+        """Codewords + quarantine count, verbatim — resumes mid-corruption."""
         return {
             "ecc": self.ecc,
             "frac_bits": self.FRAC_BITS,
             "words": {state: list(row) for state, row in self._words.items()},
             "dirty": list(self._dirty),
-            "corrected": self.corrected,
-            "detected": self.detected,
             "quarantined_rows": self.quarantined_rows,
-            "scrubs": self.scrubs,
         }
 
     @classmethod
@@ -269,10 +262,7 @@ class QTableStorage:
             if pair[0] in storage._words and pair not in storage._dirty_set:
                 storage._dirty_set.add(pair)
                 storage._dirty.append(pair)
-        storage.corrected = int(state.get("corrected", 0))
-        storage.detected = int(state.get("detected", 0))
         storage.quarantined_rows = int(state.get("quarantined_rows", 0))
-        storage.scrubs = int(state.get("scrubs", 0))
         agent.storage = storage
         agent._table = {
             s: [storage._decode(w) for w in row] for s, row in storage._words.items()

@@ -34,7 +34,7 @@ baseline (no events).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.faults.specs import format_spec, parse_spec
 from repro.noc.topology import Port
@@ -172,9 +172,10 @@ class HardFaultModel:
     """Applies a :class:`HardFaultSchedule` to a live network.
 
     Install as ``network.hard_faults``; the network calls :meth:`tick`
-    at the top of every cycle.  Burst events temporarily override the
-    error probability of every alive channel and restore the fault
-    substrate's value when they expire.
+    at the top of every cycle.  A burst event sets every channel's burst
+    floor for its span (a later burst replaces it), so channels sample
+    at no less than the burst level while the fault substrate keeps
+    refreshing its own values underneath.
     """
 
     __slots__ = (
@@ -183,7 +184,6 @@ class HardFaultModel:
         "applied",
         "first_fault_cycle",
         "_pending",
-        "_burst_restore",
         "_burst_until",
         "_latency_count_at_fault",
         "_latency_total_at_fault",
@@ -196,7 +196,6 @@ class HardFaultModel:
         self.applied: List[Tuple[str, int]] = []
         self.first_fault_cycle: Optional[int] = None
         self._pending: List[HardFaultEvent] = list(schedule.events)
-        self._burst_restore: Dict[Tuple[int, int], float] = {}
         self._burst_until: Optional[int] = None
         self._latency_count_at_fault = 0
         self._latency_total_at_fault = 0
@@ -231,25 +230,16 @@ class HardFaultModel:
 
     # ------------------------------------------------------------------
     def _start_burst(self, event: HardFaultEvent, now: int) -> None:
-        if self._burst_until is not None:
-            self._end_burst()
-        for key, channel in self.network.channels.items():
-            if not channel.alive:
-                continue
-            model = channel.error_model
-            self._burst_restore[key] = model.event_probability
-            model.event_probability = min(
-                1.0, max(model.event_probability, event.probability)
-            )
+        self._set_burst_floor(event.probability)
         self._burst_until = now + event.duration
 
     def _end_burst(self) -> None:
-        for key, probability in self._burst_restore.items():
-            channel = self.network.channels.get(key)
-            if channel is not None and channel.alive:
-                channel.error_model.event_probability = probability
-        self._burst_restore.clear()
+        self._set_burst_floor(0.0)
         self._burst_until = None
+
+    def _set_burst_floor(self, floor: float) -> None:
+        for _, model in self.network.channel_models():
+            model.set_burst_floor(floor)
 
     # ------------------------------------------------------------------
     @property

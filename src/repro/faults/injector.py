@@ -47,7 +47,8 @@ class FaultInjector:
         self.varius = varius
         self.voltage = voltage
         self.error_scale = error_scale
-        #: last probabilities applied, keyed like network.channels
+        #: last substrate probabilities applied (a burst floor is the
+        #: channel model's, not counted here), keyed like network.channels
         self.current: Dict[Tuple[int, int], float] = {}
         # Refreshes where p * error_scale clipped at 1.0 — a saturated
         # probability means error_scale is too aggressive for the die
@@ -102,8 +103,9 @@ class FaultInjector:
             # Routed through the model's setters so an unchanged epoch
             # keeps the skip-sampling countdowns (geometric gaps are
             # memoryless — no resample, no RNG draw, no extra work).
-            model.set_probabilities(min(1.0, raw), relax)
-            current[key] = model.event_probability
+            clipped = min(1.0, raw)
+            model.set_probabilities(clipped, relax)
+            current[key] = clipped
 
     def mean_probability(self) -> float:
         """Average per-transfer error probability across all channels."""

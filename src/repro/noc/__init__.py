@@ -18,7 +18,6 @@ from repro.noc.router import Router
 from repro.noc.routing import (
     ROUTING_FUNCTIONS,
     AdaptiveRoute,
-    minimal_ports,
     xy_route,
 )
 from repro.noc.stats import LatencyAccumulator, NetworkStats, RouterEpochStats
@@ -53,7 +52,6 @@ __all__ = [
     "FlitType",
     "Packet",
     "Router",
-    "minimal_ports",
     "xy_route",
     "LatencyAccumulator",
     "NetworkStats",

@@ -104,10 +104,17 @@ class ChannelErrorModel:
     ``sample_error_bits`` call lazily redraws.  That lazy redraw is what
     keeps the RNG stream deterministic: draws happen only at flit
     arrivals, which every kernel processes in the same global order.
+
+    Two sources set the probability: the fault substrate writes
+    ``event_probability`` every epoch, and a hard-fault error burst sets
+    a floor with :meth:`set_burst_floor`.  Transfers sample at the larger
+    of the two, so neither overrides the other.
     """
 
     __slots__ = (
         "_event_probability",
+        "_substrate",
+        "_burst_floor",
         "severity",
         "_relax_factor",
         "_rng",
@@ -128,7 +135,11 @@ class ChannelErrorModel:
             raise ValueError("event probability must be in [0, 1]")
         if abs(sum(severity) - 1.0) > 1e-9 or any(s < 0 for s in severity):
             raise ValueError("severity must be a probability distribution")
+        #: the probability transfers sample at
         self._event_probability = event_probability
+        #: the fault substrate's value and the active burst's floor
+        self._substrate = event_probability
+        self._burst_floor = 0.0
         self.severity = severity
         self._relax_factor = relax_factor
         self._rng = rng
@@ -146,8 +157,17 @@ class ChannelErrorModel:
 
     @event_probability.setter
     def event_probability(self, value: float) -> None:
-        if value != self._event_probability:
-            self._event_probability = value
+        self._substrate = value
+        self._sample_at(max(value, self._burst_floor))
+
+    def set_burst_floor(self, floor: float) -> None:
+        """Sample at no less than ``floor`` until it is reset to 0."""
+        self._burst_floor = floor
+        self._sample_at(max(self._substrate, floor))
+
+    def _sample_at(self, p: float) -> None:
+        if p != self._event_probability:
+            self._event_probability = p
             self._gap = None
             self._gap_relaxed = None
 

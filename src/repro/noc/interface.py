@@ -78,7 +78,7 @@ class NetworkInterface:
         #: flits ejected by the router, pending NI processing
         self._eject_queue: Deque[Tuple[int, Flit]] = deque()
         #: per-packet count of ejected flits, for reassembly bookkeeping
-        self._rx_count: Dict[int, int] = {}
+        self._rx_count: Dict[Packet, int] = {}
         #: peer lookup installed by the Network (node id -> NI)
         self.peer: Callable[[int], "NetworkInterface"] = _no_peer
         #: Network-owned active sets (None outside a Network); an NI is
@@ -102,9 +102,16 @@ class NetworkInterface:
     # Source side
     # ------------------------------------------------------------------
     def enqueue(self, packet: Packet) -> None:
-        """Accept a new message from the core for injection."""
+        """Accept a new message from the core for injection.
+
+        A message without an id gets the network's creation index, so
+        ids run from 0 in creation order on every network and a pickled
+        network carries its own next id.
+        """
         if packet.src != self.id:
             raise ValueError(f"packet source {packet.src} does not match NI {self.id}")
+        if packet.message_id is None:
+            packet.message_id = self.stats.messages_created
         self.stats.messages_created += 1
         if not self.alive:
             # A dead core cannot send: account the message as
@@ -247,15 +254,15 @@ class NetworkInterface:
                 # tail): the flit count cannot add up and the message is
                 # already accounted for — discard, never reassemble.
                 if flit.is_tail:
-                    self._rx_count.pop(packet.pid, None)
+                    self._rx_count.pop(packet, None)
                 continue
-            self._rx_count[packet.pid] = self._rx_count.get(packet.pid, 0) + 1
+            self._rx_count[packet] = self._rx_count.get(packet, 0) + 1
             if not flit.is_tail:
                 continue
-            received = self._rx_count.pop(packet.pid)
+            received = self._rx_count.pop(packet)
             if received != packet.size:
                 raise RuntimeError(
-                    f"NI {self.id}: packet {packet.pid} ejected {received} "
+                    f"NI {self.id}: message {packet.message_id} ejected {received} "
                     f"of {packet.size} flits"
                 )
             self._finish_packet(packet, now)

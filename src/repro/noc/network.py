@@ -220,7 +220,7 @@ class Network:
         #: saturation steady state), skipping the per-cycle sort
         self._all_nodes = list(range(topology.num_nodes))
 
-        crc = CRC.crc16()
+        crc = CRC()
         self.interfaces: List[NetworkInterface] = [
             NetworkInterface(i, self.routers[i], topology, crc, self.stats)
             for i in range(topology.num_nodes)
@@ -439,16 +439,17 @@ class Network:
             for rid in snapshot:
                 router = routers[rid]
                 router.step(now)
-                # No pipeline stage, go-back-N rewind, fault drain or
-                # deferred mode switch left.  A non-empty ARQ window
-                # alone needs no step: sideband ACKs release it.
+                # No pipeline stage, go-back-N rewind or fault drain
+                # left.  A non-empty ARQ window alone needs no step:
+                # sideband ACKs release it, and a deferred ECC-off switch
+                # waits only for such a window (an ACK or a link kill
+                # wakes the router when it empties).
                 if not (
                     router._active
                     or router._waiting
                     or router._routing
                     or router._draining
                     or router._retx_ports
-                    or router._pending_mode is not None
                 ):
                     active_routers.discard(rid)
 
@@ -476,9 +477,6 @@ class Network:
             self.stats.unreachable_drops += 1
         self._drop_message(packet)
         if self.tracer is not None:
-            # message_id, not pid: pids come from a process-global
-            # counter, so they differ across runs in one process and
-            # would break golden-trace digests.
             self.tracer.emit(
                 self.now,
                 "fault",

@@ -105,7 +105,7 @@ class Flit:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"Flit(pkt={self.packet.pid}, idx={self.index}, "
+            f"Flit(msg={self.packet.message_id}, idx={self.index}, "
             f"{self.ftype.value}, {self.packet.src}->{self.dest})"
         )
 
@@ -115,13 +115,12 @@ class Packet:
 
     Attributes
     ----------
-    pid:
-        Unique packet id (unique per *transmission attempt*; a source
-        retransmission creates a fresh :class:`Packet` sharing
-        ``message_id``).
     message_id:
         Identity of the logical message, stable across end-to-end
-        retransmissions.
+        retransmissions (each attempt is a fresh :class:`Packet` sharing
+        it).  ``None`` until the source NI stamps it with the network's
+        creation index (:meth:`NetworkInterface.enqueue`), so ids are
+        numbered per network from 0 in creation order.
     src, dest:
         Source and destination router/core ids.
     size:
@@ -137,7 +136,6 @@ class Packet:
     """
 
     __slots__ = (
-        "pid",
         "message_id",
         "src",
         "dest",
@@ -152,8 +150,6 @@ class Packet:
         "path",
         "lost",
     )
-
-    _next_pid = 0
 
     def __init__(
         self,
@@ -170,9 +166,7 @@ class Packet:
             raise ValueError("packet size must be at least one flit")
         if src == dest:
             raise ValueError("source and destination must differ")
-        self.pid = Packet._next_pid
-        Packet._next_pid += 1
-        self.message_id = self.pid if message_id is None else message_id
+        self.message_id = message_id
         self.src = src
         self.dest = dest
         self.size = size
@@ -253,7 +247,7 @@ class Packet:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"Packet(pid={self.pid}, msg={self.message_id}, "
+            f"Packet(msg={self.message_id}, "
             f"{self.src}->{self.dest}, size={self.size}, "
             f"retx={self.retransmission})"
         )

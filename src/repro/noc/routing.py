@@ -15,7 +15,7 @@ and gives it to every router: neither routing keeps per-router state.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+from typing import Callable, Dict
 
 from repro.noc.faultstate import FaultState
 from repro.noc.topology import MeshTopology, Port
@@ -23,7 +23,6 @@ from repro.noc.topology import MeshTopology, Port
 __all__ = [
     "RoutingFunction",
     "xy_route",
-    "minimal_ports",
     "AdaptiveRoute",
     "ROUTING_FUNCTIONS",
 ]
@@ -45,24 +44,6 @@ def xy_route(topology: MeshTopology, node: int, dest: int) -> Port:
     if x != dx:
         return _EAST if dx > x else _WEST
     return _NORTH if dest // width > node // width else _SOUTH
-
-
-def minimal_ports(topology: MeshTopology, node: int, dest: int) -> List[Port]:
-    """All productive (minimal-quadrant) output ports."""
-    if node == dest:
-        return [Port.LOCAL]
-    x, y = topology.coordinates(node)
-    dx, dy = topology.coordinates(dest)
-    ports = []
-    if dx > x:
-        ports.append(Port.EAST)
-    elif dx < x:
-        ports.append(Port.WEST)
-    if dy > y:
-        ports.append(Port.NORTH)
-    elif dy < y:
-        ports.append(Port.SOUTH)
-    return ports
 
 
 class AdaptiveRoute:

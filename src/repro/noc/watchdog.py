@@ -235,7 +235,7 @@ class NetworkWatchdog:
                             "packet": None
                             if packet is None
                             else {
-                                "pid": packet.pid,
+                                "message_id": packet.message_id,
                                 "src": packet.src,
                                 "dest": packet.dest,
                                 "age": now - packet.created_at,

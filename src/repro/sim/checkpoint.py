@@ -52,7 +52,6 @@ from pathlib import Path
 from typing import Dict, Optional, Tuple, Union
 
 from repro.noc.network import resolve_kernel
-from repro.noc.packet import Packet
 from repro.sim.config import SimulationConfig
 from repro.sim.experiment import (
     default_design_factories,
@@ -120,7 +119,13 @@ CHECKPOINT_MAGIC = b"RNOCCKPT"
 #: ``entries`` dict without counters — a version-9 body lacks them.
 #: Version 11: routers book mode residency (``mode_since``,
 #: ``mode_cycles``), and the ``yx``/``o1turn`` routings are gone.
-CHECKPOINT_VERSION = 11
+#: Version 12: message ids come from the network's creation count, so
+#: packets lost their per-attempt id, the payload its copy of the
+#: process-wide id counter and the simulator its own id counter; channel
+#: error models keep the substrate's probability and a burst floor,
+#: hard-fault models lost their restore map, and Q-table storages and
+#: TMR mode banks lost their test-only tallies.
+CHECKPOINT_VERSION = 12
 
 #: Pretrained-policy campaign artifacts share the container format but
 #: version independently: an artifact body is a ``ControlPolicy.to_state``
@@ -369,11 +374,6 @@ class ResumableRun:
             "segment_offset": self.segment_offset,
             "result": self.result,
             "policy_state": self.sim.policy.to_state(),
-            # Packet ids come from a process-global counter.  Without it
-            # a fresh process would reissue ids already carried by the
-            # pickled in-flight packets, and the NI reassembly / ARQ
-            # bookkeeping (keyed by pid / message_id) would collide.
-            "next_pid": Packet._next_pid,
         }
         saved = save_checkpoint(target, payload, self._meta())
         self.checkpoints_written += 1
@@ -426,11 +426,6 @@ class ResumableRun:
         run.segment_offset = payload["segment_offset"]
         run.result = payload["result"]
         run.checkpoints_written = 0
-        # Restore the packet-id counter so ids issued after the resume
-        # pick up exactly where the interrupted process left off — both
-        # for bit-identity with the uninterrupted run and to keep new
-        # pids disjoint from the pickled in-flight packets'.
-        run.sim.restore_packet_counter(payload.get("next_pid"))
         # Route the learned state through validation: a poisoned table
         # degrades its router to safe mode rather than resuming garbage.
         policy = run.sim.policy

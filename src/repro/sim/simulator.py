@@ -229,14 +229,6 @@ class Simulator:
         self._measured_error_sum = 0.0
         self._measure_before: Optional[StatsSnapshot] = None
 
-        #: run-local message-id sequence for simulator-injected traffic.
-        #: Generators leave ``message_id`` to default to the process-global
-        #: pid, which drifts between runs in one process; trace events
-        #: reference messages by id, so injection stamps them from this
-        #: counter instead (monotonic in creation order, exactly like
-        #: pids, so ARQ heap tie-breaking is unchanged).
-        self._next_message_id = 0
-
         #: optional repro.obs.TraceBuffer, propagated to the network
         self.tracer = None
         if tracer is not None:
@@ -252,25 +244,6 @@ class Simulator:
         """Attach (or detach, with ``None``) an event tracer end-to-end."""
         self.tracer = tracer
         self.network.attach_tracer(tracer)
-
-    # ------------------------------------------------------------------
-    # Checkpoint support
-    # ------------------------------------------------------------------
-    @staticmethod
-    def restore_packet_counter(next_pid: Optional[int]) -> None:
-        """Restore the process-global packet-id counter from a snapshot.
-
-        :class:`~repro.noc.packet.Packet` ids are issued by a class-level
-        counter that resets with the process; a resumed run must continue
-        the interrupted process's sequence or freshly injected packets
-        would collide with the ids the pickled in-flight packets carry
-        (the NI keys its reassembly and ARQ state by pid / message_id).
-        Never moves the counter backward past ids already issued in this
-        process, so resuming next to other live simulations stays safe.
-        """
-        if next_pid is None:
-            return
-        Packet._next_pid = max(Packet._next_pid, int(next_pid))
 
     # ------------------------------------------------------------------
     # Guarded cycle: invariant trips degrade instead of crashing
@@ -882,8 +855,6 @@ class Simulator:
             if source is not None:
                 for packet in source.packets_for_cycle(done):
                     packet.created_at = network.now
-                    packet.message_id = self._next_message_id
-                    self._next_message_id += 1
                     network.inject(packet)
             self._cycle()
             if network.now % epoch == 0:

@@ -142,7 +142,10 @@ __all__ = [
 #: Schema 11: ``mode_cycles`` books each cycle to the mode active in it
 #: (it booked each epoch to the mode chosen at its end), and campaign
 #: cells carry it.
-CACHE_SCHEMA = 11
+#: Schema 12: a watchdog diagnosis names stuck packets by ``message_id``
+#: (it named their per-attempt id), and closed-loop error bursts hold
+#: every channel at or above the burst level across epoch refreshes.
+CACHE_SCHEMA = 12
 
 DEFAULT_CACHE_DIR = ".sweep_cache"
 
@@ -442,7 +445,6 @@ def _eval_chaos(
     rng = random.Random(point.seed + 7)
     nodes = network.topology.num_nodes
     diagnosis = None
-    message_id = 0
     try:
         for _ in range(point.cycles):
             if rng.random() < rate:
@@ -450,12 +452,8 @@ def _eval_chaos(
                 dst = rng.randrange(nodes)
                 if src != dst:
                     network.inject(
-                        Packet(
-                            src, dst, config.packet_size, config.flit_bits,
-                            network.now, message_id=message_id,
-                        )
+                        Packet(src, dst, config.packet_size, config.flit_bits, network.now)
                     )
-                    message_id += 1
             network.cycle()
         deadline = network.now + config.max_drain_cycles
         while not network.quiescent and network.now < deadline:

@@ -118,3 +118,51 @@ class TestDeterminism:
         for copy in (copies[0], copies[len(copies) // 2], copies[-2]):
             resumed = ResumableRun.resume(copy).run()
             assert resumed == baseline
+
+
+class _ChannelProbe:
+    """Stands in as ``network.hard_faults``: ticks the real model, if
+    any, then records the probability every channel samples at."""
+
+    def __init__(self, network, model):
+        self.network = network
+        self.model = model
+        self.cycles = []
+
+    def tick(self, now):
+        if self.model is not None:
+            self.model.tick(now)
+        self.cycles.append({
+            key: (channel.alive, channel.error_model.event_probability)
+            for key, channel in self.network.channels.items()
+        })
+
+
+def _sampled_probabilities(fault_spec):
+    """Per cycle, every channel's (alive, probability) in an idle 3x3 crc
+    run whose epoch refresh rewrites the probabilities every 100 cycles."""
+    config = scaled_config(
+        width=3, height=3, epoch_cycles=100, pretrain_cycles=0, warmup_cycles=0,
+        fault_spec=fault_spec,
+    )
+    sim = Simulator(config, default_design_factories()["crc"](), seed=0)
+    probe = _ChannelProbe(sim.network, sim.hard_faults)
+    sim.network.hard_faults = probe
+    sim.run(None, 400)
+    return probe.cycles
+
+
+def test_error_burst_composes_with_the_epoch_refresh():
+    """Through a burst every alive channel samples at or above its level,
+    across the refresh at cycle 200; outside it every channel samples
+    what a burst-free twin run samples."""
+    burst = _sampled_probabilities("burst@150+100:0.2")
+    twin = _sampled_probabilities("")
+    assert len(burst) == len(twin) == 400
+    for now, (seen, healthy) in enumerate(zip(burst, twin)):
+        if 150 <= now < 250:
+            assert all(p >= 0.2 for alive, p in seen.values() if alive), now
+        else:
+            assert seen == healthy, now
+    # The refreshes moved the substrate's values, so the check has teeth.
+    assert twin[0] != twin[100] != twin[200] != twin[300]

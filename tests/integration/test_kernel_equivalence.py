@@ -58,24 +58,21 @@ def _build(kernel, seed, routing, fault_spec, modes=None, error=0.01):
     return net
 
 
-def _inject_uniform(net, rng, message_id):
-    """One uniform-random 4-flit packet; returns the next message id."""
+def _inject_uniform(net, rng):
+    """One uniform-random 4-flit packet (none when src == dst)."""
     nodes = net.topology.num_nodes
     src, dst = rng.randrange(nodes), rng.randrange(nodes)
-    if src == dst:
-        return message_id
-    net.inject(Packet(src, dst, 4, 128, net.now, message_id=message_id))
-    return message_id + 1
+    if src != dst:
+        net.inject(Packet(src, dst, 4, 128, net.now))
 
 
 def _drive(net, seed, cycles=1_500, rate=0.15):
     """Uniform random traffic, mixing per-cycle stepping and run() spans."""
     rng = random.Random(seed + 7)
-    message_id = 0
     end = net.now + cycles
     while net.now < end:
         if rng.random() < rate:
-            message_id = _inject_uniform(net, rng, message_id)
+            _inject_uniform(net, rng)
         if net.now % 7 == 0:
             net.run(3)
         else:
@@ -181,11 +178,10 @@ def test_kernels_bit_identical_under_arq(modes, fault_spec):
 
 def _drive_idle(net, cycles, rng):
     """Three packets every 2 000 cycles; run() spans the silence."""
-    message_id = 0
     end = net.now + cycles
     while net.now < end:
         for _ in range(3):
-            message_id = _inject_uniform(net, rng, message_id)
+            _inject_uniform(net, rng)
         net.run(min(2_000, end - net.now))
     _drain(net)
 
@@ -194,24 +190,22 @@ def _drive_saturated(net, cycles, rng):
     """Offered load past the saturation knee, capped at 16 outstanding
     messages per node, so every router is active most cycles."""
     nodes = net.topology.num_nodes
-    message_id = 0
     end = net.now + cycles
     while net.now < end:
         if net.stats.outstanding_messages < 16 * nodes:
             for _ in range(nodes // 4):
                 if rng.random() < 0.5:
-                    message_id = _inject_uniform(net, rng, message_id)
+                    _inject_uniform(net, rng)
         net.cycle()
     _drain(net)
 
 
 def _drive_moderate(net, cycles, rng):
     """One packet every ten cycles on average, stepped cycle by cycle."""
-    message_id = 0
     end = net.now + cycles
     while net.now < end:
         if rng.random() < 0.1:
-            message_id = _inject_uniform(net, rng, message_id)
+            _inject_uniform(net, rng)
         net.cycle()
     _drain(net)
 
@@ -350,6 +344,17 @@ def _scan_derived_state(net, seen):
             for _seq, t in link.arq:
                 in_flight[t.vc] += 1
             assert link.in_flight == in_flight, (router.id, port)
+            # A go-back-N rewind lists only unacknowledged flits.
+            assert all(seq in link.arq.entries for seq in link.pending_retx), (
+                router.id, port,
+            )
+        # A deferred ECC-off switch waits for every ARQ window to empty:
+        # the router steps, or an unacknowledged flit's ACK will wake it.
+        if router._pending_mode is not None:
+            assert router.id in net.activity.routers or any(
+                not link.arq.is_empty for link in router.outputs.values()
+            ), router.id
+            seen["switch_waits"] += 1
         for vc, link in router._active.items():
             assert link is router.outputs.get(vc.out_port)
         # RC looks only at its oldest head: heads are filed in due order.
@@ -391,19 +396,24 @@ def _scan_derived_state(net, seen):
 def test_wake_state_matches_full_scan():
     """On the chaos ARQ case (mixed modes, a link and a router kill,
     error rate 0.05) at twice ``_drive``'s load, after every cycle, the
-    in-flight counts, stage wake state and NI refusals agree with a full
-    scan."""
+    in-flight counts, stage wake state, deferred mode switches and NI
+    refusals agree with a full scan.  ECC goes off everywhere at cycle
+    1 200 and back on at 1 400, so switches wait for their ARQ windows."""
     net = _build("fast", 5, "adaptive", CHAOS_SPEC, modes="mixed", error=0.05)
     rng = random.Random(12)
     seen = Counter()
-    message_id = 0
     while net.now < 1_500 or not net.quiescent:
+        if net.now == 1_200:
+            net.set_all_modes(OperationMode.MODE_0)  # ECC off
+        elif net.now == 1_400:
+            for router in net.routers:
+                net.set_mode(router.id, MODE_ASSIGNMENTS["mixed"](router.id))
         if net.now < 1_500 and rng.random() < 0.3:
-            message_id = _inject_uniform(net, rng, message_id)
+            _inject_uniform(net, rng)
         net.cycle()
         _scan_derived_state(net, seen)
     stats = net.stats
     assert stats.link_kills and stats.router_kills
     assert sum(r.epoch.flit_retransmissions for r in net.routers) > 0
     assert sum(r.epoch.duplicate_flits for r in net.routers) > 0
-    assert min(seen.values()) > 0 and len(seen) == 3, seen
+    assert min(seen.values()) > 0 and len(seen) == 4, seen

@@ -21,6 +21,17 @@ class TestSourceSide:
         assert ni.outstanding_messages == 1
         assert ni.inject_backlog == 1
 
+    def test_message_ids_follow_the_networks_creation_order(self):
+        Packet(0, 1, 1, 128, 0)  # built elsewhere in the process, never sent
+        net = make_network()
+        packets = [Packet(src, 5, 1, 128, 0) for src in (0, 1, 2)]
+        for packet in packets:
+            net.inject(packet)
+        assert [p.message_id for p in packets] == [0, 1, 2]
+        given = Packet(3, 5, 1, 128, 0, message_id=7)
+        net.inject(given)
+        assert given.message_id == 7
+
     def test_enqueue_rejects_wrong_source(self):
         net = make_network()
         with pytest.raises(ValueError, match="does not match"):

@@ -56,24 +56,16 @@ class TestPayloads:
         assert p.total_bits == 512
 
 
-class TestIdentity:
-    def test_pids_are_unique(self):
-        a = Packet(src=0, dest=1, size=1, flit_bits=8, created_at=0)
-        b = Packet(src=0, dest=1, size=1, flit_bits=8, created_at=0)
-        assert a.pid != b.pid
-
-    def test_message_id_defaults_to_pid(self):
-        p = Packet(src=0, dest=1, size=1, flit_bits=8, created_at=0)
-        assert p.message_id == p.pid
-
-
 class TestRetransmissionClone:
     def test_clone_preserves_identity_and_payload(self):
-        p = Packet(src=0, dest=5, size=2, flit_bits=8, created_at=17, payloads=[1, 2])
+        p = Packet(
+            src=0, dest=5, size=2, flit_bits=8, created_at=17, payloads=[1, 2],
+            message_id=3,
+        )
         p.crc_check = 0xBEEF
         clone = p.clone_for_retransmission(now=200)
-        assert clone.pid != p.pid
-        assert clone.message_id == p.message_id
+        assert clone is not p
+        assert clone.message_id == 3
         assert clone.created_at == p.created_at  # latency measured from origin
         assert clone.payloads == p.payloads
         assert clone.crc_check == p.crc_check

@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.noc import MeshTopology, Port, minimal_ports, xy_route
+from repro.noc import MeshTopology, Port, xy_route
 
 
 def _walk(topology, route_fn, src, dest, limit=64):
@@ -56,25 +56,14 @@ class TestXY:
 
 
 class TestMinimalPorts:
-    def test_at_destination(self):
-        topo = MeshTopology(4, 4)
-        assert minimal_ports(topo, 7, 7) == [Port.LOCAL]
-
-    def test_diagonal_has_two_choices(self):
-        topo = MeshTopology(4, 4)
-        ports = minimal_ports(topo, 0, topo.node_id(2, 2))
-        assert set(ports) == {Port.EAST, Port.NORTH}
-
-    def test_aligned_has_one_choice(self):
-        topo = MeshTopology(4, 4)
-        assert minimal_ports(topo, 0, 3) == [Port.EAST]
-
     def test_xy_choice_is_always_minimal(self):
+        """The XY port's neighbour is one hop closer to the destination."""
         topo = MeshTopology(4, 4)
         for src in range(16):
             for dest in range(16):
                 if src != dest:
-                    assert xy_route(topo, src, dest) in minimal_ports(topo, src, dest)
+                    hop = topo.neighbour(src, xy_route(topo, src, dest))
+                    assert topo.hop_distance(hop, dest) == topo.hop_distance(src, dest) - 1
 
 
 @settings(max_examples=200)

@@ -11,7 +11,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.noc import FaultState, MeshTopology, minimal_ports, xy_route
+from repro.noc import FaultState, MeshTopology, Port, xy_route
 from repro.noc.routing import AdaptiveRoute
 
 MAX_DIM = 8
@@ -46,8 +46,14 @@ def _walk(topology, route_fn, src, dest, limit=None):
 @settings(max_examples=200, deadline=None)
 @given(mesh_and_pair())
 def test_dimension_order_ports_are_productive_minimal(case):
+    """The XY port's neighbour is one hop closer to the destination."""
     topo, src, dest = case
-    assert xy_route(topo, src, dest) in minimal_ports(topo, src, dest)
+    port = xy_route(topo, src, dest)
+    if src == dest:
+        assert port is Port.LOCAL
+    else:
+        hop = topo.neighbour(src, port)
+        assert topo.hop_distance(hop, dest) == topo.hop_distance(src, dest) - 1
 
 
 @settings(max_examples=200, deadline=None)

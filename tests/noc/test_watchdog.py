@@ -88,7 +88,7 @@ class TestDeadlock:
         stuck = err.value.report["stuck"]
         assert any(entry.get("router") == 0 for entry in stuck)
         assert any(
-            entry.get("packet", {}) and entry["packet"]["pid"] is not None
+            entry.get("packet", {}) and entry["packet"]["message_id"] == 1
             for entry in stuck
             if entry.get("packet")
         )

@@ -58,14 +58,12 @@ def _build(kernel, seed, routing, fault_spec=None):
 def _drive(net, seed, cycles=1_200, rate=0.15):
     rng = random.Random(seed + 7)
     nodes = net.topology.num_nodes
-    message_id = 0
     end = net.now + cycles
     while net.now < end:
         if rng.random() < rate:
             src, dst = rng.randrange(nodes), rng.randrange(nodes)
             if src != dst:
-                net.inject(Packet(src, dst, 4, 128, net.now, message_id=message_id))
-                message_id += 1
+                net.inject(Packet(src, dst, 4, 128, net.now))
         net.cycle()
     deadline = net.now + 50_000
     while not net.quiescent and net.now < deadline:

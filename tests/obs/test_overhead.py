@@ -46,13 +46,11 @@ def _network(
     if tracer is not None:
         net.attach_tracer(tracer)
     rng = random.Random(seed + 7)
-    message_id = 0
     while net.now < cycles:
         if rng.random() < rate:
             src, dst = rng.randrange(16), rng.randrange(16)
             if src != dst:
-                net.inject(Packet(src, dst, 4, 128, net.now, message_id=message_id))
-                message_id += 1
+                net.inject(Packet(src, dst, 4, 128, net.now))
         net.cycle()
     deadline = net.now + 50_000
     while not net.quiescent and net.now < deadline:

@@ -19,7 +19,6 @@ from repro.sim.checkpoint import (
     read_checkpoint_meta,
     save_checkpoint,
 )
-from repro.sim.simulator import Simulator
 
 
 def small_config(**overrides):
@@ -207,9 +206,9 @@ class TestResumableRun:
         assert resumed.run() == baseline
 
     def test_snapshot_restores_packet_id_counter(self, tmp_path):
-        """Packet ids come from a process-global counter; a snapshot must
-        carry it so a resumed process cannot reissue ids that collide
-        with the pickled in-flight packets' (regression test)."""
+        """Message ids are the network's creation count, which the
+        snapshot pickles: the resumed run continues at the snapshot's
+        cycle, and its next id follows every id it already issued."""
         config = small_config()
         run = ResumableRun(
             config, "rl", "swaptions", trace_cycles=300,
@@ -228,21 +227,16 @@ class TestResumableRun:
         run.save = stop_after_first
         with pytest.raises(Stop):
             run.run()
-        payload, _ = load_checkpoint(tmp_path / "run.ckpt")
-        assert payload["next_pid"] == Packet._next_pid
-        # Simulate the fresh-process case: wind the counter back, resume,
-        # and check the restore moved it forward again.
-        Packet._next_pid = 0
         resumed = ResumableRun.resume(tmp_path / "run.ckpt", checkpoint_every=0)
-        assert Packet._next_pid == payload["next_pid"]
-        assert resumed.sim.network.now == run.sim.network.now
-
-    def test_restore_packet_counter_never_regresses(self):
-        before = Packet._next_pid
-        Simulator.restore_packet_counter(before - 1 if before else None)
-        assert Packet._next_pid == before
-        Simulator.restore_packet_counter(None)
-        assert Packet._next_pid == before
+        network = resumed.sim.network
+        assert network.now == run.sim.network.now
+        created = network.stats.messages_created
+        assert created == run.sim.network.stats.messages_created > 0
+        stored = [mid for ni in network.interfaces for mid in ni._store]
+        assert stored and all(mid < created for mid in stored)
+        packet = Packet(0, 1, config.packet_size, config.flit_bits, network.now)
+        network.inject(packet)
+        assert packet.message_id == created
 
     def test_finished_snapshot_returns_stored_result(self, tmp_path):
         config = small_config(pretrain_cycles=0)
