@@ -31,7 +31,6 @@ from repro.core.state import (
     NUM_PORTS,
     DiscretizationConfig,
     RouterObservation,
-    discretize_observation,
 )
 from repro.power.orion import DesignPowerProfile
 
@@ -115,10 +114,11 @@ class ObservationGuard:
       (the simulator records it in its degradation ledger).
 
     A healthy observation passes through untouched — the guard touches
-    no RNG and only re-discretizes when it actually repaired something,
-    so golden trace digests of fault-free runs are unchanged.  All
-    state (last-good store, reject streaks, quarantine set) pickles
-    with the simulator, keeping resumed runs bit-identical.
+    no RNG, so golden trace digests of fault-free runs are unchanged.
+    The guard repairs the raw fields only; the simulator's observe stage
+    re-discretizes an observation the guard made dirty.  All state
+    (last-good store, reject streaks, quarantine set) pickles with the
+    simulator, keeping resumed runs bit-identical.
     """
 
     #: (attribute, kind) of the list-valued Table I fields; kind selects
@@ -138,8 +138,6 @@ class ObservationGuard:
         self,
         num_routers: int,
         state_config: Optional[DiscretizationConfig] = None,
-        compact: bool = True,
-        include_mode: bool = True,
         hold_ttl: int = 3,
         quarantine_after: int = 8,
         default_temperature: float = AMBIENT_C,
@@ -151,8 +149,6 @@ class ObservationGuard:
         if quarantine_after < 1:
             raise ValueError("quarantine_after must be at least 1")
         self.state_config = state_config or DiscretizationConfig()
-        self.compact = compact
-        self.include_mode = include_mode
         self.hold_ttl = hold_ttl
         self.quarantine_after = quarantine_after
         self.default_temperature = default_temperature
@@ -199,11 +195,11 @@ class ObservationGuard:
     def inspect(
         self,
         router_id: int,
-        mode: int,
         obs: RouterObservation,
         epoch_index: int,
     ) -> GuardReport:
-        """Validate/repair one observation in place; returns the report.
+        """Validate/repair one observation's raw fields in place; returns
+        the report (``obs.discrete`` is stale when it is dirty).
 
         Must be called once per router per epoch so the reject streaks
         and hold TTLs advance correctly.  A valid field is clamped into
@@ -255,13 +251,6 @@ class ObservationGuard:
                 report.quarantined = True
         else:
             self._streak[router_id] = 0
-        if report.dirty:
-            obs.discrete = discretize_observation(
-                obs,
-                self.state_config,
-                compact=self.compact,
-                mode=mode if self.include_mode else None,
-            )
         return report
 
 

@@ -153,9 +153,10 @@ def discretize_observation(
     """Discretize an observation's raw features into a Q-table key.
 
     The single binning path shared by :func:`observe_router` (fresh
-    telemetry) and the observation guard (re-binning after a sensor
-    reading was repaired), so both always agree.  ``mode`` appends the
-    router's operation mode when the state encoding includes it.
+    telemetry) and the simulator's observe stage (re-binning a reading
+    the sensors corrupted or the guard repaired), so both always agree.
+    ``mode`` appends the router's operation mode when the state encoding
+    includes it.
     """
     cfg = config
     if compact:

@@ -180,7 +180,6 @@ class HardFaultModel:
 
     __slots__ = (
         "network",
-        "schedule",
         "applied",
         "first_fault_cycle",
         "_pending",
@@ -191,7 +190,6 @@ class HardFaultModel:
 
     def __init__(self, network, schedule: HardFaultSchedule) -> None:
         self.network = network
-        self.schedule = schedule
         #: events actually applied (spec clause, cycle) in order
         self.applied: List[Tuple[str, int]] = []
         self.first_fault_cycle: Optional[int] = None

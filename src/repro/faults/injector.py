@@ -5,7 +5,10 @@ temperature vector; the injector recomputes every channel's timing-error
 event probability (from the *upstream* router's conditions — the channel
 is driven by the sender's output stage, Section III's "channel i") and the
 mode-3 relaxation factor, then writes them into the channel error models
-where the NoC samples them at flit-delivery time.
+where the NoC samples them at flit-delivery time.  The injector keeps no
+copy: each channel model's ``event_probability`` (the larger of this
+value and an active error burst's floor) is the one record of the rate a
+channel suffers, and :meth:`FaultInjector.mean_probability` reads it.
 
 ``error_scale`` is an explicit knob for scaled-down experiments: it
 multiplies every event probability so short runs accumulate enough error
@@ -15,7 +18,7 @@ events for stable statistics.  Benches document the value they use.
 from __future__ import annotations
 
 import warnings
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 from repro.faults.varius import VariusModel
 from repro.noc.network import Network
@@ -47,9 +50,6 @@ class FaultInjector:
         self.varius = varius
         self.voltage = voltage
         self.error_scale = error_scale
-        #: last substrate probabilities applied (a burst floor is the
-        #: channel model's, not counted here), keyed like network.channels
-        self.current: Dict[Tuple[int, int], float] = {}
         # Refreshes where p * error_scale clipped at 1.0 — a saturated
         # probability means error_scale is too aggressive for the die
         # conditions and relative comparisons between channels are lost.
@@ -86,7 +86,6 @@ class FaultInjector:
             per_router.append(
                 (p, p * self.error_scale, min(1.0, max(0.0, ratio)))
             )
-        current = self.current
         for key, model in self.network.channel_models():
             p, raw, relax = per_router[key[0]]
             if raw > 1.0:
@@ -103,12 +102,12 @@ class FaultInjector:
             # Routed through the model's setters so an unchanged epoch
             # keeps the skip-sampling countdowns (geometric gaps are
             # memoryless — no resample, no RNG draw, no extra work).
-            clipped = min(1.0, raw)
-            model.set_probabilities(clipped, relax)
-            current[key] = clipped
+            model.set_probabilities(min(1.0, raw), relax)
 
     def mean_probability(self) -> float:
-        """Average per-transfer error probability across all channels."""
-        if not self.current:
-            return 0.0
-        return sum(self.current.values()) / len(self.current)
+        """Average per-transfer error probability across all channels,
+        an active error burst's floor included."""
+        probabilities = [
+            model.event_probability for _, model in self.network.channel_models()
+        ]
+        return sum(probabilities) / len(probabilities)

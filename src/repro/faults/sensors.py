@@ -38,6 +38,9 @@ Three properties mirror the hard-fault model's contract:
 * **Resumability** — the model's whole mutable state (RNG, per-router
   last readings, staleness countdowns) pickles inside the simulator, so
   a killed-and-resumed run replays the exact same corruption stream.
+  The model keeps no tallies: the simulator counts the events
+  :meth:`SensorFaultModel.corrupt` returns under
+  ``sensor.injected.<kind>`` in its metric registry.
 * **Semantic layering** — within one epoch, noise is applied first, then
   dropout, then stuck-at (a wedged sensor does not jitter), then
   staleness (a frozen sensor replays its last *reported* — possibly
@@ -247,7 +250,6 @@ class SensorFaultModel:
                     f"but the mesh has only {num_routers} routers"
                 )
         self.rules: List[SensorFaultRule] = sorted(rules, key=SensorFaultRule.sort_key)
-        self.num_routers = num_routers
         self.rng = random.Random(seed)
         #: last *reported* (post-corruption) reading of each router a
         #: stale rule targets, the snapshot a newly-activating stale rule
@@ -255,8 +257,6 @@ class SensorFaultModel:
         self._prev: Dict[int, Tuple] = {}
         #: per stale-rule index: held snapshot + remaining epochs
         self._stale: Dict[int, Dict[str, object]] = {}
-        #: injections actually applied, as (kind, field) counts
-        self.injected: Dict[str, int] = {}
         self._partition()
 
     def _partition(self) -> None:
@@ -349,7 +349,4 @@ class SensorFaultModel:
             # Only stale rules replay a reading, so only their routers'
             # readings are kept.
             self._prev[router] = _snapshot(obs)
-        injected = self.injected
-        for kind, _field in events:
-            injected[kind] = injected.get(kind, 0) + 1
         return events

@@ -35,8 +35,10 @@ Determinism contract (mirrors the sensor model):
   positions) happens on a throwaway sub-RNG seeded from the token.
   Injection is therefore a pure function of (spec, seed, epoch sequence)
   on either cycle kernel, and a killed-and-resumed run replays the exact
-  same upset stream: the whole model (master RNG, one-shot flags,
-  tallies) pickles inside the simulator.
+  same upset stream: the whole model (master RNG, one-shot flags)
+  pickles inside the simulator.  The model keeps no tallies: the
+  simulator counts what :meth:`SoftErrorModel.inject` returns under
+  ``softerror.injected.<kind>`` in its metric registry.
 * Q-table bits are addressed through a global index over the storages'
   canonical word order (row insertion order x action index), which is
   itself deterministic for a deterministic simulation.
@@ -199,21 +201,14 @@ class SoftErrorModel:
                     f"{rule.router} but the mesh has only {num_routers} routers"
                 )
         self.rules: List[SoftErrorRule] = sorted(rules, key=SoftErrorRule.sort_key)
-        self.num_routers = num_routers
         self.rng = random.Random(seed)
         #: indices of one-shot rules (mode/burst) already fired
         self._done: set = set()
-        #: cumulative upsets actually injected, per kind
-        self.injected: Dict[str, int] = {}
 
     # ------------------------------------------------------------------
     @property
     def spec(self) -> str:
         return format_soft_error_spec(self.rules)
-
-    def _count(self, kind: str, n: int = 1) -> None:
-        if n:
-            self.injected[kind] = self.injected.get(kind, 0) + n
 
     @staticmethod
     def _flip_global(
@@ -276,8 +271,6 @@ class SoftErrorModel:
                 for _ in range(flips):
                     self._flip_global(storages, sub.randrange(total), hits)
                 stats["burst"] += flips
-        for kind, n in stats.items():
-            self._count(kind, n)
         stats["flips"] = stats["qtable"] + stats["burst"]
         stats["words_single"] = sum(1 for n in hits.values() if n == 1)
         stats["words_multi"] = sum(1 for n in hits.values() if n >= 2)

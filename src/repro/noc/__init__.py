@@ -13,7 +13,7 @@ from repro.noc.channel import Channel, ChannelErrorModel, Transmission
 from repro.noc.faultstate import FaultState
 from repro.noc.interface import NetworkInterface
 from repro.noc.network import Network
-from repro.noc.packet import Flit, FlitType, Packet
+from repro.noc.packet import Flit, Packet
 from repro.noc.router import Router
 from repro.noc.routing import (
     ROUTING_FUNCTIONS,
@@ -49,7 +49,6 @@ __all__ = [
     "NetworkInterface",
     "Network",
     "Flit",
-    "FlitType",
     "Packet",
     "Router",
     "xy_route",

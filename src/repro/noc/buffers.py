@@ -84,10 +84,6 @@ class VirtualChannel:
 
     # ------------------------------------------------------------------
     @property
-    def occupancy(self) -> int:
-        return len(self.fifo)
-
-    @property
     def front(self) -> Optional[Flit]:
         return self.fifo[0] if self.fifo else None
 
@@ -103,7 +99,6 @@ class VirtualChannel:
                 f"VC overflow at port {self.port.name} vc {self.vc_id}: "
                 "credit protocol violated"
             )
-        flit.vc = self.vc_id
         self.fifo.append(flit)
 
     def pop(self) -> Flit:

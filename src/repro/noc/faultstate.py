@@ -36,15 +36,13 @@ _DIRECTIONS = (Port.EAST, Port.WEST, Port.NORTH, Port.SOUTH)
 class FaultState:
     """Hard-fault bookkeeping over one topology instance."""
 
-    __slots__ = ("topology", "dead_links", "dead_nodes", "version", "_dist_cache")
+    __slots__ = ("topology", "dead_links", "dead_nodes", "_dist_cache")
 
     def __init__(self, topology: MeshTopology) -> None:
         self.topology = topology
         #: directed dead links as (source node, output port int)
         self.dead_links: Set[Tuple[int, int]] = set()
         self.dead_nodes: Set[int] = set()
-        #: bumped on every kill; lets observers cheaply detect changes
-        self.version = 0
         self._dist_cache: Dict[int, Dict[int, int]] = {}
 
     # ------------------------------------------------------------------
@@ -55,14 +53,10 @@ class FaultState:
     def kill_link(self, node: int, port: int) -> None:
         """Mark one directed link dead (state only; the Network sweeps)."""
         self.dead_links.add((node, int(port)))
-        self._invalidate()
+        self._dist_cache.clear()
 
     def kill_node(self, node: int) -> None:
         self.dead_nodes.add(node)
-        self._invalidate()
-
-    def _invalidate(self) -> None:
-        self.version += 1
         self._dist_cache.clear()
 
     # ------------------------------------------------------------------

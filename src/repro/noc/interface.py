@@ -220,13 +220,11 @@ class NetworkInterface:
                 self._refused_at = router.local_pops
                 return
             self._current_vc = vc
-            packet.injected_at = now
             self.stats.packets_injected += 1
         else:
             if not router.try_inject_body(flit, self._current_vc):
                 self._refused_at = router.local_pops  # VC full
                 return
-        flit.injected_at = now
         if packet.retransmission == 0:
             self.router.epoch.core_activity_flits += 1
         self._current_index += 1

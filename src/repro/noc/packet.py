@@ -14,24 +14,9 @@ protection; the destination network interface checks the CRC over
 
 from __future__ import annotations
 
-import enum
 from typing import List, Optional
 
-__all__ = ["FlitType", "Flit", "Packet"]
-
-
-class FlitType(enum.Enum):
-    """Position of a flit within its packet."""
-
-    HEAD = "head"
-    BODY = "body"
-    TAIL = "tail"
-    #: single-flit packet: simultaneously head and tail
-    HEAD_TAIL = "head_tail"
-
-
-#: flit types as globals: reading an enum member through its class is slow
-_HEAD, _BODY, _TAIL, _HEAD_TAIL = FlitType.HEAD, FlitType.BODY, FlitType.TAIL, FlitType.HEAD_TAIL
+__all__ = ["Flit", "Packet"]
 
 
 class Flit:
@@ -40,58 +25,27 @@ class Flit:
     Attributes
     ----------
     packet:
-        Owning :class:`Packet` (shared by all sibling flits).
-    index:
-        Position within the packet, ``0 .. packet.size - 1``.
-    ftype:
-        Head/body/tail classification.
+        Owning :class:`Packet` (shared by all sibling flits); routing,
+        reassembly and the hard-fault sweep read its fields.
     payload:
         Data bits as a non-negative integer.
     error_mask:
         Accumulated uncorrected bit errors (XOR mask over ``payload``).
-    vc:
-        Virtual channel currently holding the flit (set by the router).
-    hops:
-        Number of router-to-router channels traversed so far.
+    is_head, is_tail:
+        Position within the packet, read in every pipeline stage; a
+        single-flit packet's flit is both.
     """
 
-    __slots__ = (
-        "packet",
-        "index",
-        "ftype",
-        "payload",
-        "error_mask",
-        "vc",
-        "hops",
-        "injected_at",
-        "ghost",
-        "is_head",
-        "is_tail",
-    )
+    __slots__ = ("packet", "payload", "error_mask", "is_head", "is_tail")
 
     def __init__(
-        self,
-        packet: "Packet",
-        index: int,
-        ftype: FlitType,
-        payload: int = 0,
+        self, packet: "Packet", is_head: bool, is_tail: bool, payload: int = 0
     ) -> None:
         self.packet = packet
-        self.index = index
-        self.ftype = ftype
-        #: head/tail classification as plain attributes, read in every
-        #: pipeline stage
-        self.is_head = ftype is _HEAD or ftype is _HEAD_TAIL
-        self.is_tail = ftype is _TAIL or ftype is _HEAD_TAIL
+        self.is_head = is_head
+        self.is_tail = is_tail
         self.payload = payload
         self.error_mask = 0
-        self.vc: Optional[int] = None
-        self.hops = 0
-        self.injected_at: Optional[int] = None
-        #: synthesized tail standing in for flits destroyed by a hard
-        #: fault — keeps wormhole state machines consistent while the
-        #: truncated packet drains toward discard
-        self.ghost = False
 
     # ------------------------------------------------------------------
     @property
@@ -99,14 +53,10 @@ class Flit:
         """The payload as the receiver sees it (errors applied)."""
         return self.payload ^ self.error_mask
 
-    @property
-    def dest(self) -> int:
-        return self.packet.dest
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"Flit(msg={self.packet.message_id}, idx={self.index}, "
-            f"{self.ftype.value}, {self.packet.src}->{self.dest})"
+            f"Flit(msg={self.packet.message_id}, head={self.is_head}, "
+            f"tail={self.is_tail}, {self.packet.src}->{self.packet.dest})"
         )
 
 
@@ -133,6 +83,9 @@ class Packet:
         payloads.
     retransmission:
         How many end-to-end retransmissions preceded this attempt.
+    flits:
+        The attempt's flits, which hold its payloads: a retransmission
+        clone copies them from here.
     """
 
     __slots__ = (
@@ -142,10 +95,8 @@ class Packet:
         "size",
         "flit_bits",
         "created_at",
-        "injected_at",
         "crc_check",
         "retransmission",
-        "payloads",
         "flits",
         "path",
         "lost",
@@ -172,14 +123,12 @@ class Packet:
         self.size = size
         self.flit_bits = flit_bits
         self.created_at = created_at
-        self.injected_at: Optional[int] = None
         self.crc_check: Optional[int] = None
         self.retransmission = retransmission
         if payloads is None:
             payloads = [0] * size
         if len(payloads) != size:
             raise ValueError("one payload per flit required")
-        self.payloads = payloads
         #: router ids visited by the head flit (filled in by RC); used to
         #: attribute delivered-packet latency to routers for the RL reward
         self.path: List[int] = []
@@ -188,20 +137,11 @@ class Packet:
         #: stay consistent) but the destination NI discards the carcass
         self.lost = False
         self.flits = [
-            Flit(self, i, self._flit_type(i, size), payloads[i]) for i in range(size)
+            Flit(self, i == 0, i == size - 1, payload)
+            for i, payload in enumerate(payloads)
         ]
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _flit_type(index: int, size: int) -> FlitType:
-        if size == 1:
-            return _HEAD_TAIL
-        if index == 0:
-            return _HEAD
-        if index == size - 1:
-            return _TAIL
-        return _BODY
-
     @property
     def total_bits(self) -> int:
         return self.size * self.flit_bits
@@ -226,9 +166,7 @@ class Packet:
         release; the packet is already marked :attr:`lost`, so the
         destination NI discards the fragment instead of reassembling it.
         """
-        flit = Flit(self, self.size - 1, FlitType.TAIL)
-        flit.ghost = True
-        return flit
+        return Flit(self, False, True)
 
     def clone_for_retransmission(self, now: int) -> "Packet":
         """Build a fresh copy for an end-to-end retransmission."""
@@ -238,7 +176,7 @@ class Packet:
             size=self.size,
             flit_bits=self.flit_bits,
             created_at=self.created_at,
-            payloads=list(self.payloads),
+            payloads=[flit.payload for flit in self.flits],
             message_id=self.message_id,
             retransmission=self.retransmission + 1,
         )

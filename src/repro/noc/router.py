@@ -377,13 +377,11 @@ class Router:
 
             # Accept: buffer write into the allocated input VC.
             flit = t.flit
-            flit.hops += 1
             vc = vcs[t.vc]
             fifo = vc.fifo
             if not fifo and vc.state is _ACTIVE:
                 self._sa_wake = 0  # a flit for an empty active VC
             if len(fifo) < vc.depth:  # VirtualChannel.push, inlined
-                flit.vc = t.vc
                 fifo.append(flit)
             else:
                 vc.push(flit)  # raises: the credit protocol was violated

@@ -75,7 +75,6 @@ class MeshTopology:
         self.width = width
         self.height = height
         self.num_nodes = width * height
-        self.num_ports = len(Port)
         self._channels: List[ChannelSpec] = []
         self._neighbour: Dict[Tuple[int, Port], int] = {}
         self._build()

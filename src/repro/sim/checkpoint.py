@@ -125,7 +125,13 @@ CHECKPOINT_MAGIC = b"RNOCCKPT"
 #: error models keep the substrate's probability and a burst floor,
 #: hard-fault models lost their restore map, and Q-table storages and
 #: TMR mode banks lost their test-only tallies.
-CHECKPOINT_VERSION = 12
+#: Version 13: flits keep only packet, payload, error mask and head/tail
+#: flags, packets lost ``injected_at`` and ``payloads``, the fault
+#: injector its ``current`` copy, the sensor and soft-error models their
+#: ``injected`` tallies and router counts, hard-fault models their
+#: schedule and fault states their version — a version-12 body carries
+#: slots this build's classes no longer have.
+CHECKPOINT_VERSION = 13
 
 #: Pretrained-policy campaign artifacts share the container format but
 #: version independently: an artifact body is a ``ControlPolicy.to_state``
@@ -315,7 +321,6 @@ class ResumableRun:
         self.segment_index = 0
         self.segment_offset = 0
         self.result: Optional[RunResult] = None
-        self.checkpoints_written = 0
 
     # ------------------------------------------------------------------
     # Persistence
@@ -375,9 +380,7 @@ class ResumableRun:
             "result": self.result,
             "policy_state": self.sim.policy.to_state(),
         }
-        saved = save_checkpoint(target, payload, self._meta())
-        self.checkpoints_written += 1
-        return saved
+        return save_checkpoint(target, payload, self._meta())
 
     @classmethod
     def resume(
@@ -425,7 +428,6 @@ class ResumableRun:
         run.segment_index = payload["segment_index"]
         run.segment_offset = payload["segment_offset"]
         run.result = payload["result"]
-        run.checkpoints_written = 0
         # Route the learned state through validation: a poisoned table
         # degrades its router to safe mode rather than resuming garbage.
         policy = run.sim.policy

@@ -28,20 +28,16 @@ class StatsSnapshot:
     measurement window can be expressed as a difference of snapshots."""
 
     _FIELDS = (
-        "packets_injected",
         "packets_delivered",
         "flits_delivered",
         "packet_retransmissions",
         "flit_retransmissions",
         "corrected_errors",
         "escaped_errors",
-        "crc_failures",
         "duplicate_flits",
-        "dropped_flits",
         "silent_corruptions",
         "messages_created",
         "messages_dropped",
-        "packets_dropped",
         "unreachable_drops",
         "reroutes",
         "fault_recoveries",
@@ -60,7 +56,6 @@ class StatsSnapshot:
         }
         count = later.latency_count - self.latency_count
         total = later.latency_total - self.latency_total
-        out["delivered_in_window"] = count
         out["mean_latency"] = total / count if count else 0.0
         out["mode_cycles"] = {
             mode: later.mode_cycles[mode] - self.mode_cycles[mode]

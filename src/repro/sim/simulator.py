@@ -170,8 +170,6 @@ class Simulator:
             self.obs_guard = ObservationGuard(
                 topology.num_nodes,
                 state_config=self.state_config,
-                compact=config.compact_state,
-                include_mode=config.include_mode_in_state,
                 quarantine_after=config.sensor_quarantine_k,
             )
         #: epoch counter for hold TTLs and mode-switch debouncing; rides
@@ -371,14 +369,16 @@ class Simulator:
         return self._last_epoch_latency
 
     def _channel_error_by_router(self) -> Dict[int, float]:
+        """Mean error probability of each router's output channels, as
+        the channels sample it (an error burst's floor included)."""
         sums: Dict[int, List[float]] = {}
-        for (src, _port), p in self.injector.current.items():
-            sums.setdefault(src, []).append(p)
+        for (src, _port), model in self.network.channel_models():
+            sums.setdefault(src, []).append(model.event_probability)
         return {src: sum(ps) / len(ps) for src, ps in sums.items()}
 
     def _observe_stage(self, span: int) -> List[RouterObservation]:
         """Observe every router, corrupt the reading, guard it, and
-        re-discretize corruption the guard did not repair."""
+        re-discretize it once if the sensors or the guard changed it."""
         state_config = self.state_config
         compact = self.config.compact_state
         include_mode = self.config.include_mode_in_state
@@ -392,30 +392,27 @@ class Simulator:
         for router in self.network.routers:
             obs = observe_router(router, span, state_config, compact, include_mode)
             obs.true_error_probability = error_by_router.get(router.id, 0.0)
-            corrupted = False
+            changed = False
             if sensors is not None:
                 events = sensors.corrupt(obs, now)
-                corrupted = bool(events)
+                changed = bool(events)
                 for kind, _field in events:
                     injected[kind] = injected.get(kind, 0) + 1
             if obs_guard is not None:
-                report = obs_guard.inspect(
-                    router.id, int(router.mode), obs, self._epoch_index
-                )
+                report = obs_guard.inspect(router.id, obs, self._epoch_index)
                 if report.dirty:
-                    # The guard re-discretized what it repaired.
-                    corrupted = False
+                    changed = True
                     holds += report.holds
                     clamps += report.clamps
                     defaults += report.defaults
                     if report.rejected:
                         self._guard_reject(router.id, report)
-            if corrupted:
-                # Corruption the guard did not repair (in-range stuck/noisy
-                # values it cannot tell from real readings) must still
-                # reach the policy through the discrete state.  With
-                # defenses disabled the controller consumes exactly what
-                # the corrupted sensors report (this may raise — the
+            if changed:
+                # What the guard repaired, and corruption it did not
+                # (in-range stuck/noisy values it cannot tell from real
+                # readings), reach the policy through the discrete state.
+                # With defenses disabled the controller consumes exactly
+                # what the corrupted sensors report (this may raise — the
                 # hardened path exists precisely to prevent that).
                 obs.discrete = discretize_observation(
                     obs,
@@ -587,7 +584,7 @@ class Simulator:
         m = self.metrics
         storages = self.policy.q_storages()
         stats = self.soft_errors.inject(network.now, storages, flip_mode)
-        for kind in ("qtable", "mode", "burst"):
+        for kind in ("qtable", "burst", "mode"):
             if stats[kind]:
                 m.counter("softerror.injected." + kind).inc(stats[kind])
         if stats["words_single"]:

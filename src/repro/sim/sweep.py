@@ -145,7 +145,10 @@ __all__ = [
 #: Schema 12: a watchdog diagnosis names stuck packets by ``message_id``
 #: (it named their per-attempt id), and closed-loop error bursts hold
 #: every channel at or above the burst level across epoch refreshes.
-CACHE_SCHEMA = 12
+#: Schema 13: the controller's error observation and
+#: ``mean_error_probability`` include an error burst's floor, so
+#: closed-loop runs with a ``burst@`` fault clause changed.
+CACHE_SCHEMA = 13
 
 DEFAULT_CACHE_DIR = ".sweep_cache"
 
@@ -505,8 +508,10 @@ def _eval_control_chaos(
 
     The ledger is the union of the three families': the hard-fault
     ``applied`` list, the observation guard's tallies, the ECC
-    scrubber's, and one ``injected`` dict (sensor kinds drop/stuck/
-    noise/stale and SEU kinds qtable/mode/burst never collide).
+    scrubber's, and one ``injected`` dict read from the registry's
+    ``sensor.injected.*`` then ``softerror.injected.*`` counters (sensor
+    kinds drop/stuck/noise/stale and SEU kinds qtable/burst/mode never
+    collide).
     Invariant-watchdog trips during the measured window come back as a
     structured ``diagnosis``; with sensor defenses disabled corrupted
     telemetry may crash the policy, which surfaces as an evaluator
@@ -546,10 +551,13 @@ def _eval_control_chaos(
         }
     result = sim.finish_measurement(point.traffic or "uniform")
     guard = sim.obs_guard
-    injected: Dict[str, int] = {}
-    for model in (sim.sensors, sim.soft_errors):
-        if model is not None:
-            injected.update(model.injected)
+    scalars = sim.metrics.scalars()
+    injected = {
+        name[len(prefix):]: int(value)
+        for prefix in ("sensor.injected.", "softerror.injected.")
+        for name, value in scalars.items()
+        if name.startswith(prefix)
+    }
     peek = sim.metrics.peek
     return {
         "control_chaos": {

@@ -143,7 +143,6 @@ class SyntheticTraffic:
         else:
             self.hotspot_nodes = []
         self.hotspot_fraction = hotspot_fraction
-        self.packets_generated = 0
 
     # ------------------------------------------------------------------
     def _destination(self, src: int) -> Optional[int]:
@@ -169,5 +168,4 @@ class SyntheticTraffic:
             packets.append(
                 Packet(src, dest, self.packet_size, self.flit_bits, now, payloads)
             )
-            self.packets_generated += 1
         return packets

@@ -37,7 +37,7 @@ class TestHealthyPassThrough:
         obs = make_obs()
         before = (list(obs.occupied_vcs), list(obs.input_utilization),
                   obs.temperature, obs.discrete)
-        report = guard.inspect(0, 0, obs, epoch_index=0)
+        report = guard.inspect(0, obs, epoch_index=0)
         assert not report.dirty and not report.rejected
         assert (list(obs.occupied_vcs), list(obs.input_utilization),
                 obs.temperature, obs.discrete) == before
@@ -54,35 +54,34 @@ class TestHealthyPassThrough:
 class TestHoldAndDefault:
     def test_dropped_field_held_from_last_good(self):
         guard = make_guard()
-        guard.inspect(0, 0, make_obs(temp=72.0), epoch_index=0)
+        guard.inspect(0, make_obs(temp=72.0), epoch_index=0)
         obs = make_obs(temp=72.0)
         obs.input_utilization = None
-        report = guard.inspect(0, 0, obs, epoch_index=1)
+        report = guard.inspect(0, obs, epoch_index=1)
         assert report.rejected and report.holds == 1
         assert obs.input_utilization == [0.1, 0.0, 0.2, 0.05, 0.0]
-        assert obs.discrete  # re-discretized from the repaired reading
 
     def test_no_history_falls_back_to_default(self):
         guard = make_guard(default_temperature=40.0)
         obs = make_obs()
         obs.temperature = None
         obs.occupied_vcs = None
-        report = guard.inspect(0, 0, obs, epoch_index=0)
+        report = guard.inspect(0, obs, epoch_index=0)
         assert report.defaults == 2 and report.holds == 0
         assert obs.temperature == 40.0
         assert obs.occupied_vcs == [0, 0, 0, 0, 0]
 
     def test_hold_expires_after_ttl(self):
         guard = make_guard(hold_ttl=2, default_temperature=40.0)
-        guard.inspect(0, 0, make_obs(temp=95.0), epoch_index=0)
+        guard.inspect(0, make_obs(temp=95.0), epoch_index=0)
         for epoch in (1, 2):  # within TTL: last-good value survives
             obs = make_obs()
             obs.temperature = float("nan")
-            guard.inspect(0, 0, obs, epoch_index=epoch)
+            guard.inspect(0, obs, epoch_index=epoch)
             assert obs.temperature == 95.0
         obs = make_obs()
         obs.temperature = float("nan")
-        guard.inspect(0, 0, obs, epoch_index=3)  # stale beyond TTL
+        guard.inspect(0, obs, epoch_index=3)  # stale beyond TTL
         assert obs.temperature == 40.0
 
     def test_non_finite_and_malformed_rejected(self):
@@ -90,14 +89,14 @@ class TestHoldAndDefault:
         for poison in (float("inf"), float("nan")):
             obs = make_obs()
             obs.input_nack_rate = [0.0, poison, 0.0, 0.0, 0.0]
-            report = guard.inspect(0, 0, obs, epoch_index=0)
+            report = guard.inspect(0, obs, epoch_index=0)
             assert report.rejected
         obs = make_obs()
         obs.occupied_vcs = [1, 2]  # wrong arity
-        assert guard.inspect(1, 0, obs, epoch_index=0).rejected
+        assert guard.inspect(1, obs, epoch_index=0).rejected
         obs = make_obs()
         obs.output_utilization = "garbage"
-        assert guard.inspect(2, 0, obs, epoch_index=0).rejected
+        assert guard.inspect(2, obs, epoch_index=0).rejected
 
 
 class TestClamping:
@@ -107,7 +106,7 @@ class TestClamping:
         obs.input_utilization = [-0.5, 0.0, 0.1, 0.0, 0.0]
         obs.input_nack_rate = [1.5, 0.0, 0.0, 0.0, 0.0]
         obs.temperature = 1e6
-        report = guard.inspect(0, 0, obs, epoch_index=0)
+        report = guard.inspect(0, obs, epoch_index=0)
         assert not report.rejected  # finite values are repairable in place
         assert report.clamps == 3
         assert obs.input_utilization[0] == 0.0
@@ -118,7 +117,7 @@ class TestClamping:
         guard = make_guard()
         obs = make_obs()
         obs.occupied_vcs = [99, 0, 0, 0, -3]
-        report = guard.inspect(0, 0, obs, epoch_index=0)
+        report = guard.inspect(0, obs, epoch_index=0)
         assert report.clamps == 2
         assert obs.occupied_vcs == [CFG.num_vcs, 0, 0, 0, 0]
 
@@ -129,36 +128,36 @@ class TestQuarantine:
         for epoch in range(2):
             obs = make_obs()
             obs.temperature = None
-            report = guard.inspect(0, 0, obs, epoch_index=epoch)
+            report = guard.inspect(0, obs, epoch_index=epoch)
             assert not report.quarantined
         obs = make_obs()
         obs.temperature = None
-        report = guard.inspect(0, 0, obs, epoch_index=2)
+        report = guard.inspect(0, obs, epoch_index=2)
         assert report.quarantined and guard.quarantined == {0}
         # Already quarantined: the flag fires exactly once.
         obs = make_obs()
         obs.temperature = None
-        assert not guard.inspect(0, 0, obs, epoch_index=3).quarantined
+        assert not guard.inspect(0, obs, epoch_index=3).quarantined
 
     def test_valid_observation_resets_streak(self):
         guard = make_guard(quarantine_after=2)
         obs = make_obs()
         obs.temperature = None
-        guard.inspect(0, 0, obs, epoch_index=0)
-        guard.inspect(0, 0, make_obs(), epoch_index=1)  # healthy: reset
+        guard.inspect(0, obs, epoch_index=0)
+        guard.inspect(0, make_obs(), epoch_index=1)  # healthy: reset
         obs = make_obs()
         obs.temperature = None
-        assert not guard.inspect(0, 0, obs, epoch_index=2).quarantined
+        assert not guard.inspect(0, obs, epoch_index=2).quarantined
         obs = make_obs()
         obs.temperature = None
-        assert guard.inspect(0, 0, obs, epoch_index=3).quarantined
+        assert guard.inspect(0, obs, epoch_index=3).quarantined
 
     def test_streaks_are_per_router(self):
         guard = make_guard(quarantine_after=2)
         for epoch in range(2):
             obs = make_obs(router_id=1)
             obs.temperature = None
-            guard.inspect(1, 0, obs, epoch_index=epoch)
+            guard.inspect(1, obs, epoch_index=epoch)
         assert guard.quarantined == {1}
 
 
@@ -167,11 +166,11 @@ class TestState:
         guard = make_guard(quarantine_after=3)
         obs = make_obs()
         obs.temperature = None
-        guard.inspect(0, 0, obs, epoch_index=0)
+        guard.inspect(0, obs, epoch_index=0)
         clone = pickle.loads(pickle.dumps(guard))
         for epoch in (1, 2):
             for g in (guard, clone):
                 poisoned = make_obs()
                 poisoned.temperature = math.nan
-                g.inspect(0, 0, poisoned, epoch_index=epoch)
+                g.inspect(0, poisoned, epoch_index=epoch)
         assert guard.quarantined == clone.quarantined == {0}

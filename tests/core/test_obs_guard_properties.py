@@ -20,7 +20,6 @@ from repro.core.state import (  # noqa: E402
     NUM_PORTS,
     DiscretizationConfig,
     RouterObservation,
-    discretize_observation,
 )
 
 FIELDS = (
@@ -79,7 +78,7 @@ class ReferenceGuard(ObservationGuard):
                 hits += 1
         return (out if out is not None else value), hits
 
-    def inspect(self, router_id, mode, obs, epoch_index):
+    def inspect(self, router_id, obs, epoch_index):
         report = GuardReport()
         last_good = self._last_good[router_id]
         for attr, kind in self._FIELDS:
@@ -117,13 +116,6 @@ class ReferenceGuard(ObservationGuard):
                 report.quarantined = True
         else:
             self._streak[router_id] = 0
-        if report.dirty:
-            obs.discrete = discretize_observation(
-                obs,
-                self.state_config,
-                compact=self.compact,
-                mode=mode if self.include_mode else None,
-            )
         return report
 
 
@@ -150,7 +142,6 @@ temperature = st.one_of(
 step = st.tuples(
     st.integers(min_value=0, max_value=2),  # router
     st.integers(min_value=0, max_value=3),  # epochs since the previous step
-    st.integers(min_value=0, max_value=3),  # mode
     st.tuples(*[list_field] * 5, temperature),
 )
 
@@ -158,32 +149,30 @@ step = st.tuples(
 @settings(max_examples=100, deadline=None)
 @given(
     steps=st.lists(step, min_size=1, max_size=14),
-    compact=st.booleans(),
     hold_ttl=st.integers(min_value=1, max_value=3),
     quarantine_after=st.integers(min_value=1, max_value=4),
 )
-def test_guard_matches_the_per_element_reference(steps, compact, hold_ttl, quarantine_after):
+def test_guard_matches_the_per_element_reference(steps, hold_ttl, quarantine_after):
     kwargs = dict(
         num_routers=3,
         state_config=DiscretizationConfig(),
-        compact=compact,
         hold_ttl=hold_ttl,
         quarantine_after=quarantine_after,
     )
     guard = ObservationGuard(**kwargs)
     reference = ReferenceGuard(**kwargs)
     epoch = 0
-    for router, gap, mode, values in steps:
+    for router, gap, values in steps:
         epoch += gap
         obs = RouterObservation(router, *copy.deepcopy(values), discrete=("unset",))
         expected = copy.deepcopy(obs)
-        report = guard.inspect(router, mode, obs, epoch)
-        wanted = reference.inspect(router, mode, expected, epoch)
+        report = guard.inspect(router, obs, epoch)
+        wanted = reference.inspect(router, expected, epoch)
         # repr() tells 0, 0.0 and False apart.
         assert [repr(getattr(obs, f)) for f in FIELDS] == [
             repr(getattr(expected, f)) for f in FIELDS
         ]
-        assert obs.discrete == expected.discrete
+        assert obs.discrete == expected.discrete == ("unset",)  # the stage re-bins
         assert (report.holds, report.clamps, report.defaults, report.rejected,
                 report.quarantined) == (
             wanted.holds, wanted.clamps, wanted.defaults, wanted.rejected,

@@ -15,6 +15,11 @@ def make_setup(size=4):
     return net, varius
 
 
+def probabilities(net):
+    """Each channel's sampled event probability, keyed like net.channels."""
+    return {key: model.event_probability for key, model in net.channel_models()}
+
+
 class TestConstruction:
     def test_rejects_grid_mismatch(self):
         net, _ = make_setup(4)
@@ -51,8 +56,8 @@ class TestRefresh:
         temps = [50.0] * 16
         temps[5] = 100.0
         injector.refresh(temps)
-        hot_channels = {k: p for k, p in injector.current.items() if k[0] == 5}
-        cold_channels = {k: p for k, p in injector.current.items() if k[0] == 10}
+        hot_channels = {k: p for k, p in probabilities(net).items() if k[0] == 5}
+        cold_channels = {k: p for k, p in probabilities(net).items() if k[0] == 10}
         assert min(hot_channels.values()) > max(cold_channels.values())
 
     def test_error_scale_multiplies(self):
@@ -69,7 +74,7 @@ class TestRefresh:
         injector = FaultInjector(net, varius, error_scale=1e9)
         with pytest.warns(RuntimeWarning):
             injector.refresh([100.0] * 16)
-        assert max(injector.current.values()) <= 1.0
+        assert max(probabilities(net).values()) <= 1.0
 
     def test_rejects_wrong_temperature_count(self):
         net, varius = make_setup()
@@ -97,7 +102,7 @@ class TestSaturationAndClamp:
             warnings.simplefilter("error")  # a second warning would raise
             injector.refresh([100.0] * 16)
         assert injector.saturation_events == 2 * before
-        assert max(injector.current.values()) == 1.0
+        assert max(probabilities(net).values()) == 1.0
 
     def test_no_saturation_no_warning(self):
         net, varius = make_setup()
@@ -135,3 +140,16 @@ class TestUniform:
     def test_mean_probability_empty(self):
         net, varius = make_setup()
         assert FaultInjector(net, varius).mean_probability() == 0.0
+
+    def test_mean_probability_includes_a_burst_floor(self):
+        net, varius = make_setup()
+        injector = FaultInjector(net, varius)
+        injector.refresh([50.0] * 16)
+        substrate = injector.mean_probability()
+        assert 0.0 < substrate < 0.2
+        for _, model in net.channel_models():
+            model.set_burst_floor(0.2)
+        assert injector.mean_probability() == pytest.approx(0.2)
+        for _, model in net.channel_models():
+            model.set_burst_floor(0.0)
+        assert injector.mean_probability() == substrate

@@ -127,9 +127,8 @@ class TestModel:
 
     def test_injected_tallies(self):
         model = SensorFaultModel(parse_sensor_spec("drop@1.0:temp;stuck@r0.buf=3"), 2)
-        model.corrupt(make_obs(0), now=0)
-        model.corrupt(make_obs(1), now=0)
-        assert model.injected == {"drop": 2, "stuck": 1}
+        assert model.corrupt(make_obs(0), now=0) == [("drop", "temp"), ("stuck", "buf")]
+        assert model.corrupt(make_obs(1), now=0) == [("drop", "temp")]
 
 
 class TestDeterminism:
@@ -140,8 +139,8 @@ class TestDeterminism:
         for e in range(epochs):
             for r in range(routers):
                 obs = make_obs(r, temp=50.0 + e + r)
-                model.corrupt(obs, now=e * 250)
-                out.append((obs.temperature, obs.input_utilization,
+                events = model.corrupt(obs, now=e * 250)
+                out.append((events, obs.temperature, obs.input_utilization,
                             obs.input_nack_rate))
         return out
 
@@ -163,7 +162,6 @@ class TestDeterminism:
         self._stream(model, epochs=3)
         clone = pickle.loads(pickle.dumps(model))
         assert self._stream(model, epochs=5) == self._stream(clone, epochs=5)
-        assert model.injected == clone.injected
 
     def test_fixed_rng_draws_regardless_of_activation(self):
         # A drop rule draws exactly one uniform per corrupt() call whether

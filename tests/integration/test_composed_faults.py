@@ -84,10 +84,13 @@ class TestDeterminism:
         assert fast_tracer.digest() == naive_tracer.digest()
         # All three campaigns actually fired, identically on both kernels.
         assert fast_sim.hard_faults.applied == naive_sim.hard_faults.applied != []
-        assert fast_sim.sensors.injected == naive_sim.sensors.injected
-        assert fast_sim.soft_errors.injected == naive_sim.soft_errors.injected
+        fast_injected, naive_injected = (
+            {name: n for name, n in sim.metrics.scalars().items() if ".injected." in name}
+            for sim in (fast_sim, naive_sim)
+        )
+        assert fast_injected == naive_injected
         assert fast.rejected_observations > 0
-        assert fast_sim.soft_errors.injected["qtable"] > 0
+        assert fast_injected["softerror.injected.qtable"] > 0
 
     def test_kill_and_resume_bit_identical_with_composed_faults(self, tmp_path):
         config = small_config(**FAULTS)
@@ -166,3 +169,28 @@ def test_error_burst_composes_with_the_epoch_refresh():
             assert seen == healthy, now
     # The refreshes moved the substrate's values, so the check has teeth.
     assert twin[0] != twin[100] != twin[200] != twin[300]
+
+
+def _burst_observation(fault_spec):
+    """A 3x3 crc run over a 1 000-cycle canneal trace; returns its
+    result and each router's observed channel error probability."""
+    config = scaled_config(
+        width=3, height=3, epoch_cycles=100, pretrain_cycles=0, warmup_cycles=200,
+        fault_spec=fault_spec,
+    )
+    sim = Simulator(config, default_design_factories()["crc"](), seed=0)
+    sim.warmup()
+    trace = synthesize_benchmark_trace("canneal", config, 1_000, 0)
+    result = sim.measure_trace(trace, "canneal")
+    return result, sim._channel_error_by_router()
+
+
+def test_the_controller_observes_an_error_burst():
+    """The error rate the controller observes and the run reports is the
+    one flits sample at, a burst's floor included."""
+    result, by_router = _burst_observation("burst@0+100000:0.2")
+    assert result.mean_error_probability >= 0.2
+    assert len(by_router) == 9
+    assert all(p >= 0.2 for p in by_router.values()), by_router
+    twin, _ = _burst_observation("")
+    assert round(twin.mean_error_probability, 4) == 0.0545

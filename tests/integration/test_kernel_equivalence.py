@@ -398,11 +398,17 @@ def test_wake_state_matches_full_scan():
     error rate 0.05) at twice ``_drive``'s load, after every cycle, the
     in-flight counts, stage wake state, deferred mode switches and NI
     refusals agree with a full scan.  ECC goes off everywhere at cycle
-    1 200 and back on at 1 400, so switches wait for their ARQ windows."""
+    1 200 and back on at 1 400, so switches wait for their ARQ windows.
+    At cycle 100 node 3's NI takes a 12-packet burst; node 3 runs mode 3,
+    whose links drain at a third of the injection rate, so its NI is
+    refused wherever the ECC-off window falls."""
     net = _build("fast", 5, "adaptive", CHAOS_SPEC, modes="mixed", error=0.05)
     rng = random.Random(12)
     seen = Counter()
     while net.now < 1_500 or not net.quiescent:
+        if net.now == 100:
+            for _ in range(12):
+                net.inject(Packet(3, 0, 4, 128, net.now))
         if net.now == 1_200:
             net.set_all_modes(OperationMode.MODE_0)  # ECC off
         elif net.now == 1_400:
@@ -417,3 +423,4 @@ def test_wake_state_matches_full_scan():
     assert sum(r.epoch.flit_retransmissions for r in net.routers) > 0
     assert sum(r.epoch.duplicate_flits for r in net.routers) > 0
     assert min(seen.values()) > 0 and len(seen) == 4, seen
+    assert seen["ni_refused"] >= 20, seen

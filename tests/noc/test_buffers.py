@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.noc import FlitType, InputPort, Packet, Port, VCState
+from repro.noc import InputPort, Packet, Port, VCState
 from repro.noc.buffers import VirtualChannel
 
 
@@ -21,13 +21,7 @@ class TestVirtualChannel:
         packet = Packet(src=0, dest=1, size=3, flit_bits=8, created_at=0)
         for flit in packet.flits:
             vc.push(flit)
-        assert [vc.pop().index for _ in range(3)] == [0, 1, 2]
-
-    def test_push_sets_vc_id(self):
-        vc = VirtualChannel(Port.EAST, 2, 4)
-        flit = _flit()
-        vc.push(flit)
-        assert flit.vc == 2
+        assert [vc.pop() for _ in range(3)] == packet.flits
 
     def test_overflow_raises(self):
         vc = VirtualChannel(Port.EAST, 0, 1)
@@ -54,7 +48,7 @@ class TestVirtualChannel:
         flit = _flit()
         vc.push(flit)
         assert vc.front is flit
-        assert vc.occupancy == 1
+        assert len(vc.fifo) == 1
 
 
 class TestInputPort:

@@ -2,21 +2,22 @@
 
 import pytest
 
-from repro.noc import FlitType, Packet
+from repro.noc import Packet
 
 
 class TestFlitTypes:
     def test_multi_flit_layout(self):
         p = Packet(src=0, dest=1, size=4, flit_bits=128, created_at=0)
-        assert p.flits[0].ftype is FlitType.HEAD
-        assert p.flits[1].ftype is FlitType.BODY
-        assert p.flits[2].ftype is FlitType.BODY
-        assert p.flits[3].ftype is FlitType.TAIL
+        assert [(f.is_head, f.is_tail) for f in p.flits] == [
+            (True, False),
+            (False, False),
+            (False, False),
+            (False, True),
+        ]
 
     def test_single_flit_packet(self):
         p = Packet(src=0, dest=1, size=1, flit_bits=128, created_at=0)
         flit = p.flits[0]
-        assert flit.ftype is FlitType.HEAD_TAIL
         assert flit.is_head and flit.is_tail
 
     def test_two_flit_packet(self):
@@ -67,7 +68,7 @@ class TestRetransmissionClone:
         assert clone is not p
         assert clone.message_id == 3
         assert clone.created_at == p.created_at  # latency measured from origin
-        assert clone.payloads == p.payloads
+        assert [f.payload for f in clone.flits] == [1, 2]
         assert clone.crc_check == p.crc_check
         assert clone.retransmission == 1
 

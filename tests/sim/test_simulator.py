@@ -6,12 +6,14 @@ to end in well under a second per test.
 """
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
 from repro.baselines import arq_ecc_policy, crc_policy
 from repro.core.modes import OperationMode
 from repro.core.rl_policy import RLControlPolicy
+from repro.core.state import discretize_observation, observe_router
 from repro.sim import Simulator, scaled_config
 from repro.traffic import SyntheticTraffic, TraceRecord
 
@@ -89,6 +91,32 @@ class TestClosedLoop:
         # warm-up packets may land in the window (the network is
         # deliberately measured warm), but the warm-up bulk is excluded.
         assert 40 <= result.packets_delivered <= 40 + 10
+
+
+class TestObserveStage:
+    def test_a_held_reading_reaches_the_discrete_state(self):
+        """The guard repairs a lost reading from the last good one, and
+        the stage bins the repaired reading, not the router's own."""
+        sim = Simulator(tiny_config(), crc_policy(), seed=2)
+
+        def busy(obs, now):
+            obs.input_utilization = [0.9] * 5
+            return [("stuck", "util")]
+
+        def unreported_dropout(obs, now):
+            obs.input_utilization = None
+            return []  # only the guard's repair can call for a re-bin
+
+        sim.sensors = SimpleNamespace(corrupt=busy)
+        sim._observe_stage(100)
+        sim._epoch_index += 1
+        sim.sensors = SimpleNamespace(corrupt=unreported_dropout)
+        for router, obs in zip(sim.network.routers, sim._observe_stage(100)):
+            assert obs.input_utilization == [0.9] * 5  # held
+            assert obs.discrete == discretize_observation(
+                obs, sim.state_config, mode=int(router.mode)
+            )
+            assert obs.discrete != observe_router(router, 100, sim.state_config).discrete
 
 
 class TestPhases:
