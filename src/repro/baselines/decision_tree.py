@@ -130,17 +130,18 @@ class DecisionTreePolicy(ControlPolicy):
             "tree": self._tree.to_state() if self._tree is not None else None,
         }
 
-    def load_state(self, state: Optional[Dict[str, object]]) -> None:
+    def load_state(self, state: Optional[Dict[str, object]]) -> Dict[int, str]:
         """Restore a :meth:`to_state` snapshot, degrading instead of dying.
 
         The snapshot is validated in full before any field is applied; a
         malformed one (non-numeric thresholds, a torn tree, mismatched
         sample arrays) is rejected with a warning and the policy keeps
         its current model — the unfitted fallback still controls every
-        router via ``training_mode``.
+        router via ``training_mode``.  One tree serves every router, so
+        no router is reported rejected.
         """
         if not state:
-            return
+            return {}
         try:
             thresholds = tuple(float(t) for t in state.get("thresholds", self.thresholds))
             if len(thresholds) != 3 or not thresholds[0] < thresholds[1] < thresholds[2]:
@@ -164,10 +165,11 @@ class DecisionTreePolicy(ControlPolicy):
             logger.warning(
                 "rejected decision-tree state (%s); keeping the current model", exc
             )
-            return
+            return {}
         self.thresholds = thresholds
         self.training_mode = training_mode
         self._samples_x = samples_x
         self._samples_y = samples_y
         self._tree = tree
         self._frozen = bool(state.get("frozen", False))
+        return {}

@@ -3,7 +3,8 @@
 Every compared design — static CRC, static ARQ+ECC, the decision-tree
 predictor, and the proposed RL controller — implements this small
 protocol.  The simulator drives it once per control epoch for every
-router:
+router it has not degraded (a degraded router is the simulator's alone:
+it runs in mode 3 and the policy never sees it again):
 
 1. :meth:`learn` delivers the transition the router just experienced
    (previous observation, the mode that was active, the reward defined
@@ -22,8 +23,7 @@ import abc
 import math
 from math import inf, isfinite
 from operator import ne
-from types import MappingProxyType
-from typing import Dict, List, Mapping, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.modes import OperationMode
 from repro.core.state import (
@@ -259,9 +259,6 @@ class ControlPolicy(abc.ABC):
 
     #: power/area profile of the router design this policy runs on
     profile: DesignPowerProfile
-    #: routers the policy itself pins to mode 3 (router -> reason), e.g.
-    #: after :meth:`load_state` rejected their tables; read-only
-    safe_mode_routers: Mapping[int, str] = MappingProxyType({})
 
     @property
     def name(self) -> str:
@@ -309,7 +306,7 @@ class ControlPolicy(abc.ABC):
         """
 
     # ------------------------------------------------------------------
-    # Resilience hooks (checkpoint/resume and graceful degradation)
+    # Resilience hooks (soft-error storage and checkpoint/resume)
     # ------------------------------------------------------------------
     def attach_q_storages(self, ecc: bool = True) -> List[object]:
         """Back the policy's learned state with fixed-point (optionally
@@ -327,14 +324,6 @@ class ControlPolicy(abc.ABC):
         """
         return []
 
-    def enter_safe_mode(self, router_id: int, reason: str) -> None:
-        """Notification: the simulator pinned ``router_id`` to mode 3
-        (watchdog trip, sensor quarantine or ECC escalation) and keeps it
-        there whatever :meth:`select` returns.  Policies with per-router
-        learned state may stop training the router; the default ignores
-        it.
-        """
-
     def to_state(self) -> Dict[str, object]:
         """Durable snapshot of the policy's learned state (checkpoints).
 
@@ -343,11 +332,13 @@ class ControlPolicy(abc.ABC):
         """
         return {"policy": self.name}
 
-    def load_state(self, state: Optional[Dict[str, object]]) -> None:
+    def load_state(self, state: Optional[Dict[str, object]]) -> Dict[int, str]:
         """Restore (and validate) a :meth:`to_state` snapshot.
 
-        The default is a no-op — stateless policies have nothing to
-        restore.  Implementations must *validate* before trusting the
-        state and, instead of raising, pin a router whose table is
-        rejected in :attr:`safe_mode_routers`.
+        Implementations validate before trusting the state and, instead
+        of raising, give a router whose table is rejected a fresh one;
+        the returned ``{router: reason}`` names those routers (a resumed
+        run degrades them, a campaign clone fails).  The default is a
+        no-op — stateless policies have nothing to restore.
         """
+        return {}

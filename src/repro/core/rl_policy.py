@@ -26,13 +26,7 @@ from repro.core.qlearning import AgentStateError, QLearningAgent, QTableStorage
 from repro.core.state import RouterObservation
 from repro.power.orion import DesignPowerProfile
 
-__all__ = ["RLControlPolicy", "SAFE_MODE"]
-
-
-#: The conservative fallback: mode 3 (timing relaxation) makes errors and
-#: retransmissions essentially vanish at a known latency cost — the right
-#: posture for a router whose learned table is lost or suspect.
-SAFE_MODE = OperationMode.MODE_3
+__all__ = ["RLControlPolicy"]
 
 
 class RLControlPolicy(ControlPolicy):
@@ -69,9 +63,6 @@ class RLControlPolicy(ControlPolicy):
         self.share_table = share_table
         self.seed = seed
         self._agents: List[QLearningAgent] = []
-        #: routers degraded to SAFE_MODE -> the reason of the first
-        #: degradation (rejected table, or the simulator's notification)
-        self.safe_mode_routers: Dict[int, str] = {}
 
     # ------------------------------------------------------------------
     @property
@@ -115,13 +106,6 @@ class RLControlPolicy(ControlPolicy):
 
     # ------------------------------------------------------------------
     def select(self, router_id: int, observation: RouterObservation) -> OperationMode:
-        if router_id in self.safe_mode_routers:
-            return SAFE_MODE
-        if observation is None or not observation.discrete:
-            # A missing or undiscretizable observation (telemetry path
-            # failure upstream of the guard) gets the conservative mode
-            # for one epoch rather than an arbitrary Q-table row.
-            return SAFE_MODE
         action = self._agent(router_id).select_action(observation.discrete)
         return OperationMode(action)
 
@@ -139,20 +123,6 @@ class RLControlPolicy(ControlPolicy):
         reward: float,
         next_observation: RouterObservation,
     ) -> None:
-        if router_id in self.safe_mode_routers:
-            # A degraded router is pinned, not learning: its table is
-            # gone or suspect, and feeding it transitions taken under
-            # forced SAFE_MODE would only bake the degradation in.
-            return
-        if (
-            observation is None
-            or next_observation is None
-            or not observation.discrete
-            or not next_observation.discrete
-        ):
-            # Never learn from a transition whose endpoints are missing:
-            # a corrupted observation must not write into the Q-table.
-            return
         self._agent(router_id).update(
             observation.discrete, int(action), reward, next_observation.discrete
         )
@@ -195,17 +165,8 @@ class RLControlPolicy(ControlPolicy):
         return [a.storage for a in self._unique_agents() if a.storage is not None]
 
     # ------------------------------------------------------------------
-    # Resilience: safe-mode degradation and durable state
+    # Durable state
     # ------------------------------------------------------------------
-    def enter_safe_mode(self, router_id: int, reason: str) -> None:
-        """Pin ``router_id`` to SAFE_MODE.
-
-        Called when the router's loaded Q-table was rejected, or by the
-        simulator when it degrades the router (the simulator logs the
-        degradation).  Idempotent: the first reason is kept.
-        """
-        self.safe_mode_routers.setdefault(router_id, reason)
-
     def to_state(self) -> Dict[str, object]:
         """Durable snapshot: hyper-parameters plus every agent's table.
 
@@ -218,50 +179,48 @@ class RLControlPolicy(ControlPolicy):
             "share_table": self.share_table,
             "num_routers": len(self._agents),
             "seed": self.seed,
-            "safe_mode_routers": sorted(self.safe_mode_routers),
             "agents": [agent.to_state() for agent in agents],
         }
 
-    def load_state(self, state: Optional[Dict[str, object]]) -> None:
-        """Restore a :meth:`to_state` snapshot, degrading instead of dying.
+    def load_state(self, state: Optional[Dict[str, object]]) -> Dict[int, str]:
+        """Restore a :meth:`to_state` snapshot, rejecting instead of dying.
 
         Every agent table is validated through
         :meth:`QLearningAgent.from_state`; a rejected table does not
-        raise — the affected router(s) are pinned to SAFE_MODE via
-        :meth:`enter_safe_mode` and keep running with a fresh table, so
-        one corrupted row cannot take down a resumed run.
+        raise — the affected router(s) keep a fresh table and are
+        returned as ``{router: "rejected Q-table: ..."}``, so one
+        corrupted row cannot take down a resumed run.
         """
+        rejected: Dict[int, str] = {}
         if not state:
-            return
+            return rejected
         num_routers = int(state.get("num_routers", 0))
         if num_routers <= 0:
-            return
+            return rejected
         self.share_table = bool(state.get("share_table", self.share_table))
-        self.safe_mode_routers = {}
         agent_states = state.get("agents", [])
         self._agents = []
         self.reset(num_routers)
 
-        def restore(index: int, agent_state, routers: List[int]) -> Optional[QLearningAgent]:
+        def restore(agent_state, routers: List[int]) -> Optional[QLearningAgent]:
             try:
                 return QLearningAgent.from_state(agent_state)
             except AgentStateError as exc:
                 for router_id in routers:
-                    self.enter_safe_mode(router_id, f"rejected Q-table: {exc}")
+                    rejected[router_id] = f"rejected Q-table: {exc}"
                 return None
 
         if self.share_table:
             if agent_states:
-                agent = restore(0, agent_states[0], list(range(num_routers)))
+                agent = restore(agent_states[0], list(range(num_routers)))
                 if agent is not None:
                     self._agents = [agent] * num_routers
         else:
             for i, agent_state in enumerate(agent_states[:num_routers]):
-                agent = restore(i, agent_state, [i])
+                agent = restore(agent_state, [i])
                 if agent is not None:
                     self._agents[i] = agent
-        for router_id in state.get("safe_mode_routers", []):
-            self.enter_safe_mode(int(router_id), "degraded before snapshot")
+        return rejected
 
     # ------------------------------------------------------------------
     # Introspection helpers for examples/benches

@@ -8,20 +8,17 @@ wired into the control loop by :mod:`repro.sim.simulator`.
 from repro.faults.hardfaults import (
     HardFaultEvent,
     HardFaultModel,
-    HardFaultSchedule,
     parse_fault_spec,
 )
 from repro.faults.injector import FaultInjector
 from repro.faults.sensors import (
     SensorFaultModel,
     SensorFaultRule,
-    format_sensor_spec,
     parse_sensor_spec,
 )
 from repro.faults.softerrors import (
     SoftErrorModel,
     SoftErrorRule,
-    format_soft_error_spec,
     parse_soft_error_spec,
 )
 from repro.faults.thermal import ThermalGrid
@@ -31,7 +28,6 @@ __all__ = [
     "FaultInjector",
     "HardFaultEvent",
     "HardFaultModel",
-    "HardFaultSchedule",
     "SensorFaultModel",
     "SensorFaultRule",
     "SoftErrorModel",
@@ -39,8 +35,6 @@ __all__ = [
     "ThermalGrid",
     "VariusModel",
     "VariusParams",
-    "format_sensor_spec",
-    "format_soft_error_spec",
     "gaussian_tail",
     "parse_fault_spec",
     "parse_sensor_spec",

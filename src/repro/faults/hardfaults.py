@@ -7,14 +7,14 @@ fault-tolerant NoC literature evaluates against: links and routers that
 die outright, plus transient error bursts (particle strikes, voltage
 droops) that temporarily inflate every channel's error probability.
 
-A campaign is a :class:`HardFaultSchedule` — an ordered list of
-:class:`HardFaultEvent` — applied to a live network by
+A campaign is a list of :class:`HardFaultEvent` parsed from a spec
+string (:func:`parse_fault_spec`) and applied to a live network by
 :class:`HardFaultModel`.  Three properties matter for the sweep harness:
 
-* **Determinism** — a schedule is a pure value, parsed from / formatted
-  to a canonical spec string.  Identical (config, schedule) pairs
-  therefore produce identical results in any process, which the on-disk
-  sweep cache depends on.
+* **Determinism** — events are pure values, sorted into a canonical
+  order (cycle first) that is the order the model applies them in.
+  Identical (config, spec) pairs therefore produce identical results in
+  any process, which the on-disk sweep cache depends on.
 * **Idempotence** — killing a dead link/router is a no-op, so schedules
   with overlapping events (a router kill implies its link kills) apply
   cleanly.
@@ -36,12 +36,11 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from repro.faults.specs import format_spec, parse_spec
+from repro.faults.specs import parse_spec
 from repro.noc.topology import Port
 
 __all__ = [
     "HardFaultEvent",
-    "HardFaultSchedule",
     "HardFaultModel",
     "parse_fault_spec",
 ]
@@ -139,37 +138,9 @@ def parse_fault_spec(spec: str) -> List[HardFaultEvent]:
     return parse_spec(spec, "fault", _parse_fault_clause, HardFaultEvent.sort_key)
 
 
-class HardFaultSchedule:
-    """An ordered, deterministic campaign of hard-fault events."""
-
-    __slots__ = ("events",)
-
-    def __init__(self, events: Optional[List[HardFaultEvent]] = None) -> None:
-        self.events = sorted(events or [], key=HardFaultEvent.sort_key)
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def parse(cls, spec: str) -> "HardFaultSchedule":
-        return cls(parse_fault_spec(spec))
-
-    def format(self) -> str:
-        """Canonical spec string: ``parse(format())`` round-trips."""
-        return format_spec(self.events, HardFaultEvent.sort_key)
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, HardFaultSchedule):
-            return NotImplemented
-        return self.events == other.events
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"HardFaultSchedule({self.format()!r})"
-
-
 class HardFaultModel:
-    """Applies a :class:`HardFaultSchedule` to a live network.
+    """Applies a campaign's events, in :func:`parse_fault_spec` order, to a
+    live network.
 
     Install as ``network.hard_faults``; the network calls :meth:`tick`
     at the top of every cycle.  A burst event sets every channel's burst
@@ -188,12 +159,12 @@ class HardFaultModel:
         "_latency_total_at_fault",
     )
 
-    def __init__(self, network, schedule: HardFaultSchedule) -> None:
+    def __init__(self, network, events: List[HardFaultEvent]) -> None:
         self.network = network
         #: events actually applied (spec clause, cycle) in order
         self.applied: List[Tuple[str, int]] = []
         self.first_fault_cycle: Optional[int] = None
-        self._pending: List[HardFaultEvent] = list(schedule.events)
+        self._pending: List[HardFaultEvent] = list(events)
         self._burst_until: Optional[int] = None
         self._latency_count_at_fault = 0
         self._latency_total_at_fault = 0

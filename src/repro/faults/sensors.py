@@ -29,12 +29,12 @@ the healthy sensor bank (no rules).
 
 Three properties mirror the hard-fault model's contract:
 
-* **Determinism** — rules are pure values with a canonical
-  ``parse``/``format`` round trip, and all randomness comes from one
-  seeded :class:`random.Random` consumed in a fixed order (rules in
-  canonical order, routers in id order, once per epoch), so a campaign
-  is a pure function of (spec, seed) in any process and on either cycle
-  kernel.
+* **Determinism** — rules are pure values parsed into a canonical
+  order (each rule's ``format()`` gives its clause back), and all
+  randomness comes from one seeded :class:`random.Random` consumed in a
+  fixed order (rules in canonical order, routers in id order, once per
+  epoch), so a campaign is a pure function of (spec, seed) in any
+  process and on either cycle kernel.
 * **Resumability** — the model's whole mutable state (RNG, per-router
   last readings, staleness countdowns) pickles inside the simulator, so
   a killed-and-resumed run replays the exact same corruption stream.
@@ -52,14 +52,13 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.faults.specs import format_spec, parse_router_token, parse_spec
+from repro.faults.specs import parse_router_token, parse_spec
 
 __all__ = [
     "SENSOR_FIELDS",
     "SensorFaultRule",
     "SensorFaultModel",
     "parse_sensor_spec",
-    "format_sensor_spec",
 ]
 
 #: field name -> RouterObservation attributes it covers
@@ -200,11 +199,6 @@ def parse_sensor_spec(spec: str) -> List[SensorFaultRule]:
     return parse_spec(spec, "sensor", _parse_sensor_clause, SensorFaultRule.sort_key)
 
 
-def format_sensor_spec(rules: Sequence[SensorFaultRule]) -> str:
-    """Canonical spec string: ``parse(format(rules))`` round-trips."""
-    return format_spec(rules, SensorFaultRule.sort_key)
-
-
 def _snapshot(obs) -> Tuple:
     return (
         list(obs.occupied_vcs) if obs.occupied_vcs is not None else None,
@@ -283,10 +277,6 @@ class SensorFaultModel:
         self._partition()
 
     # ------------------------------------------------------------------
-    @property
-    def spec(self) -> str:
-        return format_sensor_spec(self.rules)
-
     def corrupt(self, obs, now: int) -> List[Tuple[str, str]]:
         """Corrupt one observation in place; returns (kind, field) events.
 

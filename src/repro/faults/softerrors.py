@@ -26,7 +26,8 @@ The empty string is upset-free SRAM (no rules).
 
 Determinism contract (mirrors the sensor model):
 
-* Rules are pure values with a canonical ``parse``/``format`` round trip.
+* Rules are pure values parsed into a canonical order (each rule's
+  ``format()`` gives its clause back).
 * :meth:`SoftErrorModel.inject` runs once per epoch boundary and draws
   **exactly one** 64-bit token from the master RNG per rule per epoch,
   unconditionally — fired, expired, and not-yet-due rules all consume
@@ -50,13 +51,12 @@ import math
 import random
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.faults.specs import format_spec, parse_router_token, parse_spec
+from repro.faults.specs import parse_router_token, parse_spec
 
 __all__ = [
     "SoftErrorRule",
     "SoftErrorModel",
     "parse_soft_error_spec",
-    "format_soft_error_spec",
 ]
 
 _KIND_ORDER = ("qtable", "mode", "burst")
@@ -149,11 +149,6 @@ def parse_soft_error_spec(spec: str) -> List[SoftErrorRule]:
     )
 
 
-def format_soft_error_spec(rules: Sequence[SoftErrorRule]) -> str:
-    """Canonical spec string: ``parse(format(rules))`` round-trips."""
-    return format_spec(rules, SoftErrorRule.sort_key)
-
-
 def _poisson(rng: random.Random, lam: float) -> int:
     """Deterministic Poisson sample (flip count of a rare-event rate).
 
@@ -206,10 +201,6 @@ class SoftErrorModel:
         self._done: set = set()
 
     # ------------------------------------------------------------------
-    @property
-    def spec(self) -> str:
-        return format_soft_error_spec(self.rules)
-
     @staticmethod
     def _flip_global(
         storages: Sequence[object],

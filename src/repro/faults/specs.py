@@ -9,9 +9,12 @@ a tiny campaign grammar with the same mechanical shape:
   grammar and quoting the offending clause verbatim —
   ``bad <what> clause '<clause>': <why>`` — which the CLI surfaces
   unchanged before any simulation work starts;
-* parsed rules/events sort into a canonical order so
-  ``parse(format(...))`` round-trips and equal campaigns compare equal
-  regardless of how the user ordered the clauses.
+* parsed rules/events sort into a canonical order — the order in which
+  the models apply rules and draw their random numbers — so the same
+  clauses written in any order run the same campaign (sweep-cache keys
+  hash the raw string, so they still tell the two spellings apart).
+  Each rule's ``format()`` gives its clause back for ledgers, trace
+  events and error messages.
 
 This module holds that plumbing once; the per-grammar modules
 (:mod:`repro.faults.hardfaults`, :mod:`repro.faults.sensors`,
@@ -21,10 +24,9 @@ handlers and validation.
 
 from __future__ import annotations
 
-from typing import Callable, List, Sequence, TypeVar
+from typing import Callable, List, TypeVar
 
 __all__ = [
-    "format_spec",
     "parse_router_token",
     "parse_spec",
     "split_clauses",
@@ -69,14 +71,3 @@ def parse_spec(
             raise ValueError(f"bad {what} clause {clause!r}: {exc}") from None
     items.sort(key=sort_key)
     return items
-
-
-def format_spec(items: Sequence[T], sort_key: Callable[[T], object]) -> str:
-    """Canonical spec string: sorted clauses joined by ``;``.
-
-    Each item must expose a ``format()`` method returning its clause;
-    ``parse_spec(format_spec(items))`` round-trips.
-    """
-    return ";".join(
-        item.format() for item in sorted(items, key=sort_key)  # type: ignore[attr-defined]
-    )

@@ -55,20 +55,15 @@ LINK_LATENCY = 1
 NAIVE_KERNEL_ENV = "REPRO_NAIVE_KERNEL"
 
 
-def resolve_kernel(kernel: Optional[str]) -> str:
-    """Resolve a cycle-kernel name, honouring ``REPRO_NAIVE_KERNEL``.
-
-    ``None`` defers to the environment (any value other than empty/``0``
-    selects the naive reference kernel); explicit names win over it.
-    The choice is deliberately *not* part of ``SimulationConfig`` — both
-    kernels are bit-identical, so cache keys must not depend on it.
+def resolve_kernel() -> str:
+    """The cycle kernel the environment selects: ``REPRO_NAIVE_KERNEL``
+    set to anything but empty/``0`` picks the naive reference kernel,
+    otherwise the fast one.  The choice is deliberately *not* part of
+    ``SimulationConfig`` — both kernels are bit-identical, so cache keys
+    must not depend on it.
     """
-    if kernel is None:
-        flag = os.environ.get(NAIVE_KERNEL_ENV, "").strip()
-        return "naive" if flag not in ("", "0") else "fast"
-    if kernel not in ("fast", "naive"):
-        raise ValueError(f"unknown cycle kernel {kernel!r} (expected 'fast' or 'naive')")
-    return kernel
+    flag = os.environ.get(NAIVE_KERNEL_ENV, "").strip()
+    return "naive" if flag not in ("", "0") else "fast"
 
 
 class _ActivityState:
@@ -149,15 +144,15 @@ class Network:
         watchdog_interval: int = 256,
         deadlock_cycles: int = 4096,
         max_packet_age: int = 500_000,
-        kernel: Optional[str] = None,
     ) -> None:
         self.topology = topology
         self.flit_bits = flit_bits
         self.rng = rng if rng is not None else random.Random(0)
         self.stats = NetworkStats()
         self.now = 0
-        #: "fast" (activity-driven) or "naive" (reference full scan)
-        self.kernel = resolve_kernel(kernel)
+        #: "fast" (activity-driven) or "naive" (reference full scan);
+        #: either may be assigned between cycles
+        self.kernel = resolve_kernel()
         #: active-entity registries; hooks in channels/routers/NIs keep
         #: them current regardless of which kernel consumes them
         self.activity = _ActivityState()

@@ -25,9 +25,10 @@ a production harness.  This module makes the full ``run`` pipeline
   state is stored through ``ControlPolicy.to_state`` and re-loaded
   through ``load_state`` on resume, which routes every Q-table through
   :meth:`QLearningAgent.from_state` validation.  A table with NaN/inf
-  entries or a wrong action count does not crash the resume: the
-  affected router is pinned to safe mode (mode 3, timing relaxation)
-  and the degradation is logged.
+  entries or a wrong action count does not crash the resume:
+  ``load_state`` reports the affected routers, and the resume degrades
+  each to safe mode (mode 3, timing relaxation) in the simulator's
+  ledger, which logs it.
 
 ``ResumableRun`` is a cursor over ``Simulator.plan()``: it runs every
 segment through ``Simulator.run_segment``, the same code the classic
@@ -131,7 +132,10 @@ CHECKPOINT_MAGIC = b"RNOCCKPT"
 #: ``injected`` tallies and router counts, hard-fault models their
 #: schedule and fault states their version — a version-12 body carries
 #: slots this build's classes no longer have.
-CHECKPOINT_VERSION = 13
+#: Version 14: only the simulator's ledger records degraded routers (the
+#: RL policy and its snapshot lost their pins) and no policy learns or
+#: selects for one, so a version-13 DT pre-training would resume wrongly.
+CHECKPOINT_VERSION = 14
 
 #: Pretrained-policy campaign artifacts share the container format but
 #: version independently: an artifact body is a ``ControlPolicy.to_state``
@@ -393,9 +397,9 @@ class ResumableRun:
         (at the snapshot's cadence) unless ``checkpoint_path`` /
         ``checkpoint_every`` override it.
 
-        The policy's learned state is re-validated on the way in: any
-        rejected Q-table pins its router to safe mode instead of
-        aborting the resume.
+        The policy's learned state is re-validated on the way in: the
+        simulator degrades every router whose Q-table ``load_state``
+        rejected instead of aborting the resume.
         """
         if checkpoint_every is not None and checkpoint_every < 0:
             raise ValueError("checkpoint_every cannot be negative")
@@ -423,18 +427,16 @@ class ResumableRun:
         # Safe either way — both kernels keep the channel due lists exact,
         # the router/NI registries in the snapshot are always a superset
         # of the live entities, and both kernels are bit-identical.
-        run.sim.network.kernel = resolve_kernel(None)
+        run.sim.network.kernel = resolve_kernel()
         run.segments = run.sim.plan()
         run.segment_index = payload["segment_index"]
         run.segment_offset = payload["segment_offset"]
         run.result = payload["result"]
         # Route the learned state through validation: a poisoned table
         # degrades its router to safe mode rather than resuming garbage.
-        policy = run.sim.policy
-        policy.load_state(payload.get("policy_state"))
-        rejected = sorted(policy.safe_mode_routers.keys() - run.sim.degraded.keys())
-        for router_id in rejected:
-            run.sim.degrade(router_id, policy.safe_mode_routers[router_id])
+        rejected = run.sim.policy.load_state(payload.get("policy_state"))
+        for router_id, reason in sorted(rejected.items()):
+            run.sim.degrade(router_id, reason)
         # The trace buffer (if any) travelled inside the pickled sim; the
         # restore marker is the only event a resumed stream has that the
         # uninterrupted one lacks, and the canonical digest excludes it.

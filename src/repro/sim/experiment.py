@@ -96,9 +96,13 @@ def clone_policy(
     Learning policies serialize their full model plus RNG state, so a
     clone behaves bit-identically to the snapshotted original; stateless
     policies round-trip trivially (their snapshot is just the name).
+    Raises ``ValueError`` when ``load_state`` rejects any router's table.
     """
     policy = factory()
-    policy.load_state(state)
+    rejected = policy.load_state(state)
+    if rejected:
+        first = min(rejected)
+        raise ValueError(f"router {first} (of {len(rejected)} rejected): {rejected[first]}")
     return policy
 
 

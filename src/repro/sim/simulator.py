@@ -42,7 +42,7 @@ from repro.core.state import (
     discretize_observation,
     observe_router,
 )
-from repro.faults.hardfaults import HardFaultModel, HardFaultSchedule
+from repro.faults.hardfaults import HardFaultModel, parse_fault_spec
 from repro.faults.injector import FaultInjector
 from repro.faults.sensors import SensorFaultModel, parse_sensor_spec
 from repro.faults.softerrors import SoftErrorModel, parse_soft_error_spec
@@ -73,13 +73,12 @@ def build_network(
     config: SimulationConfig,
     rng: random.Random,
     routing: Optional[str] = None,
-    kernel: Optional[str] = None,
 ) -> Network:
     """The mesh ``config`` describes: its size, routing (``routing``
     overrides ``config.routing``), router parameters and watchdog
-    settings.  ``kernel`` is deliberately not part of
+    settings.  The cycle kernel is deliberately not part of
     :class:`SimulationConfig`: both kernels are bit-identical, and
-    sweep-cache keys hash the config."""
+    sweep-cache keys hash the config (``REPRO_NAIVE_KERNEL`` selects it)."""
     return Network(
         MeshTopology(config.width, config.height),
         routing=routing or config.routing,
@@ -90,7 +89,6 @@ def build_network(
         watchdog_interval=config.watchdog_interval,
         deadlock_cycles=config.deadlock_cycles,
         max_packet_age=config.max_packet_age,
-        kernel=kernel,
     )
 
 
@@ -123,20 +121,19 @@ class Simulator:
         config: SimulationConfig,
         policy: ControlPolicy,
         seed: int = 0,
-        kernel: Optional[str] = None,
         tracer=None,
     ) -> None:
         self.config = config
         self.policy = policy
         self.seed = seed
 
-        self.network = build_network(config, random.Random(seed), kernel=kernel)
+        self.network = build_network(config, random.Random(seed))
         topology = self.network.topology
         #: hard-fault campaign (None when config.fault_spec is empty)
         self.hard_faults: Optional[HardFaultModel] = None
         if config.fault_spec:
-            schedule = HardFaultSchedule.parse(config.fault_spec)
-            self.hard_faults = HardFaultModel(self.network, schedule)
+            events = parse_fault_spec(config.fault_spec)
+            self.hard_faults = HardFaultModel(self.network, events)
             self.network.hard_faults = self.hard_faults
         # Every run samples the same die: VARIUS variation map seed 1.
         self.varius = VariusModel(config.width, config.height, seed=1)
@@ -182,11 +179,10 @@ class Simulator:
         self.policy.reset(topology.num_nodes)
         #: the degradation ledger: router -> reason it was first pinned to
         #: mode 3 (watchdog trip, sensor quarantine, ECC escalation, or a
-        #: pin the policy already holds, e.g. from a loaded artifact).
-        #: :meth:`degrade` is its one writer; the select stage reads it.
+        #: Q-table a resumed snapshot could not restore).  :meth:`degrade`
+        #: is its one writer; the learn and select stages skip its
+        #: routers, so no policy trains or selects for them.
         self.degraded: Dict[int, str] = {}
-        for router_id, reason in list(self.policy.safe_mode_routers.items()):
-            self.degrade(router_id, reason)
 
         #: memory soft-error campaign (None when config.soft_error_spec
         #: is empty — in which case no storage attaches and the learned
@@ -290,17 +286,16 @@ class Simulator:
             network.watchdog.rearm(network.now)
 
     def degrade(self, router_id: int, reason: str) -> None:
-        """Record ``router_id`` in the degradation ledger and notify the
-        policy.  The first call for a router keeps its reason and logs
-        the router's one WARNING line.  From the next select stage on,
-        the router runs in mode 3 and skips the debounce."""
+        """Record ``router_id`` in the degradation ledger.  The first
+        call for a router keeps its reason and logs the router's one
+        WARNING line.  From the next learn and select stages on, the
+        policy no longer sees the router and it runs in mode 3."""
         if router_id not in self.degraded:
             self.degraded[router_id] = reason
             logger.warning(
                 "router %d degraded to mode 3 at cycle %d: %s",
                 router_id, self.network.now, reason,
             )
-        self.policy.enter_safe_mode(router_id, reason)
 
     # ------------------------------------------------------------------
     # Control epoch: ordered stages
@@ -468,15 +463,18 @@ class Simulator:
         latency: float,
     ) -> None:
         """Reward every router's previous action (paper equation 3) and
-        hand the policy the transition."""
+        hand the policy the transition; degraded routers are skipped."""
         if self._prev_obs is None:
             return
         guard = self._reward_guard_counter
         tracer = self.tracer
+        degraded = self.degraded
         learn = self.policy.learn
         for router, obs, prev, action in zip(
             self.network.routers, observations, self._prev_obs, self._prev_actions
         ):
+            if router.id in degraded:
+                continue
             before = guard.value
             reward = compute_reward(
                 router.epoch.mean_delivered_latency(latency),
@@ -496,8 +494,8 @@ class Simulator:
     def _select_stage(
         self, observations: List[RouterObservation]
     ) -> List[OperationMode]:
-        """Select each router's mode, debounce it, pin degraded routers to
-        mode 3 and actuate; returns the modes applied."""
+        """Pin degraded routers to mode 3, select and debounce every
+        other router's mode, and actuate; returns the modes applied."""
         network = self.network
         tracer = self.tracer
         trace_rl = tracer is not None and tracer.wants("rl")
@@ -507,7 +505,11 @@ class Simulator:
         select = self.policy.select
         actions = []
         for router, obs in zip(network.routers, observations):
-            if self.forced_mode is not None:
+            if router.id in degraded:
+                # A degraded router stays in the conservative mode, whatever
+                # the policy or the pre-training curriculum would ask for.
+                mode = OperationMode.MODE_3
+            elif self.forced_mode is not None:
                 mode = self.forced_mode
             else:
                 mode = select(router.id, obs)
@@ -525,7 +527,6 @@ class Simulator:
                 if (
                     hysteresis
                     and mode != router.mode
-                    and router.id not in degraded
                     and self._epoch_index - self._last_mode_switch[router.id]
                     < hysteresis
                 ):
@@ -542,10 +543,6 @@ class Simulator:
                             wanted=int(mode),
                         )
                     mode = router.mode
-            if router.id in degraded:
-                # A degraded router stays in the conservative mode, whatever
-                # the policy or the pre-training curriculum asks for.
-                mode = OperationMode.MODE_3
             if mode != router.mode:
                 self._last_mode_switch[router.id] = self._epoch_index
             network.set_mode(router.id, mode)

@@ -77,7 +77,7 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.modes import OperationMode
-from repro.faults.hardfaults import HardFaultModel, HardFaultSchedule
+from repro.faults.hardfaults import HardFaultModel, parse_fault_spec
 from repro.noc.packet import Packet
 from repro.noc.routing import ROUTING_FUNCTIONS
 from repro.noc.watchdog import NoCInvariantError
@@ -148,7 +148,10 @@ __all__ = [
 #: Schema 13: the controller's error observation and
 #: ``mean_error_probability`` include an error burst's floor, so
 #: closed-loop runs with a ``burst@`` fault clause changed.
-CACHE_SCHEMA = 13
+#: Schema 14: no policy learns or selects for a degraded router (DT
+#: points whose pre-training degraded one changed), and a campaign cell
+#: whose artifact holds a rejected Q-table fails.
+CACHE_SCHEMA = 14
 
 DEFAULT_CACHE_DIR = ".sweep_cache"
 
@@ -321,9 +324,10 @@ def _eval_campaign(config: SimulationConfig, point: SweepPoint) -> Dict[str, obj
 
     The artifact container is validated (magic, version, body CRC) and
     its content key checked against the point's ``artifact_hash`` before
-    the state is loaded — a missing, torn, or mismatched artifact is an
-    evaluator failure, which the supervisor retries and then
-    quarantines instead of measuring garbage.
+    the state is loaded, and :func:`clone_policy` rejects a poisoned
+    table — a missing, torn, mismatched or poisoned artifact is an
+    evaluator failure, which the supervisor retries and then quarantines
+    instead of measuring garbage.
     """
     factory = default_design_factories(point.seed)[point.design]
     policy = factory()
@@ -442,7 +446,7 @@ def _eval_chaos(
     network = build_network(config, random.Random(point.seed + 1), routing=point.design)
     if tracer is not None:
         network.attach_tracer(tracer)
-    model = HardFaultModel(network, HardFaultSchedule.parse(point.fault_spec))
+    model = HardFaultModel(network, parse_fault_spec(point.fault_spec))
     network.hard_faults = model
     rate = point.rate if point.rate > 0.0 else 0.1
     rng = random.Random(point.seed + 7)

@@ -117,32 +117,6 @@ class TestIntrospection:
         assert dist[OperationMode.MODE_2] == 1
 
 
-class TestSafeMode:
-    def test_safe_mode_pins_router_to_mode_3(self):
-        policy = RLControlPolicy(seed=0)
-        policy.reset(4)
-        assert policy.enter_safe_mode(2, "watchdog trip") is None
-        assert policy.select(2, obs((0, 0, 0, 0))) == OperationMode.MODE_3
-        assert policy.safe_mode_routers == {2: "watchdog trip"}
-
-    def test_safe_mode_router_stops_learning(self):
-        policy = RLControlPolicy(seed=0)
-        policy.reset(2)
-        policy.enter_safe_mode(0, "rejected table")
-        before = policy.total_updates()
-        policy.learn(0, obs((0,)), OperationMode.MODE_0, 1.0, obs((1,)))
-        assert policy.total_updates() == before
-        policy.learn(1, obs((0,)), OperationMode.MODE_0, 1.0, obs((1,)))
-        assert policy.total_updates() == before + 1
-
-    def test_enter_safe_mode_is_idempotent(self):
-        policy = RLControlPolicy(seed=0)
-        policy.reset(2)
-        policy.enter_safe_mode(1, "first")
-        policy.enter_safe_mode(1, "second")
-        assert policy.safe_mode_routers == {1: "first"}
-
-
 class TestDurableState:
     def _trained(self, num_routers=3, share=False):
         policy = RLControlPolicy(seed=5, share_table=share)
@@ -179,6 +153,12 @@ class TestDurableState:
         policy.load_state(None)
         assert policy.total_updates() == updates
 
+    def test_load_state_reports_no_rejection_for_a_clean_snapshot(self):
+        for share in (False, True):
+            policy = self._trained(share=share)
+            clone = RLControlPolicy(seed=5, share_table=share)
+            assert clone.load_state(policy.to_state()) == {}
+
     def test_poisoned_table_degrades_instead_of_raising(self):
         policy = self._trained()
         state = policy.to_state()
@@ -186,12 +166,13 @@ class TestDurableState:
         key = next(iter(agent_state["table"]))
         agent_state["table"][key][0] = float("nan")
         clone = RLControlPolicy(seed=5)
-        clone.load_state(state)  # must not raise
-        assert set(clone.safe_mode_routers) == {1}
-        assert clone.safe_mode_routers[1].startswith("rejected Q-table")
-        assert clone.select(1, obs((0,), 1)) == OperationMode.MODE_3
-        # untouched routers load normally and keep their tables
-        assert clone.select(0, obs((0,), 0)) in OperationMode
+        rejected = clone.load_state(state)  # must not raise
+        assert set(rejected) == {1}
+        assert rejected[1].startswith("rejected Q-table: ")
+        # The rejected router keeps a fresh table; the others keep their own.
+        assert clone._agents[1].states_visited == 0
+        for rid in (0, 2):
+            assert clone._agents[rid].to_state() == policy._agents[rid].to_state()
 
     def test_poisoned_shared_table_degrades_all_routers(self):
         policy = self._trained(share=True)
@@ -199,12 +180,11 @@ class TestDurableState:
         key = next(iter(state["agents"][0]["table"]))
         state["agents"][0]["table"][key][0] = float("inf")
         clone = RLControlPolicy(seed=5, share_table=True)
-        clone.load_state(state)
-        assert set(clone.safe_mode_routers) == {0, 1, 2}
+        rejected = clone.load_state(state)
+        assert set(rejected) == {0, 1, 2}
+        assert all(reason.startswith("rejected Q-table: ") for reason in rejected.values())
+        assert clone.states_visited() == 0
 
-    def test_snapshot_remembers_degraded_routers(self):
-        policy = self._trained()
-        policy.enter_safe_mode(2, "watchdog trip")
-        clone = RLControlPolicy(seed=5)
-        clone.load_state(policy.to_state())
-        assert 2 in clone.safe_mode_routers
+    def test_snapshot_carries_no_pins(self):
+        state = self._trained().to_state()
+        assert set(state) == {"policy", "share_table", "num_routers", "seed", "agents"}

@@ -1,10 +1,10 @@
-"""Tests for hard-fault schedules and the campaign model."""
+"""Tests for the hard-fault spec grammar and the campaign model."""
 
 import random
 
 import pytest
 
-from repro.faults import HardFaultEvent, HardFaultModel, HardFaultSchedule, parse_fault_spec
+from repro.faults import HardFaultEvent, HardFaultModel, parse_fault_spec
 from repro.noc import MeshTopology, Network, Packet, Port
 
 
@@ -32,14 +32,20 @@ class TestSpecParsing:
         assert [e.cycle for e in events] == [300, 500, 800]
 
     def test_round_trip(self):
-        spec = "burst@300+200:0.2;link@500:5E;router@800:7"
-        schedule = HardFaultSchedule.parse(spec)
-        assert schedule.format() == spec
-        assert HardFaultSchedule.parse(schedule.format()) == schedule
+        """Each event formats back to its own clause, in canonical order
+        whatever order the clauses were written in."""
+        canonical = ["burst@300+200:0.2", "link@500:5E", "router@800:7"]
+        for spec in (";".join(canonical), "router@800:7;burst@300+200:0.2;link@500:5E"):
+            assert [event.format() for event in parse_fault_spec(spec)] == canonical
 
     def test_empty_spec_is_healthy(self):
-        assert len(HardFaultSchedule.parse("")) == 0
-        assert HardFaultSchedule.parse("").format() == ""
+        assert parse_fault_spec("") == []
+        net = _mesh()
+        model = HardFaultModel(net, parse_fault_spec(""))
+        net.hard_faults = model
+        net.run(20)
+        assert model.applied == []
+        assert model.first_fault_cycle is None
 
     @pytest.mark.parametrize(
         "bad",
@@ -60,7 +66,7 @@ def _mesh(routing="adaptive", **kwargs):
 class TestModel:
     def test_link_kill_applies_at_cycle(self):
         net = _mesh()
-        model = HardFaultModel(net, HardFaultSchedule.parse("link@10:5E"))
+        model = HardFaultModel(net, parse_fault_spec("link@10:5E"))
         net.hard_faults = model
         net.run(10)
         assert net.channels[(5, Port.EAST)].alive
@@ -72,7 +78,7 @@ class TestModel:
 
     def test_router_kill(self):
         net = _mesh()
-        model = HardFaultModel(net, HardFaultSchedule.parse("router@5:5"))
+        model = HardFaultModel(net, parse_fault_spec("router@5:5"))
         net.hard_faults = model
         net.run(20)
         assert net.stats.router_kills == 1
@@ -83,7 +89,7 @@ class TestModel:
         net = _mesh()
         for _, em in net.channel_models():
             em.event_probability = 0.01
-        model = HardFaultModel(net, HardFaultSchedule.parse("burst@5+10:0.3"))
+        model = HardFaultModel(net, parse_fault_spec("burst@5+10:0.3"))
         net.hard_faults = model
         net.run(6)
         probs = {em.event_probability for _, em in net.channel_models()}
@@ -96,13 +102,13 @@ class TestModel:
         # A router kill implies its link kills; re-killing is a no-op.
         net = _mesh()
         spec = "link@5:5E;router@6:5;link@7:5E;router@8:5"
-        net.hard_faults = HardFaultModel(net, HardFaultSchedule.parse(spec))
+        net.hard_faults = HardFaultModel(net, parse_fault_spec(spec))
         net.run(20)
         assert net.stats.router_kills == 1
 
     def test_post_fault_latency_split(self):
         net = _mesh()
-        model = HardFaultModel(net, HardFaultSchedule.parse("link@60:5E"))
+        model = HardFaultModel(net, parse_fault_spec("link@60:5E"))
         net.hard_faults = model
         mid = 0
         rng = random.Random(3)

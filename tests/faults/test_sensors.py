@@ -9,7 +9,6 @@ from repro.core.state import RouterObservation
 from repro.faults import (
     SensorFaultModel,
     SensorFaultRule,
-    format_sensor_spec,
     parse_sensor_spec,
 )
 
@@ -29,12 +28,11 @@ def make_obs(router_id=0, temp=60.0):
 class TestGrammar:
     def test_round_trip_is_canonical(self):
         spec = "stale@r7+400:8; drop@0.2:util ;noise@0.05:nack;stuck@r3.temp=0.9"
-        rules = parse_sensor_spec(spec)
-        canonical = format_sensor_spec(rules)
-        assert canonical == (
-            "stuck@r3.temp=0.9;drop@0.2:util;noise@0.05:nack;stale@r7+400:8"
-        )
-        assert parse_sensor_spec(canonical) == rules
+        canonical = [
+            "stuck@r3.temp=0.9", "drop@0.2:util", "noise@0.05:nack", "stale@r7+400:8",
+        ]
+        for text in (spec, ";".join(canonical)):
+            assert [rule.format() for rule in parse_sensor_spec(text)] == canonical
 
     def test_empty_spec_is_healthy(self):
         assert parse_sensor_spec("") == []

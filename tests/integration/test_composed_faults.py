@@ -69,7 +69,8 @@ class TestDeterminism:
     def _classic(self, kernel, tracer=None):
         config = small_config(**FAULTS)
         policy = default_design_factories(0)["rl"]()
-        sim = Simulator(config, policy, seed=0, kernel=kernel, tracer=tracer)
+        sim = Simulator(config, policy, seed=0, tracer=tracer)
+        sim.network.kernel = kernel
         sim.pretrain()
         policy.freeze()
         sim.warmup()

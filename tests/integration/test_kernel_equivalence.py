@@ -23,7 +23,7 @@ from typing import Callable, Dict, NamedTuple, Optional
 import pytest
 
 from repro.core.modes import OperationMode
-from repro.faults.hardfaults import HardFaultModel, HardFaultSchedule
+from repro.faults.hardfaults import HardFaultModel, parse_fault_spec
 from repro.noc.network import Network
 from repro.noc.packet import Packet
 from repro.noc.router import _SEND_MODES
@@ -45,10 +45,10 @@ def _build(kernel, seed, routing, fault_spec, modes=None, error=0.01):
         MeshTopology(4, 4),
         routing=routing,
         rng=random.Random(seed + 1),
-        kernel=kernel,
     )
+    net.kernel = kernel
     if fault_spec:
-        net.hard_faults = HardFaultModel(net, HardFaultSchedule.parse(fault_spec))
+        net.hard_faults = HardFaultModel(net, parse_fault_spec(fault_spec))
     if modes is not None:
         for router in net.routers:
             net.set_mode(router.id, MODE_ASSIGNMENTS[modes](router.id))

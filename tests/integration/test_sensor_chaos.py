@@ -111,7 +111,8 @@ class TestDeterminism:
     def _classic(self, kernel, tracer=None):
         config = small_config(sensor_spec=self.SPEC, mode_hysteresis_epochs=2)
         policy = default_design_factories(0)["rl"]()
-        sim = Simulator(config, policy, seed=0, kernel=kernel, tracer=tracer)
+        sim = Simulator(config, policy, seed=0, tracer=tracer)
+        sim.network.kernel = kernel
         sim.pretrain()
         policy.freeze()
         sim.warmup()

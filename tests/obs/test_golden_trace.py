@@ -20,7 +20,7 @@ import shutil
 
 import pytest
 
-from repro.faults.hardfaults import HardFaultModel, HardFaultSchedule
+from repro.faults.hardfaults import HardFaultModel, parse_fault_spec
 from repro.noc.network import Network
 from repro.noc.packet import Packet
 from repro.noc.topology import MeshTopology
@@ -44,10 +44,10 @@ def _build(kernel, seed, routing, fault_spec=None):
         MeshTopology(4, 4),
         routing=routing,
         rng=random.Random(seed + 1),
-        kernel=kernel,
     )
+    net.kernel = kernel
     if fault_spec:
-        net.hard_faults = HardFaultModel(net, HardFaultSchedule.parse(fault_spec))
+        net.hard_faults = HardFaultModel(net, parse_fault_spec(fault_spec))
     for _, model in net.channel_models():
         model.event_probability = 0.01
         model.relax_factor = 0.5

@@ -13,7 +13,7 @@ import warnings
 import pytest
 
 from repro.core.controller import compute_reward
-from repro.faults.hardfaults import HardFaultModel, HardFaultSchedule
+from repro.faults.hardfaults import HardFaultModel, parse_fault_spec
 from repro.faults.injector import FaultInjector
 from repro.faults.varius import VariusModel
 from repro.noc.network import Network
@@ -36,9 +36,9 @@ def _network(
         MeshTopology(4, 4),
         routing="adaptive",
         rng=random.Random(seed + 1),
-        kernel=kernel,
     )
-    net.hard_faults = HardFaultModel(net, HardFaultSchedule.parse(spec))
+    net.kernel = kernel
+    net.hard_faults = HardFaultModel(net, parse_fault_spec(spec))
     if error > 0.0:
         for _, model in net.channel_models():
             model.event_probability = error

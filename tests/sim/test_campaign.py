@@ -11,6 +11,8 @@ from repro.sim import (
     CampaignSpec,
     artifact_key,
     campaign_report,
+    clone_policy,
+    default_design_factories,
     ensure_artifact,
     load_policy_artifact,
     pretrain_policy,
@@ -18,6 +20,7 @@ from repro.sim import (
     render_report_markdown,
     run_campaign,
     save_checkpoint,
+    save_policy_artifact,
     scaled_config,
 )
 from repro.sim.campaign import build_artifacts, campaign_points
@@ -224,6 +227,44 @@ class TestCampaignCell:
         )
         with pytest.raises(ValueError, match="key"):
             _eval_campaign(config, point)
+
+    def test_clone_of_a_poisoned_snapshot_raises(self, tmp_path):
+        path, _, _ = ensure_artifact(tiny_config(), "rl", 0, tmp_path)
+        state, _ = load_policy_artifact(path)
+        factory = default_design_factories(0)["rl"]
+        assert clone_policy(factory, state).to_state() == state
+        poison_shared_table(state)
+        with pytest.raises(ValueError, match="rejected Q-table"):
+            clone_policy(factory, state)
+
+    def test_poisoned_artifact_quarantines_its_cells(self, tmp_path):
+        """A cell cloned from an artifact with a rejected table fails
+        instead of measuring a mesh pinned to mode 3."""
+        spec = CampaignSpec(
+            config=tiny_config(), benchmarks=BENCHMARKS, designs=DESIGNS,
+            seed=3, trace_cycles=200,
+        )
+        artifact_dir = tmp_path / "artifacts"
+        path, _, _ = ensure_artifact(spec.config, "rl", spec.seed, artifact_dir)
+        state, meta = load_policy_artifact(path)
+        poison_shared_table(state)
+        save_policy_artifact(path, state, meta)
+        result = run_campaign(
+            spec, artifact_dir=artifact_dir, cache_dir=tmp_path / "cache",
+            max_retries=0,
+        )
+        assert result.artifacts["rl"]["built"] is False
+        assert len(result.report.quarantined) == len(BENCHMARKS)
+        assert [r is None for r in result.results] == [False, True] * len(BENCHMARKS)
+        assert {b: set(designs) for b, designs in result.suite.items()} == {
+            benchmark: {"crc"} for benchmark in BENCHMARKS
+        }
+
+
+def poison_shared_table(state):
+    """Write a NaN into the first row of an RL snapshot's shared table."""
+    table = state["agents"][0]["table"]
+    table[next(iter(table))][0] = float("nan")
 
 
 # ----------------------------------------------------------------------

@@ -305,9 +305,8 @@ class TestResumableRun:
 
         resumed = ResumableRun.resume(tmp_path / "run.ckpt")
         # The "rl" design shares one table, so its rejection pins every
-        # router, in the policy and in the simulator's ledger.
+        # router in the simulator's ledger.
         every_router = set(range(config.num_nodes))
-        assert set(resumed.sim.policy.safe_mode_routers) == every_router
         assert set(resumed.sim.degraded) == every_router
         assert all(
             reason.startswith("rejected Q-table")

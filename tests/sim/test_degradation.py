@@ -154,21 +154,14 @@ def over_limit(policy):
 class TestEccEscalation:
     def test_every_router_over_the_limit_is_pinned_once(self):
         policy = RLControlPolicy(share_table=False, seed=0)
-        escalations = []
-        notify = policy.enter_safe_mode
-
-        def enter_safe_mode(router_id, reason):
-            if reason.startswith("ECC quarantine"):
-                escalations.append(router_id)
-            return notify(router_id, reason)
-
-        policy.enter_safe_mode = enter_safe_mode
         sim = Simulator(mesh_config(soft_error_spec=SOFT_ERRORS), policy, seed=0)
         sim.pretrain()
         escalated = over_limit(policy)
         assert len(escalated) == 5
-        assert set(policy.safe_mode_routers) == escalated
-        assert sorted(escalations) == sorted(escalated)
+        assert set(sim.degraded) == escalated
+        assert all(
+            reason.startswith("ECC quarantine: ") for reason in sim.degraded.values()
+        )
         assert sim.metrics.peek("ecc.safe_mode_entries") == len(escalated)
 
     def test_trace_summary_counts_ecc_escalations(self, tmp_path, capsys):
@@ -198,27 +191,22 @@ class TestEccEscalation:
 class TestCurriculum:
     PINNED = 4
 
-    def _pinned_policy(self):
-        # As a loaded artifact would: the policy already pins the router
-        # when the simulator is built.
-        policy = RLControlPolicy(share_table=True, seed=0)
-        policy.enter_safe_mode(self.PINNED, "degraded before snapshot")
-        return policy
+    def _pinned_sim(self):
+        sim = Simulator(mesh_config(), RLControlPolicy(share_table=True, seed=0), seed=0)
+        sim.degrade(self.PINNED, "pinned before pre-training")
+        return sim
 
-    def test_ledger_starts_with_the_policys_pins(self, caplog):
+    def test_ledger_keeps_the_first_reason(self, caplog):
         with caplog.at_level(logging.WARNING):
-            sim = Simulator(mesh_config(), self._pinned_policy(), seed=0)
-            assert sim.degraded == {self.PINNED: "degraded before snapshot"}
+            sim = self._pinned_sim()
             sim.degrade(self.PINNED, "watchdog trip")
             sim.degrade(STUCK_ROUTER, "watchdog trip")
-        # The first reason is kept, and the policy hears of every pin.
-        expected = {self.PINNED: "degraded before snapshot", STUCK_ROUTER: "watchdog trip"}
+        expected = {self.PINNED: "pinned before pre-training", STUCK_ROUTER: "watchdog trip"}
         assert sim.degraded == expected
-        assert sim.policy.safe_mode_routers == expected
         assert_one_warning_per_router(caplog, sim.degraded)
 
     def test_curriculum_keeps_a_pinned_router_in_mode_3(self):
-        sim = Simulator(mesh_config(), self._pinned_policy(), seed=0)
+        sim = self._pinned_sim()
         calls = record_set_mode(sim)
         sim.pretrain()
         pinned = [mode for _, rid, mode in calls if rid == self.PINNED]
@@ -228,6 +216,24 @@ class TestCurriculum:
         # The curriculum did force every mode onto the other routers.
         others = {mode for _, rid, mode in calls if rid != self.PINNED}
         assert others == {int(mode) for mode in OperationMode}
+
+    def test_policy_never_sees_a_pinned_router(self):
+        """The learn and select stages skip a degraded router: the policy
+        neither trains on it nor chooses its mode."""
+        sim = self._pinned_sim()
+        seen = {"select": set(), "learn": set()}
+        for name, routers in seen.items():
+            real = getattr(sim.policy, name)
+
+            def spy(router_id, *args, _real=real, _routers=routers):
+                _routers.add(router_id)
+                return _real(router_id, *args)
+
+            setattr(sim.policy, name, spy)
+        sim.pretrain()
+        others = set(range(sim.network.topology.num_nodes)) - {self.PINNED}
+        assert seen["select"] == others
+        assert seen["learn"] == others
 
 
 class TestOneWarningPerDegradedRouter:
