@@ -101,7 +101,10 @@ from repro.sim import (
     stderr_progress,
 )
 from repro.faults import parse_fault_spec, parse_sensor_spec, parse_soft_error_spec
+from repro.faults.hardfaults import check_fault_targets
+from repro.faults.specs import check_routers
 from repro.noc.routing import ROUTING_FUNCTIONS
+from repro.noc.topology import MeshTopology
 from repro.obs import (
     CATEGORIES as TRACE_CATEGORIES,
     MetricRegistry,
@@ -138,13 +141,20 @@ def _bad_arguments(prefix: str = ""):
         raise SystemExit(f"{prefix}{exc}") from None
 
 
-def _validate_spec(spec: str, parser_fn, flag: str) -> None:
-    """Fail fast on a malformed fault/sensor spec: one line naming the
-    flag and the bad clause.  Shared by every subcommand that accepts
-    either grammar."""
-    if spec:
-        with _bad_arguments(f"{flag}: "):
-            parser_fn(spec)
+def _validate_specs(args, fault_specs: Sequence[str], fault_flag: str) -> None:
+    """Fail fast, before anything runs, on a malformed spec or one naming
+    a router or link the ``--width`` x ``--height`` mesh lacks: one line
+    naming the flag and the bad clause."""
+    with _bad_arguments():
+        topology = MeshTopology(args.width, args.height)
+    for spec in fault_specs:
+        with _bad_arguments(f"{fault_flag}: "):
+            check_fault_targets(parse_fault_spec(spec), topology)
+    routers = topology.num_nodes
+    with _bad_arguments("--sensor-spec: "):
+        check_routers(parse_sensor_spec(args.sensor_spec), "sensor", routers)
+    with _bad_arguments("--soft-error-spec: "):
+        check_routers(parse_soft_error_spec(args.soft_error_spec), "soft-error", routers)
 
 
 def _config_from_args(args) -> "SimulationConfig":
@@ -533,9 +543,7 @@ def cmd_run(args) -> int:
         raise SystemExit(
             f"unknown design {args.design!r}; pick one of {', '.join(DESIGN_ORDER)}"
         )
-    _validate_spec(args.fault_spec, parse_fault_spec, "--fault-spec")
-    _validate_spec(args.sensor_spec, parse_sensor_spec, "--sensor-spec")
-    _validate_spec(args.soft_error_spec, parse_soft_error_spec, "--soft-error-spec")
+    _validate_specs(args, [args.fault_spec], "--fault-spec")
     tracer = _make_tracer(args)
     with _bad_arguments():
         run = ResumableRun(
@@ -818,10 +826,7 @@ def cmd_chaos(args) -> int:
         # so the control-plane faults it names are the only stressor.
         raw_specs = "" if closed_loop else "link@500:5E"
     fault_specs = tuple(s.strip() for s in raw_specs.split("|"))
-    for fault_spec in fault_specs:
-        _validate_spec(fault_spec, parse_fault_spec, "--fault-specs")
-    _validate_spec(args.sensor_spec, parse_sensor_spec, "--sensor-spec")
-    _validate_spec(args.soft_error_spec, parse_soft_error_spec, "--soft-error-spec")
+    _validate_specs(args, fault_specs, "--fault-specs")
     if closed_loop:
         kind, designs = "control_chaos", _names(args.designs)
         evaluator, ledger, table = _eval_control_chaos, "control", _print_control_table
@@ -898,10 +903,7 @@ def cmd_trace(args) -> int:
     print(f"{len(events)} event(s), {span}")
     for key in sorted(by_kind):
         print(f"  {key:28s} {by_kind[key]}")
-    safe_entries = sum(
-        by_kind.get(key, 0)
-        for key in ("watchdog/safe_mode", "sensor/quarantine", "ecc/safe_mode")
-    )
+    safe_entries = by_kind.get("mode/degrade", 0)
     rejects = by_kind.get("sensor/reject", 0)
     debounced = by_kind.get("sensor/debounce", 0)
     if safe_entries or rejects or debounced:

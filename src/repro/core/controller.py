@@ -23,7 +23,7 @@ import abc
 import math
 from math import inf, isfinite
 from operator import ne
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.modes import OperationMode
 from repro.core.state import (
@@ -80,14 +80,14 @@ _LIST_BOUNDS = {"util": (0.0, inf), "nack": (0.0, 1.0)}
 class GuardReport:
     """What :meth:`ObservationGuard.inspect` did to one observation."""
 
-    __slots__ = ("holds", "clamps", "defaults", "rejected", "quarantined")
+    __slots__ = ("holds", "clamps", "defaults", "rejected", "streak")
 
     def __init__(self) -> None:
         self.holds = 0        # fields repaired from the last good reading
         self.clamps = 0       # finite but out-of-range fields clamped
         self.defaults = 0     # fields with no recent good reading, zeroed
         self.rejected = False  # any field was invalid this epoch
-        self.quarantined = False  # this inspect crossed the escalation bar
+        self.streak = 0       # consecutive rejected observations, this one included
 
     @property
     def dirty(self) -> bool:
@@ -109,16 +109,16 @@ class ObservationGuard:
     * **range clamping** — finite but out-of-range values (negative
       utilization, NACK rate above 1, absurd temperatures) are clamped
       and tallied instead of flowing into discretization;
-    * **quarantine** — ``quarantine_after`` *consecutive* rejected
-      observations escalate the router into the safe-mode fallback
-      (the simulator records it in its degradation ledger).
+    * **reject streaks** — each report carries the router's count of
+      *consecutive* rejected observations; the simulator, not the guard,
+      degrades a router whose streak reaches ``SENSOR_QUARANTINE_K``.
 
     A healthy observation passes through untouched — the guard touches
     no RNG, so golden trace digests of fault-free runs are unchanged.
     The guard repairs the raw fields only; the simulator's observe stage
     re-discretizes an observation the guard made dirty.  All state
-    (last-good store, reject streaks, quarantine set) pickles with the
-    simulator, keeping resumed runs bit-identical.
+    (last-good store, reject streaks) pickles with the simulator,
+    keeping resumed runs bit-identical.
     """
 
     #: (attribute, kind) of the list-valued Table I fields; kind selects
@@ -139,18 +139,14 @@ class ObservationGuard:
         num_routers: int,
         state_config: Optional[DiscretizationConfig] = None,
         hold_ttl: int = 3,
-        quarantine_after: int = 8,
         default_temperature: float = AMBIENT_C,
     ) -> None:
         if num_routers <= 0:
             raise ValueError("need at least one router")
         if hold_ttl < 1:
             raise ValueError("hold_ttl must be at least one epoch")
-        if quarantine_after < 1:
-            raise ValueError("quarantine_after must be at least 1")
         self.state_config = state_config or DiscretizationConfig()
         self.hold_ttl = hold_ttl
-        self.quarantine_after = quarantine_after
         self.default_temperature = default_temperature
         #: per router: attribute -> (epoch_seen, value) of last valid reading
         self._last_good: List[Dict[str, Tuple[int, object]]] = [
@@ -158,7 +154,6 @@ class ObservationGuard:
         ]
         #: consecutive rejected observations per router
         self._streak: List[int] = [0] * num_routers
-        self.quarantined: Set[int] = set()
 
     # ------------------------------------------------------------------
     def _default_for(self, kind: str) -> object:
@@ -243,12 +238,7 @@ class ObservationGuard:
             self._repair(report, obs, "temperature", "temp", last_good, epoch_index)
         if report.rejected:
             self._streak[router_id] += 1
-            if (
-                self._streak[router_id] >= self.quarantine_after
-                and router_id not in self.quarantined
-            ):
-                self.quarantined.add(router_id)
-                report.quarantined = True
+            report.streak = self._streak[router_id]
         else:
             self._streak[router_id] = 0
         return report

@@ -186,9 +186,9 @@ class RLControlPolicy(ControlPolicy):
         """Restore a :meth:`to_state` snapshot, rejecting instead of dying.
 
         Every agent table is validated through
-        :meth:`QLearningAgent.from_state`; a rejected table does not
-        raise — the affected router(s) keep a fresh table and are
-        returned as ``{router: "rejected Q-table: ..."}``, so one
+        :meth:`QLearningAgent.from_state`; a rejected or missing table
+        does not raise — the affected router(s) keep a fresh table and
+        are returned as ``{router: "rejected Q-table: ..."}``, so one
         corrupted row cannot take down a resumed run.
         """
         rejected: Dict[int, str] = {}
@@ -202,22 +202,23 @@ class RLControlPolicy(ControlPolicy):
         self._agents = []
         self.reset(num_routers)
 
-        def restore(agent_state, routers: List[int]) -> Optional[QLearningAgent]:
+        def restore(index: int, routers: List[int]) -> Optional[QLearningAgent]:
             try:
-                return QLearningAgent.from_state(agent_state)
+                if index >= len(agent_states):
+                    raise AgentStateError("the snapshot has no table for it")
+                return QLearningAgent.from_state(agent_states[index])
             except AgentStateError as exc:
                 for router_id in routers:
                     rejected[router_id] = f"rejected Q-table: {exc}"
                 return None
 
         if self.share_table:
-            if agent_states:
-                agent = restore(agent_states[0], list(range(num_routers)))
-                if agent is not None:
-                    self._agents = [agent] * num_routers
+            agent = restore(0, list(range(num_routers)))
+            if agent is not None:
+                self._agents = [agent] * num_routers
         else:
-            for i, agent_state in enumerate(agent_states[:num_routers]):
-                agent = restore(agent_state, [i])
+            for i in range(num_routers):
+                agent = restore(i, [i])
                 if agent is not None:
                     self._agents[i] = agent
         return rejected

@@ -29,12 +29,13 @@ Spec grammar (one event per ``;``-separated clause)::
     burst@<cycle>+<duration>:<p>  e.g. burst@300+200:0.2
 
 Ports are the compass letters E/W/N/S.  The empty string is the healthy
-baseline (no events).
+baseline (no events).  A kill of a router or link the mesh lacks is
+rejected (:func:`check_fault_targets`).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.faults.specs import parse_spec
 from repro.noc.topology import Port
@@ -42,6 +43,7 @@ from repro.noc.topology import Port
 __all__ = [
     "HardFaultEvent",
     "HardFaultModel",
+    "check_fault_targets",
     "parse_fault_spec",
 ]
 
@@ -100,14 +102,6 @@ class HardFaultEvent:
     def sort_key(self) -> Tuple[int, str, int, int]:
         return (self.cycle, self.kind, self.node, int(self.port or 0))
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, HardFaultEvent):
-            return NotImplemented
-        return self.format() == other.format()
-
-    def __hash__(self) -> int:
-        return hash(self.format())
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"HardFaultEvent({self.format()!r})"
 
@@ -138,6 +132,20 @@ def parse_fault_spec(spec: str) -> List[HardFaultEvent]:
     return parse_spec(spec, "fault", _parse_fault_clause, HardFaultEvent.sort_key)
 
 
+def check_fault_targets(events: Sequence[HardFaultEvent], topology) -> None:
+    """The grammar's target check: raise the one-line ``bad fault clause
+    ...`` error for the first kill of a router or link ``topology`` lacks."""
+    for event in events:
+        if (
+            event.kind == "router" and not 0 <= event.node < topology.num_nodes
+            or event.kind == "link" and topology.neighbour(event.node, event.port) is None
+        ):
+            raise ValueError(
+                f"bad fault clause {event.format()!r}: the "
+                f"{topology.width}x{topology.height} mesh has no such {event.kind}"
+            )
+
+
 class HardFaultModel:
     """Applies a campaign's events, in :func:`parse_fault_spec` order, to a
     live network.
@@ -160,6 +168,7 @@ class HardFaultModel:
     )
 
     def __init__(self, network, events: List[HardFaultEvent]) -> None:
+        check_fault_targets(events, network.topology)
         self.network = network
         #: events actually applied (spec clause, cycle) in order
         self.applied: List[Tuple[str, int]] = []

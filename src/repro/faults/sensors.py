@@ -52,7 +52,7 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.faults.specs import parse_router_token, parse_spec
+from repro.faults.specs import check_routers, parse_router_token, parse_spec
 
 __all__ = [
     "SENSOR_FIELDS",
@@ -152,14 +152,6 @@ class SensorFaultRule:
     def sort_key(self) -> Tuple[int, int, str, int]:
         return (_KIND_ORDER.index(self.kind), self.router, self.field, self.cycle)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SensorFaultRule):
-            return NotImplemented
-        return self.format() == other.format()
-
-    def __hash__(self) -> int:
-        return hash(self.format())
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SensorFaultRule({self.format()!r})"
 
@@ -237,12 +229,7 @@ class SensorFaultModel:
     ) -> None:
         if num_routers <= 0:
             raise ValueError("need at least one router")
-        for rule in rules:
-            if rule.kind in ("stuck", "stale") and rule.router >= num_routers:
-                raise ValueError(
-                    f"sensor rule {rule.format()!r} targets router {rule.router} "
-                    f"but the mesh has only {num_routers} routers"
-                )
+        check_routers(rules, "sensor", num_routers)
         self.rules: List[SensorFaultRule] = sorted(rules, key=SensorFaultRule.sort_key)
         self.rng = random.Random(seed)
         #: last *reported* (post-corruption) reading of each router a

@@ -51,7 +51,7 @@ import math
 import random
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.faults.specs import parse_router_token, parse_spec
+from repro.faults.specs import check_routers, parse_router_token, parse_spec
 
 __all__ = [
     "SoftErrorRule",
@@ -115,14 +115,6 @@ class SoftErrorRule:
     def sort_key(self) -> Tuple[int, int, int, float, int]:
         return (_KIND_ORDER.index(self.kind), self.cycle, self.router,
                 self.rate, self.count)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SoftErrorRule):
-            return NotImplemented
-        return self.format() == other.format()
-
-    def __hash__(self) -> int:
-        return hash(self.format())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SoftErrorRule({self.format()!r})"
@@ -189,12 +181,7 @@ class SoftErrorModel:
     ) -> None:
         if num_routers <= 0:
             raise ValueError("need at least one router")
-        for rule in rules:
-            if rule.kind == "mode" and rule.router >= num_routers:
-                raise ValueError(
-                    f"soft-error rule {rule.format()!r} targets router "
-                    f"{rule.router} but the mesh has only {num_routers} routers"
-                )
+        check_routers(rules, "soft-error", num_routers)
         self.rules: List[SoftErrorRule] = sorted(rules, key=SoftErrorRule.sort_key)
         self.rng = random.Random(seed)
         #: indices of one-shot rules (mode/burst) already fired

@@ -14,7 +14,9 @@ a tiny campaign grammar with the same mechanical shape:
   clauses written in any order run the same campaign (sweep-cache keys
   hash the raw string, so they still tell the two spellings apart).
   Each rule's ``format()`` gives its clause back for ledgers, trace
-  events and error messages.
+  events and error messages;
+* each grammar has one target check, run by its model and by the CLI,
+  which rejects a router or link the mesh lacks in the same format.
 
 This module holds that plumbing once; the per-grammar modules
 (:mod:`repro.faults.hardfaults`, :mod:`repro.faults.sensors`,
@@ -27,6 +29,7 @@ from __future__ import annotations
 from typing import Callable, List, TypeVar
 
 __all__ = [
+    "check_routers",
     "parse_router_token",
     "parse_spec",
     "split_clauses",
@@ -71,3 +74,16 @@ def parse_spec(
             raise ValueError(f"bad {what} clause {clause!r}: {exc}") from None
     items.sort(key=sort_key)
     return items
+
+
+def check_routers(rules, what: str, num_routers: int) -> None:
+    """The target check of the per-router grammars: raise the one-line
+    ``bad {what} clause ...`` error for the first rule whose ``router``
+    is not in a mesh of ``num_routers`` routers (rules that name no
+    router keep router 0, which every mesh has)."""
+    for rule in rules:
+        if rule.router >= num_routers:
+            raise ValueError(
+                f"bad {what} clause {rule.format()!r}: the mesh has only "
+                f"{num_routers} routers"
+            )

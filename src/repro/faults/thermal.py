@@ -25,7 +25,7 @@ thousands of epochs) is selectable through ``capacitance``.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -116,11 +116,6 @@ class ThermalGrid:
         target = self.steady_state(power_watts)
         self.temperatures += self.alpha * (target - self.temperatures)
         return self.temperatures.copy()
-
-    def reset(self, temperature: Optional[float] = None) -> None:
-        """Reset all tiles to ambient (or a given) temperature."""
-        value = self.t_ambient if temperature is None else temperature
-        self.temperatures = np.full(self.n, value, dtype=float)
 
     def as_list(self) -> List[float]:
         return self.temperatures.tolist()

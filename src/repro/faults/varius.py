@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 __all__ = ["VariusParams", "VariusModel", "gaussian_tail"]
 
@@ -167,16 +167,3 @@ class VariusModel:
         mean = self.mean_delay(node, temperature, voltage)
         margin = (1.0 + relax_cycles) - mean
         return gaussian_tail(margin / self.params.sigma)
-
-    def error_probabilities(
-        self,
-        temperatures: Sequence[float],
-        voltage: Optional[float] = None,
-    ) -> List[float]:
-        """Vector form of :meth:`timing_error_probability` for one epoch."""
-        if len(temperatures) != self.width * self.height:
-            raise ValueError("one temperature per grid node required")
-        return [
-            self.timing_error_probability(node, t, voltage)
-            for node, t in enumerate(temperatures)
-        ]

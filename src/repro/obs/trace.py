@@ -33,15 +33,15 @@ __all__ = [
 #: The closed event taxonomy (DESIGN.md §12).  ``emit`` rejects anything
 #: else so golden traces cannot silently grow untested event families.
 CATEGORIES: Tuple[str, ...] = (
-    "mode",  # router operation-mode transitions (requested + applied)
+    "mode",  # router mode transitions (requested + applied), degradations
     "rl",  # per-router Q-learning decisions at epoch boundaries
     "fault",  # hard-fault kills, in-flight recoveries, drops
-    "watchdog",  # invariant heartbeats, trips, safe-mode entries
+    "watchdog",  # invariant heartbeats and trips
     "reward",  # reward-guard clamps of non-finite reward inputs
     "retx",  # end-to-end CRC retransmission requests
     "checkpoint",  # snapshot save/restore markers
-    "sensor",  # telemetry corruption defenses: rejects, quarantines, debounces
-    "ecc",  # Q-table/mode-register scrubbing: corrections, detections, quarantines
+    "sensor",  # telemetry corruption defenses: rejects, debounces
+    "ecc",  # Q-table/mode-register scrubbing: corrections, detections, row quarantines
     "campaign",  # paper-figure campaigns: artifact build/reuse, grid completion
 )
 

@@ -25,10 +25,11 @@ a production harness.  This module makes the full ``run`` pipeline
   state is stored through ``ControlPolicy.to_state`` and re-loaded
   through ``load_state`` on resume, which routes every Q-table through
   :meth:`QLearningAgent.from_state` validation.  A table with NaN/inf
-  entries or a wrong action count does not crash the resume:
-  ``load_state`` reports the affected routers, and the resume degrades
-  each to safe mode (mode 3, timing relaxation) in the simulator's
-  ledger, which logs it.
+  entries or a wrong action count, or a router the snapshot has no
+  table for, does not crash the resume: ``load_state`` reports the
+  affected routers, and ``Simulator.restore_policy`` degrades each to
+  safe mode (mode 3, timing relaxation) in the simulator's ledger,
+  which logs it.
 
 ``ResumableRun`` is a cursor over ``Simulator.plan()``: it runs every
 segment through ``Simulator.run_segment``, the same code the classic
@@ -135,7 +136,9 @@ CHECKPOINT_MAGIC = b"RNOCCKPT"
 #: Version 14: only the simulator's ledger records degraded routers (the
 #: RL policy and its snapshot lost their pins) and no policy learns or
 #: selects for one, so a version-13 DT pre-training would resume wrongly.
-CHECKPOINT_VERSION = 14
+#: Version 15: the ledger maps a router to ``(cause, reason)`` instead of
+#: a reason string, and the observation guard lost its quarantine set.
+CHECKPOINT_VERSION = 15
 
 #: Pretrained-policy campaign artifacts share the container format but
 #: version independently: an artifact body is a ``ControlPolicy.to_state``
@@ -434,9 +437,7 @@ class ResumableRun:
         run.result = payload["result"]
         # Route the learned state through validation: a poisoned table
         # degrades its router to safe mode rather than resuming garbage.
-        rejected = run.sim.policy.load_state(payload.get("policy_state"))
-        for router_id, reason in sorted(rejected.items()):
-            run.sim.degrade(router_id, reason)
+        run.sim.restore_policy(payload.get("policy_state"))
         # The trace buffer (if any) travelled inside the pickled sim; the
         # restore marker is the only event a resumed stream has that the
         # uninterrupted one lacks, and the canonical digest excludes it.

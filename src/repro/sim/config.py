@@ -66,14 +66,13 @@ class SimulationConfig:
     # Sensor faults / control-plane hardening.  ``sensor_spec`` is the
     # telemetry-corruption campaign of repro.faults.sensors ("" = healthy
     # sensor bank).  The defenses sit between observe_router and the
-    # policy: last-good hold for up to three epochs, per-router quarantine
-    # into the safe-mode fallback after ``sensor_quarantine_k``
-    # consecutive rejected observations, and mode-switch debouncing that
-    # keeps a router's mode for ``mode_hysteresis_epochs`` epochs after a
-    # switch (0 = off, the behavior-identical default).
+    # policy: last-good hold for up to three epochs, a per-router reject
+    # streak that degrades the router to the safe mode once it reaches
+    # the simulator's SENSOR_QUARANTINE_K, and mode-switch debouncing
+    # that keeps a router's mode for ``mode_hysteresis_epochs`` epochs
+    # after a switch (0 = off, the behavior-identical default).
     sensor_spec: str = ""
     sensor_defenses: bool = True
-    sensor_quarantine_k: int = 8
     mode_hysteresis_epochs: int = 0
 
     # Memory soft errors / ECC scrubbing.  ``soft_error_spec`` is the SEU
@@ -104,8 +103,6 @@ class SimulationConfig:
             )
         if self.watchdog_interval < 0:
             raise ValueError("watchdog_interval cannot be negative")
-        if self.sensor_quarantine_k < 1:
-            raise ValueError("sensor_quarantine_k must be at least 1")
         if self.mode_hysteresis_epochs < 0:
             raise ValueError("mode_hysteresis_epochs cannot be negative")
         if self.scrub_every < 0:

@@ -67,6 +67,9 @@ logger = logging.getLogger("repro.sim.simulator")
 #: the original exception propagates — safe mode is a degradation path,
 #: not an infinite retry loop.
 MAX_SAFE_MODE_TRIPS = 16
+#: Consecutive rejected observations of one router after which the
+#: simulator stops trusting its telemetry and degrades it.
+SENSOR_QUARANTINE_K = 8
 
 
 def build_network(
@@ -165,9 +168,7 @@ class Simulator:
         self.obs_guard: Optional[ObservationGuard] = None
         if config.sensor_defenses:
             self.obs_guard = ObservationGuard(
-                topology.num_nodes,
-                state_config=self.state_config,
-                quarantine_after=config.sensor_quarantine_k,
+                topology.num_nodes, state_config=self.state_config
             )
         #: epoch counter for hold TTLs and mode-switch debouncing; rides
         #: the checkpoint pickle so resumed runs continue the sequence
@@ -177,12 +178,11 @@ class Simulator:
         self._last_mode_switch: List[int] = [-(1 << 30)] * topology.num_nodes
 
         self.policy.reset(topology.num_nodes)
-        #: the degradation ledger: router -> reason it was first pinned to
-        #: mode 3 (watchdog trip, sensor quarantine, ECC escalation, or a
-        #: Q-table a resumed snapshot could not restore).  :meth:`degrade`
-        #: is its one writer; the learn and select stages skip its
-        #: routers, so no policy trains or selects for them.
-        self.degraded: Dict[int, str] = {}
+        #: the degradation ledger: router -> (cause, reason) it was first
+        #: pinned to mode 3 for.  :meth:`degrade` is its one writer; the
+        #: learn and select stages skip its routers, so no policy trains
+        #: or selects for them.
+        self.degraded: Dict[int, Tuple[str, str]] = {}
 
         #: memory soft-error campaign (None when config.soft_error_spec
         #: is empty — in which case no storage attaches and the learned
@@ -240,15 +240,31 @@ class Simulator:
         self.network.attach_tracer(tracer)
 
     # ------------------------------------------------------------------
-    # Guarded cycle: invariant trips degrade instead of crashing
+    # Degradation: the ledger, its one writer and the four rules
     # ------------------------------------------------------------------
+    def degrade(self, router_id: int, cause: str, reason: str) -> None:
+        """Record ``router_id`` in the degradation ledger.  The first call
+        for a router keeps ``(cause, reason)``, logs its one WARNING line
+        and emits its one ``mode/degrade`` event; later calls change
+        nothing.  From the next learn and select stages on, the policy no
+        longer sees the router and it runs in mode 3."""
+        if router_id in self.degraded:
+            return
+        self.degraded[router_id] = (cause, reason)
+        now = self.network.now
+        logger.warning(
+            "router %d degraded to mode 3 at cycle %d: %s", router_id, now, reason
+        )
+        if self.tracer is not None:
+            self.tracer.emit(now, "mode", "degrade", subject=router_id, cause=cause)
+
     def _cycle(self) -> None:
         """One network cycle; watchdog trips enter safe mode.
 
         Packet-conservation violations always propagate — they indicate a
         protocol bug, not congestion, and no mode change can repair lost
         accounting.  Deadlock/livelock trips degrade the implicated
-        routers to mode 3 (timing relaxation), re-arm the watchdog, and
+        routers and pin them to mode 3 at once, re-arm the watchdog, and
         keep the run alive, up to :data:`MAX_SAFE_MODE_TRIPS`.
         """
         try:
@@ -256,46 +272,31 @@ class Simulator:
         except ConservationError:
             raise
         except NoCInvariantError as exc:
-            if self.metrics.peek("watchdog.safe_mode_entries") >= MAX_SAFE_MODE_TRIPS:
+            trips = self.metrics.counter("watchdog.handled_trips")
+            if trips.value >= MAX_SAFE_MODE_TRIPS:
                 raise
-            self._enter_safe_mode(exc)
+            trips.inc()
+            network = self.network
+            implicated = sorted(
+                {
+                    entry["router"]
+                    for entry in exc.report.get("stuck", [])
+                    if "router" in entry
+                }
+            ) or [router.id for router in network.routers]
+            reason = f"{type(exc).__name__} at cycle {network.now}: {exc}"
+            for router_id in implicated:
+                self.degrade(router_id, "watchdog", reason)
+                network.set_mode(router_id, OperationMode.MODE_3)
+            if network.watchdog is not None:
+                network.watchdog.rearm(network.now)
 
-    def _enter_safe_mode(self, exc: NoCInvariantError) -> None:
-        network = self.network
-        implicated = sorted(
-            {
-                entry["router"]
-                for entry in exc.report.get("stuck", [])
-                if "router" in entry
-            }
-        ) or [router.id for router in network.routers]
-        reason = f"{type(exc).__name__} at cycle {network.now}: {exc}"
-        for router_id in implicated:
-            self.degrade(router_id, reason)
-            network.set_mode(router_id, OperationMode.MODE_3)
-        self.metrics.counter("watchdog.safe_mode_entries").inc()
-        if self.tracer is not None:
-            self.tracer.emit(
-                network.now,
-                "watchdog",
-                "safe_mode",
-                error=type(exc).__name__,
-                routers=implicated,
-            )
-        if network.watchdog is not None:
-            network.watchdog.rearm(network.now)
-
-    def degrade(self, router_id: int, reason: str) -> None:
-        """Record ``router_id`` in the degradation ledger.  The first
-        call for a router keeps its reason and logs the router's one
-        WARNING line.  From the next learn and select stages on, the
-        policy no longer sees the router and it runs in mode 3."""
-        if router_id not in self.degraded:
-            self.degraded[router_id] = reason
-            logger.warning(
-                "router %d degraded to mode 3 at cycle %d: %s",
-                router_id, self.network.now, reason,
-            )
+    def restore_policy(self, state: Optional[Dict[str, object]]) -> None:
+        """Load a policy snapshot through ``load_state``'s validation and
+        degrade every router whose table it rejected."""
+        rejected = self.policy.load_state(state)
+        for router_id, reason in sorted(rejected.items()):
+            self.degrade(router_id, "checkpoint", reason)
 
     # ------------------------------------------------------------------
     # Control epoch: ordered stages
@@ -430,31 +431,26 @@ class Simulator:
         return observations
 
     def _guard_reject(self, router_id: int, report: GuardReport) -> None:
-        """Count and trace a rejected observation; degrade the router if
-        the guard quarantined it."""
-        m = self.metrics
+        """Count and trace a rejected observation; degrade the router
+        once its reject streak reaches :data:`SENSOR_QUARANTINE_K`."""
+        self.metrics.counter("sensor.rejected_observations").inc()
         tracer = self.tracer
-        trace_sensor = tracer is not None and tracer.wants("sensor")
-        now = self.network.now
-        m.counter("sensor.rejected_observations").inc()
-        if trace_sensor:
+        if tracer is not None and tracer.wants("sensor"):
             tracer.emit(
-                now,
+                self.network.now,
                 "sensor",
                 "reject",
                 subject=router_id,
                 holds=report.holds,
                 defaults=report.defaults,
             )
-        if report.quarantined:
-            m.counter("sensor.quarantines").inc()
-            reason = (
-                f"sensor quarantine: {self.obs_guard.quarantine_after} "
-                "consecutive rejected observations"
+        if report.streak == SENSOR_QUARANTINE_K:
+            self.degrade(
+                router_id,
+                "sensor",
+                f"sensor quarantine: {SENSOR_QUARANTINE_K} consecutive "
+                "rejected observations",
             )
-            self.degrade(router_id, reason)
-            if trace_sensor:
-                tracer.emit(now, "sensor", "quarantine", subject=router_id)
 
     def _learn_stage(
         self,
@@ -613,12 +609,15 @@ class Simulator:
                     subject=index if per_router else None,
                     rows=stats["quarantined_rows"],
                 )
-            if (
-                per_router
-                and index not in self.degraded
-                and storage.quarantined_rows >= storage.QUARANTINE_LIMIT
-            ):
-                self._escalate_ecc(now, index, storage.quarantined_rows)
+            if per_router and storage.quarantined_rows >= storage.QUARANTINE_LIMIT:
+                # The router's table is being eaten faster than it can
+                # relearn.  A shared table has no single router to blame.
+                self.degrade(
+                    index,
+                    "ecc",
+                    f"ECC quarantine: {storage.quarantined_rows} Q-table rows "
+                    "lost to uncorrectable soft errors",
+                )
         mode_votes = 0
         if self.mode_bank is not None:
             mode_votes = self.mode_bank.vote()
@@ -651,20 +650,6 @@ class Simulator:
                 quarantined=quarantined,
                 votes=mode_votes,
             )
-
-    def _escalate_ecc(self, now: int, router_id: int, rows: int) -> None:
-        """The router's learned table is being eaten faster than it can
-        relearn: degrade it to the safe mode (with a shared table there
-        is no single router to blame, so escalation is per-router-agent
-        only)."""
-        reason = (
-            f"ECC quarantine: {rows} Q-table rows lost to uncorrectable soft errors"
-        )
-        self.degrade(router_id, reason)
-        self.metrics.counter("ecc.safe_mode_entries").inc()
-        tracer = self.tracer
-        if tracer is not None and tracer.wants("ecc"):
-            tracer.emit(now, "ecc", "safe_mode", subject=router_id, rows=rows)
 
     def _measure_stage(
         self,
@@ -941,11 +926,7 @@ class Simulator:
                 if self.hard_faults is not None
                 else 0.0
             ),
-            safe_mode_entries=int(
-                self.metrics.peek("watchdog.safe_mode_entries")
-                + self.metrics.peek("sensor.quarantines")
-                + self.metrics.peek("ecc.safe_mode_entries")
-            ),
+            safe_mode_entries=len(self.degraded),
             rejected_observations=int(
                 self.metrics.peek("sensor.rejected_observations")
             ),

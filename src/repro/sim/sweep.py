@@ -151,7 +151,11 @@ __all__ = [
 #: Schema 14: no policy learns or selects for a degraded router (DT
 #: points whose pre-training degraded one changed), and a campaign cell
 #: whose artifact holds a rejected Q-table fails.
-CACHE_SCHEMA = 14
+#: Schema 15: ``safe_mode_entries`` counts the routers in the degradation
+#: ledger (it summed watchdog trips, guard quarantines and ECC
+#: escalations), and ``control_chaos``'s ``quarantined_routers`` are the
+#: ledger's ``sensor``-cause routers.
+CACHE_SCHEMA = 15
 
 DEFAULT_CACHE_DIR = ".sweep_cache"
 
@@ -554,7 +558,6 @@ def _eval_control_chaos(
             "report": exc.report,
         }
     result = sim.finish_measurement(point.traffic or "uniform")
-    guard = sim.obs_guard
     scalars = sim.metrics.scalars()
     injected = {
         name[len(prefix):]: int(value)
@@ -584,7 +587,9 @@ def _eval_control_chaos(
             "sensor_clamps": result.sensor_clamps,
             "sensor_defaults": int(peek("sensor.defaults")),
             "debounced_switches": int(peek("sensor.debounced_switches")),
-            "quarantined_routers": sorted(guard.quarantined) if guard is not None else [],
+            "quarantined_routers": sorted(
+                router for router, (cause, _) in sim.degraded.items() if cause == "sensor"
+            ),
             "scrubs": int(peek("ecc.scrubs")),
             "corrected": int(peek("ecc.corrected")),
             "detected": int(peek("ecc.detected")),

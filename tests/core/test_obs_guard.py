@@ -47,8 +47,6 @@ class TestHealthyPassThrough:
             make_guard(num_routers=0)
         with pytest.raises(ValueError):
             make_guard(hold_ttl=0)
-        with pytest.raises(ValueError):
-            make_guard(quarantine_after=0)
 
 
 class TestHoldAndDefault:
@@ -122,55 +120,50 @@ class TestClamping:
         assert obs.occupied_vcs == [CFG.num_vcs, 0, 0, 0, 0]
 
 
+def rejected_obs(router_id=0):
+    obs = make_obs(router_id=router_id)
+    obs.temperature = None
+    return obs
+
+
 class TestQuarantine:
+    """The guard reports each router's reject streak and decides nothing
+    with it: the simulator degrades the router once the streak reaches
+    ``SENSOR_QUARANTINE_K``."""
+
     def test_escalates_after_consecutive_rejects(self):
-        guard = make_guard(quarantine_after=3)
-        for epoch in range(2):
-            obs = make_obs()
-            obs.temperature = None
-            report = guard.inspect(0, obs, epoch_index=epoch)
-            assert not report.quarantined
-        obs = make_obs()
-        obs.temperature = None
-        report = guard.inspect(0, obs, epoch_index=2)
-        assert report.quarantined and guard.quarantined == {0}
-        # Already quarantined: the flag fires exactly once.
-        obs = make_obs()
-        obs.temperature = None
-        assert not guard.inspect(0, obs, epoch_index=3).quarantined
+        guard = make_guard()
+        streaks = [
+            guard.inspect(0, rejected_obs(), epoch_index=epoch).streak
+            for epoch in range(10)
+        ]
+        assert streaks == list(range(1, 11))
 
     def test_valid_observation_resets_streak(self):
-        guard = make_guard(quarantine_after=2)
-        obs = make_obs()
-        obs.temperature = None
-        guard.inspect(0, obs, epoch_index=0)
-        guard.inspect(0, make_obs(), epoch_index=1)  # healthy: reset
-        obs = make_obs()
-        obs.temperature = None
-        assert not guard.inspect(0, obs, epoch_index=2).quarantined
-        obs = make_obs()
-        obs.temperature = None
-        assert guard.inspect(0, obs, epoch_index=3).quarantined
+        guard = make_guard()
+        guard.inspect(0, rejected_obs(), epoch_index=0)
+        report = guard.inspect(0, make_obs(), epoch_index=1)  # healthy: reset
+        assert not report.rejected and report.streak == 0
+        assert guard.inspect(0, rejected_obs(), epoch_index=2).streak == 1
+        assert guard.inspect(0, rejected_obs(), epoch_index=3).streak == 2
 
     def test_streaks_are_per_router(self):
-        guard = make_guard(quarantine_after=2)
+        guard = make_guard()
         for epoch in range(2):
-            obs = make_obs(router_id=1)
-            obs.temperature = None
-            guard.inspect(1, obs, epoch_index=epoch)
-        assert guard.quarantined == {1}
+            guard.inspect(1, rejected_obs(router_id=1), epoch_index=epoch)
+        assert guard.inspect(1, rejected_obs(router_id=1), epoch_index=2).streak == 3
+        assert guard.inspect(0, rejected_obs(), epoch_index=2).streak == 1
 
 
 class TestState:
     def test_guard_pickles_with_streaks(self):
-        guard = make_guard(quarantine_after=3)
-        obs = make_obs()
-        obs.temperature = None
-        guard.inspect(0, obs, epoch_index=0)
+        guard = make_guard()
+        guard.inspect(0, rejected_obs(), epoch_index=0)
         clone = pickle.loads(pickle.dumps(guard))
         for epoch in (1, 2):
+            reports = []
             for g in (guard, clone):
                 poisoned = make_obs()
                 poisoned.temperature = math.nan
-                g.inspect(0, poisoned, epoch_index=epoch)
-        assert guard.quarantined == clone.quarantined == {0}
+                reports.append(g.inspect(0, poisoned, epoch_index=epoch))
+            assert [report.streak for report in reports] == [epoch + 1] * 2

@@ -108,12 +108,7 @@ class ReferenceGuard(ObservationGuard):
             )
         if report.rejected:
             self._streak[router_id] += 1
-            if (
-                self._streak[router_id] >= self.quarantine_after
-                and router_id not in self.quarantined
-            ):
-                self.quarantined.add(router_id)
-                report.quarantined = True
+            report.streak = self._streak[router_id]
         else:
             self._streak[router_id] = 0
         return report
@@ -150,14 +145,12 @@ step = st.tuples(
 @given(
     steps=st.lists(step, min_size=1, max_size=14),
     hold_ttl=st.integers(min_value=1, max_value=3),
-    quarantine_after=st.integers(min_value=1, max_value=4),
 )
-def test_guard_matches_the_per_element_reference(steps, hold_ttl, quarantine_after):
+def test_guard_matches_the_per_element_reference(steps, hold_ttl):
     kwargs = dict(
         num_routers=3,
         state_config=DiscretizationConfig(),
         hold_ttl=hold_ttl,
-        quarantine_after=quarantine_after,
     )
     guard = ObservationGuard(**kwargs)
     reference = ReferenceGuard(**kwargs)
@@ -174,10 +167,9 @@ def test_guard_matches_the_per_element_reference(steps, hold_ttl, quarantine_aft
         ]
         assert obs.discrete == expected.discrete == ("unset",)  # the stage re-bins
         assert (report.holds, report.clamps, report.defaults, report.rejected,
-                report.quarantined) == (
+                report.streak) == (
             wanted.holds, wanted.clamps, wanted.defaults, wanted.rejected,
-            wanted.quarantined,
+            wanted.streak,
         )
         assert repr(guard._last_good) == repr(reference._last_good)
         assert guard._streak == reference._streak
-        assert guard.quarantined == reference.quarantined

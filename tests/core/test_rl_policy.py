@@ -185,6 +185,22 @@ class TestDurableState:
         assert all(reason.startswith("rejected Q-table: ") for reason in rejected.values())
         assert clone.states_visited() == 0
 
+    def test_a_router_the_snapshot_has_no_table_for_is_rejected(self):
+        state = self._trained().to_state()
+        state["agents"] = state["agents"][:2]
+        clone = RLControlPolicy(seed=5)
+        rejected = clone.load_state(state)
+        assert set(rejected) == {2}
+        assert rejected[2].startswith("rejected Q-table: ")
+        assert clone._agents[2].states_visited == 0
+
+        state = self._trained(share=True).to_state()
+        state["agents"] = []
+        clone = RLControlPolicy(seed=5, share_table=True)
+        rejected = clone.load_state(state)
+        assert set(rejected) == {0, 1, 2}
+        assert all(reason.startswith("rejected Q-table: ") for reason in rejected.values())
+
     def test_snapshot_carries_no_pins(self):
         state = self._trained().to_state()
         assert set(state) == {"policy", "share_table", "num_routers", "seed", "agents"}

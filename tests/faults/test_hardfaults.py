@@ -106,6 +106,17 @@ class TestModel:
         net.run(20)
         assert net.stats.router_kills == 1
 
+    @pytest.mark.parametrize("spec", [
+        "router@150:42", "router@150:-1", "link@100:42E", "link@100:3E", "link@100:0S",
+    ])
+    def test_missing_target_rejected(self, spec):
+        """A kill naming a router outside the 4x4 mesh, or a link at its
+        edge, is refused before anything runs."""
+        kind = spec.split("@")[0]
+        message = f"bad fault clause '{spec}': the 4x4 mesh has no such {kind}"
+        with pytest.raises(ValueError, match=message):
+            HardFaultModel(_mesh(), parse_fault_spec(spec))
+
     def test_post_fault_latency_split(self):
         net = _mesh()
         model = HardFaultModel(net, parse_fault_spec("link@60:5E"))

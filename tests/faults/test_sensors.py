@@ -6,11 +6,7 @@ import random
 import pytest
 
 from repro.core.state import RouterObservation
-from repro.faults import (
-    SensorFaultModel,
-    SensorFaultRule,
-    parse_sensor_spec,
-)
+from repro.faults import SensorFaultModel, parse_sensor_spec
 
 
 def make_obs(router_id=0, temp=60.0):
@@ -60,11 +56,6 @@ class TestGrammar:
     def test_bad_clause_named_in_error(self, clause):
         with pytest.raises(ValueError, match="bad sensor clause"):
             parse_sensor_spec(f"drop@0.5:util;{clause}")
-
-    def test_rule_equality_and_hash(self):
-        a = parse_sensor_spec("drop@0.2:util")[0]
-        b = SensorFaultRule("drop", probability=0.2, field="util")
-        assert a == b and hash(a) == hash(b)
 
 
 class TestModel:

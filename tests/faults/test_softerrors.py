@@ -17,7 +17,6 @@ from repro.faults.softerrors import (
     MODE_COPIES,
     MODE_REGISTER_BITS,
     SoftErrorModel,
-    SoftErrorRule,
     _poisson,
     parse_soft_error_spec,
 )
@@ -59,12 +58,6 @@ class TestGrammar:
     def test_malformed_clauses(self, bad):
         with pytest.raises(ValueError, match="bad soft-error clause"):
             parse_soft_error_spec(bad)
-
-    def test_rule_equality_and_hash_by_format(self):
-        a = SoftErrorRule("burst", cycle=800, count=4)
-        b = parse_soft_error_spec("burst@800:4")[0]
-        assert a == b
-        assert len({a, b}) == 1
 
 
 class TestPoisson:

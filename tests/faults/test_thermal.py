@@ -93,14 +93,6 @@ class TestTransient:
             grid.step([0.0] * 4)
         assert np.all(grid.temperatures < hot)
 
-    def test_reset(self):
-        grid = ThermalGrid(2, 2)
-        grid.step([0.4] * 4)
-        grid.reset()
-        assert np.allclose(grid.temperatures, grid.t_ambient)
-        grid.reset(60.0)
-        assert np.allclose(grid.temperatures, 60.0)
-
 
 @settings(max_examples=60, deadline=None)
 @given(

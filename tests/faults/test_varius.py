@@ -109,13 +109,6 @@ class TestModel:
         with pytest.raises(ValueError):
             VariusModel(1, 1).mean_delay(0, 60.0, voltage=0.2)
 
-    def test_vector_interface(self):
-        model = VariusModel(2, 2)
-        probs = model.error_probabilities([50.0, 60.0, 70.0, 80.0])
-        assert len(probs) == 4
-        with pytest.raises(ValueError):
-            model.error_probabilities([50.0])
-
 
 @settings(max_examples=100)
 @given(

@@ -95,8 +95,9 @@ class TestAcceptance:
         assert results[0]["debounced_switches"] == 0
         assert results[4]["mode_switches"] <= results[0]["mode_switches"]
 
-    def test_full_dropout_quarantines_and_still_delivers(self):
-        config = small_config(sensor_spec="drop@1.0:all", sensor_quarantine_k=4)
+    def test_full_dropout_quarantines_and_still_delivers(self, monkeypatch):
+        monkeypatch.setattr("repro.sim.simulator.SENSOR_QUARANTINE_K", 4)
+        config = small_config(sensor_spec="drop@1.0:all")
         point = sensor_point(config, "drop@1.0:all")
         payload = _eval_control_chaos(config, point)["control_chaos"]
         assert payload["diagnosis"] is None
@@ -138,11 +139,9 @@ class TestDeterminism:
         assert fast.sensor_holds + fast.sensor_clamps > 0
         assert fast.packets_delivered > 0
 
-    def test_kill_and_resume_bit_identical_with_sensor_faults(self, tmp_path):
-        config = small_config(
-            sensor_spec=self.SPEC, mode_hysteresis_epochs=2,
-            sensor_quarantine_k=4,
-        )
+    def test_kill_and_resume_bit_identical_with_sensor_faults(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("repro.sim.simulator.SENSOR_QUARANTINE_K", 4)
+        config = small_config(sensor_spec=self.SPEC, mode_hysteresis_epochs=2)
         baseline = ResumableRun(config, "rl", "swaptions", trace_cycles=400).run()
         assert baseline.rejected_observations > 0
 

@@ -5,8 +5,9 @@ pre-training curriculum.
 A degraded router runs in mode 3 (timing relaxation) from the epoch it
 degrades until the run ends, whatever the policy or the curriculum asks
 for.  These tests drive each path on a 3x3 mesh and watch the modes the
-select stage hands to ``Network.set_mode``, and the one WARNING line
-each degraded router logs.
+select stage hands to ``Network.set_mode``, the one WARNING line and the
+one ``mode/degrade`` event each degraded router gives, and the count
+``RunResult.safe_mode_entries`` reads off the ledger.
 """
 
 import logging
@@ -55,15 +56,15 @@ def record_set_mode(sim):
     return calls
 
 
-def trip_when(sim, when, error=DeadlockError):
+def trip_when(sim, when, error=DeadlockError, routers=(STUCK_ROUTER,)):
     """After each real cycle for which ``when(cycle)`` holds, raise a
-    watchdog error that names :data:`STUCK_ROUTER`."""
+    watchdog error that names ``routers``."""
     real = sim.network.cycle
 
     def cycle():
         real()
         if when(sim.network.now):
-            raise error("stuck", {"stuck": [{"router": STUCK_ROUTER}]})
+            raise error("stuck", {"stuck": [{"router": r} for r in routers]})
 
     sim.network.cycle = cycle
 
@@ -109,7 +110,7 @@ class TestWatchdogTrip:
         with pytest.raises(DeadlockError):
             sim.measure_trace(long_trace(), "tiny")
         assert sim.network.now == 10 + MAX_SAFE_MODE_TRIPS
-        assert sim.metrics.peek("watchdog.safe_mode_entries") == MAX_SAFE_MODE_TRIPS
+        assert sim.metrics.peek("watchdog.handled_trips") == MAX_SAFE_MODE_TRIPS
 
     def test_conservation_error_propagates_at_once(self):
         sim = Simulator(mesh_config(), crc_policy(), seed=2)
@@ -117,17 +118,33 @@ class TestWatchdogTrip:
         with pytest.raises(ConservationError):
             sim.measure_trace(long_trace(), "tiny")
         assert sim.network.now == 50
-        assert sim.metrics.peek("watchdog.safe_mode_entries") == 0
+        assert sim.metrics.peek("watchdog.handled_trips") == 0
+
+    def test_a_trip_naming_two_routers_counts_both(self):
+        sim = Simulator(mesh_config(), crc_policy(), seed=2)
+        trip_when(sim, lambda now: now == self.TRIP_CYCLE, routers=(STUCK_ROUTER, 5))
+        result = sim.measure_trace(long_trace(), "tiny")
+        assert result.safe_mode_entries == 2
+        assert sorted(sim.degraded) == [STUCK_ROUTER, 5]
+        assert sim.metrics.peek("watchdog.handled_trips") == 1
+
+
+@pytest.fixture
+def quarantine_after_two(monkeypatch):
+    """Degrade a router after two consecutive rejected observations."""
+    monkeypatch.setattr("repro.sim.simulator.SENSOR_QUARANTINE_K", 2)
 
 
 class TestGuardQuarantine:
-    def test_quarantined_static_router_is_pinned_without_debounce(self):
-        """Every reading lost: the guard quarantines each router after
-        ``sensor_quarantine_k`` epochs.  The static design keeps asking
+    def test_quarantined_static_router_is_pinned_without_debounce(
+        self, quarantine_after_two
+    ):
+        """Every reading lost: the simulator quarantines each router after
+        ``SENSOR_QUARANTINE_K`` epochs.  The static design keeps asking
         for mode 0, so right after the pin the debounce would hold the
         router back if the pin were not exempt from it."""
         config = mesh_config(
-            sensor_spec="drop@1.0:all", sensor_quarantine_k=2, mode_hysteresis_epochs=3,
+            sensor_spec="drop@1.0:all", mode_hysteresis_epochs=3,
         )
         sim = Simulator(config, crc_policy(), seed=2)
         calls = record_set_mode(sim)
@@ -160,9 +177,9 @@ class TestEccEscalation:
         assert len(escalated) == 5
         assert set(sim.degraded) == escalated
         assert all(
-            reason.startswith("ECC quarantine: ") for reason in sim.degraded.values()
+            cause == "ecc" and reason.startswith("ECC quarantine: ")
+            for cause, reason in sim.degraded.values()
         )
-        assert sim.metrics.peek("ecc.safe_mode_entries") == len(escalated)
 
     def test_trace_summary_counts_ecc_escalations(self, tmp_path, capsys):
         config = mesh_config(soft_error_spec=SOFT_ERRORS)
@@ -174,9 +191,9 @@ class TestEccEscalation:
         records = synthesize_benchmark_trace("blackscholes", config, 100, 0)
         result = sim.measure_trace(records, "blackscholes")
         assert tracer.dropped == 0
-        escalated = [
-            ev.subject for ev in tracer if (ev.category, ev.kind) == ("ecc", "safe_mode")
-        ]
+        degrades = [ev for ev in tracer if (ev.category, ev.kind) == ("mode", "degrade")]
+        assert {ev.data["cause"] for ev in degrades} == {"ecc"}
+        escalated = [ev.subject for ev in degrades]
         assert sorted(escalated) == sorted(sim.degraded) == sorted(over_limit(policy))
 
         trace_file = tmp_path / "ecc.jsonl"
@@ -191,19 +208,28 @@ class TestEccEscalation:
 class TestCurriculum:
     PINNED = 4
 
-    def _pinned_sim(self):
-        sim = Simulator(mesh_config(), RLControlPolicy(share_table=True, seed=0), seed=0)
-        sim.degrade(self.PINNED, "pinned before pre-training")
+    def _pinned_sim(self, tracer=None):
+        policy = RLControlPolicy(share_table=True, seed=0)
+        sim = Simulator(mesh_config(), policy, seed=0, tracer=tracer)
+        sim.degrade(self.PINNED, "checkpoint", "pinned before pre-training")
         return sim
 
     def test_ledger_keeps_the_first_reason(self, caplog):
+        tracer = TraceBuffer()
         with caplog.at_level(logging.WARNING):
-            sim = self._pinned_sim()
-            sim.degrade(self.PINNED, "watchdog trip")
-            sim.degrade(STUCK_ROUTER, "watchdog trip")
-        expected = {self.PINNED: "pinned before pre-training", STUCK_ROUTER: "watchdog trip"}
+            sim = self._pinned_sim(tracer)
+            sim.degrade(self.PINNED, "watchdog", "watchdog trip")
+            sim.degrade(STUCK_ROUTER, "watchdog", "watchdog trip")
+        expected = {
+            self.PINNED: ("checkpoint", "pinned before pre-training"),
+            STUCK_ROUTER: ("watchdog", "watchdog trip"),
+        }
         assert sim.degraded == expected
         assert_one_warning_per_router(caplog, sim.degraded)
+        assert [(ev.category, ev.kind, ev.subject, ev.data) for ev in tracer] == [
+            ("mode", "degrade", self.PINNED, {"cause": "checkpoint"}),
+            ("mode", "degrade", STUCK_ROUTER, {"cause": "watchdog"}),
+        ]
 
     def test_curriculum_keeps_a_pinned_router_in_mode_3(self):
         sim = self._pinned_sim()
@@ -248,8 +274,8 @@ class TestOneWarningPerDegradedRouter:
         assert list(sim.degraded) == [STUCK_ROUTER]
         assert_one_warning_per_router(caplog, sim.degraded)
 
-    def test_guard_quarantine(self, caplog):
-        config = mesh_config(sensor_spec="drop@1.0:all", sensor_quarantine_k=2)
+    def test_guard_quarantine(self, caplog, quarantine_after_two):
+        config = mesh_config(sensor_spec="drop@1.0:all")
         sim = Simulator(config, RLControlPolicy(seed=0), seed=2)
         with caplog.at_level(logging.WARNING):
             sim.measure_trace(long_trace(), "tiny")
@@ -279,3 +305,35 @@ class TestOneWarningPerDegradedRouter:
             resumed = ResumableRun.resume(path)
         assert len(resumed.sim.degraded) == 9
         assert_one_warning_per_router(caplog, resumed.sim.degraded)
+
+
+class TestOneCount:
+    """``RunResult.safe_mode_entries`` is the size of the ledger, and a
+    trace from the run's start holds one ``mode/degrade`` event for each
+    of its routers, whatever path degraded it and however often."""
+
+    def test_a_router_degraded_twice_counts_once(
+        self, quarantine_after_two, tmp_path, capsys
+    ):
+        """The watchdog degrades router 3 at cycle 50; two epochs of lost
+        readings later the sensor rule reaches every router, router 3
+        included."""
+        config = mesh_config(sensor_spec="drop@1.0:all")
+        tracer = TraceBuffer()
+        sim = Simulator(config, crc_policy(), seed=2, tracer=tracer)
+        trip_when(sim, lambda now: now == 50)
+        result = sim.measure_trace(long_trace(), "tiny")
+
+        assert result.safe_mode_entries == len(sim.degraded) == 9
+        assert sim.degraded[STUCK_ROUTER][0] == "watchdog"
+        assert {cause for cause, _ in sim.degraded.values()} == {"watchdog", "sensor"}
+        degrades = [ev for ev in tracer if (ev.category, ev.kind) == ("mode", "degrade")]
+        assert sorted(ev.subject for ev in degrades) == list(range(9))
+        assert {ev.subject: ev.data["cause"] for ev in degrades} == {
+            router: cause for router, (cause, _) in sim.degraded.items()
+        }
+
+        trace_file = tmp_path / "degraded.jsonl"
+        write_trace_jsonl(tracer, str(trace_file))
+        assert main(["trace", str(trace_file)]) == 0
+        assert "degradation: 9 safe-mode entries" in capsys.readouterr().out

@@ -384,6 +384,35 @@ class TestSpecValidation:
                   "--cache-dir", str(tmp_path)])
 
     @pytest.mark.parametrize("argv, message", [
+        (["run", "--fault-spec", "router@150:42"],
+         "--fault-spec: bad fault clause 'router@150:42': the 3x3 mesh has no such router"),
+        (["run", "--fault-spec", "link@100:8E"],
+         "--fault-spec: bad fault clause 'link@100:8E': the 3x3 mesh has no such link"),
+        (["run", "--soft-error-spec", "mode@r42+100"],
+         "--soft-error-spec: bad soft-error clause 'mode@r42+100': the mesh has only 9 "),
+        (["chaos", "--fault-specs", "router@100:99"],
+         "--fault-specs: bad fault clause 'router@100:99': the 3x3 mesh has no such router"),
+        (["chaos", "--fault-specs", "link@100:42E"],
+         "--fault-specs: bad fault clause 'link@100:42E': the 3x3 mesh has no such link"),
+        (["chaos", "--sensor-spec", "stuck@r42.temp=0.9"],
+         "--sensor-spec: bad sensor clause 'stuck@r42.temp=0.9': the mesh has only 9 "),
+    ])
+    def test_spec_naming_a_missing_target_exits_before_running(
+        self, argv, message, tmp_path
+    ):
+        """Every spec is checked against ``--width`` x ``--height`` before
+        any point runs: one line naming the flag and the clause."""
+        argv = argv + ["--width", "3", "--height", "3"]
+        if argv[0] == "chaos":
+            argv += ["--cache-dir", str(tmp_path / "cache")]
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        reason = exited.value.code
+        assert isinstance(reason, str) and "\n" not in reason
+        assert reason.startswith(message)
+        assert not (tmp_path / "cache").exists()
+
+    @pytest.mark.parametrize("argv, message", [
         (["sweep", "--rates", "0.01,abc"], "could not convert string to float: 'abc'"),
         (["sweep", "--jobs", "0"], "jobs must be at least 1"),
         (["sweep", "--design", "bogus"], "unknown design 'bogus'"),
@@ -578,8 +607,9 @@ class TestObservabilityCli:
             main(argv)
 
     def test_sensor_chaos_trace_and_degradation_summary(self, capsys, tmp_path):
-        """Traced sensor campaign emits sensor events; `repro trace`
-        rolls them up into the degradation summary line."""
+        """Traced sensor campaign emits sensor events and one
+        ``mode/degrade`` per quarantined router; `repro trace` rolls them
+        up into the degradation summary line."""
         trace_file = tmp_path / "sensor.jsonl"
         argv = [
             "chaos", "--sensor-spec", "drop@1.0:all",
@@ -587,7 +617,7 @@ class TestObservabilityCli:
             "--epoch", "100", "--pretrain", "1200", "--warmup", "200",
             "--rate", "0.05", "--span", "500",
             "--cache-dir", str(tmp_path / "cache"),
-            "--trace", str(trace_file), "--trace-filter", "sensor", "--json",
+            "--trace", str(trace_file), "--trace-filter", "sensor,mode", "--json",
         ]
         assert main(argv) == 0
         out, err = capsys.readouterr()
@@ -595,9 +625,17 @@ class TestObservabilityCli:
         payload = json.loads(out)
         assert payload[0]["rejected_observations"] > 0
         assert payload[0]["quarantined_routers"] == list(range(9))
+        assert payload[0]["safe_mode_entries"] == 9
+
+        assert main(["trace", str(trace_file), "--filter", "mode", "--json"]) == 0
+        degrades = [
+            ev for ev in json.loads(capsys.readouterr().out) if ev["kind"] == "degrade"
+        ]
+        assert [ev["subject"] for ev in degrades] == list(range(9))
+        assert {ev["data"]["cause"] for ev in degrades} == {"sensor"}
 
         assert main(["trace", str(trace_file)]) == 0
         summary = capsys.readouterr().out
         assert "sensor/reject" in summary
-        assert "sensor/quarantine" in summary
+        assert "mode/degrade" in summary
         assert "degradation: 9 safe-mode entries" in summary
