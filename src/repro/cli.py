@@ -418,7 +418,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--fault-specs", default=None,
         help="'|'-separated campaign specs, e.g. "
         "'link@500:5E|router@800:7;burst@300+200:0.2' ('' = healthy "
-        "baseline; default: link@500:5E, or '' for a closed-loop campaign)",
+        "baseline; default: link@500:0E, which every mesh has, or '' for "
+        "a closed-loop campaign)",
     )
     chaos.add_argument(
         "--designs", default="rl",
@@ -824,7 +825,7 @@ def cmd_chaos(args) -> int:
     if raw_specs is None:
         # A closed-loop campaign defaults to a hard-fault-free platform
         # so the control-plane faults it names are the only stressor.
-        raw_specs = "" if closed_loop else "link@500:5E"
+        raw_specs = "" if closed_loop else "link@500:0E"
     fault_specs = tuple(s.strip() for s in raw_specs.split("|"))
     _validate_specs(args, fault_specs, "--fault-specs")
     if closed_loop:

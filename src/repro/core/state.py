@@ -32,7 +32,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from repro.noc.router import Router
+from repro.noc.router import NUM_VCS, Router
 
 __all__ = [
     "AMBIENT_C",
@@ -66,7 +66,7 @@ class DiscretizationConfig:
     temperature_range: Tuple[float, float] = (50.0, 100.0)
     temperature_bins: int = 5
     #: VCs per port, for the buffer-utilization bin ceiling
-    num_vcs: int = 4
+    num_vcs: int = NUM_VCS
 
     def utilization_bin(self, value: float) -> int:
         """Linear-space bin of a link utilization (flits/cycle).

@@ -10,9 +10,9 @@ copy: each channel model's ``event_probability`` (the larger of this
 value and an active error burst's floor) is the one record of the rate a
 channel suffers, and :meth:`FaultInjector.mean_probability` reads it.
 
-``error_scale`` is an explicit knob for scaled-down experiments: it
-multiplies every event probability so short runs accumulate enough error
-events for stable statistics.  Benches document the value they use.
+``error_scale`` multiplies every event probability.  The simulator runs
+at 1; a larger scale lets a short run accumulate enough error events for
+stable statistics.
 """
 
 from __future__ import annotations

@@ -36,8 +36,8 @@ from repro.core.modes import OperationMode
 from repro.noc.channel import Channel, ChannelErrorModel
 from repro.noc.faultstate import FaultState
 from repro.noc.interface import SIDEBAND_BASE_LATENCY, NetworkInterface
-from repro.noc.packet import Packet
-from repro.noc.router import OutputLink, Router
+from repro.noc.packet import FLIT_BITS, Packet
+from repro.noc.router import NUM_VCS, OutputLink, Router
 from repro.noc.routing import ROUTING_FUNCTIONS
 from repro.noc.stats import NetworkStats
 from repro.noc.topology import OPPOSITE_PORT, MeshTopology, Port
@@ -137,9 +137,9 @@ class Network:
         self,
         topology: MeshTopology,
         routing: str = "xy",
-        num_vcs: int = 4,
+        num_vcs: int = NUM_VCS,
         vc_depth: int = 4,
-        flit_bits: int = 128,
+        flit_bits: int = FLIT_BITS,
         rng: Optional[random.Random] = None,
         watchdog_interval: int = 256,
         deadlock_cycles: int = 4096,

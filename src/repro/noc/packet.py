@@ -2,7 +2,7 @@
 
 Data in the NoC travels as packets segmented into flits (Section II of the
 paper).  The paper's configuration (Table II) uses 128-bit flits and
-4-flit packets; both are configurable here.
+4-flit packets: :data:`FLIT_BITS` and :data:`PACKET_FLITS`.
 
 Payloads are plain integers interpreted as bit-vectors, which lets the
 fault injector flip bits with XOR masks and lets the real CRC/SECDED codes
@@ -16,7 +16,12 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-__all__ = ["Flit", "Packet"]
+__all__ = ["FLIT_BITS", "PACKET_FLITS", "Flit", "Packet"]
+
+#: Bits per flit (Table II).
+FLIT_BITS = 128
+#: Flits per packet (Table II).
+PACKET_FLITS = 4
 
 
 class Flit:

@@ -54,6 +54,9 @@ ECC_PIPELINE_CYCLES = 1
 #: Transmissions an output port's ARQ buffer holds awaiting an ACK.
 ARQ_CAPACITY = 8
 
+#: Virtual channels per input port (Table II).
+NUM_VCS = 4
+
 _NUM_PORTS = len(Port)
 _LOCAL = int(Port.LOCAL)
 _LOCAL_BIT = 1 << _LOCAL

@@ -30,12 +30,16 @@ from typing import Dict
 from repro.noc.stats import RouterEpochStats
 
 __all__ = [
+    "CLOCK_HZ",
     "EnergyParams",
     "EpochEnergy",
     "RouterPowerModel",
     "DesignPowerProfile",
     "CorePowerParams",
 ]
+
+#: Router clock (Table II: 2.0 GHz).
+CLOCK_HZ = 2.0e9
 
 
 @dataclass(frozen=True)
@@ -63,7 +67,7 @@ class EnergyParams:
     rl_leakage_mw: float = 0.25
     dt_leakage_mw: float = 0.18
 
-    clock_hz: float = 2.0e9
+    clock_hz: float = CLOCK_HZ
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,7 @@ segment through ``Simulator.run_segment``, the same code the classic
 ``pretrain -> freeze -> warmup -> measure_trace`` calls execute, so a
 run with no checkpointing is byte-equivalent to that pipeline.  A
 segment resumed mid-way continues from its cycle count, which is also
-where its ``max_drain_cycles`` budget counts from.  ``repro run``
+where its ``MAX_DRAIN_CYCLES`` budget counts from.  ``repro run``
 executes every run, with or without ``--checkpoint``, through
 ``ResumableRun``.
 """
@@ -312,6 +312,8 @@ class ResumableRun:
     ) -> None:
         if checkpoint_every < 0:
             raise ValueError("checkpoint_every cannot be negative")
+        if trace_cycles < 1:
+            raise ValueError("trace_cycles must be positive")
         self.config = config
         self.design = design
         self.benchmark = benchmark

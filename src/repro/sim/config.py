@@ -4,42 +4,28 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from repro.noc.routing import ROUTING_FUNCTIONS
-
 __all__ = ["SimulationConfig", "paper_config", "scaled_config"]
 
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """Everything needed to build one simulation instance.
+    """The settings an experiment varies.
 
-    The defaults reproduce Table II: an 8x8 2D mesh of 4-stage routers
-    with XY routing, 4 VCs per port, 128-bit flits, 4-flit packets, at
-    1.0 V and 2.0 GHz in 32 nm; the RL temporal-difference rule is
-    applied every 1K cycles, after 1M pre-training and 300K warm-up
-    cycles of synthetic traffic (Section V-B).
+    The defaults reproduce Table II's 8x8 mesh and the Section V-B
+    phases: the RL temporal-difference rule every 1K cycles, after 1M
+    pre-training and 300K warm-up cycles of synthetic traffic.  The rest
+    of Table II is one constant each, where it is read (``NUM_VCS``,
+    ``FLIT_BITS``, ``PACKET_FLITS``, ``CLOCK_HZ``; see DESIGN.md §5).
     """
 
-    # Topology / router microarchitecture (Table II)
+    # Mesh size (Table II: 8x8)
     width: int = 8
     height: int = 8
-    num_vcs: int = 4
-    vc_depth: int = 4
-    flit_bits: int = 128
-    packet_size: int = 4
-    routing: str = "xy"
-
-    # Electrical operating point (Table II)
-    clock_hz: float = 2.0e9
-    voltage: float = 1.0
 
     # Control-loop phases (Section V-B)
     epoch_cycles: int = 1000
     pretrain_cycles: int = 1_000_000
     warmup_cycles: int = 300_000
-
-    # Fault model
-    error_scale: float = 1.0
 
     # RL state encoding (see repro.core.state: compact vs full Table I,
     # and the Markov-completing current-mode feature)
@@ -49,19 +35,10 @@ class SimulationConfig:
     # Pre-training and warm-up traffic (uniform random)
     pretrain_injection_rate: float = 0.015
 
-    # Safety valve for drain loops
-    max_drain_cycles: int = 2_000_000
-
-    # Hard faults / runtime invariants.  ``fault_spec`` is the campaign
-    # spec string of repro.faults.hardfaults ("" = healthy baseline); the
-    # watchdog knobs gate the conservation/deadlock/livelock checks
-    # (watchdog_interval=0 disables them entirely).  A deadlock/livelock
-    # trip pins the implicated routers to mode 3 and the run goes on; a
-    # conservation violation always raises.
+    # Hard faults: the campaign spec string of repro.faults.hardfaults
+    # ("" = healthy baseline).  A watchdog deadlock/livelock trip pins the
+    # implicated routers to mode 3; a conservation violation raises.
     fault_spec: str = ""
-    watchdog_interval: int = 256
-    deadlock_cycles: int = 4096
-    max_packet_age: int = 500_000
 
     # Sensor faults / control-plane hardening.  ``sensor_spec`` is the
     # telemetry-corruption campaign of repro.faults.sensors ("" = healthy
@@ -94,15 +71,10 @@ class SimulationConfig:
             raise ValueError("mesh must be at least 2x2")
         if self.epoch_cycles < 1:
             raise ValueError("epoch must span at least one cycle")
-        if self.packet_size < 1:
-            raise ValueError("packets need at least one flit")
-        if self.routing not in ROUTING_FUNCTIONS:
-            raise ValueError(
-                f"unknown routing {self.routing!r}; pick one of "
-                f"{', '.join(sorted(ROUTING_FUNCTIONS))}"
-            )
-        if self.watchdog_interval < 0:
-            raise ValueError("watchdog_interval cannot be negative")
+        if self.pretrain_cycles < 0:
+            raise ValueError("pretrain_cycles cannot be negative")
+        if self.warmup_cycles < 0:
+            raise ValueError("warmup_cycles cannot be negative")
         if self.mode_hysteresis_epochs < 0:
             raise ValueError("mode_hysteresis_epochs cannot be negative")
         if self.scrub_every < 0:

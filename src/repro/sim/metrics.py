@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import Dict
 
 from repro.noc.stats import NetworkStats
+from repro.power.orion import CLOCK_HZ
 
 __all__ = ["RunResult", "StatsSnapshot"]
 
@@ -82,7 +83,6 @@ class RunResult:
     duplicate_flits: int
     dynamic_energy_pj: float
     static_energy_pj: float
-    clock_hz: float
     mode_cycles: Dict[int, int] = field(default_factory=dict)
     mean_temperature: float = 0.0
     mean_error_probability: float = 0.0
@@ -122,7 +122,7 @@ class RunResult:
 
     @property
     def execution_seconds(self) -> float:
-        return self.execution_cycles / self.clock_hz
+        return self.execution_cycles / CLOCK_HZ
 
     @property
     def energy_efficiency(self) -> float:

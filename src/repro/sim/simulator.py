@@ -53,7 +53,7 @@ from repro.noc.packet import Packet
 from repro.noc.topology import MeshTopology, Port
 from repro.noc.watchdog import ConservationError, NoCInvariantError
 from repro.obs.metrics import MetricRegistry
-from repro.power.orion import CorePowerParams, EnergyParams, RouterPowerModel
+from repro.power.orion import CLOCK_HZ, CorePowerParams, RouterPowerModel
 from repro.sim.config import SimulationConfig
 from repro.sim.metrics import RunResult, StatsSnapshot
 from repro.traffic.synthetic import SyntheticTraffic
@@ -70,29 +70,20 @@ MAX_SAFE_MODE_TRIPS = 16
 #: Consecutive rejected observations of one router after which the
 #: simulator stops trusting its telemetry and degrades it.
 SENSOR_QUARANTINE_K = 8
+#: Cycles a drain, or a measurement after its source is spent, may take
+#: before the run is declared wedged.
+MAX_DRAIN_CYCLES = 2_000_000
 
 
 def build_network(
-    config: SimulationConfig,
-    rng: random.Random,
-    routing: Optional[str] = None,
+    config: SimulationConfig, rng: random.Random, routing: str = "xy"
 ) -> Network:
-    """The mesh ``config`` describes: its size, routing (``routing``
-    overrides ``config.routing``), router parameters and watchdog
-    settings.  The cycle kernel is deliberately not part of
-    :class:`SimulationConfig`: both kernels are bit-identical, and
-    sweep-cache keys hash the config (``REPRO_NAIVE_KERNEL`` selects it)."""
-    return Network(
-        MeshTopology(config.width, config.height),
-        routing=routing or config.routing,
-        num_vcs=config.num_vcs,
-        vc_depth=config.vc_depth,
-        flit_bits=config.flit_bits,
-        rng=rng,
-        watchdog_interval=config.watchdog_interval,
-        deadlock_cycles=config.deadlock_cycles,
-        max_packet_age=config.max_packet_age,
-    )
+    """The mesh ``config`` describes, routed by ``routing``; every other
+    router and watchdog parameter keeps its ``Network`` default.  The
+    cycle kernel is deliberately not part of :class:`SimulationConfig`:
+    both kernels are bit-identical, and sweep-cache keys hash the config
+    (``REPRO_NAIVE_KERNEL`` selects it)."""
+    return Network(MeshTopology(config.width, config.height), routing=routing, rng=rng)
 
 
 class TrafficSource(Protocol):
@@ -145,16 +136,10 @@ class Simulator:
         #: globals they replace) reset with the simulator instance
         self.metrics = MetricRegistry()
         self._reward_guard_counter = self.metrics.counter("reward.guard_clamps")
-        self.injector = FaultInjector(
-            self.network,
-            self.varius,
-            voltage=config.voltage,
-            error_scale=config.error_scale,
-            registry=self.metrics,
-        )
-        self.power_model = RouterPowerModel(EnergyParams(clock_hz=config.clock_hz))
+        self.injector = FaultInjector(self.network, self.varius, registry=self.metrics)
+        self.power_model = RouterPowerModel()
         self.core_params = CorePowerParams()
-        self.state_config = DiscretizationConfig(num_vcs=config.num_vcs)
+        self.state_config = DiscretizationConfig()
 
         #: sensor-fault campaign (None when config.sensor_spec is empty)
         self.sensors: Optional[SensorFaultModel] = None
@@ -340,7 +325,6 @@ class Simulator:
 
     def _router_power_watts(self, span: int) -> List[float]:
         """Per-router total power over the epoch (or partial span) ended."""
-        clock_hz = self.config.clock_hz
         profile = self.policy.profile
         epoch_energy = self.power_model.epoch_energy
         powers = []
@@ -348,7 +332,7 @@ class Simulator:
             energy = epoch_energy(
                 router.epoch, profile, router.behaviour.ecc_enabled, span
             )
-            powers.append(RouterPowerModel.to_watts(energy.total_pj, span, clock_hz))
+            powers.append(RouterPowerModel.to_watts(energy.total_pj, span, CLOCK_HZ))
             if self._measuring:
                 self._measured_dynamic_pj += energy.dynamic_pj
                 self._measured_static_pj += energy.static_pj
@@ -749,7 +733,7 @@ class Simulator:
 
         ``done`` counts cycles from the segment's start: it is the time
         the source sees and where a drain or measure segment's
-        ``max_drain_cycles`` budget counts from, so a resumed segment
+        :data:`MAX_DRAIN_CYCLES` budget counts from, so a resumed segment
         continues exactly where it stopped.  A measure segment replays
         :attr:`source` (see :meth:`measure_trace`); it and the
         pre-training drain raise when their budget runs out.
@@ -768,8 +752,6 @@ class Simulator:
                     self.network.topology,
                     pattern=pattern,
                     injection_rate=rate,
-                    packet_size=self.config.packet_size,
-                    flit_bits=self.config.flit_bits,
                     rng=random.Random(seed),
                 )
             if phase == "measure":
@@ -790,14 +772,12 @@ class Simulator:
             return (source is None or source.exhausted) and network.quiescent
 
         self._advance(
-            source, done, self.config.max_drain_cycles, complete,
-            checkpoint_every, on_checkpoint,
+            source, done, MAX_DRAIN_CYCLES, complete, checkpoint_every, on_checkpoint
         )
         if not complete():
             what = "trace" if phase == "measure" else "pre-training"
             raise RuntimeError(
-                f"{what} failed to drain within max_drain_cycles "
-                f"({self.config.max_drain_cycles})"
+                f"{what} failed to drain within MAX_DRAIN_CYCLES ({MAX_DRAIN_CYCLES})"
             )
         self.source = None
 
@@ -807,9 +787,9 @@ class Simulator:
 
     def drain(self) -> bool:
         """Run epochs, injecting nothing, until the network is quiescent
-        or ``max_drain_cycles`` have passed; returns whether it drained."""
+        or :data:`MAX_DRAIN_CYCLES` have passed; returns whether it drained."""
         network = self.network
-        self._advance(None, 0, self.config.max_drain_cycles, lambda: network.quiescent)
+        self._advance(None, 0, MAX_DRAIN_CYCLES, lambda: network.quiescent)
         return network.quiescent
 
     def _advance(
@@ -861,10 +841,7 @@ class Simulator:
     def make_replayer(self, records: List[TraceRecord]) -> TraceReplayer:
         """The measurement-phase trace replayer (seeded per Section V-B)."""
         return TraceReplayer(
-            records,
-            self.network.topology,
-            flit_bits=self.config.flit_bits,
-            rng=random.Random(self.seed + 303),
+            records, self.network.topology, rng=random.Random(self.seed + 303)
         )
 
     def begin_measurement(self) -> None:
@@ -912,7 +889,6 @@ class Simulator:
             duplicate_flits=int(window["duplicate_flits"]),
             dynamic_energy_pj=self._measured_dynamic_pj,
             static_energy_pj=self._measured_static_pj,
-            clock_hz=self.config.clock_hz,
             mode_cycles=window["mode_cycles"],
             mean_temperature=self._measured_temp_sum / epochs,
             mean_error_probability=self._measured_error_sum / epochs,

@@ -78,7 +78,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.modes import OperationMode
 from repro.faults.hardfaults import HardFaultModel, parse_fault_spec
-from repro.noc.packet import Packet
+from repro.noc.packet import FLIT_BITS, PACKET_FLITS, Packet
 from repro.noc.routing import ROUTING_FUNCTIONS
 from repro.noc.watchdog import NoCInvariantError
 from repro.sim.checkpoint import load_policy_artifact
@@ -91,7 +91,7 @@ from repro.sim.experiment import (
     synthesize_benchmark_trace,
 )
 from repro.sim.metrics import RunResult
-from repro.sim.simulator import Simulator, build_network
+from repro.sim.simulator import MAX_DRAIN_CYCLES, Simulator, build_network
 from repro.traffic.synthetic import SyntheticTraffic
 
 __all__ = [
@@ -155,7 +155,9 @@ __all__ = [
 #: ledger (it summed watchdog trips, guard quarantines and ECC
 #: escalations), and ``control_chaos``'s ``quarantined_routers`` are the
 #: ledger's ``sensor``-cause routers.
-CACHE_SCHEMA = 15
+#: Schema 16: twelve config fields became constants and ``RunResult``
+#: lost ``clock_hz``, so every key and every cached ``run`` changed.
+CACHE_SCHEMA = 16
 
 DEFAULT_CACHE_DIR = ".sweep_cache"
 
@@ -230,6 +232,9 @@ class SweepPoint:
             )
         if self.cycles < 1:
             raise ValueError("cycles must be positive")
+        for name in ("rate", "error_probability"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1]")
 
     def label(self) -> str:
         """Short human-readable identifier used in progress lines."""
@@ -375,8 +380,6 @@ def _eval_load(config: SimulationConfig, point: SweepPoint) -> Dict[str, object]
         sim.network.topology,
         pattern=point.traffic,
         injection_rate=point.rate,
-        packet_size=config.packet_size,
-        flit_bits=config.flit_bits,
         rng=random.Random(point.seed + 9),
     )
     sim.run(source, point.cycles)
@@ -398,22 +401,21 @@ def _eval_mode_error(config: SimulationConfig, point: SweepPoint) -> Dict[str, o
     for _, model in net.channel_models():
         model.event_probability = point.error_probability
     nodes = net.topology.num_nodes
-    budget = config.max_drain_cycles
     created = 0
     while created < point.cycles or not net.quiescent:
-        if net.now >= budget:
+        if net.now >= MAX_DRAIN_CYCLES:
             raise RuntimeError(
-                f"mode_error point failed to drain within max_drain_cycles ({budget})"
+                "mode_error point failed to drain within MAX_DRAIN_CYCLES "
+                f"({MAX_DRAIN_CYCLES})"
             )
         if created < point.cycles and net.now % 2 == 0:
             src, dst = rng.randrange(nodes), rng.randrange(nodes)
             if src != dst:
                 net.inject(
                     Packet(
-                        src, dst, config.packet_size, config.flit_bits, net.now,
+                        src, dst, PACKET_FLITS, FLIT_BITS, net.now,
                         payloads=[
-                            rng.getrandbits(config.flit_bits)
-                            for _ in range(config.packet_size)
+                            rng.getrandbits(FLIT_BITS) for _ in range(PACKET_FLITS)
                         ],
                     )
                 )
@@ -463,10 +465,10 @@ def _eval_chaos(
                 dst = rng.randrange(nodes)
                 if src != dst:
                     network.inject(
-                        Packet(src, dst, config.packet_size, config.flit_bits, network.now)
+                        Packet(src, dst, PACKET_FLITS, FLIT_BITS, network.now)
                     )
             network.cycle()
-        deadline = network.now + config.max_drain_cycles
+        deadline = network.now + MAX_DRAIN_CYCLES
         while not network.quiescent and network.now < deadline:
             network.cycle()
     except NoCInvariantError as exc:
@@ -543,8 +545,6 @@ def _eval_control_chaos(
         sim.network.topology,
         pattern=point.traffic or "uniform",
         injection_rate=rate,
-        packet_size=config.packet_size,
-        flit_bits=config.flit_bits,
         rng=random.Random(point.seed + 7),
     )
     diagnosis = None

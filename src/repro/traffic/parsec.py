@@ -24,6 +24,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
+from repro.noc.packet import PACKET_FLITS
 from repro.noc.topology import MeshTopology
 from repro.traffic.trace import TraceRecord
 
@@ -58,7 +59,7 @@ class BenchmarkProfile:
     burst_on_probability: float = 0.0
     burst_off_probability: float = 1.0
     locality: Sequence[float] = (1.0, 0.0, 0.0)
-    packet_size: int = 4
+    packet_size: int = PACKET_FLITS
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.injection_rate <= 1.0:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.noc.packet import Packet
+from repro.noc.packet import FLIT_BITS, PACKET_FLITS, Packet
 from repro.noc.topology import MeshTopology
 
 __all__ = ["PATTERNS", "SyntheticTraffic", "destination_for"]
@@ -119,8 +119,8 @@ class SyntheticTraffic:
         topology: MeshTopology,
         pattern: str = "uniform",
         injection_rate: float = 0.01,
-        packet_size: int = 4,
-        flit_bits: int = 128,
+        packet_size: int = PACKET_FLITS,
+        flit_bits: int = FLIT_BITS,
         rng: Optional[random.Random] = None,
         hotspot_nodes: Optional[Sequence[int]] = None,
         hotspot_fraction: float = 0.5,

@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.noc.packet import Packet
+from repro.noc.packet import FLIT_BITS, Packet
 from repro.noc.topology import MeshTopology
 
 __all__ = ["TraceRecord", "TraceReplayer"]
@@ -52,7 +52,7 @@ class TraceReplayer:
         self,
         records: List[TraceRecord],
         topology: MeshTopology,
-        flit_bits: int = 128,
+        flit_bits: int = FLIT_BITS,
         rng: Optional[random.Random] = None,
     ) -> None:
         for record in records:

@@ -103,15 +103,16 @@ def test_interrupted_run_resumes_bit_identically(tmp_path):
         assert resumed == baseline, f"resume from {phase} diverged"
 
 
-def test_resumed_measurement_keeps_its_drain_budget(tmp_path):
-    """The measurement's max_drain_cycles budget counts from the phase
+def test_resumed_measurement_keeps_its_drain_budget(tmp_path, monkeypatch):
+    """The measurement's MAX_DRAIN_CYCLES budget counts from the phase
     start, so every measure-phase snapshot of a run that fails to drain
     fails the same way on resume instead of getting a fresh budget."""
+    monkeypatch.setattr("repro.sim.simulator.MAX_DRAIN_CYCLES", 250)
     config = scaled_config(
         width=3, height=3, epoch_cycles=100, pretrain_cycles=0,
-        warmup_cycles=300, max_drain_cycles=250,
+        warmup_cycles=300,
     )
-    with pytest.raises(RuntimeError, match="max_drain_cycles"):
+    with pytest.raises(RuntimeError, match="MAX_DRAIN_CYCLES"):
         ResumableRun(config, "crc", "swaptions", trace_cycles=300).run()
 
     run = ResumableRun(
@@ -130,12 +131,12 @@ def test_resumed_measurement_keeps_its_drain_budget(tmp_path):
         return saved
 
     run.save = keep
-    with pytest.raises(RuntimeError, match="max_drain_cycles"):
+    with pytest.raises(RuntimeError, match="MAX_DRAIN_CYCLES"):
         run.run()
     assert len(copies) == 3  # the phase start, then cycles 90 and 180 into it
     for snap in copies:
         resumed = ResumableRun.resume(
             snap, checkpoint_path=tmp_path / "scratch.ckpt", checkpoint_every=0
         )
-        with pytest.raises(RuntimeError, match="max_drain_cycles"):
+        with pytest.raises(RuntimeError, match="MAX_DRAIN_CYCLES"):
             resumed.run()

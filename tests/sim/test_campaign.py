@@ -298,7 +298,7 @@ def make_result(design, benchmark, *, cycles=1_000, latency=10.0, retx=4,
         packet_retransmissions=retx, flit_retransmissions=0,
         corrected_errors=0, escaped_errors=0, silent_corruptions=0,
         duplicate_flits=0, dynamic_energy_pj=dynamic_pj,
-        static_energy_pj=static_pj, clock_hz=1e9,
+        static_energy_pj=static_pj,
     )
 
 

@@ -8,7 +8,7 @@ import zlib
 
 import pytest
 
-from repro.noc.packet import Packet
+from repro.noc.packet import FLIT_BITS, PACKET_FLITS, Packet
 from repro.sim import scaled_config
 from repro.sim.checkpoint import (
     CHECKPOINT_MAGIC,
@@ -171,8 +171,10 @@ class TestResumableRun:
         naive kernel resumes under the fast kernel to exactly the
         uninterrupted result: both kernels keep the channel due lists
         exact, and resume re-resolves the kernel for its own process."""
-        config = small_config(error_scale=4.0)
-        baseline = ResumableRun(config, "arq_ecc", "canneal", trace_cycles=600).run()
+        config = small_config()
+        uninterrupted = ResumableRun(config, "arq_ecc", "canneal", trace_cycles=600)
+        uninterrupted.sim.injector.error_scale = 4.0
+        baseline = uninterrupted.run()
         assert baseline.flit_retransmissions > 0  # ACK/NACK traffic ran
 
         monkeypatch.setenv("REPRO_NAIVE_KERNEL", "1")
@@ -180,6 +182,7 @@ class TestResumableRun:
             config, "arq_ecc", "canneal", trace_cycles=600,
             checkpoint_path=tmp_path / "run.ckpt", checkpoint_every=150,
         )
+        run.sim.injector.error_scale = 4.0
         assert run.sim.network.kernel == "naive"
         snapshots = []
         original_save = run.save
@@ -234,7 +237,7 @@ class TestResumableRun:
         assert created == run.sim.network.stats.messages_created > 0
         stored = [mid for ni in network.interfaces for mid in ni._store]
         assert stored and all(mid < created for mid in stored)
-        packet = Packet(0, 1, config.packet_size, config.flit_bits, network.now)
+        packet = Packet(0, 1, PACKET_FLITS, FLIT_BITS, network.now)
         network.inject(packet)
         assert packet.message_id == created
 

@@ -1,8 +1,18 @@
 """Tests for simulation configuration (Table II)."""
 
+import random
+
 import pytest
 
+from repro.core.state import DiscretizationConfig
+from repro.faults.varius import VariusParams
+from repro.noc.packet import FLIT_BITS, PACKET_FLITS
+from repro.noc.router import NUM_VCS
+from repro.noc.routing import xy_route
+from repro.power.orion import CLOCK_HZ, EnergyParams
 from repro.sim import SimulationConfig, paper_config, scaled_config
+from repro.sim.simulator import build_network
+from repro.traffic import BenchmarkProfile, SyntheticTraffic, TraceReplayer
 
 
 class TestPaperConfig:
@@ -10,12 +20,19 @@ class TestPaperConfig:
         config = paper_config()
         assert config.width == 8 and config.height == 8      # 8x8 2D mesh
         assert config.num_nodes == 64                        # 64 cores
-        assert config.num_vcs == 4                           # 4 VCs per port
-        assert config.flit_bits == 128                       # 128 bits/flit
-        assert config.packet_size == 4                       # 4 flits
-        assert config.routing == "xy"                        # X-Y routing
-        assert config.clock_hz == 2.0e9                      # 2.0 GHz
-        assert config.voltage == 1.0                         # 1.0 Volt
+        network = build_network(config, random.Random(0))
+        router = network.routers[0]
+        assert NUM_VCS == router.num_vcs == 4                # 4 VCs per port
+        assert DiscretizationConfig().num_vcs == NUM_VCS
+        assert FLIT_BITS == network.flit_bits == 128         # 128 bits/flit
+        assert PACKET_FLITS == 4                             # 4 flits
+        traffic = SyntheticTraffic(network.topology)
+        assert (traffic.packet_size, traffic.flit_bits) == (PACKET_FLITS, FLIT_BITS)
+        assert TraceReplayer([], network.topology).flit_bits == FLIT_BITS
+        assert BenchmarkProfile("any", 0.01).packet_size == PACKET_FLITS
+        assert router.routing_fn is xy_route                 # X-Y routing
+        assert CLOCK_HZ == EnergyParams().clock_hz == 2.0e9  # 2.0 GHz
+        assert VariusParams().v_nominal == 1.0               # 1.0 Volt
 
     def test_section_v_phases(self):
         config = paper_config()
@@ -33,9 +50,9 @@ class TestScaledConfig:
         assert config.warmup_cycles < paper.warmup_cycles
 
     def test_overrides(self):
-        config = scaled_config(width=4, height=4, error_scale=2.0)
+        config = scaled_config(width=4, height=4, pretrain_injection_rate=0.03)
         assert config.num_nodes == 16
-        assert config.error_scale == 2.0
+        assert config.pretrain_injection_rate == 0.03
 
 
 class TestValidation:
@@ -47,30 +64,9 @@ class TestValidation:
         with pytest.raises(ValueError):
             SimulationConfig(epoch_cycles=0)
 
-    def test_rejects_bad_packet_size(self):
-        with pytest.raises(ValueError):
-            SimulationConfig(packet_size=0)
-
-    def test_rejects_unknown_routing(self):
-        for routing in ("adaptive-zigzag", "yx", "o1turn"):
-            with pytest.raises(ValueError) as err:
-                SimulationConfig(routing=routing)
-            assert str(err.value) == (
-                f"unknown routing {routing!r}; pick one of adaptive, xy"
-            )
-
-    @pytest.mark.parametrize("routing", ["xy", "adaptive"])
-    def test_accepts_registered_routings(self, routing):
-        assert SimulationConfig(routing=routing).routing == routing
-
-    def test_rejects_negative_watchdog_interval(self):
-        with pytest.raises(ValueError):
-            SimulationConfig(watchdog_interval=-1)
-
     def test_fault_spec_defaults_healthy(self):
         config = SimulationConfig()
         assert config.fault_spec == ""
-        assert config.watchdog_interval == 256
 
     def test_frozen(self):
         config = SimulationConfig()

@@ -22,7 +22,6 @@ def make_result(**overrides):
         duplicate_flits=100,
         dynamic_energy_pj=1.0e6,
         static_energy_pj=5.0e5,
-        clock_hz=2.0e9,
     )
     defaults.update(overrides)
     return RunResult(**defaults)

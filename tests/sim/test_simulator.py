@@ -150,15 +150,15 @@ class TestPhases:
         sim.run(None, sim.config.epoch_cycles + 1)
         assert all(r.mode is OperationMode.MODE_2 for r in sim.network.routers)
 
-    def test_drain_guard_raises(self):
-        config = tiny_config(max_drain_cycles=50)
-        sim = Simulator(config, crc_policy(), seed=2)
-        with pytest.raises(RuntimeError, match="max_drain_cycles"):
+    def test_drain_guard_raises(self, monkeypatch):
+        monkeypatch.setattr("repro.sim.simulator.MAX_DRAIN_CYCLES", 50)
+        sim = Simulator(tiny_config(), crc_policy(), seed=2)
+        with pytest.raises(RuntimeError, match="MAX_DRAIN_CYCLES"):
             sim.measure_trace(tiny_trace(200), "tiny")
 
-    def test_drain_stops_at_its_budget(self):
-        config = tiny_config(max_drain_cycles=40)
-        sim = Simulator(config, crc_policy(), seed=2)
+    def test_drain_stops_at_its_budget(self, monkeypatch):
+        monkeypatch.setattr("repro.sim.simulator.MAX_DRAIN_CYCLES", 40)
+        sim = Simulator(tiny_config(), crc_policy(), seed=2)
         assert sim.drain() and sim.network.now == 0  # already quiescent
         flood = SyntheticTraffic(
             sim.network.topology, injection_rate=0.5, rng=random.Random(2)
@@ -166,7 +166,7 @@ class TestPhases:
         sim.run(flood, 150)
         start = sim.network.now
         assert sim.drain() is False
-        assert sim.network.now - start == config.max_drain_cycles
+        assert sim.network.now - start == 40
         assert not sim.network.quiescent
 
 

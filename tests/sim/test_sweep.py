@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+from repro.noc.packet import PACKET_FLITS
 from repro.sim import (
     SweepCache,
     SweepPoint,
@@ -217,25 +218,12 @@ class TestModeError:
         cycles=120, error_probability=0.05,
     )
 
-    def _stats(self, **overrides):
-        return run_sweep_point(tiny_config(**overrides), self.POINT)["stats"]
-
-    def test_fewer_shallower_vcs_raise_latency(self):
-        assert (
-            self._stats(num_vcs=2, vc_depth=2)["mean_latency"]
-            > self._stats()["mean_latency"]
-        )
-
-    def test_narrow_flits_carry_narrow_payloads(self):
-        stats = self._stats(flit_bits=64)
-        assert stats != self._stats()
-        assert stats["retransmission_events"] > 0
-
-    def test_drains_within_the_config_budget(self):
+    def test_drains_within_the_config_budget(self, monkeypatch):
         # 120 packets, one every other cycle: injection alone outlasts
         # a 100-cycle budget.
-        with pytest.raises(RuntimeError, match=r"max_drain_cycles \(100\)"):
-            self._stats(max_drain_cycles=100)
+        monkeypatch.setattr("repro.sim.sweep.MAX_DRAIN_CYCLES", 100)
+        with pytest.raises(RuntimeError, match=r"MAX_DRAIN_CYCLES \(100\)"):
+            run_sweep_point(tiny_config(), self.POINT)
 
 
 class TestLoadWindow:
@@ -244,7 +232,7 @@ class TestLoadWindow:
 
     CONFIG = tiny_config(pretrain_cycles=1200)
     #: offered load in flits per cycle
-    OFFERED = 0.01 * CONFIG.num_nodes * CONFIG.packet_size
+    OFFERED = 0.01 * CONFIG.num_nodes * PACKET_FLITS
 
     def _load(self, design, **overrides):
         point = SweepPoint(

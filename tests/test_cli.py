@@ -160,6 +160,21 @@ class TestChaosCommand:
             assert row["link_kills"] == 0
             assert row["delivered_fraction"] == 1.0
 
+    @pytest.mark.parametrize("width, height", [(2, 2), (3, 3), (6, 3)])
+    def test_default_fault_spec_kills_a_link_on_any_mesh(
+        self, capsys, tmp_path, width, height
+    ):
+        """With no ``--fault-specs``, the open-loop campaign kills a link
+        every mesh has, whatever its size."""
+        assert main([
+            "chaos", "--width", str(width), "--height", str(height),
+            "--span", "800", "--cache-dir", str(tmp_path), "--json",
+        ]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert [row["routing"] for row in payload] == ["xy", "adaptive"]
+        for row in payload:
+            assert row["link_kills"] == 1
+
 
 class TestSensorChaosCommand:
     def _argv(self, cache_dir, extra=()):
@@ -427,6 +442,11 @@ class TestSpecValidation:
         (["run", "--hysteresis", "-1"], "mode_hysteresis_epochs cannot be negative"),
         (["chaos", "--soft-error-spec", "qtable@1e-5", "--scrub-every", "-1"],
          "scrub_every cannot be negative"),
+        (["run", "--trace-cycles", "0"], "trace_cycles must be positive"),
+        (["run", "--pretrain", "-1"], "pretrain_cycles cannot be negative"),
+        (["run", "--warmup", "-1"], "warmup_cycles cannot be negative"),
+        (["sweep", "--rates", "-0.1"], "rate must be in [0, 1]"),
+        (["chaos", "--rate", "2"], "rate must be in [0, 1]"),
     ])
     def test_bad_argument_exits_with_one_line(self, argv, message, tmp_path):
         """A value a model constructor rejects ends the command with its
