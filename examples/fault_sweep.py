@@ -54,7 +54,7 @@ def main() -> None:
           f"{'corrected':>10s} {'escaped':>8s} {'duplicates':>11s}")
     for i, error in enumerate(ERROR_LEVELS):
         for j, mode in enumerate(OperationMode):
-            stats = results[i * len(OperationMode) + j].mode_stats
+            stats = results[i * len(OperationMode) + j].ledger
             print(
                 f"{error:>9.2f} {int(mode):>6d} {stats['mean_latency']:>9.1f} "
                 f"{stats['retransmission_events']:>6d} {stats['corrected_errors']:>10d} "

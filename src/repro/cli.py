@@ -117,12 +117,7 @@ from repro.obs import (
     write_trace_jsonl,
 )
 from repro.sim.checkpoint import CheckpointError, ResumableRun, read_checkpoint_meta
-from repro.sim.sweep import (
-    DEFAULT_CACHE_DIR,
-    _eval_chaos,
-    _eval_control_chaos,
-    _payload_to_result,
-)
+from repro.sim.sweep import DEFAULT_CACHE_DIR, _eval_chaos, _eval_control_chaos
 from repro.traffic import PARSEC_PROFILES
 
 __all__ = ["main", "build_parser"]
@@ -411,8 +406,9 @@ def build_parser() -> argparse.ArgumentParser:
         "designs under every given fault family at once)"
     )
     chaos.add_argument(
-        "--routings", default="xy,adaptive",
-        help=f"comma-separated routing policies ({', '.join(sorted(ROUTING_FUNCTIONS))})",
+        "--routings", default=None,
+        help="comma-separated routing policies for open-loop campaigns "
+        f"({', '.join(sorted(ROUTING_FUNCTIONS))}; default: xy,adaptive)",
     )
     chaos.add_argument(
         "--fault-specs", default=None,
@@ -422,9 +418,9 @@ def build_parser() -> argparse.ArgumentParser:
         "a closed-loop campaign)",
     )
     chaos.add_argument(
-        "--designs", default="rl",
+        "--designs", default=None,
         help="comma-separated control designs for closed-loop campaigns "
-        f"({', '.join(DESIGN_ORDER)})",
+        f"({', '.join(DESIGN_ORDER)}; default: rl)",
     )
     _add_sensor_args(chaos)
     chaos.add_argument(
@@ -628,29 +624,23 @@ def cmd_sweep(args) -> int:
             cycles=args.span,
         ).expand()
         runner = _make_runner(config, points, args)
-    rows = []
-    for point, p in zip(points, _run_grid(runner, "sweep")):
-        if p is None:  # quarantined: keep the row, mark it unusable
-            rows.append((point.rate, None, None, None))
-        else:
-            rows.append((
-                p.load["rate"], p.load["latency"],
-                p.load["throughput"], p.load["saturated"],
-            ))
+    rows = [
+        # a quarantined point keeps its row, marked unusable
+        {"rate": point.rate, "latency": None, "throughput": None}
+        if p is None else p.ledger
+        for point, p in zip(points, _run_grid(runner, "sweep"))
+    ]
     if args.json:
         print(json.dumps([
-            {"rate": r, "latency": lat, "throughput": thr, "saturated": sat,
-             "quarantined": lat is None and thr is None}
-            for r, lat, thr, sat in rows
+            {**row, "quarantined": row["latency"] is None} for row in rows
         ], indent=2))
         return 0 if runner.report.succeeded else 1
     print(f"{'rate':>8s} {'latency':>10s} {'throughput':>11s}")
-    for rate, latency, throughput, saturated in rows:
-        if latency is None:
-            print(f"{rate:>8.3f} {'-':>10s} {'-':>11s}  (quarantined)")
-            continue
-        marker = "  (saturated)" if saturated else ""
-        print(f"{rate:>8.3f} {latency:>10.1f} {throughput:>11.3f}{marker}")
+    for row in rows:
+        if row["latency"] is None:
+            print(f"{row['rate']:>8.3f} {'-':>10s} {'-':>11s}  (quarantined)")
+        else:
+            print(f"{row['rate']:>8.3f} {row['latency']:>10.1f} {row['throughput']:>11.3f}")
     return 0 if runner.report.succeeded else 1
 
 
@@ -735,22 +725,21 @@ def cmd_campaign(args) -> int:
     return 0 if result.succeeded else 1
 
 
-def _print_routing_table(points, results) -> int:
+def _print_routing_table(points, ledgers) -> int:
     """Open-loop rows; returns 1 if any point tripped the watchdog."""
     print(
         f"{'routing':>9s} {'fault spec':>28s} {'delivered':>10s} {'dropped':>8s} "
         f"{'reroutes':>9s} {'post-lat':>9s}  status"
     )
     worst = 0
-    for point, p in zip(points, results):
+    for point, c in zip(points, ledgers):
         spec_text = point.fault_spec or "(healthy)"
-        if p is None:
+        if c is None:
             print(
                 f"{point.design:>9s} {spec_text:>28s} {'-':>10s} {'-':>8s} "
                 f"{'-':>9s} {'-':>9s}  quarantined"
             )
             continue
-        c = p.chaos
         diagnosis = c.get("diagnosis")
         if diagnosis:
             worst = 1
@@ -778,7 +767,7 @@ _CONTROL_COLUMNS = (
 )
 
 
-def _print_control_table(points, results) -> int:
+def _print_control_table(points, ledgers) -> int:
     """Closed-loop rows: the three specs, then what each defense layer
     absorbed.  Returns 1 if any point tripped the watchdog."""
     specs = [
@@ -800,11 +789,10 @@ def _print_control_table(points, results) -> int:
 
     line("design", headers, [col[0] for col in _CONTROL_COLUMNS], "status")
     worst = 0
-    for point, texts, p in zip(points, specs, results):
-        if p is None:
+    for point, texts, c in zip(points, specs, ledgers):
+        if c is None:
             line(point.design, texts, ["-"] * len(_CONTROL_COLUMNS), "quarantined")
             continue
-        c = p.control
         diagnosis = c.get("diagnosis")
         if diagnosis:
             worst = 1
@@ -821,6 +809,16 @@ def cmd_chaos(args) -> int:
     hard faults, sensor faults and SEUs) once a control-plane spec is
     given.  Every spec is validated before any point runs."""
     closed_loop = bool(args.sensor_spec or args.soft_error_spec)
+    if closed_loop and args.routings is not None:
+        raise SystemExit(
+            "--routings selects open-loop routings; a closed-loop campaign "
+            "(--sensor-spec/--soft-error-spec) takes --designs"
+        )
+    if not closed_loop and args.designs is not None:
+        raise SystemExit(
+            "--designs selects closed-loop designs; it needs --sensor-spec "
+            "or --soft-error-spec (open-loop campaigns take --routings)"
+        )
     raw_specs = args.fault_specs
     if raw_specs is None:
         # A closed-loop campaign defaults to a hard-fault-free platform
@@ -829,18 +827,18 @@ def cmd_chaos(args) -> int:
     fault_specs = tuple(s.strip() for s in raw_specs.split("|"))
     _validate_specs(args, fault_specs, "--fault-specs")
     if closed_loop:
-        kind, designs = "control_chaos", _names(args.designs)
-        evaluator, ledger, table = _eval_control_chaos, "control", _print_control_table
+        kind, names = "control_chaos", "rl" if args.designs is None else args.designs
+        evaluator, table = _eval_control_chaos, _print_control_table
     else:
-        kind, designs = "chaos", _names(args.routings)
-        evaluator, ledger, table = _eval_chaos, "chaos", _print_routing_table
+        kind, names = "chaos", "xy,adaptive" if args.routings is None else args.routings
+        evaluator, table = _eval_chaos, _print_routing_table
     tracer = _make_tracer(args)
     with _bad_arguments():
         config = _config_from_args(args)
         points = SweepSpec(
             config=config,
             kind=kind,
-            designs=designs,
+            designs=_names(names),
             traffics=("uniform",),
             seeds=(args.seed,),
             rates=(args.rate,),
@@ -851,7 +849,7 @@ def cmd_chaos(args) -> int:
         ).expand()
         runner = _make_runner(config, points, args) if tracer is None else None
     if runner is not None:
-        results = _run_grid(runner, "chaos")
+        ledgers = [None if p is None else p.ledger for p in _run_grid(runner, "chaos")]
         succeeded = runner.report.succeeded
     else:
         # A tracer cannot cross the worker-process boundary and events
@@ -862,20 +860,17 @@ def cmd_chaos(args) -> int:
                 "chaos --trace requires a single-point grid "
                 "(one routing or design, one fault spec, one seed)"
             )
-        payload = evaluator(config, points[0], tracer=tracer)
+        ledgers = [evaluator(config, points[0], tracer=tracer)["ledger"]]
         print(
             "[chaos] 1 point simulated in-process (traced; cache bypassed)",
             file=sys.stderr,
         )
         _export_observability(args, tracer, None)
-        results = [_payload_to_result(points[0], payload, cached=False)]
         succeeded = True
     if args.json:
-        print(json.dumps(
-            [None if p is None else getattr(p, ledger) for p in results], indent=2
-        ))
+        print(json.dumps(ledgers, indent=2))
         return 0 if succeeded else 1
-    worst = table(points, results)
+    worst = table(points, ledgers)
     return 0 if succeeded and not worst else 1
 
 

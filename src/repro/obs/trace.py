@@ -91,16 +91,24 @@ class TraceEvent:
 
     @classmethod
     def from_dict(cls, payload: Dict[str, object]) -> "TraceEvent":
-        category = payload["category"]
-        if category not in _CATEGORY_SET:
-            raise ValueError(f"unknown trace category {category!r}")
-        return cls(
-            cycle=int(payload["cycle"]),
-            category=str(category),
-            kind=str(payload["kind"]),
-            subject=payload.get("subject"),
-            data=dict(payload.get("data", {})),
-        )
+        """Inverse of :meth:`as_dict`; any malformed event is a ValueError."""
+        if not isinstance(payload, dict):
+            raise ValueError(f"an event is a JSON object, not {type(payload).__name__}")
+        try:
+            category = payload["category"]
+            if category not in _CATEGORY_SET:
+                raise ValueError(f"unknown trace category {category!r}")
+            return cls(
+                cycle=int(payload["cycle"]),
+                category=str(category),
+                kind=str(payload["kind"]),
+                subject=payload.get("subject"),
+                data=dict(payload.get("data", {})),
+            )
+        except KeyError as exc:
+            raise ValueError(f"event has no {exc.args[0]!r} field") from None
+        except TypeError as exc:
+            raise ValueError(f"malformed event: {exc}") from None
 
     def to_json(self) -> str:
         """Canonical single-line encoding (sorted keys, no whitespace)."""
@@ -226,12 +234,16 @@ def write_trace_jsonl(events: Iterable[TraceEvent], path: str) -> int:
 
 
 def read_trace_jsonl(path: str) -> List[TraceEvent]:
+    """Parse a JSONL trace; a bad line is a ValueError naming its number."""
     out: List[TraceEvent] = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             line = line.strip()
             if line:
-                out.append(TraceEvent.from_json(line))
+                try:
+                    out.append(TraceEvent.from_json(line))
+                except ValueError as exc:
+                    raise ValueError(f"line {number}: {exc}") from None
     return out
 
 

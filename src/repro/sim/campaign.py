@@ -33,8 +33,6 @@ and the paper-shape tests all call it.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import json
 import logging
 import time
 from dataclasses import dataclass
@@ -44,6 +42,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 from repro.sim.checkpoint import (
     ARTIFACT_VERSION,
     CheckpointError,
+    content_key,
     read_policy_artifact_meta,
     save_policy_artifact,
 )
@@ -93,14 +92,12 @@ def artifact_key(config: SimulationConfig, design: str, seed: int) -> str:
     and config fields are cheap to hash compared to diagnosing a
     silently mismatched mesh.
     """
-    fingerprint = {
+    return content_key({
         "artifact_version": ARTIFACT_VERSION,
         "config": dataclasses.asdict(config),
         "design": design,
         "seed": seed,
-    }
-    blob = json.dumps(fingerprint, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:24]
+    })
 
 
 def artifact_file(

@@ -21,15 +21,19 @@ a production harness.  This module makes the full ``run`` pipeline
   metrics, bit for bit, as one that was never interrupted — the
   determinism contract the integration tests pin down.
 
-* **Validated Q-state** — alongside the pickle, the policy's learned
-  state is stored through ``ControlPolicy.to_state`` and re-loaded
-  through ``load_state`` on resume, which routes every Q-table through
+* **Validated Q-state** — on resume the unpickled policy's learned
+  state is re-loaded through ``ControlPolicy.to_state`` and
+  ``load_state``, which routes every Q-table through
   :meth:`QLearningAgent.from_state` validation.  A table with NaN/inf
   entries or a wrong action count, or a router the snapshot has no
   table for, does not crash the resume: ``load_state`` reports the
   affected routers, and ``Simulator.restore_policy`` degrades each to
   safe mode (mode 3, timing relaxation) in the simulator's ledger,
   which logs it.
+
+The same container holds campaign policy artifacts and sweep cache
+entries, each stamped with its own version; :func:`content_key` is the
+one content hash their file names and cache keys use.
 
 ``ResumableRun`` is a cursor over ``Simulator.plan()``: it runs every
 segment through ``Simulator.run_segment``, the same code the classic
@@ -44,6 +48,7 @@ executes every run, with or without ``--checkpoint``, through
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import os
 import pickle
@@ -67,6 +72,7 @@ __all__ = [
     "CHECKPOINT_VERSION",
     "ARTIFACT_VERSION",
     "CheckpointError",
+    "content_key",
     "save_checkpoint",
     "load_checkpoint",
     "read_checkpoint_meta",
@@ -138,7 +144,10 @@ CHECKPOINT_MAGIC = b"RNOCCKPT"
 #: selects for one, so a version-13 DT pre-training would resume wrongly.
 #: Version 15: the ledger maps a router to ``(cause, reason)`` instead of
 #: a reason string, and the observation guard lost its quarantine set.
-CHECKPOINT_VERSION = 15
+#: Version 16: the payload no longer carries ``config``, ``seed`` and
+#: ``policy_state`` beside the pickled simulator that holds them; resume
+#: validates the simulator's own policy state.
+CHECKPOINT_VERSION = 16
 
 #: Pretrained-policy campaign artifacts share the container format but
 #: version independently: an artifact body is a ``ControlPolicy.to_state``
@@ -152,6 +161,12 @@ _HEADER_LEN = struct.Struct("<I")
 
 class CheckpointError(RuntimeError):
     """A checkpoint file is missing, torn, corrupt, or incompatible."""
+
+
+def content_key(fingerprint: Dict[str, object]) -> str:
+    """sha256 of ``fingerprint``'s canonical JSON form, 24 hex digits."""
+    blob = json.dumps(fingerprint, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:24]
 
 
 def save_checkpoint(
@@ -219,6 +234,8 @@ def _read_container(
         header = json.loads(blob[offset:offset + header_len].decode("utf-8"))
     except (ValueError, UnicodeDecodeError) as exc:
         raise CheckpointError(f"{path} has a corrupt header: {exc}") from None
+    if not isinstance(header, dict) or not isinstance(header.get("meta", {}), dict):
+        raise CheckpointError(f"{path} has a corrupt header: not a JSON object")
     found = header.get("version")
     if found != version:
         raise CheckpointError(
@@ -378,16 +395,13 @@ class ResumableRun:
                 offset=self.segment_offset,
             )
         payload = {
-            "config": self.config,
             "design": self.design,
             "benchmark": self.benchmark,
-            "seed": self.seed,
             "trace_cycles": self.trace_cycles,
             "sim": self.sim,
             "segment_index": self.segment_index,
             "segment_offset": self.segment_offset,
             "result": self.result,
-            "policy_state": self.sim.policy.to_state(),
         }
         return save_checkpoint(target, payload, self._meta())
 
@@ -412,10 +426,11 @@ class ResumableRun:
         if not isinstance(payload, dict) or "sim" not in payload:
             raise CheckpointError(f"{path} is not a run checkpoint")
         run = cls.__new__(cls)
-        run.config = payload["config"]
+        run.sim = payload["sim"]
+        run.config = run.sim.config
+        run.seed = run.sim.seed
         run.design = payload["design"]
         run.benchmark = payload["benchmark"]
-        run.seed = payload["seed"]
         run.trace_cycles = payload["trace_cycles"]
         run.checkpoint_path = (
             Path(checkpoint_path) if checkpoint_path is not None else Path(path)
@@ -425,7 +440,6 @@ class ResumableRun:
             if checkpoint_every is not None
             else int(meta.get("checkpoint_every", 0) or 0)
         )
-        run.sim = payload["sim"]
         # The kernel choice is an execution detail, not simulation state:
         # re-resolve it for the resuming process (REPRO_NAIVE_KERNEL)
         # rather than pinning whatever the snapshotting process used.
@@ -439,7 +453,7 @@ class ResumableRun:
         run.result = payload["result"]
         # Route the learned state through validation: a poisoned table
         # degrades its router to safe mode rather than resuming garbage.
-        run.sim.restore_policy(payload.get("policy_state"))
+        run.sim.restore_policy(run.sim.policy.to_state())
         # The trace buffer (if any) travelled inside the pickled sim; the
         # restore marker is the only event a resumed stream has that the
         # uninterrupted one lacks, and the canonical digest excludes it.

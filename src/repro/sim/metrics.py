@@ -86,16 +86,14 @@ class RunResult:
     mode_cycles: Dict[int, int] = field(default_factory=dict)
     mean_temperature: float = 0.0
     mean_error_probability: float = 0.0
-    # Graceful-degradation metrics (defaulted so pre-fault-model payloads
-    # still deserialize)
+    # Graceful-degradation metrics
     messages_created: int = 0
     messages_dropped: int = 0
     reroutes: int = 0
     fault_recoveries: int = 0
     unreachable_drops: int = 0
     post_fault_latency: float = 0.0
-    # Control-plane degradation metrics (defaulted so pre-sensor-fault
-    # payloads still deserialize)
+    # Control-plane degradation metrics
     safe_mode_entries: int = 0
     rejected_observations: int = 0
     sensor_holds: int = 0
@@ -143,14 +141,6 @@ class RunResult:
         if self.execution_cycles <= 0:
             return 0.0
         return self.total_energy_pj * 1e-12 / self.execution_seconds
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "RunResult":
-        """Inverse of ``dataclasses.asdict``, also after a JSON round
-        trip (which turns the ``mode_cycles`` keys into strings)."""
-        kwargs = dict(data)
-        kwargs["mode_cycles"] = {int(k): v for k, v in data["mode_cycles"].items()}
-        return cls(**kwargs)
 
     def as_dict(self) -> Dict[str, float]:
         return {

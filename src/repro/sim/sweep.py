@@ -11,12 +11,18 @@ completed point is worth persisting.  This module provides:
   point (also the ``--jobs 1`` serial path, so serial and parallel runs
   execute byte-identical code);
 * :class:`SweepRunner` — runs a list of points, fanning pending ones out
-  over supervised ``multiprocessing`` workers, caches every result as
-  JSON under ``.sweep_cache/`` keyed by a stable content hash of
-  (config, point), and keeps one :class:`SweepReport` ledger of
-  progress (done / cached / running, ETA) and outcome.  Re-running an
-  identical grid — or resuming an interrupted one — replays cached
-  points without executing a single simulation.
+  over supervised ``multiprocessing`` workers, caches every result under
+  ``.sweep_cache/`` keyed by a stable content hash of (config, point),
+  and keeps one :class:`SweepReport` ledger of progress (done / cached /
+  running, ETA) and outcome.  Re-running an identical grid — or
+  resuming an interrupted one — replays cached points without executing
+  a single simulation.
+* :class:`SweepCache` — one checkpoint container per finished point
+  (``<key>.ckpt``: the :mod:`repro.sim.checkpoint` format, stamped
+  :data:`CACHE_SCHEMA`, with the key and point in its JSON header and
+  the evaluator's payload pickled in its body).  A replayed point is
+  the record the evaluator built, tuples and integer keys included; a
+  torn, corrupt, foreign-version or misnamed entry is a quiet miss.
 
   The runner is a *supervisor*, not a fire-and-forget pool: with
   ``jobs > 1`` each point runs in its own worker process with an
@@ -30,7 +36,7 @@ Point kinds
 -----------
 ``load``
     The classic load sweep: one design under open-loop synthetic traffic
-    at one injection rate; reports latency / throughput / saturation.
+    at one injection rate; reports latency and throughput.
 ``campaign``
     One (benchmark, design) cell of the paper-figure campaign: the
     policy is cloned from a pretrained artifact on disk
@@ -51,6 +57,9 @@ Point kinds
     the Q-table SRAM and mode registers (``soft_error_spec``) — with one
     union ledger per point.
 
+Every evaluator but ``campaign`` (a :class:`RunResult`) returns one
+ledger dict, which :class:`PointResult` carries as built.
+
 Determinism contract: every evaluator seeds all randomness from the
 point's ``seed`` field (the simulators use only local
 ``random.Random`` instances), so a point's result is a pure function of
@@ -60,16 +69,12 @@ point's ``seed`` field (the simulators use only local
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import itertools
-import json
 import logging
 import multiprocessing
-import os
 import random
 import sys
 import time
-import uuid
 import zlib
 from dataclasses import dataclass, field
 from multiprocessing import connection
@@ -81,7 +86,13 @@ from repro.faults.hardfaults import HardFaultModel, parse_fault_spec
 from repro.noc.packet import FLIT_BITS, PACKET_FLITS, Packet
 from repro.noc.routing import ROUTING_FUNCTIONS
 from repro.noc.watchdog import NoCInvariantError
-from repro.sim.checkpoint import load_policy_artifact
+from repro.sim.checkpoint import (
+    CheckpointError,
+    content_key,
+    load_checkpoint,
+    load_policy_artifact,
+    save_checkpoint,
+)
 from repro.sim.config import SimulationConfig
 from repro.sim.experiment import (
     DESIGN_ORDER,
@@ -157,7 +168,11 @@ __all__ = [
 #: ledger's ``sensor``-cause routers.
 #: Schema 16: twelve config fields became constants and ``RunResult``
 #: lost ``clock_hz``, so every key and every cached ``run`` changed.
-CACHE_SCHEMA = 16
+#: Schema 17: an entry is a checkpoint container whose pickled body is
+#: the evaluator's payload (a ``RunResult`` or one ``ledger`` dict), not
+#: a CRC'd JSON file; chaos points inject at ``rate`` 0 when given 0,
+#: and ``load`` ledgers lost ``saturated``.
+CACHE_SCHEMA = 17
 
 DEFAULT_CACHE_DIR = ".sweep_cache"
 
@@ -357,7 +372,7 @@ def _eval_campaign(config: SimulationConfig, point: SweepPoint) -> Dict[str, obj
     result = run_design_on_trace(
         policy, records, config, benchmark=point.traffic, seed=point.seed
     )
-    return {"run": dataclasses.asdict(result)}
+    return {"run": result}
 
 
 def _eval_load(config: SimulationConfig, point: SweepPoint) -> Dict[str, object]:
@@ -369,12 +384,9 @@ def _eval_load(config: SimulationConfig, point: SweepPoint) -> Dict[str, object]
     sim.pretrain()
     sim.policy.freeze()
     sim.warmup()
-    saturated = {
-        "load": {"rate": point.rate, "latency": None,
-                 "throughput": 0.0, "saturated": True},
-    }
-    if not sim.drain():
-        return saturated
+    # A drain cannot run out of MAX_DRAIN_CYCLES: the watchdog's livelock
+    # check fails the point first, and the runner retries or quarantines it.
+    sim.drain()
     sim.begin_measurement()
     source = SyntheticTraffic(
         sim.network.topology,
@@ -383,13 +395,11 @@ def _eval_load(config: SimulationConfig, point: SweepPoint) -> Dict[str, object]
         rng=random.Random(point.seed + 9),
     )
     sim.run(source, point.cycles)
-    if not sim.drain():
-        return saturated
+    sim.drain()
     result = sim.finish_measurement(point.traffic)
     return {
-        "load": {"rate": point.rate, "latency": result.mean_latency,
-                 "throughput": result.flits_delivered / result.execution_cycles,
-                 "saturated": False},
+        "ledger": {"rate": point.rate, "latency": result.mean_latency,
+                   "throughput": result.flits_delivered / result.execution_cycles},
     }
 
 
@@ -424,7 +434,7 @@ def _eval_mode_error(config: SimulationConfig, point: SweepPoint) -> Dict[str, o
     net.harvest_epoch_counters()
     stats = net.stats
     return {
-        "stats": {
+        "ledger": {
             "mean_latency": stats.mean_latency,
             "retransmission_events": stats.retransmission_events,
             "corrected_errors": stats.corrected_errors,
@@ -454,13 +464,12 @@ def _eval_chaos(
         network.attach_tracer(tracer)
     model = HardFaultModel(network, parse_fault_spec(point.fault_spec))
     network.hard_faults = model
-    rate = point.rate if point.rate > 0.0 else 0.1
     rng = random.Random(point.seed + 7)
     nodes = network.topology.num_nodes
     diagnosis = None
     try:
         for _ in range(point.cycles):
-            if rng.random() < rate:
+            if rng.random() < point.rate:
                 src = rng.randrange(nodes)
                 dst = rng.randrange(nodes)
                 if src != dst:
@@ -481,7 +490,7 @@ def _eval_chaos(
     stats = network.stats
     outstanding = sum(ni.outstanding_messages for ni in network.interfaces)
     return {
-        "chaos": {
+        "ledger": {
             "routing": point.design,
             "fault_spec": point.fault_spec,
             "applied": list(model.applied),
@@ -540,11 +549,10 @@ def _eval_control_chaos(
     sim.policy.freeze()
     sim.warmup()
     sim.begin_measurement()
-    rate = point.rate if point.rate > 0.0 else 0.05
     source = SyntheticTraffic(
         sim.network.topology,
         pattern=point.traffic or "uniform",
-        injection_rate=rate,
+        injection_rate=point.rate,
         rng=random.Random(point.seed + 7),
     )
     diagnosis = None
@@ -567,7 +575,7 @@ def _eval_control_chaos(
     }
     peek = sim.metrics.peek
     return {
-        "control_chaos": {
+        "ledger": {
             "design": point.design,
             "fault_spec": point.fault_spec,
             "sensor_spec": point.sensor_spec,
@@ -681,90 +689,46 @@ def point_cache_key(config: SimulationConfig, point: SweepPoint) -> str:
     """
     point_dict = dataclasses.asdict(point)
     point_dict.pop("artifact_path", None)
-    fingerprint = {
-        "schema": CACHE_SCHEMA,
-        "config": dataclasses.asdict(config),
-        "point": point_dict,
-    }
-    blob = json.dumps(fingerprint, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:24]
-
-
-def _payload_crc(payload: Dict[str, object]) -> int:
-    """CRC32 over the canonical (sorted, compact) payload JSON.
-
-    Computed on the dumps->loads round trip so the checksum stored at
-    write time matches what a reader recomputes from the parsed entry
-    (tuples become lists, keys become strings) — the two serializations
-    are then byte-identical.
-    """
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    normalized = json.dumps(
-        json.loads(canonical), sort_keys=True, separators=(",", ":")
+    return content_key(
+        {"schema": CACHE_SCHEMA, "config": dataclasses.asdict(config), "point": point_dict}
     )
-    return zlib.crc32(normalized.encode("utf-8")) & 0xFFFFFFFF
 
 
 class SweepCache:
-    """One JSON file per completed point under ``root``.
+    """One checkpoint container per completed point under ``root``.
 
-    Files are written atomically (uniquely-named temp + rename) so an
-    interrupted sweep never leaves a truncated entry and two workers
-    finishing the same key never trample each other's temp file; on
+    :func:`save_checkpoint` publishes each entry atomically (unique temp
+    file, fsync, rename), so an interrupted sweep never leaves a torn
+    entry and two writers of one key never trample each other; on
     resume, valid entries replay and only the missing points execute.
 
-    :meth:`load` is a *validating* miss-on-anything-suspect reader: a
-    truncated file, a non-JSON file, a wrong schema, a malformed entry
-    shape, or a checksum mismatch all return None (cache miss) — the
-    cache never raises and never replays a corrupt payload.
+    :meth:`load` misses (returns None) on anything suspect and never
+    raises: a container :func:`load_checkpoint` rejects (missing, torn,
+    bit-flipped, another version), an entry whose header names another
+    key (a renamed file), or a body that is not a payload dict.
     """
 
     def __init__(self, root: Union[str, Path] = DEFAULT_CACHE_DIR) -> None:
         self.root = Path(root)
 
     def path(self, key: str) -> Path:
-        return self.root / f"{key}.json"
+        return self.root / f"{key}.ckpt"
 
     def load(self, key: str) -> Optional[Dict[str, object]]:
-        path = self.path(key)
         try:
-            with path.open() as handle:
-                entry = json.load(handle)
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError):
+            payload, meta = load_checkpoint(self.path(key), version=CACHE_SCHEMA)
+        except CheckpointError:
             return None
-        if not isinstance(entry, dict) or entry.get("schema") != CACHE_SCHEMA:
-            return None
-        payload = entry.get("payload")
-        if not isinstance(payload, dict):
-            return None
-        try:
-            if _payload_crc(payload) != entry.get("crc32"):
-                return None
-        except (TypeError, ValueError):
+        if meta.get("key") != key or not isinstance(payload, dict):
             return None
         return payload
 
     def store(self, key: str, point: SweepPoint, payload: Dict[str, object]) -> None:
-        self.root.mkdir(parents=True, exist_ok=True)
-        entry = {
-            "schema": CACHE_SCHEMA,
-            "key": key,
-            "point": dataclasses.asdict(point),
-            "crc32": _payload_crc(payload),
-            "payload": payload,
-        }
-        # The temp name must be unique per writer: concurrent workers (or
-        # two sweeps sharing a cache dir) finishing the same key would
-        # otherwise write through the same ".tmp" path and race the
-        # rename, publishing an interleaved file.
-        tmp = self.root / f"{key}.{os.getpid()}.{uuid.uuid4().hex}.tmp"
-        try:
-            with tmp.open("w") as handle:
-                json.dump(entry, handle, indent=2)
-            os.replace(tmp, self.path(key))
-        finally:
-            if tmp.exists():  # pragma: no cover - only on a failed write
-                tmp.unlink()
+        save_checkpoint(
+            self.path(key), payload,
+            {"key": key, "point": dataclasses.asdict(point)},
+            version=CACHE_SCHEMA,
+        )
 
 
 # ----------------------------------------------------------------------
@@ -772,38 +736,26 @@ class SweepCache:
 # ----------------------------------------------------------------------
 @dataclass
 class PointResult:
-    """One point's outcome, decoded back into rich objects."""
+    """One point's outcome: the evaluator's record, fresh or replayed.
+
+    ``run`` is a ``campaign`` cell's :class:`RunResult`; ``ledger`` is
+    the dict every other kind's evaluator returns, exactly as built.
+    """
 
     point: SweepPoint
     cached: bool
     elapsed: float
     run: Optional[RunResult] = None
-    load: Optional[Dict[str, float]] = None
-    mode_stats: Optional[Dict[str, float]] = None
-    chaos: Optional[Dict[str, object]] = None
-    control: Optional[Dict[str, object]] = None
+    ledger: Optional[Dict[str, object]] = None
 
 
 def _payload_to_result(
     point: SweepPoint, payload: Dict[str, object], cached: bool
 ) -> PointResult:
-    result = PointResult(
-        point=point, cached=cached, elapsed=float(payload.get("elapsed", 0.0))
+    return PointResult(
+        point=point, cached=cached, elapsed=payload["elapsed"],
+        run=payload.get("run"), ledger=payload.get("ledger"),
     )
-    if payload.get("run") is not None:
-        result.run = RunResult.from_dict(payload["run"])
-    if payload.get("load") is not None:
-        load = dict(payload["load"])
-        if load.get("saturated"):
-            load["latency"] = float("inf")
-        result.load = load
-    if payload.get("stats") is not None:
-        result.mode_stats = dict(payload["stats"])
-    if payload.get("chaos") is not None:
-        result.chaos = dict(payload["chaos"])
-    if payload.get("control_chaos") is not None:
-        result.control = dict(payload["control_chaos"])
-    return result
 
 
 @dataclass
@@ -1175,7 +1127,7 @@ class SweepRunner:
             self.cache.store(task.key, task.point, payload)
         report = self.report
         report.completed += 1
-        report.executed_seconds.append(float(payload.get("elapsed", 0.0)))
+        report.executed_seconds.append(payload["elapsed"])
         results[task.index] = _payload_to_result(task.point, payload, cached=False)
         report.current = task.point.label()
         self._report()

@@ -50,7 +50,7 @@ class TestMidRunLinkKill:
         payload = run_sweep_point(
             _config(), _chaos_point("adaptive", MIDRUN_LINK_KILL)
         )
-        chaos = payload["chaos"]
+        chaos = payload["ledger"]
         assert chaos["diagnosis"] is None, chaos["diagnosis"]
         assert chaos["link_kills"] == 1
         assert chaos["messages_created"] > 100
@@ -60,7 +60,7 @@ class TestMidRunLinkKill:
 
     def test_xy_reports_loss_through_accounting(self):
         payload = run_sweep_point(_config(), _chaos_point("xy", MIDRUN_LINK_KILL))
-        chaos = payload["chaos"]
+        chaos = payload["ledger"]
         # XY cannot route around the dead column crossing: packets that
         # need 5->E are dropped with accounting, not wedged in buffers.
         assert chaos["diagnosis"] is None, chaos["diagnosis"]
@@ -80,7 +80,7 @@ class TestIsolatingCut:
         payload = run_sweep_point(
             _config(), _chaos_point("adaptive", self.CUT, cycles=1_500)
         )
-        chaos = payload["chaos"]
+        chaos = payload["ledger"]
         assert chaos["diagnosis"] is None
         assert chaos["unreachable_drops"] > 0
         assert chaos["outstanding"] == 0

@@ -53,7 +53,7 @@ class TestAcceptance:
             soft_error_specs=(FAULTS["soft_error_spec"],),
             cycles=800,
         ).expand()
-        ledger = _eval_control_chaos(config, point)["control_chaos"]
+        ledger = _eval_control_chaos(config, point)["ledger"]
         assert ledger["diagnosis"] is None
         assert ledger["outstanding"] == 0
         assert ledger["delivered_fraction"] >= 0.95

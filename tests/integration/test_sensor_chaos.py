@@ -55,7 +55,7 @@ class TestAcceptance:
     def test_hardened_rl_survives_dropout_and_stuck_sensor(self):
         config = small_config(sensor_spec=ACCEPTANCE_SPEC, mode_hysteresis_epochs=2)
         point = sensor_point(config, ACCEPTANCE_SPEC)
-        payload = _eval_control_chaos(config, point)["control_chaos"]
+        payload = _eval_control_chaos(config, point)["ledger"]
         assert payload["diagnosis"] is None
         assert payload["defenses"] is True
         assert payload["delivered_fraction"] >= 0.95
@@ -90,7 +90,7 @@ class TestAcceptance:
                 sensor_spec=noisy, mode_hysteresis_epochs=hysteresis,
             )
             point = sensor_point(config, noisy)
-            results[hysteresis] = _eval_control_chaos(config, point)["control_chaos"]
+            results[hysteresis] = _eval_control_chaos(config, point)["ledger"]
         assert results[4]["debounced_switches"] > 0
         assert results[0]["debounced_switches"] == 0
         assert results[4]["mode_switches"] <= results[0]["mode_switches"]
@@ -99,7 +99,7 @@ class TestAcceptance:
         monkeypatch.setattr("repro.sim.simulator.SENSOR_QUARANTINE_K", 4)
         config = small_config(sensor_spec="drop@1.0:all")
         point = sensor_point(config, "drop@1.0:all")
-        payload = _eval_control_chaos(config, point)["control_chaos"]
+        payload = _eval_control_chaos(config, point)["ledger"]
         assert payload["diagnosis"] is None
         assert payload["quarantined_routers"] == list(range(9))
         assert payload["safe_mode_entries"] >= 9

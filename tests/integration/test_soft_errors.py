@@ -67,7 +67,7 @@ def run_campaign(**overrides):
     point = soft_error_point(
         config, config.soft_error_spec, seed=ACCEPTANCE_SEED
     )
-    return _eval_control_chaos(config, point)["control_chaos"]
+    return _eval_control_chaos(config, point)["ledger"]
 
 
 class TestAcceptance:

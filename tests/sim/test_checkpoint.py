@@ -76,6 +76,17 @@ class TestContainer:
         with pytest.raises(CheckpointError, match="header cut short"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("header", [
+        [],
+        {"version": CHECKPOINT_VERSION, "crc32": 0, "body_bytes": 0, "meta": 5},
+    ], ids=["list", "meta-not-object"])
+    def test_non_object_header_rejected(self, tmp_path, header):
+        path = tmp_path / "snap.ckpt"
+        raw = json.dumps(header).encode("utf-8")
+        path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", len(raw)) + raw)
+        with pytest.raises(CheckpointError, match="corrupt header"):
+            load_checkpoint(path)
+
     def test_wrong_version_rejected(self, tmp_path):
         path = tmp_path / "snap.ckpt"
         save_checkpoint(path, {"x": 1}, {})
@@ -289,7 +300,7 @@ class TestResumableRun:
             ResumableRun.resume(tmp_path / "run.ckpt", checkpoint_every=-1)
 
     def test_poisoned_q_table_degrades_to_safe_mode(self, tmp_path):
-        """A snapshot whose stored Q-state is corrupt must resume with the
+        """A snapshot whose pickled Q-table is corrupt must resume with the
         affected routers pinned to safe mode, not crash."""
         config = small_config(pretrain_cycles=0)
         run = ResumableRun(
@@ -298,12 +309,7 @@ class TestResumableRun:
         )
         run.save()
         payload, meta = load_checkpoint(tmp_path / "run.ckpt")
-        agent_state = payload["policy_state"]["agents"][0]
-        state_key = next(iter(agent_state["table"]), None)
-        if state_key is None:
-            agent_state["table"] = {(0,) * 5: [math.nan] * agent_state["num_actions"]}
-        else:
-            agent_state["table"][state_key][0] = math.nan
+        payload["sim"].policy._agent(0)._row((0,) * 5)[0] = math.nan
         save_checkpoint(tmp_path / "run.ckpt", payload, meta)
 
         resumed = ResumableRun.resume(tmp_path / "run.ckpt")

@@ -298,8 +298,7 @@ class TestOneWarningPerDegradedRouter:
         run = ResumableRun(config, "rl", "swaptions", trace_cycles=300, checkpoint_path=path)
         run.save()
         payload, meta = load_checkpoint(path)
-        agent_state = payload["policy_state"]["agents"][0]
-        agent_state["table"] = {(0,) * 5: [math.nan] * agent_state["num_actions"]}
+        payload["sim"].policy._agent(0)._row((0,) * 5)[0] = math.nan
         save_checkpoint(path, payload, meta)
         with caplog.at_level(logging.WARNING):
             resumed = ResumableRun.resume(path)

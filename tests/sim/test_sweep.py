@@ -1,7 +1,6 @@
 """Tests for the parallel sweep runner and its result cache."""
 
 import dataclasses
-import json
 import os
 import time
 
@@ -18,6 +17,7 @@ from repro.sim import (
     point_cache_key,
     scaled_config,
 )
+from repro.sim.checkpoint import load_checkpoint, read_checkpoint_meta, save_checkpoint
 from repro.sim.sweep import CACHE_SCHEMA, MODE_DESIGNS, _backoff_delay, run_sweep_point
 
 
@@ -203,7 +203,7 @@ class TestControlChaos:
         )
         [point] = spec.expand()
         assert point.fault_spec == "link@300:5E"
-        ledger = run_sweep_point(spec.config, point)["control_chaos"]
+        ledger = run_sweep_point(spec.config, point)["ledger"]
         assert ledger["fault_spec"] == "link@300:5E"
         assert ledger["soft_error_spec"] == "qtable@1e-5"
         assert [clause for clause, _cycle in ledger["applied"]] == ["link@300:5E"]
@@ -240,7 +240,7 @@ class TestLoadWindow:
             cycles=300, rate=0.01,
         )
         config = dataclasses.replace(self.CONFIG, **overrides)
-        return run_sweep_point(config, point)["load"]
+        return run_sweep_point(config, point)["ledger"]
 
     def test_trainable_design_excludes_pretraining(self):
         load = self._load("rl")
@@ -251,7 +251,6 @@ class TestLoadWindow:
     def test_static_design_has_nothing_to_exclude(self):
         assert self._load("crc") == {
             "rate": 0.01, "latency": 20.04, "throughput": 100 / 398,
-            "saturated": False,
         }
 
     def test_warmup_drains_before_the_window(self):
@@ -340,18 +339,6 @@ class TestCacheKeys:
             tiny_config(warmup_cycles=300), point
         )
 
-    def test_stale_schema_entries_miss(self, tmp_path):
-        cache = SweepCache(tmp_path)
-        point = SweepPoint(
-            kind="campaign", design="crc", traffic="canneal", seed=0, cycles=400
-        )
-        key = point_cache_key(tiny_config(), point)
-        cache.store(key, point, {"run": None})
-        entry = json.loads(cache.path(key).read_text())
-        entry["schema"] = CACHE_SCHEMA - 1
-        cache.path(key).write_text(json.dumps(entry))
-        assert cache.load(key) is None
-
     def test_corrupt_entries_miss(self, tmp_path):
         cache = SweepCache(tmp_path)
         cache.root.mkdir(exist_ok=True)
@@ -359,8 +346,33 @@ class TestCacheKeys:
         assert cache.load("deadbeef") is None
 
 
+def _torn(cache, key):
+    blob = cache.path(key).read_bytes()
+    cache.path(key).write_bytes(blob[: len(blob) // 2])
+    return key
+
+
+def _bit_flipped(cache, key):
+    blob = bytearray(cache.path(key).read_bytes())
+    blob[-1] ^= 0x01  # inside the pickled body, under its CRC
+    cache.path(key).write_bytes(bytes(blob))
+    return key
+
+
+def _foreign_version(cache, key):
+    payload, meta = load_checkpoint(cache.path(key), version=CACHE_SCHEMA)
+    save_checkpoint(cache.path(key), payload, meta, version=CACHE_SCHEMA - 1)
+    return key
+
+
+def _renamed(cache, key):
+    other = "0" * 24
+    cache.path(key).rename(cache.path(other))
+    return other
+
+
 class TestCacheCorruption:
-    """Satellite: every corruption path misses quietly, never raises."""
+    """Every corruption path misses quietly, never raises."""
 
     def _stored(self, tmp_path):
         cache = SweepCache(tmp_path)
@@ -371,18 +383,17 @@ class TestCacheCorruption:
         cache.store(key, point, {"run": {"mean_latency": 12.5}, "elapsed": 1.0})
         return cache, key
 
-    def test_checksum_mismatch_misses(self, tmp_path):
+    @pytest.mark.parametrize(
+        "damage", [_torn, _bit_flipped, _foreign_version, _renamed],
+        ids=["torn", "bit-flipped", "foreign-version", "renamed"],
+    )
+    def test_damaged_entry_misses(self, tmp_path, damage):
+        """An entry is a checkpoint container stamped with the schema and
+        its key; one the container or the key check rejects is a miss."""
         cache, key = self._stored(tmp_path)
-        entry = json.loads(cache.path(key).read_text())
-        entry["payload"]["run"]["mean_latency"] = 99.0  # tamper, stale crc32
-        cache.path(key).write_text(json.dumps(entry))
-        assert cache.load(key) is None
-
-    def test_truncated_json_misses(self, tmp_path):
-        cache, key = self._stored(tmp_path)
-        blob = cache.path(key).read_text()
-        cache.path(key).write_text(blob[: len(blob) // 2])
-        assert cache.load(key) is None
+        meta = read_checkpoint_meta(cache.path(key), version=CACHE_SCHEMA)
+        assert meta["key"] == key
+        assert cache.load(damage(cache, key)) is None
 
     def test_binary_garbage_misses(self, tmp_path):
         cache, key = self._stored(tmp_path)
@@ -396,9 +407,7 @@ class TestCacheCorruption:
 
     def test_non_dict_payload_misses(self, tmp_path):
         cache, key = self._stored(tmp_path)
-        entry = json.loads(cache.path(key).read_text())
-        entry["payload"] = "oops"
-        cache.path(key).write_text(json.dumps(entry))
+        save_checkpoint(cache.path(key), "oops", {"key": key}, version=CACHE_SCHEMA)
         assert cache.load(key) is None
 
     def test_intact_entry_still_hits(self, tmp_path):
@@ -408,8 +417,8 @@ class TestCacheCorruption:
         assert payload["run"]["mean_latency"] == 12.5
 
     def test_store_uses_unique_tmp_name(self, tmp_path, monkeypatch):
-        """Satellite: concurrent sweeps sharing a cache dir must not race
-        on a shared `<key>.tmp` — the tmp name carries pid + random part."""
+        """Concurrent sweeps sharing a cache dir must not race on a shared
+        `<key>.tmp` — the tmp name carries pid + random part."""
         cache = SweepCache(tmp_path)
         point = SweepPoint(
             kind="campaign", design="crc", traffic="canneal", seed=0, cycles=400
@@ -422,14 +431,14 @@ class TestCacheCorruption:
             seen.append((str(src), str(dst)))
             return real_replace(src, dst)
 
-        monkeypatch.setattr("repro.sim.sweep.os.replace", spy)
+        monkeypatch.setattr("repro.sim.checkpoint.os.replace", spy)
         cache.store(key, point, {"run": None})
         (src, dst) = seen[0]
-        assert dst.endswith(f"{key}.json")
+        assert dst.endswith(f"{key}.ckpt")
         assert src != f"{dst}.tmp"
         assert str(os.getpid()) in os.path.basename(src)
         # no tmp residue either way
-        assert [p.name for p in cache.root.iterdir()] == [f"{key}.json"]
+        assert [p.name for p in cache.root.iterdir()] == [f"{key}.ckpt"]
 
 
 # ----------------------------------------------------------------------
@@ -616,6 +625,23 @@ class TestRunnerCaching:
         for fresh, cached in zip(results, replayed):
             assert fresh.run == cached.run
 
+    @pytest.mark.parametrize("kind, design, rate", [
+        ("chaos", "adaptive", 0.1), ("control_chaos", "rl", 0.05),
+    ])
+    def test_replayed_point_equals_the_fresh_one(self, tmp_path, kind, design, rate):
+        """A cached ledger comes back as the evaluator built it: the
+        applied faults stay ``(clause, cycle)`` tuples."""
+        spec = SweepSpec(
+            config=tiny_config(), kind=kind, designs=(design,),
+            traffics=("uniform",), rates=(rate,),
+            fault_specs=("link@100:0E",), cycles=300,
+        )
+        [fresh] = runner_for(spec, cache_dir=tmp_path).run()
+        [replayed] = runner_for(spec, cache_dir=tmp_path).run()
+        assert replayed.cached and not fresh.cached
+        assert fresh.ledger["applied"] == [("link@100:0E", 100)]
+        assert dataclasses.replace(replayed, cached=False, elapsed=fresh.elapsed) == fresh
+
     def test_resume_after_interrupt(self, tmp_path):
         """Losing part of the cache re-runs only the missing points."""
         spec = tiny_campaign_spec()
@@ -692,5 +718,5 @@ class TestParallelEqualsSerial:
         )
         serial = runner_for(spec, jobs=1, cache_dir=tmp_path / "s").run()
         parallel = runner_for(spec, jobs=2, cache_dir=tmp_path / "p").run()
-        assert [r.load for r in serial] == [r.load for r in parallel]
-        assert all(r.load["latency"] > 0 for r in serial)
+        assert [r.ledger for r in serial] == [r.ledger for r in parallel]
+        assert all(r.ledger["latency"] > 0 for r in serial)

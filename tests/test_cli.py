@@ -176,6 +176,39 @@ class TestChaosCommand:
             assert row["link_kills"] == 1
 
 
+class TestChaosLoops:
+    """Each loop takes its own selector, and ``--rate`` as given."""
+
+    @pytest.mark.parametrize("extra", [
+        [],
+        ["--sensor-spec", "drop@0.2:util", "--epoch", "100",
+         "--pretrain", "500", "--warmup", "100"],
+    ], ids=["open", "closed"])
+    def test_rate_zero_creates_no_message(self, capsys, extra):
+        assert main([
+            "chaos", "--rate", "0", "--fault-specs", "", "--width", "3",
+            "--height", "3", "--span", "300", "--no-cache", "--json", *extra,
+        ]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert rows and all(row["messages_created"] == 0 for row in rows)
+
+    @pytest.mark.parametrize("extra, flag", [
+        (["--designs", "crc"], "--designs"),
+        (["--routings", "adaptive", "--sensor-spec", "drop@0.2:util"], "--routings"),
+    ], ids=["designs-open-loop", "routings-closed-loop"])
+    def test_rejects_the_other_loops_selector(self, tmp_path, extra, flag):
+        with pytest.raises(SystemExit) as exited:
+            main([
+                "chaos", *extra, "--width", "3", "--height", "3",
+                "--span", "300", "--epoch", "100", "--pretrain", "500",
+                "--warmup", "100", "--cache-dir", str(tmp_path / "cache"),
+            ])
+        reason = exited.value.code
+        assert isinstance(reason, str) and "\n" not in reason
+        assert reason.startswith(flag)
+        assert not (tmp_path / "cache").exists()
+
+
 class TestSensorChaosCommand:
     def _argv(self, cache_dir, extra=()):
         return [
@@ -497,7 +530,10 @@ class TestSweepEndToEnd:
         payload = json.loads(out)
         assert [row["rate"] for row in payload] == [0.005, 0.01]
         assert all(row["latency"] > 0 for row in payload)
-        assert all(not row["saturated"] for row in payload)
+        assert all(
+            row.keys() == {"rate", "latency", "throughput", "quarantined"}
+            for row in payload
+        )
         assert "2 point(s) simulated, 0 from cache" in err
 
     def test_repeat_completes_from_cache(self, capsys, tmp_path):
@@ -592,6 +628,21 @@ class TestObservabilityCli:
     def test_trace_subcommand_missing_file(self, tmp_path):
         with pytest.raises(SystemExit, match="no such trace file"):
             main(["trace", str(tmp_path / "absent.jsonl")])
+
+    @pytest.mark.parametrize("line, reason", [
+        ("[1, 2]", "line 2: an event is a JSON object, not list"),
+        ('{"cycle": 1}', "line 2: event has no 'category' field"),
+        ('{"category": "mode", "cycle": [1], "kind": "x"}', "line 2: malformed event: "),
+    ], ids=["not-an-object", "missing-key", "bad-type"])
+    def test_trace_subcommand_malformed_line(self, tmp_path, line, reason):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(
+            '{"category":"mode","cycle":0,"kind":"transition"}\n' + line + "\n"
+        )
+        with pytest.raises(SystemExit) as exited:
+            main(["trace", str(path)])
+        assert exited.value.code.startswith(f"{path} is not a JSONL trace: {reason}")
+        assert "\n" not in exited.value.code
 
     def _chaos_argv(self, tmp_path, extra=()):
         return [
