@@ -40,7 +40,6 @@ def main() -> None:
         cycles=250,  # packets injected per point
     )
     runner = SweepRunner(
-        spec.config,
         spec.expand(),
         jobs=args.jobs,
         cache_dir=args.cache_dir,

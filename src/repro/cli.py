@@ -84,6 +84,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import os
 import sys
@@ -290,9 +291,8 @@ def _export_observability(args, tracer, registry) -> None:
             print(f"[metrics] snapshot + timeline -> {args.metrics}", file=sys.stderr)
 
 
-def _make_runner(config, points, args) -> SweepRunner:
+def _make_runner(points, args) -> SweepRunner:
     return SweepRunner(
-        config,
         points,
         jobs=args.jobs,
         cache_dir=args.cache_dir,
@@ -623,7 +623,7 @@ def cmd_sweep(args) -> int:
             seeds=(args.seed,),
             cycles=args.span,
         ).expand()
-        runner = _make_runner(config, points, args)
+        runner = _make_runner(points, args)
     rows = [
         # a quarantined point keeps its row, marked unusable
         {"rate": point.rate, "latency": None, "throughput": None}
@@ -667,7 +667,7 @@ def cmd_campaign(args) -> int:
         )
         # run_campaign builds its runner after pre-training; check the
         # sweep flags before any of it runs.
-        _make_runner(config, (), args)
+        _make_runner((), args)
     if "crc" not in designs:
         raise SystemExit(
             "campaign: --designs must include crc, the baseline every "
@@ -733,7 +733,7 @@ def _print_routing_table(points, ledgers) -> int:
     )
     worst = 0
     for point, c in zip(points, ledgers):
-        spec_text = point.fault_spec or "(healthy)"
+        spec_text = point.config.fault_spec or "(healthy)"
         if c is None:
             print(
                 f"{point.design:>9s} {spec_text:>28s} {'-':>10s} {'-':>8s} "
@@ -771,7 +771,8 @@ def _print_control_table(points, ledgers) -> int:
     """Closed-loop rows: the three specs, then what each defense layer
     absorbed.  Returns 1 if any point tripped the watchdog."""
     specs = [
-        (p.fault_spec or "-", p.sensor_spec or "-", p.soft_error_spec or "-")
+        (p.config.fault_spec or "-", p.config.sensor_spec or "-",
+         p.config.soft_error_spec or "-")
         for p in points
     ]
     headers = ("fault spec", "sensor spec", "soft-error spec")
@@ -835,19 +836,15 @@ def cmd_chaos(args) -> int:
     tracer = _make_tracer(args)
     with _bad_arguments():
         config = _config_from_args(args)
-        points = SweepSpec(
-            config=config,
-            kind=kind,
-            designs=_names(names),
-            traffics=("uniform",),
-            seeds=(args.seed,),
-            rates=(args.rate,),
-            fault_specs=fault_specs,
-            sensor_specs=(args.sensor_spec,),
-            soft_error_specs=(args.soft_error_spec,),
-            cycles=args.span,
-        ).expand()
-        runner = _make_runner(config, points, args) if tracer is None else None
+        # One config per fault spec: fault spec outer, design inner.
+        points = [
+            point for fault_spec in fault_specs for point in SweepSpec(
+                config=dataclasses.replace(config, fault_spec=fault_spec),
+                kind=kind, designs=_names(names), traffics=("uniform",),
+                seeds=(args.seed,), rates=(args.rate,), cycles=args.span,
+            ).expand()
+        ]
+        runner = _make_runner(points, args) if tracer is None else None
     if runner is not None:
         ledgers = [None if p is None else p.ledger for p in _run_grid(runner, "chaos")]
         succeeded = runner.report.succeeded
@@ -860,7 +857,7 @@ def cmd_chaos(args) -> int:
                 "chaos --trace requires a single-point grid "
                 "(one routing or design, one fault spec, one seed)"
             )
-        ledgers = [evaluator(config, points[0], tracer=tracer)["ledger"]]
+        ledgers = [evaluator(points[0], tracer=tracer)["ledger"]]
         print(
             "[chaos] 1 point simulated in-process (traced; cache bypassed)",
             file=sys.stderr,

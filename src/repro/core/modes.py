@@ -102,11 +102,11 @@ class TmrModeBank:
     COPIES = 3
     REGISTER_BITS = 2
 
-    def __init__(self, num_routers: int, initial: int = 0) -> None:
+    def __init__(self, num_routers: int) -> None:
         if num_routers <= 0:
             raise ValueError("need at least one router")
         self.copies: List[List[int]] = [
-            [int(initial)] * self.COPIES for _ in range(num_routers)
+            [0] * self.COPIES for _ in range(num_routers)
         ]
 
     def write(self, router: int, mode: int) -> None:

@@ -51,6 +51,7 @@ import math
 import random
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.core.modes import TmrModeBank
 from repro.faults.specs import check_routers, parse_router_token, parse_spec
 
 __all__ = [
@@ -60,11 +61,6 @@ __all__ = [
 ]
 
 _KIND_ORDER = ("qtable", "mode", "burst")
-
-#: width of the per-router mode register (four modes)
-MODE_REGISTER_BITS = 2
-#: TMR replication factor for mode registers
-MODE_COPIES = 3
 
 
 class SoftErrorRule:
@@ -234,8 +230,8 @@ class SoftErrorModel:
                     continue
                 self._done.add(index)
                 sub = random.Random(token)
-                bit = sub.randrange(MODE_REGISTER_BITS)
-                copy = sub.randrange(MODE_COPIES)
+                bit = sub.randrange(TmrModeBank.REGISTER_BITS)
+                copy = sub.randrange(TmrModeBank.COPIES)
                 if flip_mode is not None:
                     flip_mode(rule.router, bit, copy)
                 stats["mode"] += 1

@@ -670,8 +670,9 @@ class Network:
         for router in self.routers:
             router.epoch.reset()
 
-    def drain(self, max_cycles: int, poll: int = 64) -> int:
-        """Run until every message is delivered; returns cycles spent.
+    def drain(self, max_cycles: int) -> int:
+        """Run until every message is delivered, checking every 64
+        cycles; returns cycles spent.
 
         Raises ``RuntimeError`` if the network fails to drain within
         ``max_cycles`` — which in a correct configuration indicates a
@@ -685,6 +686,6 @@ class Network:
                     f"network failed to drain: {outstanding} messages "
                     f"outstanding after {max_cycles} cycles"
                 )
-            for _ in range(poll):
+            for _ in range(64):
                 self.cycle()
         return self.now - start

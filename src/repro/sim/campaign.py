@@ -227,13 +227,15 @@ def campaign_points(
     spec: CampaignSpec, artifacts: Dict[str, Tuple[Path, str, bool]]
 ) -> Tuple[SweepPoint, ...]:
     """The grid's cells in deterministic order (benchmark outer, design
-    inner — the same nesting convention ``SweepSpec.expand`` uses)."""
+    inner — the same nesting convention ``SweepSpec.expand`` uses), each
+    stamped with the campaign's config."""
     points: List[SweepPoint] = []
     for benchmark in spec.benchmarks:
         for design in spec.designs:
             path, key, _built = artifacts.get(design, (None, "", False))
             points.append(
                 SweepPoint(
+                    config=spec.config,
                     kind="campaign",
                     design=design,
                     traffic=benchmark,
@@ -333,7 +335,6 @@ def run_campaign(
         spec, artifact_dir, refresh=refresh_artifacts, tracer=tracer
     )
     runner = SweepRunner(
-        spec.config,
         campaign_points(spec, artifacts),
         jobs=jobs,
         cache_dir=cache_dir,

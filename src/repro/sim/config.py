@@ -16,6 +16,8 @@ class SimulationConfig:
     pre-training and 300K warm-up cycles of synthetic traffic.  The rest
     of Table II is one constant each, where it is read (``NUM_VCS``,
     ``FLIT_BITS``, ``PACKET_FLITS``, ``CLOCK_HZ``; see DESIGN.md §5).
+    The three ``*_spec`` fields are the only record of a run's fault
+    campaigns: a sweep point carries its config, not specs of its own.
     """
 
     # Mesh size (Table II: 8x8)

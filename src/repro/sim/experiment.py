@@ -132,23 +132,25 @@ def synthesize_benchmark_trace(
     return synthesizer.synthesize(cycles)
 
 
+#: the design every figure is normalized to (Figs 6-10)
+BASELINE = "crc"
+
+
 def normalize_to_baseline(
-    results: Dict[str, RunResult],
-    metric: Callable[[RunResult], float],
-    baseline: str = "crc",
+    results: Dict[str, RunResult], metric: Callable[[RunResult], float]
 ) -> Dict[str, float]:
-    """Per-design metric values divided by the baseline's (Figs 6-10).
+    """Per-design metric values divided by :data:`BASELINE`'s (Figs 6-10).
 
     A zero or non-finite baseline reference cannot anchor a ratio: every
     design then reports NaN.  (Reporting 0.0 — as an earlier version did
     — is indistinguishable from "every design measured zero", which
     silently poisoned downstream geomeans.)
     """
-    reference = metric(results[baseline])
+    reference = metric(results[BASELINE])
     if reference == 0 or not math.isfinite(reference):
         logger.warning(
             "baseline %r reference is %r; normalized metrics are undefined (NaN)",
-            baseline, reference,
+            BASELINE, reference,
         )
         return {name: float("nan") for name in results}
     return {name: metric(result) / reference for name, result in results.items()}

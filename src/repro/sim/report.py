@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.sim.experiment import geometric_mean, normalize_to_baseline
+from repro.sim.experiment import BASELINE, geometric_mean, normalize_to_baseline
 from repro.sim.metrics import RunResult
 
 __all__ = [
@@ -71,9 +71,8 @@ def _figure_ratios(
     results: Dict[str, RunResult],
     metric: Callable[[RunResult], float],
     invert: bool,
-    baseline: str,
 ) -> Dict[str, float]:
-    ratios = normalize_to_baseline(results, metric, baseline=baseline)
+    ratios = normalize_to_baseline(results, metric)
     if not invert:
         return ratios
     return {
@@ -84,7 +83,6 @@ def _figure_ratios(
 
 def campaign_report(
     suite: Dict[str, Dict[str, RunResult]],
-    baseline: str = "crc",
     designs: Optional[Sequence[str]] = None,
 ) -> Dict[str, object]:
     """Normalized Figs 6-10 tables for a campaign grid.
@@ -112,9 +110,9 @@ def campaign_report(
         columns: Dict[str, List[float]] = {design: [] for design in designs}
         for benchmark in benchmarks:
             results = suite[benchmark]
-            if baseline not in results:
+            if BASELINE not in results:
                 continue
-            ratios = _figure_ratios(results, metric, invert, baseline)
+            ratios = _figure_ratios(results, metric, invert)
             row: Dict[str, Optional[float]] = {}
             for design in designs:
                 value = ratios.get(design, float("nan"))
@@ -135,7 +133,7 @@ def campaign_report(
 
     return {
         "schema": REPORT_SCHEMA,
-        "baseline": baseline,
+        "baseline": BASELINE,
         "benchmarks": benchmarks,
         "designs": designs,
         "figures": figures,

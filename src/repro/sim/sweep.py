@@ -5,18 +5,19 @@ seed) measurement runs.  Each point is an independent,
 deterministic simulation, so the grid parallelizes perfectly and every
 completed point is worth persisting.  This module provides:
 
-* :class:`SweepSpec` — a declarative grid specification that expands into
-  :class:`SweepPoint` jobs, one per simulation;
+* :class:`SweepSpec` — a declarative grid that expands into
+  :class:`SweepPoint` jobs, one per simulation, each carrying the
+  grid's :class:`SimulationConfig` (the only record of its faults);
 * :func:`run_sweep_point` — the process-safe evaluator for a single
   point (also the ``--jobs 1`` serial path, so serial and parallel runs
   execute byte-identical code);
 * :class:`SweepRunner` — runs a list of points, fanning pending ones out
   over supervised ``multiprocessing`` workers, caches every result under
-  ``.sweep_cache/`` keyed by a stable content hash of (config, point),
-  and keeps one :class:`SweepReport` ledger of progress (done / cached /
-  running, ETA) and outcome.  Re-running an identical grid — or
-  resuming an interrupted one — replays cached points without executing
-  a single simulation.
+  ``.sweep_cache/`` keyed by a stable content hash of the point, config
+  included, and keeps one :class:`SweepReport` ledger of progress (done
+  / cached / running, ETA) and outcome.  Re-running an identical grid —
+  or resuming an interrupted one — replays cached points without
+  executing a single simulation.
 * :class:`SweepCache` — one checkpoint container per finished point
   (``<key>.ckpt``: the :mod:`repro.sim.checkpoint` format, stamped
   :data:`CACHE_SCHEMA`, with the key and point in its JSON header and
@@ -49,13 +50,17 @@ Point kinds
     ``examples/fault_sweep.py``).
 ``chaos``
     Open-loop graceful degradation: one routing function on a bare
-    network (no control policy) under a hard-fault campaign.
+    network (no control policy) under the config's hard-fault campaign.
 ``control_chaos``
     Closed-loop graceful degradation: one full control design under any
-    composition of the three fault families — hard faults
+    composition of the config's three fault families — hard faults
     (``fault_spec``), corrupted telemetry (``sensor_spec``) and SEUs in
     the Q-table SRAM and mode registers (``soft_error_spec``) — with one
     union ledger per point.
+
+A point whose config names a fault campaign its kind does not simulate
+(any spec for ``mode_error``, a sensor or soft-error spec for ``chaos``)
+is refused, so every spec a cache key hashes is simulated.
 
 Every evaluator but ``campaign`` (a :class:`RunResult`) returns one
 ledger dict, which :class:`PointResult` carries as built.
@@ -63,7 +68,7 @@ ledger dict, which :class:`PointResult` carries as built.
 Determinism contract: every evaluator seeds all randomness from the
 point's ``seed`` field (the simulators use only local
 ``random.Random`` instances), so a point's result is a pure function of
-(config, point) — which is precisely what the cache key hashes.
+the point, config included — which is precisely what the cache key hashes.
 """
 
 from __future__ import annotations
@@ -172,7 +177,10 @@ __all__ = [
 #: the evaluator's payload (a ``RunResult`` or one ``ledger`` dict), not
 #: a CRC'd JSON file; chaos points inject at ``rate`` 0 when given 0,
 #: and ``load`` ledgers lost ``saturated``.
-CACHE_SCHEMA = 17
+#: Schema 18: a point carries its config and no fault spec of its own,
+#: so the key hashes the point alone and an entry's header records the
+#: config it ran under; ``chaos`` points run the config's hard faults.
+CACHE_SCHEMA = 18
 
 DEFAULT_CACHE_DIR = ".sweep_cache"
 
@@ -185,6 +193,12 @@ _RATED_KINDS = ("load", "chaos", "control_chaos")
 
 MODE_DESIGNS = tuple(f"mode{int(m)}" for m in OperationMode)
 
+#: config fault campaigns a kind's evaluator does not simulate (refused)
+_UNSIMULATED_SPECS = {
+    "mode_error": ("fault_spec", "sensor_spec", "soft_error_spec"),
+    "chaos": ("sensor_spec", "soft_error_spec"),
+}
+
 
 # ----------------------------------------------------------------------
 # Grid specification
@@ -193,6 +207,7 @@ MODE_DESIGNS = tuple(f"mode{int(m)}" for m in OperationMode)
 class SweepPoint:
     """One independent simulation job of a sweep grid.
 
+    ``config`` is the platform it simulates, fault campaigns included.
     ``traffic`` names a benchmark (``campaign``) or a synthetic
     pattern (the other kinds).  ``cycles`` is the trace injection span
     for ``campaign``, the injection span for ``load`` and the chaos
@@ -200,6 +215,7 @@ class SweepPoint:
     fields keep their defaults so cache keys stay stable across kinds.
     """
 
+    config: SimulationConfig
     kind: str
     design: str
     traffic: str
@@ -207,15 +223,6 @@ class SweepPoint:
     cycles: int
     rate: float = 0.0
     error_probability: float = 0.0
-    #: hard-fault campaign spec ("" = healthy); part of the cache key, so
-    #: identical schedules replay from cache and new ones re-simulate
-    fault_spec: str = ""
-    #: sensor-fault campaign spec ("" = healthy telemetry); also part of
-    #: the cache key (schema 4)
-    sensor_spec: str = ""
-    #: soft-error (SEU) campaign spec ("" = upset-free SRAM); part of the
-    #: cache key (schema 5)
-    soft_error_spec: str = ""
     #: content hash of the pretrained-policy artifact a ``campaign`` cell
     #: clones from ("" = stateless design); part of the cache key, so a
     #: cell retrained under a different config can never replay stale
@@ -245,6 +252,9 @@ class SweepPoint:
             raise ValueError(
                 f"unknown design {self.design!r}; pick one of {', '.join(DESIGN_ORDER)}"
             )
+        for name in _UNSIMULATED_SPECS.get(self.kind, ()):
+            if getattr(self.config, name):
+                raise ValueError(f"{self.kind} points do not simulate a {name}")
         if self.cycles < 1:
             raise ValueError("cycles must be positive")
         for name in ("rate", "error_probability"):
@@ -258,12 +268,12 @@ class SweepPoint:
             parts.append(f"r{self.rate:g}")
         if self.kind == "mode_error":
             parts.append(f"p{self.error_probability:g}")
-        if self.fault_spec:
-            parts.append(self.fault_spec)
-        if self.sensor_spec:
-            parts.append(self.sensor_spec)
-        if self.soft_error_spec:
-            parts.append(self.soft_error_spec)
+        parts.extend(
+            spec for spec in (
+                self.config.fault_spec, self.config.sensor_spec,
+                self.config.soft_error_spec,
+            ) if spec
+        )
         if self.artifact_hash:
             parts.append(f"a{self.artifact_hash[:8]}")
         return ":".join(parts)
@@ -271,12 +281,12 @@ class SweepPoint:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Declarative grid: the cross product expanded by :meth:`expand`.
+    """Declarative grid: the cross product expanded by :meth:`expand`,
+    every point stamped with ``config``.
 
-    Expansion order is deterministic — traffic (outer), fault, sensor
-    and soft-error specs, rate / error probability, seed, design
-    (inner) — so result lists line up across runs and ``--jobs``
-    settings.
+    Expansion order is deterministic — traffic (outer), rate / error
+    probability, seed, design (inner) — so result lists line up across
+    runs and ``--jobs`` settings.
     """
 
     config: SimulationConfig
@@ -286,36 +296,23 @@ class SweepSpec:
     seeds: Tuple[int, ...] = (0,)
     rates: Tuple[float, ...] = (0.0,)
     error_probabilities: Tuple[float, ...] = (0.0,)
-    #: hard-fault campaign axis (chaos kinds only; "" = healthy baseline)
-    fault_specs: Tuple[str, ...] = ("",)
-    #: sensor-fault campaign axis (control_chaos kind only)
-    sensor_specs: Tuple[str, ...] = ("",)
-    #: soft-error campaign axis (control_chaos kind only)
-    soft_error_specs: Tuple[str, ...] = ("",)
     cycles: int = 3_000
 
     def __post_init__(self) -> None:
         if self.kind not in POINT_KINDS:
             raise ValueError(f"unknown sweep kind {self.kind!r}")
-        for name in ("designs", "traffics", "seeds",
-                     "fault_specs", "sensor_specs", "soft_error_specs"):
+        for name in ("designs", "traffics", "seeds"):
             if not getattr(self, name):
                 raise ValueError(f"{name} cannot be empty")
 
     def expand(self) -> List[SweepPoint]:
         """The grid's jobs, in deterministic order."""
-        closed_loop = self.kind == "control_chaos"
         axes = itertools.product(
-            self.traffics,
-            self.fault_specs if self.kind in ("chaos", "control_chaos") else ("",),
-            self.sensor_specs if closed_loop else ("",),
-            self.soft_error_specs if closed_loop else ("",),
-            self._extra_axis(),
-            self.seeds,
-            self.designs,
+            self.traffics, self._extra_axis(), self.seeds, self.designs
         )
         return [
             SweepPoint(
+                config=self.config,
                 kind=self.kind,
                 design=design,
                 traffic=traffic,
@@ -323,12 +320,8 @@ class SweepSpec:
                 cycles=self.cycles,
                 rate=extra if self.kind in _RATED_KINDS else 0.0,
                 error_probability=extra if self.kind == "mode_error" else 0.0,
-                fault_spec=fault_spec,
-                sensor_spec=sensor_spec,
-                soft_error_spec=soft_error_spec,
             )
-            for (traffic, fault_spec, sensor_spec, soft_error_spec,
-                 extra, seed, design) in axes
+            for traffic, extra, seed, design in axes
         ]
 
     def _extra_axis(self) -> Tuple[float, ...]:
@@ -342,7 +335,7 @@ class SweepSpec:
 # ----------------------------------------------------------------------
 # Point evaluators (run inside worker processes — keep module-level)
 # ----------------------------------------------------------------------
-def _eval_campaign(config: SimulationConfig, point: SweepPoint) -> Dict[str, object]:
+def _eval_campaign(point: SweepPoint) -> Dict[str, object]:
     """One campaign cell: a single (benchmark, design) measurement run
     cloned from a pretrained, frozen policy artifact.
 
@@ -368,6 +361,7 @@ def _eval_campaign(config: SimulationConfig, point: SweepPoint) -> Dict[str, obj
             f"campaign cell for trainable design {point.design!r} has no "
             "pretrained artifact; run it through repro.sim.campaign"
         )
+    config = point.config
     records = synthesize_benchmark_trace(point.traffic, config, point.cycles, point.seed)
     result = run_design_on_trace(
         policy, records, config, benchmark=point.traffic, seed=point.seed
@@ -375,12 +369,12 @@ def _eval_campaign(config: SimulationConfig, point: SweepPoint) -> Dict[str, obj
     return {"run": result}
 
 
-def _eval_load(config: SimulationConfig, point: SweepPoint) -> Dict[str, object]:
+def _eval_load(point: SweepPoint) -> Dict[str, object]:
     """Latency and throughput of one offered load, measured over the
     injection span and its drain only: pre-training and the warm-up run
     and drain before the measured window opens."""
     policy = default_design_factories(point.seed)[point.design]()
-    sim = Simulator(config, policy, seed=point.seed)
+    sim = Simulator(point.config, policy, seed=point.seed)
     sim.pretrain()
     sim.policy.freeze()
     sim.warmup()
@@ -403,10 +397,10 @@ def _eval_load(config: SimulationConfig, point: SweepPoint) -> Dict[str, object]
     }
 
 
-def _eval_mode_error(config: SimulationConfig, point: SweepPoint) -> Dict[str, object]:
+def _eval_mode_error(point: SweepPoint) -> Dict[str, object]:
     mode = OperationMode(int(point.design[len("mode"):]))
     rng = random.Random(point.seed)
-    net = build_network(config, random.Random(point.seed + 1))
+    net = build_network(point.config, random.Random(point.seed + 1))
     net.set_all_modes(mode)
     for _, model in net.channel_models():
         model.event_probability = point.error_probability
@@ -444,11 +438,9 @@ def _eval_mode_error(config: SimulationConfig, point: SweepPoint) -> Dict[str, o
     }
 
 
-def _eval_chaos(
-    config: SimulationConfig, point: SweepPoint, tracer=None
-) -> Dict[str, object]:
-    """Graceful-degradation run: one routing policy under a hard-fault
-    campaign with open-loop uniform traffic.
+def _eval_chaos(point: SweepPoint, tracer=None) -> Dict[str, object]:
+    """Graceful-degradation run: one routing policy under the config's
+    hard-fault campaign with open-loop uniform traffic.
 
     Invariant-watchdog trips do not fail the sweep — they come back as a
     structured ``diagnosis`` payload, because "this configuration
@@ -459,10 +451,11 @@ def _eval_chaos(
     result cache — a tracer cannot cross the worker-process boundary,
     and events are a side channel the cache key does not cover.
     """
+    config = point.config
     network = build_network(config, random.Random(point.seed + 1), routing=point.design)
     if tracer is not None:
         network.attach_tracer(tracer)
-    model = HardFaultModel(network, parse_fault_spec(point.fault_spec))
+    model = HardFaultModel(network, parse_fault_spec(config.fault_spec))
     network.hard_faults = model
     rng = random.Random(point.seed + 7)
     nodes = network.topology.num_nodes
@@ -492,7 +485,7 @@ def _eval_chaos(
     return {
         "ledger": {
             "routing": point.design,
-            "fault_spec": point.fault_spec,
+            "fault_spec": config.fault_spec,
             "applied": list(model.applied),
             "delivered_fraction": stats.delivered_fraction,
             "messages_created": stats.messages_created,
@@ -512,13 +505,11 @@ def _eval_chaos(
     }
 
 
-def _eval_control_chaos(
-    config: SimulationConfig, point: SweepPoint, tracer=None
-) -> Dict[str, object]:
+def _eval_control_chaos(point: SweepPoint, tracer=None) -> Dict[str, object]:
     """Closed-loop degradation run: one full control design under every
-    fault family the point names, with open-loop synthetic traffic.
+    fault family its config names, with open-loop synthetic traffic.
 
-    The three point specs compose: ``fault_spec`` kills links and
+    The three config specs compose: ``fault_spec`` kills links and
     routers, ``sensor_spec`` corrupts the observation path between
     ``observe_router`` and the policy, and ``soft_error_spec`` flips
     bits in the Q-table SRAM and the mode registers.  Unlike ``chaos``
@@ -537,12 +528,7 @@ def _eval_control_chaos(
     failure (retry -> quarantine) — exactly the behavior the hardened
     path exists to prevent.
     """
-    config = dataclasses.replace(
-        config,
-        fault_spec=point.fault_spec,
-        sensor_spec=point.sensor_spec,
-        soft_error_spec=point.soft_error_spec,
-    )
+    config = point.config
     policy = default_design_factories(point.seed)[point.design]()
     sim = Simulator(config, policy, seed=point.seed, tracer=tracer)
     sim.pretrain()
@@ -577,9 +563,9 @@ def _eval_control_chaos(
     return {
         "ledger": {
             "design": point.design,
-            "fault_spec": point.fault_spec,
-            "sensor_spec": point.sensor_spec,
-            "soft_error_spec": point.soft_error_spec,
+            "fault_spec": config.fault_spec,
+            "sensor_spec": config.sensor_spec,
+            "soft_error_spec": config.soft_error_spec,
             "defenses": bool(config.sensor_defenses),
             "ecc": bool(config.ecc_protect),
             "scrub_every": config.scrub_every,
@@ -631,15 +617,15 @@ _EVALUATORS = {
 }
 
 
-def run_sweep_point(config: SimulationConfig, point: SweepPoint) -> Dict[str, object]:
+def run_sweep_point(point: SweepPoint) -> Dict[str, object]:
     """Evaluate one point; the single code path for serial AND pooled runs."""
     started = time.perf_counter()
-    payload = _EVALUATORS[point.kind](config, point)
+    payload = _EVALUATORS[point.kind](point)
     payload["elapsed"] = time.perf_counter() - started
     return payload
 
 
-def _supervised_worker(conn, config: SimulationConfig, point: SweepPoint) -> None:
+def _supervised_worker(conn, point: SweepPoint) -> None:
     """Worker entry point: evaluate one point, report through the pipe.
 
     Sends ``("ok", payload)`` or ``("error", reason)``; a worker that
@@ -647,7 +633,7 @@ def _supervised_worker(conn, config: SimulationConfig, point: SweepPoint) -> Non
     the pipe at EOF, which the supervisor detects as a hard death.
     """
     try:
-        payload = run_sweep_point(config, point)
+        payload = run_sweep_point(point)
     except BaseException as exc:  # noqa: BLE001 - must never leak upward
         try:
             conn.send(("error", f"{type(exc).__name__}: {exc}"))
@@ -679,7 +665,7 @@ class _PendingTask:
 # ----------------------------------------------------------------------
 # Cache
 # ----------------------------------------------------------------------
-def point_cache_key(config: SimulationConfig, point: SweepPoint) -> str:
+def point_cache_key(point: SweepPoint) -> str:
     """Stable content hash of everything a point's result depends on.
 
     ``artifact_path`` is excluded: where an artifact lives is an
@@ -688,10 +674,8 @@ def point_cache_key(config: SimulationConfig, point: SweepPoint) -> str:
     cache and a retrained artifact (new hash) re-simulates.
     """
     point_dict = dataclasses.asdict(point)
-    point_dict.pop("artifact_path", None)
-    return content_key(
-        {"schema": CACHE_SCHEMA, "config": dataclasses.asdict(config), "point": point_dict}
-    )
+    point_dict.pop("artifact_path")
+    return content_key({"schema": CACHE_SCHEMA, "point": point_dict})
 
 
 class SweepCache:
@@ -897,7 +881,6 @@ class SweepRunner:
 
     def __init__(
         self,
-        config: SimulationConfig,
         points: Sequence[SweepPoint],
         jobs: int = 1,
         cache_dir: Union[str, Path] = DEFAULT_CACHE_DIR,
@@ -913,7 +896,6 @@ class SweepRunner:
             raise ValueError("point_timeout must be positive (or None)")
         if max_retries < 0:
             raise ValueError("max_retries cannot be negative")
-        self.config = config
         self.points = list(points)
         self.jobs = jobs
         self.cache = SweepCache(cache_dir) if use_cache else None
@@ -935,7 +917,7 @@ class SweepRunner:
         report = self.report = SweepReport(total=len(self.points), jobs=self.jobs)
         waiting: List[_PendingTask] = []
         for index, point in enumerate(self.points):
-            key = point_cache_key(self.config, point)
+            key = point_cache_key(point)
             payload = (
                 self.cache.load(key) if self.cache and not self.refresh else None
             )
@@ -970,7 +952,7 @@ class SweepRunner:
             report.current = task.point.label()
             self._report()
             try:
-                payload = run_sweep_point(self.config, task.point)
+                payload = run_sweep_point(task.point)
             except Exception as exc:  # noqa: BLE001 - quarantine, not crash
                 report.running = 0
                 self._handle_failure(task, f"{type(exc).__name__}: {exc}", waiting)
@@ -997,7 +979,7 @@ class SweepRunner:
                     parent, child = ctx.Pipe(duplex=False)
                     process = ctx.Process(
                         target=_supervised_worker,
-                        args=(child, self.config, task.point),
+                        args=(child, task.point),
                         daemon=True,
                     )
                     process.start()

@@ -12,10 +12,9 @@ import random
 
 import pytest
 
+from repro.core.modes import TmrModeBank
 from repro.core.qlearning import QLearningAgent, QTableStorage
 from repro.faults.softerrors import (
-    MODE_COPIES,
-    MODE_REGISTER_BITS,
     SoftErrorModel,
     _poisson,
     parse_soft_error_spec,
@@ -119,8 +118,8 @@ class TestDeterminism:
         assert len(flips) == 1
         router, bit, copy_id = flips[0]
         assert router == 2
-        assert 0 <= bit < MODE_REGISTER_BITS
-        assert 0 <= copy_id < MODE_COPIES
+        assert 0 <= bit < TmrModeBank.REGISTER_BITS
+        assert 0 <= copy_id < TmrModeBank.COPIES
         # The mode rule became due at cycle 500 (epoch 2 at 250 c/epoch).
         assert out[0]["mode"] == 0 and out[1]["mode"] == 1
 

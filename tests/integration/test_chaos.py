@@ -28,13 +28,13 @@ def _config(**overrides):
 
 def _chaos_point(routing, fault_spec, seed=0, cycles=2_000, rate=0.1):
     return SweepPoint(
+        config=_config(fault_spec=fault_spec),
         kind="chaos",
         design=routing,
         traffic="uniform",
         seed=seed,
         cycles=cycles,
         rate=rate,
-        fault_spec=fault_spec,
     )
 
 
@@ -47,9 +47,7 @@ def _conserved(chaos):
 
 class TestMidRunLinkKill:
     def test_adaptive_delivers_95_percent(self):
-        payload = run_sweep_point(
-            _config(), _chaos_point("adaptive", MIDRUN_LINK_KILL)
-        )
+        payload = run_sweep_point(_chaos_point("adaptive", MIDRUN_LINK_KILL))
         chaos = payload["ledger"]
         assert chaos["diagnosis"] is None, chaos["diagnosis"]
         assert chaos["link_kills"] == 1
@@ -59,7 +57,7 @@ class TestMidRunLinkKill:
         assert _conserved(chaos)
 
     def test_xy_reports_loss_through_accounting(self):
-        payload = run_sweep_point(_config(), _chaos_point("xy", MIDRUN_LINK_KILL))
+        payload = run_sweep_point(_chaos_point("xy", MIDRUN_LINK_KILL))
         chaos = payload["ledger"]
         # XY cannot route around the dead column crossing: packets that
         # need 5->E are dropped with accounting, not wedged in buffers.
@@ -77,9 +75,7 @@ class TestIsolatingCut:
     CUT = "link@64:1W;link@64:4S"
 
     def test_chaos_evaluator_counts_unreachable_drops(self):
-        payload = run_sweep_point(
-            _config(), _chaos_point("adaptive", self.CUT, cycles=1_500)
-        )
+        payload = run_sweep_point(_chaos_point("adaptive", self.CUT, cycles=1_500))
         chaos = payload["ledger"]
         assert chaos["diagnosis"] is None
         assert chaos["unreachable_drops"] > 0
@@ -96,27 +92,28 @@ class TestDeterminism:
         return payload
 
     def test_point_results_reproducible(self):
-        config = _config()
         for spec in self.SPECS:
             point = _chaos_point("adaptive", spec, cycles=1_000)
-            first = self._strip(run_sweep_point(config, point))
-            second = self._strip(run_sweep_point(config, point))
+            first = self._strip(run_sweep_point(point))
+            second = self._strip(run_sweep_point(point))
             assert first == second
 
     def test_serial_and_pooled_runs_agree(self, tmp_path):
-        spec = SweepSpec(
-            config=_config(),
-            kind="chaos",
-            designs=("xy", "adaptive"),
-            traffics=("uniform",),
-            seeds=(0,),
-            rates=(0.1,),
-            fault_specs=self.SPECS,
-            cycles=800,
-        )
-        points = spec.expand()
-        serial = SweepRunner(spec.config, points, jobs=1, use_cache=False).run()
-        pooled = SweepRunner(spec.config, points, jobs=2, use_cache=False).run()
+        points = [
+            point
+            for fault_spec in self.SPECS
+            for point in SweepSpec(
+                config=_config(fault_spec=fault_spec),
+                kind="chaos",
+                designs=("xy", "adaptive"),
+                traffics=("uniform",),
+                seeds=(0,),
+                rates=(0.1,),
+                cycles=800,
+            ).expand()
+        ]
+        serial = SweepRunner(points, jobs=1, use_cache=False).run()
+        pooled = SweepRunner(points, jobs=2, use_cache=False).run()
         assert [dataclasses.replace(r, elapsed=0.0) for r in serial] == [
             dataclasses.replace(r, elapsed=0.0) for r in pooled
         ]

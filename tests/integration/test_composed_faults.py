@@ -40,20 +40,16 @@ def small_config(**overrides):
 
 class TestAcceptance:
     def test_composed_campaign_is_absorbed(self):
-        config = small_config()
         [point] = SweepSpec(
-            config=config,
+            config=small_config(**FAULTS),
             kind="control_chaos",
             designs=("rl",),
             traffics=("uniform",),
             seeds=(2,),
             rates=(0.05,),
-            fault_specs=(FAULTS["fault_spec"],),
-            sensor_specs=(FAULTS["sensor_spec"],),
-            soft_error_specs=(FAULTS["soft_error_spec"],),
             cycles=800,
         ).expand()
-        ledger = _eval_control_chaos(config, point)["ledger"]
+        ledger = _eval_control_chaos(point)["ledger"]
         assert ledger["diagnosis"] is None
         assert ledger["outstanding"] == 0
         assert ledger["delivered_fraction"] >= 0.95

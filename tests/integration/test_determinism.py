@@ -1,8 +1,8 @@
 """Seeded determinism guarantees.
 
-The sweep cache (:mod:`repro.sim.sweep`) keys results by (config, point)
-alone, which is only sound if a run's result is a pure function of those
-inputs: same seed, same config, same design -> byte-identical
+The sweep cache (:mod:`repro.sim.sweep`) keys results by the point (its
+config included) alone, which is only sound if a run's result is a pure
+function of those inputs: same seed, same config, same design -> byte-identical
 :class:`RunResult`, in this process, in a fresh process, and in a pool
 worker.  These tests pin that contract for every compared design — the
 RL policy, both static modes (CRC and ARQ+ECC), and the CART

@@ -36,7 +36,8 @@ def small_config(**overrides):
     )
 
 
-def sensor_point(config, sensor_spec, rate=0.05, cycles=800, seed=0):
+def sensor_point(config, rate=0.05, cycles=800, seed=0):
+    """The rl ``control_chaos`` point of ``config``'s sensor campaign."""
     spec = SweepSpec(
         config=config,
         kind="control_chaos",
@@ -44,8 +45,6 @@ def sensor_point(config, sensor_spec, rate=0.05, cycles=800, seed=0):
         traffics=("uniform",),
         seeds=(seed,),
         rates=(rate,),
-        fault_specs=("",),
-        sensor_specs=(sensor_spec,),
         cycles=cycles,
     )
     return spec.expand()[0]
@@ -54,8 +53,8 @@ def sensor_point(config, sensor_spec, rate=0.05, cycles=800, seed=0):
 class TestAcceptance:
     def test_hardened_rl_survives_dropout_and_stuck_sensor(self):
         config = small_config(sensor_spec=ACCEPTANCE_SPEC, mode_hysteresis_epochs=2)
-        point = sensor_point(config, ACCEPTANCE_SPEC)
-        payload = _eval_control_chaos(config, point)["ledger"]
+        point = sensor_point(config)
+        payload = _eval_control_chaos(point)["ledger"]
         assert payload["diagnosis"] is None
         assert payload["defenses"] is True
         assert payload["delivered_fraction"] >= 0.95
@@ -89,8 +88,7 @@ class TestAcceptance:
             config = small_config(
                 sensor_spec=noisy, mode_hysteresis_epochs=hysteresis,
             )
-            point = sensor_point(config, noisy)
-            results[hysteresis] = _eval_control_chaos(config, point)["ledger"]
+            results[hysteresis] = _eval_control_chaos(sensor_point(config))["ledger"]
         assert results[4]["debounced_switches"] > 0
         assert results[0]["debounced_switches"] == 0
         assert results[4]["mode_switches"] <= results[0]["mode_switches"]
@@ -98,8 +96,7 @@ class TestAcceptance:
     def test_full_dropout_quarantines_and_still_delivers(self, monkeypatch):
         monkeypatch.setattr("repro.sim.simulator.SENSOR_QUARANTINE_K", 4)
         config = small_config(sensor_spec="drop@1.0:all")
-        point = sensor_point(config, "drop@1.0:all")
-        payload = _eval_control_chaos(config, point)["ledger"]
+        payload = _eval_control_chaos(sensor_point(config))["ledger"]
         assert payload["diagnosis"] is None
         assert payload["quarantined_routers"] == list(range(9))
         assert payload["safe_mode_entries"] >= 9

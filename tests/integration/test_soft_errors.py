@@ -46,7 +46,8 @@ def small_config(**overrides):
     )
 
 
-def soft_error_point(config, spec_str, rate=0.05, cycles=800, seed=0):
+def soft_error_point(config, rate=0.05, cycles=800, seed=0):
+    """The rl ``control_chaos`` point of ``config``'s SEU campaign."""
     spec = SweepSpec(
         config=config,
         kind="control_chaos",
@@ -54,8 +55,6 @@ def soft_error_point(config, spec_str, rate=0.05, cycles=800, seed=0):
         traffics=("uniform",),
         seeds=(seed,),
         rates=(rate,),
-        fault_specs=("",),
-        soft_error_specs=(spec_str,),
         cycles=cycles,
     )
     return spec.expand()[0]
@@ -63,11 +62,8 @@ def soft_error_point(config, spec_str, rate=0.05, cycles=800, seed=0):
 
 def run_campaign(**overrides):
     overrides.setdefault("soft_error_spec", ACCEPTANCE_SPEC)
-    config = small_config(**overrides)
-    point = soft_error_point(
-        config, config.soft_error_spec, seed=ACCEPTANCE_SEED
-    )
-    return _eval_control_chaos(config, point)["ledger"]
+    point = soft_error_point(small_config(**overrides), seed=ACCEPTANCE_SEED)
+    return _eval_control_chaos(point)["ledger"]
 
 
 class TestAcceptance:

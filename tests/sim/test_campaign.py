@@ -213,20 +213,22 @@ class TestOrderIndependence:
 class TestCampaignCell:
     def test_trainable_cell_without_artifact_raises(self):
         point = SweepPoint(
-            kind="campaign", design="rl", traffic="swaptions", seed=0, cycles=200,
+            config=tiny_config(), kind="campaign", design="rl",
+            traffic="swaptions", seed=0, cycles=200,
         )
         with pytest.raises(ValueError, match="no pretrained artifact"):
-            _eval_campaign(tiny_config(), point)
+            _eval_campaign(point)
 
     def test_artifact_hash_mismatch_raises(self, tmp_path):
         config = tiny_config()
         path, key, _ = ensure_artifact(config, "rl", 0, tmp_path)
         point = SweepPoint(
-            kind="campaign", design="rl", traffic="swaptions", seed=0,
-            cycles=200, artifact_hash="deadbeef" * 3, artifact_path=str(path),
+            config=config, kind="campaign", design="rl", traffic="swaptions",
+            seed=0, cycles=200, artifact_hash="deadbeef" * 3,
+            artifact_path=str(path),
         )
         with pytest.raises(ValueError, match="key"):
-            _eval_campaign(config, point)
+            _eval_campaign(point)
 
     def test_clone_of_a_poisoned_snapshot_raises(self, tmp_path):
         path, _, _ = ensure_artifact(tiny_config(), "rl", 0, tmp_path)

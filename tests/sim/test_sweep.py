@@ -1,11 +1,13 @@
 """Tests for the parallel sweep runner and its result cache."""
 
 import dataclasses
+import json
 import os
 import time
 
 import pytest
 
+from repro.cli import main
 from repro.noc.packet import PACKET_FLITS
 from repro.sim import (
     SweepCache,
@@ -32,7 +34,7 @@ def tiny_config(**overrides):
 
 def runner_for(spec, **kwargs):
     """A runner over ``spec``'s expanded grid."""
-    return SweepRunner(spec.config, spec.expand(), **kwargs)
+    return SweepRunner(spec.expand(), **kwargs)
 
 
 def tiny_campaign_spec(**overrides):
@@ -68,7 +70,8 @@ class TestGridExpansion:
             ("canneal", 1, "rl"),
         ]
         assert points[-1] == SweepPoint(
-            kind="campaign", design="rl", traffic="x264", seed=1, cycles=500,
+            config=spec.config, kind="campaign", design="rl", traffic="x264",
+            seed=1, cycles=500,
         )
 
     def test_load_rate_axis(self):
@@ -87,63 +90,38 @@ class TestGridExpansion:
         )
         assert len(spec.expand()) == 8
 
-    def test_chaos_expands_fault_spec_axis(self):
+    def test_every_point_carries_the_grid_config(self):
+        config = tiny_config(fault_spec="link@500:5E")
         spec = SweepSpec(
-            config=tiny_config(), kind="chaos", designs=("xy", "adaptive"),
-            traffics=("uniform",), rates=(0.1,),
-            fault_specs=("", "link@500:5E"), cycles=400,
+            config=config, kind="chaos", designs=("xy", "adaptive"),
+            traffics=("uniform",), rates=(0.05, 0.1), cycles=400,
         )
         points = spec.expand()
         assert len(points) == 4
-        assert sorted({p.fault_spec for p in points}) == ["", "link@500:5E"]
-        assert all(p.rate == 0.1 for p in points)
-
-    def test_fault_specs_ignored_outside_chaos(self):
-        spec = tiny_campaign_spec(fault_specs=("", "link@500:5E"))
-        assert all(p.fault_spec == "" for p in spec.expand())
-
-    def test_sensor_chaos_expands_sensor_spec_axis(self):
-        spec = SweepSpec(
-            config=tiny_config(), kind="control_chaos", designs=("rl",),
-            traffics=("uniform",), rates=(0.05,),
-            fault_specs=("",),
-            sensor_specs=("drop@0.2:util", "stuck@r1.temp=0.9"),
-            cycles=400,
-        )
-        points = spec.expand()
-        assert len(points) == 2
-        assert sorted(p.sensor_spec for p in points) == [
-            "drop@0.2:util", "stuck@r1.temp=0.9",
+        assert all(p.config is config for p in points)
+        assert [p.label() for p in points[:2]] == [
+            "chaos:xy:uniform:s0:r0.05:link@500:5E",
+            "chaos:adaptive:uniform:s0:r0.05:link@500:5E",
         ]
-        assert all(p.kind == "control_chaos" and p.rate == 0.05 for p in points)
 
-    def test_sensor_specs_ignored_outside_sensor_chaos(self):
-        spec = tiny_campaign_spec(sensor_specs=("", "drop@0.2:util"))
-        assert all(p.sensor_spec == "" for p in spec.expand())
-
-    def test_soft_error_expands_soft_error_spec_axis(self):
-        spec = SweepSpec(
-            config=tiny_config(), kind="control_chaos", designs=("rl",),
-            traffics=("uniform",), rates=(0.05,),
-            fault_specs=("",),
-            soft_error_specs=("qtable@1e-5", "qtable@1e-5;burst@800:4"),
-            cycles=400,
-        )
-        points = spec.expand()
-        assert len(points) == 2
-        assert sorted(p.soft_error_spec for p in points) == [
-            "qtable@1e-5", "qtable@1e-5;burst@800:4",
+    def test_chaos_expands_fault_spec_axis(self, capsys):
+        """``repro chaos`` runs one config per ``--fault-specs`` entry:
+        fault spec outer, routing inner, each row under its own spec."""
+        main([
+            "chaos", "--routings", "xy,adaptive", "--fault-specs", "|link@20:0E",
+            "--rate", "0.1", "--span", "60", "--width", "2", "--height", "2",
+            "--no-cache", "--json",
+        ])
+        rows = json.loads(capsys.readouterr().out)
+        assert [(r["fault_spec"], r["routing"], r["link_kills"]) for r in rows] == [
+            ("", "xy", 0), ("", "adaptive", 0),
+            ("link@20:0E", "xy", 1), ("link@20:0E", "adaptive", 1),
         ]
-        assert all(p.kind == "control_chaos" and p.rate == 0.05 for p in points)
-
-    def test_soft_error_specs_ignored_outside_soft_error(self):
-        spec = tiny_campaign_spec(soft_error_specs=("", "qtable@1e-5"))
-        assert all(p.soft_error_spec == "" for p in spec.expand())
 
     def test_sensor_chaos_takes_control_designs(self):
         spec = SweepSpec(
-            config=tiny_config(), kind="control_chaos", designs=("xy",),
-            traffics=("uniform",), sensor_specs=("drop@0.2:util",), cycles=400,
+            config=tiny_config(sensor_spec="drop@0.2:util"), kind="control_chaos",
+            designs=("xy",), traffics=("uniform",), cycles=400,
         )
         with pytest.raises(ValueError, match="unknown design"):
             spec.expand()
@@ -172,22 +150,22 @@ class TestGridExpansion:
         with pytest.raises(ValueError, match="unknown sweep kind 'trace'"):
             SweepSpec(config=tiny_config(), kind="trace")
 
-    def test_control_chaos_composes_every_spec_axis(self):
-        spec = SweepSpec(
-            config=tiny_config(), kind="control_chaos", designs=("rl",),
-            traffics=("uniform",), rates=(0.05,),
-            fault_specs=("", "link@300:4E"),
-            sensor_specs=("drop@0.2:util",),
-            soft_error_specs=("qtable@1e-5", "mode@r3+500"),
-            cycles=400,
-        )
-        points = spec.expand()
-        assert len(points) == 4
-        assert {(p.fault_spec, p.soft_error_spec) for p in points} == {
-            ("", "qtable@1e-5"), ("", "mode@r3+500"),
-            ("link@300:4E", "qtable@1e-5"), ("link@300:4E", "mode@r3+500"),
-        }
-        assert all(p.sensor_spec == "drop@0.2:util" for p in points)
+    @pytest.mark.parametrize("kind, design, field, spec", [
+        ("mode_error", "mode1", "fault_spec", "link@100:0E"),
+        ("mode_error", "mode1", "sensor_spec", "drop@0.2:util"),
+        ("mode_error", "mode1", "soft_error_spec", "qtable@1e-5"),
+        ("chaos", "xy", "sensor_spec", "drop@0.2:util"),
+        ("chaos", "xy", "soft_error_spec", "qtable@1e-5"),
+    ])
+    def test_kind_refuses_a_spec_it_does_not_simulate(self, kind, design, field, spec):
+        """Every spec a key hashes is simulated: a kind whose evaluator
+        ignores a fault family refuses a config that names it."""
+        config = tiny_config(**{field: spec})
+        with pytest.raises(ValueError, match=f"{kind} points do not simulate a {field}"):
+            SweepPoint(
+                config=config, kind=kind, design=design, traffic="uniform",
+                seed=0, cycles=100,
+            )
 
 
 class TestControlChaos:
@@ -195,27 +173,64 @@ class TestControlChaos:
 
     def test_soft_error_point_keeps_its_hard_faults(self):
         spec = SweepSpec(
-            config=tiny_config(width=4, height=4), kind="control_chaos",
-            designs=("rl",), traffics=("uniform",), rates=(0.05,),
-            fault_specs=("link@300:5E",),
-            soft_error_specs=("qtable@1e-5",),
-            cycles=400,
+            config=tiny_config(
+                width=4, height=4, fault_spec="link@300:5E",
+                soft_error_spec="qtable@1e-5",
+            ),
+            kind="control_chaos", designs=("rl",), traffics=("uniform",),
+            rates=(0.05,), cycles=400,
         )
         [point] = spec.expand()
-        assert point.fault_spec == "link@300:5E"
-        ledger = run_sweep_point(spec.config, point)["ledger"]
+        ledger = run_sweep_point(point)["ledger"]
         assert ledger["fault_spec"] == "link@300:5E"
         assert ledger["soft_error_spec"] == "qtable@1e-5"
         assert [clause for clause, _cycle in ledger["applied"]] == ["link@300:5E"]
         assert ledger["diagnosis"] is None
 
 
+class TestPointConfig:
+    """A point simulates the faults its config names, and its key and
+    cache entry record that config."""
+
+    @staticmethod
+    def _point(kind, design, rate, **config):
+        return SweepPoint(
+            config=tiny_config(**config), kind=kind, design=design,
+            traffic="uniform", seed=0, cycles=400, rate=rate,
+        )
+
+    def test_chaos_point_applies_its_config_kill(self):
+        point = self._point("chaos", "xy", 0.1, fault_spec="link@100:4E")
+        ledger = run_sweep_point(point)["ledger"]
+        assert ledger["fault_spec"] == "link@100:4E"
+        assert ledger["applied"] == [("link@100:4E", 100)]
+        assert ledger["link_kills"] == 1
+
+    def test_load_point_runs_its_config_kill(self):
+        healthy = self._point("load", "crc", 0.02)
+        killed = self._point("load", "crc", 0.02, fault_spec="router@0:4")
+        assert point_cache_key(healthy) != point_cache_key(killed)
+        before = run_sweep_point(healthy)["ledger"]
+        after = run_sweep_point(killed)["ledger"]
+        assert (before["latency"], before["throughput"]) == pytest.approx((19.39, 0.716), abs=5e-3)
+        assert (after["latency"], after["throughput"]) == pytest.approx((20.93, 0.358), abs=5e-3)
+
+    def test_cache_entry_header_carries_the_config(self, tmp_path):
+        point = self._point("chaos", "xy", 0.1, fault_spec="link@100:4E")
+        SweepRunner([point], cache_dir=tmp_path).run()
+        meta = read_checkpoint_meta(
+            SweepCache(tmp_path).path(point_cache_key(point)), version=CACHE_SCHEMA
+        )
+        assert meta["point"]["config"] == dataclasses.asdict(point.config)
+        assert meta["point"]["config"]["fault_spec"] == "link@100:4E"
+
+
 class TestModeError:
     """A ``mode_error`` point simulates the network its config describes."""
 
     POINT = SweepPoint(
-        kind="mode_error", design="mode1", traffic="uniform", seed=5,
-        cycles=120, error_probability=0.05,
+        config=tiny_config(), kind="mode_error", design="mode1",
+        traffic="uniform", seed=5, cycles=120, error_probability=0.05,
     )
 
     def test_drains_within_the_config_budget(self, monkeypatch):
@@ -223,7 +238,7 @@ class TestModeError:
         # a 100-cycle budget.
         monkeypatch.setattr("repro.sim.sweep.MAX_DRAIN_CYCLES", 100)
         with pytest.raises(RuntimeError, match=r"MAX_DRAIN_CYCLES \(100\)"):
-            run_sweep_point(tiny_config(), self.POINT)
+            run_sweep_point(self.POINT)
 
 
 class TestLoadWindow:
@@ -236,11 +251,10 @@ class TestLoadWindow:
 
     def _load(self, design, **overrides):
         point = SweepPoint(
-            kind="load", design=design, traffic="uniform", seed=0,
-            cycles=300, rate=0.01,
+            config=dataclasses.replace(self.CONFIG, **overrides), kind="load",
+            design=design, traffic="uniform", seed=0, cycles=300, rate=0.01,
         )
-        config = dataclasses.replace(self.CONFIG, **overrides)
-        return run_sweep_point(config, point)["ledger"]
+        return run_sweep_point(point)["ledger"]
 
     def test_trainable_design_excludes_pretraining(self):
         load = self._load("rl")
@@ -264,79 +278,67 @@ class TestLoadWindow:
 
 class TestCacheKeys:
     def test_key_stable_across_calls(self):
-        spec = tiny_campaign_spec()
-        point = spec.expand()[0]
-        assert point_cache_key(spec.config, point) == point_cache_key(
-            spec.config, point
-        )
+        point = tiny_campaign_spec().expand()[0]
+        assert point_cache_key(point) == point_cache_key(point)
 
     def test_key_sensitive_to_point_fields(self):
-        config = tiny_config()
         base = SweepPoint(
-            kind="campaign", design="crc", traffic="canneal", seed=0, cycles=400
+            config=tiny_config(), kind="campaign", design="crc",
+            traffic="canneal", seed=0, cycles=400,
         )
-        keys = {point_cache_key(config, base)}
+        keys = {point_cache_key(base)}
         for change in (
             {"design": "rl"},
             {"seed": 1},
             {"traffic": "x264"},
             {"cycles": 500},
         ):
-            keys.add(point_cache_key(config, dataclasses.replace(base, **change)))
+            keys.add(point_cache_key(dataclasses.replace(base, **change)))
         assert len(keys) == 5
 
+    @staticmethod
+    def _keys(kind, design, rate, field, specs):
+        """Keys of one point under a config per spec ("" = healthy)."""
+        return {
+            point_cache_key(SweepPoint(
+                config=tiny_config(**{field: spec}), kind=kind, design=design,
+                traffic="uniform", seed=0, cycles=400, rate=rate,
+            ))
+            for spec in specs
+        }
+
     def test_key_sensitive_to_fault_spec(self):
-        config = tiny_config()
-        base = SweepPoint(
-            kind="chaos", design="adaptive", traffic="uniform", seed=0,
-            cycles=400, rate=0.1,
+        keys = self._keys(
+            "chaos", "adaptive", 0.1, "fault_spec",
+            ("", "link@500:5E", "router@800:7"),
         )
-        keys = {point_cache_key(config, base)}
-        for change in (
-            {"fault_spec": "link@500:5E"},
-            {"fault_spec": "router@800:7"},
-        ):
-            keys.add(point_cache_key(config, dataclasses.replace(base, **change)))
         assert len(keys) == 3
 
     def test_key_sensitive_to_sensor_spec(self):
         """Schema 4: a cached healthy point must never be served for a
         sensor-faulted one (or vice versa)."""
-        config = tiny_config()
-        base = SweepPoint(
-            kind="control_chaos", design="rl", traffic="uniform", seed=0,
-            cycles=400, rate=0.05,
+        keys = self._keys(
+            "control_chaos", "rl", 0.05, "sensor_spec",
+            ("", "drop@0.2:util", "drop@0.2:util;stuck@r1.temp=0.9"),
         )
-        keys = {point_cache_key(config, base)}
-        for change in (
-            {"sensor_spec": "drop@0.2:util"},
-            {"sensor_spec": "drop@0.2:util;stuck@r1.temp=0.9"},
-        ):
-            keys.add(point_cache_key(config, dataclasses.replace(base, **change)))
         assert len(keys) == 3
 
     def test_key_sensitive_to_soft_error_spec(self):
         """Schema 5: a cached healthy point must never be served for an
         SEU campaign (or one campaign for another)."""
-        config = tiny_config()
-        base = SweepPoint(
-            kind="control_chaos", design="rl", traffic="uniform", seed=0,
-            cycles=400, rate=0.05,
+        keys = self._keys(
+            "control_chaos", "rl", 0.05, "soft_error_spec",
+            ("", "qtable@1e-5", "qtable@1e-5;mode@r3+500"),
         )
-        keys = {point_cache_key(config, base)}
-        for change in (
-            {"soft_error_spec": "qtable@1e-5"},
-            {"soft_error_spec": "qtable@1e-5;mode@r3+500"},
-        ):
-            keys.add(point_cache_key(config, dataclasses.replace(base, **change)))
         assert len(keys) == 3
 
     def test_key_sensitive_to_config(self):
         point = SweepPoint(
-            kind="campaign", design="crc", traffic="canneal", seed=0, cycles=400
+            config=tiny_config(), kind="campaign", design="crc",
+            traffic="canneal", seed=0, cycles=400,
         )
-        assert point_cache_key(tiny_config(), point) != point_cache_key(
-            tiny_config(warmup_cycles=300), point
+        assert point_cache_key(point) != point_cache_key(
+            dataclasses.replace(point, config=tiny_config(warmup_cycles=300))
         )
 
     def test_corrupt_entries_miss(self, tmp_path):
@@ -377,9 +379,10 @@ class TestCacheCorruption:
     def _stored(self, tmp_path):
         cache = SweepCache(tmp_path)
         point = SweepPoint(
-            kind="campaign", design="crc", traffic="canneal", seed=0, cycles=400
+            config=tiny_config(), kind="campaign", design="crc",
+            traffic="canneal", seed=0, cycles=400,
         )
-        key = point_cache_key(tiny_config(), point)
+        key = point_cache_key(point)
         cache.store(key, point, {"run": {"mean_latency": 12.5}, "elapsed": 1.0})
         return cache, key
 
@@ -421,9 +424,10 @@ class TestCacheCorruption:
         `<key>.tmp` — the tmp name carries pid + random part."""
         cache = SweepCache(tmp_path)
         point = SweepPoint(
-            kind="campaign", design="crc", traffic="canneal", seed=0, cycles=400
+            config=tiny_config(), kind="campaign", design="crc",
+            traffic="canneal", seed=0, cycles=400,
         )
-        key = point_cache_key(tiny_config(), point)
+        key = point_cache_key(point)
         seen = []
         real_replace = os.replace
 
@@ -447,26 +451,26 @@ class TestCacheCorruption:
 _FLAKY_CALLS = {"n": 0}
 
 
-def _always_failing_point(config, point):
+def _always_failing_point(point):
     raise RuntimeError("poison point")
 
 
-def _flaky_point(config, point):
+def _flaky_point(point):
     _FLAKY_CALLS["n"] += 1
     if _FLAKY_CALLS["n"] == 1:
         raise RuntimeError("transient glitch")
     from repro.sim.sweep import _EVALUATORS
 
-    payload = _EVALUATORS[point.kind](config, point)
+    payload = _EVALUATORS[point.kind](point)
     payload["elapsed"] = 0.0
     return payload
 
 
-def _hanging_point(config, point):
+def _hanging_point(point):
     time.sleep(60)
 
 
-def _dying_point(config, point):
+def _dying_point(point):
     os._exit(13)
 
 
@@ -540,10 +544,10 @@ class TestSupervision:
             "repro.sim.sweep", fromlist=["run_sweep_point"]
         ).run_sweep_point
 
-        def poison_first(config, point):
+        def poison_first(point):
             if point.design == "crc":
                 raise RuntimeError("poison")
-            return real(config, point)
+            return real(point)
 
         monkeypatch.setattr("repro.sim.sweep.run_sweep_point", poison_first)
         runner = self._runner(tmp_path, jobs=2, max_retries=0)
@@ -553,8 +557,7 @@ class TestSupervision:
         assert len(runner.report.quarantined) == 1
         assert runner.report.completed == 1
         # the healthy point is in the cache despite the failed sweep
-        spec = tiny_campaign_spec()
-        key = point_cache_key(spec.config, spec.expand()[1])
+        key = point_cache_key(tiny_campaign_spec().expand()[1])
         assert SweepCache(tmp_path).load(key) is not None
 
     def test_backoff_is_seeded_and_grows(self, monkeypatch):
@@ -571,10 +574,10 @@ class TestSupervision:
         in the same ledger whether it runs in-process or in workers."""
         real = run_sweep_point
 
-        def poison_crc(config, point):
+        def poison_crc(point):
             if point.design == "crc":
                 raise RuntimeError("poison")
-            return real(config, point)
+            return real(point)
 
         monkeypatch.setattr("repro.sim.sweep.run_sweep_point", poison_crc)
         reports = {}
@@ -632,9 +635,8 @@ class TestRunnerCaching:
         """A cached ledger comes back as the evaluator built it: the
         applied faults stay ``(clause, cycle)`` tuples."""
         spec = SweepSpec(
-            config=tiny_config(), kind=kind, designs=(design,),
-            traffics=("uniform",), rates=(rate,),
-            fault_specs=("link@100:0E",), cycles=300,
+            config=tiny_config(fault_spec="link@100:0E"), kind=kind,
+            designs=(design,), traffics=("uniform",), rates=(rate,), cycles=300,
         )
         [fresh] = runner_for(spec, cache_dir=tmp_path).run()
         [replayed] = runner_for(spec, cache_dir=tmp_path).run()
@@ -647,7 +649,7 @@ class TestRunnerCaching:
         spec = tiny_campaign_spec()
         runner = runner_for(spec, cache_dir=tmp_path)
         runner.run()
-        victim = point_cache_key(spec.config, spec.expand()[1])
+        victim = point_cache_key(spec.expand()[1])
         SweepCache(tmp_path).path(victim).unlink()
 
         resumed = runner_for(spec, cache_dir=tmp_path)
